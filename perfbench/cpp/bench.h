@@ -32,11 +32,17 @@ struct RunConfig {
   std::string out_dir;
 };
 
-/// CPUs this process may run on (what `nproc` prints).
+/// CPUs this process may run on (what `nproc` prints), as found at start.
 int HostCpus();
-/// Closed-loop clients of the serve workloads and sweep threads of
-/// plan_cold: min(4, nproc).
+/// Pins every thread of the process, and so the threads they start, to the
+/// `slot % nproc`-th CPU it may run on; a negative slot gives them all
+/// back every CPU.
+void PinProcess(int slot);
+/// Sweep threads of plan_cold and of the probes' Plan calls: min(4, nproc).
 int ClientThreads();
+/// Closed-loop connections of the serve workloads (see ../README.md for
+/// why one).
+constexpr int kServeClients = 1;
 
 double NowSeconds();
 /// CPU seconds consumed by the whole process so far.
@@ -60,14 +66,22 @@ std::string Hex(uint64_t value);
 /// run issues do not depend on how far a time-bounded run gets.
 double UnitDraw(uint64_t seed, uint64_t stream, uint64_t index);
 
-/// Measures `plan` the way /v1/measure with "explain" does — a traced
-/// simulation, RecordTrace, Analyze and the attribution JSON — three times
-/// (the result is deterministic) and returns the fastest wall time in ms,
-/// so one scheduler hiccup does not decide a sub-millisecond timing.
-double TimedMeasureMs(const galvatron::ModelSpec& model,
-                      const galvatron::TrainingPlan& plan,
-                      const galvatron::ClusterSpec& cluster,
-                      galvatron::Result<galvatron::SimMetrics>* metrics);
+/// One plan to measure, with the inputs that produced it.
+struct MeasureInput {
+  const galvatron::ModelSpec* model = nullptr;
+  const galvatron::TrainingPlan* plan = nullptr;
+  const galvatron::ClusterSpec* cluster = nullptr;
+};
+
+/// Measures `input` the way /v1/measure with "explain" does — a traced
+/// simulation, RecordTrace, Analyze and the attribution JSON — and returns
+/// the wall time in ms; `metrics` receives the simulation result. The call
+/// runs pinned to the `index % nproc`-th CPU the process may use, so a
+/// caller that numbers its measures spreads them over every CPU: on a
+/// shared host single CPUs turn slower and faster for seconds at a time,
+/// and measures that all ran on one of them would time that CPU.
+double MeasureMs(const MeasureInput& input, size_t index,
+                 galvatron::Result<galvatron::SimMetrics>* metrics);
 
 /// The mixed A100 + TITAN 16-GPU cluster of
 /// examples/mixed_a100_titan_16.json.

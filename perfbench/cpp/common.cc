@@ -6,6 +6,7 @@
 #include <time.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -65,15 +66,52 @@ int ThreadIndex() {
   return index;
 }
 
+/// The CPUs the process may run on, as the first call found them; empty
+/// when the process cannot read its affinity.
+const cpu_set_t& AllowedCpus() {
+  static const cpu_set_t allowed = [] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0) CPU_ZERO(&set);
+    return set;
+  }();
+  return allowed;
+}
+
+/// The `slot % nproc`-th allowed CPU alone, or every allowed CPU for a
+/// negative slot.
+cpu_set_t CpuSlot(int slot) {
+  const cpu_set_t& allowed = AllowedCpus();
+  if (slot < 0 || CPU_COUNT(&allowed) == 0) return allowed;
+  int skip = slot % CPU_COUNT(&allowed);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed) && skip-- == 0) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  return one;
+}
+
 }  // namespace
 
 int HostCpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    return std::max(1, CPU_COUNT(&set));
+  const int count = CPU_COUNT(&AllowedCpus());
+  return count > 0 ? count : galvatron::ThreadPool::HardwareThreads();
+}
+
+void PinProcess(int slot) {
+  if (CPU_COUNT(&AllowedCpus()) == 0) return;
+  const cpu_set_t set = CpuSlot(slot);
+  std::error_code error;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task", error)) {
+    const pid_t tid = static_cast<pid_t>(
+        std::atoi(task.path().filename().string().c_str()));
+    if (tid > 0) sched_setaffinity(tid, sizeof(set), &set);
   }
-  return galvatron::ThreadPool::HardwareThreads();
 }
 
 int ClientThreads() { return std::min(4, HostCpus()); }
@@ -148,36 +186,39 @@ double UnitDraw(uint64_t seed, uint64_t stream, uint64_t index) {
   return rng.NextDouble();
 }
 
-double TimedMeasureMs(const galvatron::ModelSpec& model,
-                      const galvatron::TrainingPlan& plan,
-                      const galvatron::ClusterSpec& cluster,
-                      galvatron::Result<galvatron::SimMetrics>* metrics) {
+double MeasureMs(const MeasureInput& input, size_t index,
+                 galvatron::Result<galvatron::SimMetrics>* metrics) {
+  cpu_set_t before;
+  const bool pin = CPU_COUNT(&AllowedCpus()) > 0 &&
+                   sched_getaffinity(0, sizeof(before), &before) == 0;
+  if (pin) {
+    const cpu_set_t one = CpuSlot(static_cast<int>(
+        index % static_cast<size_t>(CPU_COUNT(&AllowedCpus()))));
+    sched_setaffinity(0, sizeof(one), &one);
+  }
   galvatron::SimOptions options;
   options.record_trace = true;
   galvatron::trace::AttributionJsonOptions attribution_options;
   attribution_options.max_critical_path_entries = 128;  // as /v1/measure
-  double best = 0.0;
-  for (int i = 0; i < 3; ++i) {
-    const double start = NowSeconds();
-    galvatron::SimTrace sim_trace;
-    *metrics = galvatron::Galvatron::Measure(model, plan, cluster, options,
-                                             &sim_trace);
-    if (metrics->ok()) {
-      auto execution = galvatron::trace::RecordTrace(sim_trace);
-      if (!execution.ok()) {
-        *metrics = execution.status();
-      } else if (auto report = galvatron::trace::Analyze(*execution);
-                 !report.ok()) {
-        *metrics = report.status();
-      } else {
-        galvatron::trace::ToAttributionJson(*execution, *report,
-                                            attribution_options);
-      }
+  const double start = NowSeconds();
+  galvatron::SimTrace sim_trace;
+  *metrics = galvatron::Galvatron::Measure(*input.model, *input.plan,
+                                           *input.cluster, options, &sim_trace);
+  if (metrics->ok()) {
+    auto execution = galvatron::trace::RecordTrace(sim_trace);
+    if (!execution.ok()) {
+      *metrics = execution.status();
+    } else if (auto report = galvatron::trace::Analyze(*execution);
+               !report.ok()) {
+      *metrics = report.status();
+    } else {
+      galvatron::trace::ToAttributionJson(*execution, *report,
+                                          attribution_options);
     }
-    const double ms = 1e3 * (NowSeconds() - start);
-    if (i == 0 || ms < best) best = ms;
   }
-  return best;
+  const double ms = 1e3 * (NowSeconds() - start);
+  if (pin) sched_setaffinity(0, sizeof(before), &before);
+  return ms;
 }
 
 galvatron::ClusterSpec MixedA100Titan16() {

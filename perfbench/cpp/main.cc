@@ -93,9 +93,12 @@ std::string RunRecord(const Args& args, const RunResult& result,
                       const std::vector<std::string>& names) {
   const RunConfig& config = args.config;
   std::string record = StrFormat(
-      "{\"host\": {\"nproc\": %d, \"client_threads\": %d, \"build_type\": "
-      "\"%s\", \"compiler\": \"%s\", \"git_revision\": \"%s\"}",
-      HostCpus(), ClientThreads(), PERFBENCH_BUILD_TYPE,
+      "{\"host\": {\"nproc\": %d, \"search_threads\": %d, "
+      "\"serve_clients\": %d, \"build_type\": \"%s\", \"compiler\": "
+      "\"%s\", \"git_revision\": \"%s\"}",
+      HostCpus(),
+      config.search_threads > 0 ? config.search_threads : ClientThreads(),
+      kServeClients, PERFBENCH_BUILD_TYPE,
       JsonEscape(__VERSION__).c_str(), JsonEscape(args.revision).c_str());
   record += StrFormat(
       ", \"run\": {\"workload\": \"%s\", \"seed\": %llu, \"seconds\": %s, "
@@ -166,6 +169,7 @@ int Main(int argc, char** argv) {
     return 2;
   }
   RunConfig& config = args.config;
+  HostCpus();  // records the CPUs the process may use before any pinning
   if (config.out_dir.empty()) config.out_dir = ".bench_build/perfbench-results";
 
   RunResult result;

@@ -45,11 +45,13 @@ using galvatron::StrFormat;
 using galvatron::TrainingPlan;
 using galvatron::WriteJson;
 
-constexpr int kSetupRepeats = 7;
-constexpr int kRounds = 5;
+constexpr int kSetupRepeats = 11;
+/// Rounds of a window; each runs on one CPU, the next one each round (see
+/// ClosedLoop::Measure), so a run visits every CPU many times.
+constexpr int kRounds = 32;
 /// Traced runs alternate untraced and traced rounds, so both halves see the
 /// same cache state and the tracing overhead is their ratio.
-constexpr int kTracedRounds = 6;
+constexpr int kTracedRounds = 32;
 constexpr int kRequestTimeoutMs = 120000;
 
 enum Kind { kPlan = 0, kMeasure = 1, kCalibrate = 2 };
@@ -188,55 +190,70 @@ class ClosedLoop {
     next_op_ = count;
   }
 
-  /// The timed window: `rounds` equal slices of config.seconds (or of
-  /// config.ops ops). In traced runs odd rounds are traced; `trace_all`
-  /// traces every round.
-  void Measure(int rounds, bool trace_all = false) {
+  /// The timed window: `rounds` rounds of config.seconds / rounds each (or
+  /// of config.ops / rounds ops). In traced runs odd rounds are traced;
+  /// `trace_all` traces every round. `after_round(r)`, when given, runs on
+  /// the calling thread after round r, between the rounds' timings.
+  ///
+  /// Each round runs the whole process — clients, server threads and the
+  /// searches they start — on one CPU, the next one each round (in traced
+  /// runs each untraced and traced pair of rounds shares one). A round trip
+  /// then wakes no idle CPU: on a shared virtual host such a wake-up takes
+  /// from microseconds to milliseconds as the neighbours' load comes and
+  /// goes, and it, not the daemon, would decide the latencies.
+  void Measure(int rounds, bool trace_all = false,
+               const std::function<void(int)>& after_round = nullptr) {
     rounds_ = rounds;
     const int64_t first = next_op_.load();
-    const double round_seconds = config_.seconds / rounds;
-    const double window_start = NowSeconds();
-    RunClients([&](int64_t* op, int* round, bool* traced) {
-      if (config_.ops > 0) {
-        *op = next_op_.fetch_add(1);
-        const int64_t index = *op - first;
-        if (index >= config_.ops) return false;
-        *round = static_cast<int>(index * rounds / config_.ops);
-      } else {
-        const double elapsed = NowSeconds() - window_start;
-        if (elapsed >= config_.seconds) return false;
-        *round = std::min(rounds - 1, static_cast<int>(elapsed / round_seconds));
-        *op = next_op_.fetch_add(1);
-      }
-      *traced = trace_all || (config_.trace && *round % 2 == 1);
-      return true;
-    });
-    if (config_.ops > 0) next_op_ = first + config_.ops;
+    for (int r = 0; r < rounds; ++r) {
+      const bool traced = trace_all || (config_.trace && r % 2 == 1);
+      const int64_t end_op = first + config_.ops * (r + 1) / rounds;
+      PinProcess(config_.trace ? r / 2 : r);
+      const double round_start = NowSeconds();
+      RunClients([&](int64_t* op, int* round, bool* is_traced) {
+        if (config_.ops > 0) {
+          *op = next_op_.fetch_add(1);
+          if (*op >= end_op) return false;
+        } else {
+          if (NowSeconds() - round_start >= config_.seconds / rounds) {
+            return false;
+          }
+          *op = next_op_.fetch_add(1);
+        }
+        *round = r;
+        *is_traced = traced;
+        return true;
+      });
+      PinProcess(-1);
+      // Ops fetched past a fixed-count round were not sent.
+      if (config_.ops > 0) next_op_ = end_op;
+      if (after_round) after_round(r);
+    }
   }
 
   const std::vector<Sample>& samples() const { return samples_; }
   const BodyStore& bodies() const { return store_; }
   int rounds() const { return rounds_; }
 
-  /// 200 responses per second in each round, of one kind or (-1) of all.
+  /// 200 responses per second in each round, of one kind or (-1) of all:
+  /// the count over the span from the round's first send to its last
+  /// answer.
   std::vector<double> RoundRates(int kind) const {
-    std::vector<double> count(static_cast<size_t>(rounds_), 0.0);
-    std::vector<double> first(static_cast<size_t>(rounds_), 1e300);
-    std::vector<double> last(static_cast<size_t>(rounds_), 0.0);
-    for (const Sample& s : samples_) {
-      if (s.round < 0) continue;
-      const size_t r = static_cast<size_t>(s.round);
-      first[r] = std::min(first[r], s.start);
-      last[r] = std::max(last[r], s.end);
-      if (s.status == 200 && (kind < 0 || s.what.kind == kind)) ++count[r];
-    }
     std::vector<double> rates;
-    for (size_t r = 0; r < count.size(); ++r) {
-      const double seconds = config_.ops > 0 ? last[r] - first[r]
-                                             : config_.seconds / rounds_;
-      rates.push_back(Ratio(count[r], seconds));
+    for (const RoundCount& round : RoundCounts(kind)) {
+      rates.push_back(Ratio(round.count, round.seconds));
     }
     return rates;
+  }
+
+  /// 200 responses per second over all rounds together.
+  double WindowRate(int kind) const {
+    double count = 0.0, seconds = 0.0;
+    for (const RoundCount& round : RoundCounts(kind)) {
+      count += round.count;
+      seconds += round.seconds;
+    }
+    return Ratio(count, seconds);
   }
 
   /// Digest of every op sent so far (kind and key, in op order).
@@ -250,6 +267,30 @@ class ClosedLoop {
   }
 
  private:
+  struct RoundCount {
+    double count = 0.0;
+    double seconds = 0.0;
+  };
+
+  std::vector<RoundCount> RoundCounts(int kind) const {
+    std::vector<double> first(static_cast<size_t>(rounds_), 1e300);
+    std::vector<double> last(static_cast<size_t>(rounds_), 0.0);
+    std::vector<RoundCount> rounds(static_cast<size_t>(rounds_));
+    for (const Sample& s : samples_) {
+      if (s.round < 0) continue;
+      const size_t r = static_cast<size_t>(s.round);
+      first[r] = std::min(first[r], s.start);
+      last[r] = std::max(last[r], s.end);
+      if (s.status == 200 && (kind < 0 || s.what.kind == kind)) {
+        ++rounds[r].count;
+      }
+    }
+    for (size_t r = 0; r < rounds.size(); ++r) {
+      rounds[r].seconds = std::max(0.0, last[r] - first[r]);
+    }
+    return rounds;
+  }
+
   template <typename Next>
   void RunClients(Next next) {
     std::vector<std::thread> threads;
@@ -335,8 +376,8 @@ void SetServeEndToEnd(const ClosedLoop& loop, RunResult* result) {
   const std::vector<double> req_rates = loop.RoundRates(-1);
   const std::vector<double> plan_rates = loop.RoundRates(kPlan);
   result->rounds = loop.rounds();
-  result->Set("req_per_s", Median(req_rates), "1/s", req_rates);
-  result->Set("plans_per_s", Median(plan_rates), "1/s", plan_rates);
+  result->Set("req_per_s", loop.WindowRate(-1), "1/s", req_rates);
+  result->Set("plans_per_s", loop.WindowRate(kPlan), "1/s", plan_rates);
   result->Set("req_ms_p50", Percentile(all_ms, 50.0), "ms");
   result->Set("req_ms_p99", Percentile(all_ms, 99.0), "ms");
   result->Set("plan_ms_p50", Percentile(plan_ms, 50.0), "ms");
@@ -459,8 +500,8 @@ constexpr ModelId kZipfModels[] = {ModelId::kBertHuge32, ModelId::kBertHuge48,
 /// Per-device budgets of every fabric's keys, in GB.
 constexpr int kZipfBudgetsGb[] = {10, 12, 14, 16, 18, 20, 22, 24};
 constexpr int kZipfFabrics = 4;
-constexpr double kZipfExponent = 1.15;
-constexpr int64_t kZipfWarmupOps = 3000;
+constexpr double kZipfExponent = 1.3;
+constexpr int64_t kZipfWarmupOps = 2000;
 
 /// 8-GPU TITAN and A100 clusters: one node of 8, and two nodes of 4 over
 /// InfiniBand. Larger clusters make single cold searches so long that a
@@ -522,6 +563,52 @@ std::unique_ptr<ZipfState> BuildZipf() {
   state->daemon = std::make_unique<Daemon>();
   return state;
 }
+
+/// The serve_zipf request stream, in blocks of kZipfBlock requests. A
+/// block's keys are a systematic sample of the Zipf weights from a seeded
+/// offset, so every key's count in it is within one of its expected count,
+/// in a seeded order. Independent draws let the number of rarely asked,
+/// evicted and so cold keys — which decides a run's throughput — drift from
+/// seed to seed.
+class ZipfStream {
+ public:
+  ZipfStream(const ZipfState& state, uint64_t seed)
+      : state_(state), seed_(seed) {}
+
+  Op At(int64_t i) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto [it, fresh] = blocks_.try_emplace(i / kZipfBlock);
+    if (fresh) it->second = MakeBlock(i / kZipfBlock);
+    return Op{kPlan, it->second[static_cast<size_t>(i % kZipfBlock)]};
+  }
+
+ private:
+  static constexpr int64_t kZipfBlock = 1000;
+
+  std::vector<int> MakeBlock(int64_t block) const {
+    const uint64_t first = static_cast<uint64_t>(block * kZipfBlock);
+    const double offset = UnitDraw(seed_, 0, static_cast<uint64_t>(block));
+    std::vector<int> keys;
+    for (int64_t j = 0; j < kZipfBlock; ++j) {
+      const double u = (static_cast<double>(j) + offset) / kZipfBlock;
+      const size_t rank = std::min<size_t>(
+          std::lower_bound(state_.cdf.begin(), state_.cdf.end(), u) -
+              state_.cdf.begin(),
+          state_.cdf.size() - 1);
+      keys.push_back(state_.key_of_rank[rank]);
+    }
+    for (size_t j = keys.size() - 1; j > 0; --j) {
+      const double u = UnitDraw(seed_, 1, first + j);
+      std::swap(keys[j], keys[static_cast<size_t>(u * static_cast<double>(j + 1))]);
+    }
+    return keys;
+  }
+
+  const ZipfState& state_;
+  const uint64_t seed_;
+  std::mutex mu_;
+  std::map<int64_t, std::vector<int>> blocks_;
+};
 
 /// A key's plan from a direct, cold library call, for the output check.
 struct Expected {
@@ -640,45 +727,66 @@ RunResult RunServeZipf(const RunConfig& config) {
   const std::unique_ptr<ZipfState> state =
       TimedSetup(kSetupRepeats, &result, BuildZipf);
   const ZipfState& s = *state;
+
+  // Every key's plan from a direct, cold library Plan, before the window:
+  // the output check's reference and measure_req_ms_p50's inputs.
+  std::vector<Expected> expected(s.keys.size());
+  {
+    galvatron::ThreadPool pool(ClientThreads());
+    galvatron::ParallelFor(&pool, static_cast<int>(s.keys.size()), [&](int i) {
+      const size_t k = static_cast<size_t>(i);
+      expected[k] =
+          DirectPlan(s.models[static_cast<size_t>(s.keys[k].model)], s.keys[k]);
+    });
+  }
+  std::vector<int> measured_keys;
+  std::vector<MeasureInput> measure_inputs;
+  for (size_t k = 0; k < s.keys.size(); ++k) {
+    const Expected& e = expected[k];
+    if (!e.plan) continue;
+    measured_keys.push_back(static_cast<int>(k));
+    measure_inputs.push_back(
+        {&s.models[static_cast<size_t>(s.keys[k].model)], &*e.plan, &*e.cluster});
+  }
+  // After round r, outside the rounds' time, every eighth key's plan is
+  // measured, from key r % 8 on: the measures spread over the window as
+  // the requests do, and every key is measured kRounds / 8 times.
+  std::vector<galvatron::Result<galvatron::SimMetrics>> simulated(
+      measure_inputs.size(), galvatron::Status::Internal("not simulated"));
+  std::vector<double> measure_ms;  // mean ms per measure, per round
+  double measure_ms_total = 0.0;
+  size_t measures = 0;
+  const auto measure_some = [&](int round) {
+    double ms = 0.0;
+    int count = 0;
+    for (size_t i = static_cast<size_t>(round % 8); i < measure_inputs.size();
+         i += 8) {
+      ms += MeasureMs(measure_inputs[i], measures++, &simulated[i]);
+      ++count;
+    }
+    measure_ms_total += ms;
+    if (count > 0) measure_ms.push_back(ms / count);
+  };
+
+  ZipfStream stream(s, config.seed);
   ClosedLoop loop(
-      s.daemon->port(), config, ClientThreads(),
-      [&s, seed = config.seed](int64_t i) {
-        const double u = UnitDraw(seed, 0, static_cast<uint64_t>(i));
-        const size_t rank = std::min<size_t>(
-            std::lower_bound(s.cdf.begin(), s.cdf.end(), u) - s.cdf.begin(),
-            s.cdf.size() - 1);
-        return Op{kPlan, s.key_of_rank[rank]};
-      },
+      s.daemon->port(), config, kServeClients,
+      [&stream](int64_t i) { return stream.At(i); },
       {&s.bodies, &s.bodies, &s.bodies});
   loop.WarmUp(config.ops > 0 ? config.ops / 4 : kZipfWarmupOps);
   const ServeCounters before = CountersOf(s.daemon->metrics());
-  loop.Measure(config.trace ? kTracedRounds : kRounds);
+  loop.Measure(config.trace ? kTracedRounds : kRounds, /*trace_all=*/false,
+               measure_some);
   const ServeCounters delta = Delta(CountersOf(s.daemon->metrics()), before);
   result.Set("peak_rss_mb", PeakRssMb(), "MB");
   SetServeEndToEnd(loop, &result);
   result.mix_digest = loop.MixDigest();
   CountStatuses(loop, &result);
 
-  // Output check: every 200 body's plan equals the plan of a direct, cold
-  // library Plan for its key, computed once per distinct key.
+  // Output check: every 200 body's plan equals its key's direct Plan.
   std::map<std::pair<int, uint64_t>, int64_t> responses;
-  std::vector<int> served;
   for (const Sample& smp : loop.samples()) {
-    if (smp.status != 200) continue;
-    if (++responses[{smp.what.key, smp.body_hash}] == 1) {
-      served.push_back(smp.what.key);
-    }
-  }
-  std::sort(served.begin(), served.end());
-  served.erase(std::unique(served.begin(), served.end()), served.end());
-  std::vector<Expected> expected(s.keys.size());
-  {
-    galvatron::ThreadPool pool(ClientThreads());
-    galvatron::ParallelFor(&pool, static_cast<int>(served.size()), [&](int i) {
-      const size_t k = static_cast<size_t>(served[static_cast<size_t>(i)]);
-      expected[k] = DirectPlan(
-          s.models[static_cast<size_t>(s.keys[k].model)], s.keys[k]);
-    });
+    if (smp.status == 200) ++responses[{smp.what.key, smp.body_hash}];
   }
   for (const auto& [key_and_hash, count] : responses) {
     const Expected& e = expected[static_cast<size_t>(key_and_hash.first)];
@@ -692,28 +800,24 @@ RunResult RunServeZipf(const RunConfig& config) {
                   count);
     }
   }
-  // Simulated one at a time, so measure_req_ms_p50 times a quiet host.
-  std::vector<double> sps, measure_ms;
-  for (int key : served) {
-    const Expected& e = expected[static_cast<size_t>(key)];
-    if (!e.plan) continue;
-    galvatron::Result<galvatron::SimMetrics> measured =
-        galvatron::Status::Internal("not simulated");
-    measure_ms.push_back(TimedMeasureMs(
-        s.models[static_cast<size_t>(s.keys[static_cast<size_t>(key)].model)],
-        *e.plan, *e.cluster, &measured));
-    if (!measured.ok() || measured->oom) {
+  std::vector<double> sps;
+  for (size_t i = 0; i < simulated.size(); ++i) {
+    if (!simulated[i].ok() || simulated[i]->oom) {
       result.Fail(StrFormat("/v1/plan key %d: the plan does not simulate",
-                            key));
+                            measured_keys[i]));
       continue;
     }
-    sps.push_back(measured->throughput_samples_per_sec);
+    sps.push_back(simulated[i]->throughput_samples_per_sec);
   }
   result.Set("plan_sim_sps_geomean", GeoMean(sps), "1/s");
-  result.Set("measure_req_ms_p50", Median(measure_ms), "ms");
+  // No /v1/measure requests here: the mean Measure (with "explain") of
+  // every key's plan. A median would flip between the plan sizes.
+  result.Set("measure_req_ms_p50",
+             Ratio(measure_ms_total, static_cast<double>(measures)), "ms",
+             measure_ms);
 
   if (config.trace) {
-    // Probe inputs: the most popular keys the run served.
+    // Probe inputs: the most popular keys.
     std::vector<ReferencePlan> refs;
     for (int key : s.key_of_rank) {
       if (refs.size() == 16) break;
@@ -740,7 +844,7 @@ RunResult RunServeCalibrate(const RunConfig& config) {
   const int plan_keys = static_cast<int>(s.plan_bodies.size());
   const int measure_keys = static_cast<int>(s.measure_bodies.size());
   ClosedLoop loop(
-      s.daemon->port(), config, ClientThreads(),
+      s.daemon->port(), config, kServeClients,
       [seed = config.seed, plan_keys, measure_keys](int64_t i) {
         const uint64_t index = static_cast<uint64_t>(i);
         if (i % kCalibrateEvery == kCalibrateEvery - 1) {
@@ -817,30 +921,44 @@ RunResult RunServeCalibrate(const RunConfig& config) {
     }
   }
 
-  // Plan quality: each key's plan before the first fit, simulated.
-  std::vector<double> sps;
-  std::vector<ReferencePlan> refs;
+  // Before the first fit the profile is the default one, so each key's
+  // plan then equals a direct, cold library Plan. Plan quality is that
+  // plan's simulation, for every key whatever the seed asked.
+  std::vector<Expected> expected(static_cast<size_t>(plan_keys));
+  {
+    galvatron::ThreadPool pool(ClientThreads());
+    galvatron::ParallelFor(&pool, plan_keys, [&](int k) {
+      const size_t key = static_cast<size_t>(k);
+      expected[key] = DirectPlan(
+          s.models[static_cast<size_t>(s.key_model[key])],
+          ZipfKey{s.key_model[key], galvatron::ClusterSpecToJson(s.clusters[key])});
+    });
+  }
   for (const auto& [key, hash] : first_version_body) {
     auto body = loop.bodies().ParsePlanBody(hash);
-    const JsonValue* plan_value = body.ok() ? FindMember(*body, "plan") : nullptr;
-    auto plan = plan_value != nullptr
-                    ? galvatron::PlanFromJsonValue(*plan_value)
-                    : galvatron::Result<TrainingPlan>(
-                          galvatron::Status::InvalidArgument("no plan"));
-    const ModelSpec& model =
-        s.models[static_cast<size_t>(s.key_model[static_cast<size_t>(key)])];
-    const ClusterSpec& cluster = s.clusters[static_cast<size_t>(key)];
-    auto measured = plan.ok() ? Galvatron::Measure(model, *plan, cluster)
-                              : galvatron::Result<galvatron::SimMetrics>(
-                                    plan.status());
+    const JsonValue* plan = body.ok() ? FindMember(*body, "plan") : nullptr;
+    if (plan == nullptr ||
+        WriteJson(*plan) != expected[static_cast<size_t>(key)].plan_json) {
+      result.Fail(StrFormat("/v1/plan key %d: plan before the first fit "
+                            "differs from a direct Plan",
+                            key));
+    }
+  }
+  std::vector<double> sps;
+  std::vector<ReferencePlan> refs;
+  for (size_t key = 0; key < expected.size(); ++key) {
+    const Expected& e = expected[key];
+    const ModelSpec& model = s.models[static_cast<size_t>(s.key_model[key])];
+    auto measured = e.plan ? Galvatron::Measure(model, *e.plan, *e.cluster)
+                           : galvatron::Result<galvatron::SimMetrics>(
+                                 galvatron::Status::Internal(e.error));
     if (!measured.ok() || measured->oom) {
-      result.Fail(StrFormat("/v1/plan key %d: served plan does not simulate",
+      result.Fail(StrFormat("/v1/plan key %zu: direct plan does not simulate",
                             key));
       continue;
     }
     sps.push_back(measured->throughput_samples_per_sec);
-    refs.push_back({&model, &cluster, OptimizerOptions{}, *plan,
-                    s.plan_bodies[static_cast<size_t>(key)]});
+    refs.push_back({&model, &*e.cluster, e.options, *e.plan, s.plan_bodies[key]});
   }
   result.Set("plan_sim_sps_geomean", GeoMean(sps), "1/s");
 
