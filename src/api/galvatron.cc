@@ -13,45 +13,16 @@ PlanningContext::PlanningContext(ModelSpec model, ClusterSpec cluster,
 
 Result<TrainedPlan> Galvatron::Plan(const ModelSpec& model,
                                     const ClusterSpec& cluster,
-                                    const OptimizerOptions& options) {
+                                    const OptimizerOptions& options,
+                                    const SearchHooks& hooks) {
   Optimizer optimizer(&cluster, options);
   GALVATRON_ASSIGN_OR_RETURN(OptimizationResult result,
-                             optimizer.Optimize(model));
+                             optimizer.Optimize(model, hooks));
   TrainedPlan out;
   out.plan = std::move(result.plan);
   out.estimated = std::move(result.estimated);
   out.search_stats = result.stats;
   return out;
-}
-
-Result<TrainedPlan> Galvatron::Plan(
-    PlanningContext& context, const OptimizerOptions& options,
-    const std::function<bool()>& cancel_check) {
-  return Plan(context, context.cluster(), options, cancel_check);
-}
-
-Result<TrainedPlan> Galvatron::Plan(
-    PlanningContext& context, const ClusterSpec& cluster,
-    const OptimizerOptions& options,
-    const std::function<bool()>& cancel_check) {
-  Optimizer optimizer(&cluster, options);
-  GALVATRON_ASSIGN_OR_RETURN(
-      OptimizationResult result,
-      optimizer.Optimize(context.model(), context.cache(),
-                         context.frontier_cache(), cancel_check));
-  TrainedPlan out;
-  out.plan = std::move(result.plan);
-  out.estimated = std::move(result.estimated);
-  out.search_stats = result.stats;
-  return out;
-}
-
-Result<SimMetrics> Galvatron::Measure(const ModelSpec& model,
-                                      const TrainingPlan& plan,
-                                      const ClusterSpec& cluster,
-                                      const SimOptions& options) {
-  Simulator simulator(&cluster, options);
-  return simulator.Run(model, plan);
 }
 
 Result<SimMetrics> Galvatron::Measure(const ModelSpec& model,

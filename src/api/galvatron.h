@@ -45,10 +45,11 @@ struct TrainedPlan {
 /// Long-lived planning state for callers that issue many Plan calls over
 /// one (model, cluster, estimator-options) triple — the serving daemon
 /// keeps one per distinct request signature. Owns stable copies of the
-/// specs plus a SharedCostCache whose entries persist across calls, so a
-/// repeat request with, say, a different memory budget re-prices nothing
-/// the cache already holds. Thread-safe for concurrent Plan calls (the
-/// cache is internally sharded and the estimator is const).
+/// specs plus a SharedCostCache and a DpFrontierCache whose entries persist
+/// across calls (Galvatron::Plan takes them as SearchHooks), so a repeat
+/// request with, say, a different memory budget re-prices nothing the
+/// caches already hold. Thread-safe for concurrent Plan calls (the caches
+/// are internally locked and the estimator is const).
 class PlanningContext {
  public:
   PlanningContext(ModelSpec model, ClusterSpec cluster,
@@ -83,48 +84,31 @@ class Galvatron {
  public:
   /// Searches the hybrid-parallelism space (Algorithm 1) and returns the
   /// highest-throughput plan for `model` on `cluster`.
+  ///
+  /// `hooks` (optional; see Optimizer::Optimize) lend the search
+  /// caller-owned caches and a cancel check. The serving daemon passes a
+  /// PlanningContext's caches, optimizing against the REQUEST's cluster:
+  /// requests whose cluster differs from the context's ONLY in per-device
+  /// memory share one context, because per-layer costs never depend on the
+  /// memory budget; feasibility is re-checked against `cluster` exactly.
+  /// The caches' model and cluster must match `model` and `cluster` in
+  /// every other respect, and `options.estimator` must equal the
+  /// context's estimator options.
   static Result<TrainedPlan> Plan(const ModelSpec& model,
                                   const ClusterSpec& cluster,
-                                  const OptimizerOptions& options = {});
-
-  /// Same, reusing `context`'s cross-call SharedCostCache (see
-  /// PlanningContext). `options.estimator` must equal the context's
-  /// estimator options and the model/cluster must match the context's —
-  /// cache entries are priced by the context's estimator. `cancel_check`
-  /// (optional) aborts the sweep with Status::Cancelled once it returns
-  /// true; serving uses it for per-request deadlines.
-  static Result<TrainedPlan> Plan(
-      PlanningContext& context, const OptimizerOptions& options = {},
-      const std::function<bool()>& cancel_check = {});
-
-  /// Same, but optimizes against `cluster` instead of the context's own —
-  /// the serving daemon's path for budget variants: requests whose cluster
-  /// differs from the context's ONLY in per-device memory share one
-  /// context (and its cost + frontier caches), because per-layer costs
-  /// never depend on the memory budget; feasibility is re-checked against
-  /// `cluster` exactly. `cluster` must match the context's cluster in
-  /// every other respect (device count, islands, bandwidths).
-  static Result<TrainedPlan> Plan(
-      PlanningContext& context, const ClusterSpec& cluster,
-      const OptimizerOptions& options = {},
-      const std::function<bool()>& cancel_check = {});
+                                  const OptimizerOptions& options = {},
+                                  const SearchHooks& hooks = {});
 
   /// Runs one simulated training iteration of `plan` and fills
   /// `measured`. The simulator stands in for the paper's real GPU testbeds
-  /// (see DESIGN.md).
-  static Result<SimMetrics> Measure(const ModelSpec& model,
-                                    const TrainingPlan& plan,
-                                    const ClusterSpec& cluster,
-                                    const SimOptions& options = {});
-
-  /// Like Measure, but also captures the execution trace when
-  /// `options.record_trace` is set (see SimOptions::record_trace and
+  /// (see DESIGN.md). With `options.record_trace` set, `sim_trace` also
+  /// receives the execution trace (see SimOptions::record_trace and
   /// src/trace/ for the recorder/analyzer/exporters that consume it).
   static Result<SimMetrics> Measure(const ModelSpec& model,
                                     const TrainingPlan& plan,
                                     const ClusterSpec& cluster,
-                                    const SimOptions& options,
-                                    SimTrace* sim_trace);
+                                    const SimOptions& options = {},
+                                    SimTrace* sim_trace = nullptr);
 
   /// Plan + Measure in one call.
   static Result<TrainedPlan> PlanAndMeasure(

@@ -115,6 +115,19 @@ Result<HybridStrategy> SingleDim(ParallelDim dim, int degree) {
   return HybridStrategy::Create({{dim, degree}});
 }
 
+/// The optimizer-backed baselines' shared sweep settings.
+OptimizerOptions SweepOptions(const BaselineOptions& options) {
+  OptimizerOptions opt;
+  opt.estimator = options.estimator;
+  opt.partition_policy = options.partition_policy;
+  opt.batch_step = options.batch_step;
+  opt.max_batch = options.max_batch;
+  opt.micro_batch_multipliers = options.micro_batch_multipliers;
+  opt.memory_granularity = options.memory_granularity;
+  opt.search_threads = options.search_threads;
+  return opt;
+}
+
 }  // namespace
 
 Result<OptimizationResult> RunBaseline(BaselineKind kind,
@@ -160,47 +173,21 @@ Result<OptimizationResult> RunBaseline(BaselineKind kind,
       return SweepFixedStrategy(model, cluster, options, /*pp_degree=*/2, s);
     }
     case BaselineKind::kAutoDpTp: {
-      OptimizerOptions opt;
+      OptimizerOptions opt = SweepOptions(options);
       opt.tree.allow_sdp = false;
       opt.tree.fixed_order = true;
       opt.pp_degrees = {1};
-      opt.estimator = options.estimator;
-      opt.partition_policy = options.partition_policy;
-      opt.batch_step = options.batch_step;
-      opt.max_batch = options.max_batch;
-      opt.micro_batch_multipliers = options.micro_batch_multipliers;
-      opt.memory_granularity = options.memory_granularity;
-      opt.search_threads = options.search_threads;
-      opt.use_sparse_dp = options.use_sparse_dp;
       return Optimizer(&cluster, opt).Optimize(model);
     }
     case BaselineKind::kAutoDpPp: {
-      OptimizerOptions opt;
+      OptimizerOptions opt = SweepOptions(options);
       opt.tree.allow_sdp = false;
       opt.tree.allow_tp = false;
       opt.tree.fixed_order = true;
-      opt.estimator = options.estimator;
-      opt.partition_policy = options.partition_policy;
-      opt.batch_step = options.batch_step;
-      opt.max_batch = options.max_batch;
-      opt.micro_batch_multipliers = options.micro_batch_multipliers;
-      opt.memory_granularity = options.memory_granularity;
-      opt.search_threads = options.search_threads;
-      opt.use_sparse_dp = options.use_sparse_dp;
       return Optimizer(&cluster, opt).Optimize(model);
     }
-    case BaselineKind::kGalvatron: {
-      OptimizerOptions opt;
-      opt.estimator = options.estimator;
-      opt.partition_policy = options.partition_policy;
-      opt.batch_step = options.batch_step;
-      opt.max_batch = options.max_batch;
-      opt.micro_batch_multipliers = options.micro_batch_multipliers;
-      opt.memory_granularity = options.memory_granularity;
-      opt.search_threads = options.search_threads;
-      opt.use_sparse_dp = options.use_sparse_dp;
-      return Optimizer(&cluster, opt).Optimize(model);
-    }
+    case BaselineKind::kGalvatron:
+      return Optimizer(&cluster, SweepOptions(options)).Optimize(model);
   }
   return Status::InvalidArgument("unknown baseline");
 }

@@ -53,9 +53,6 @@ struct BaselineOptions {
   /// (1 = serial, 0 = hardware concurrency). Results are thread-count
   /// independent; see OptimizerOptions::search_threads.
   int search_threads = 1;
-  /// DP kernel for the optimizer-backed baselines; plans are byte-identical
-  /// either way (see OptimizerOptions::use_sparse_dp).
-  bool use_sparse_dp = true;
 };
 
 /// Finds `kind`'s best feasible configuration on (model, cluster): sweeps

@@ -117,6 +117,10 @@ SharedCostCache::SharedCostCache(const CostEstimator* estimator,
     : estimator_(estimator), model_(model), serial_(NextCacheSerial()) {
   GALVATRON_CHECK(estimator != nullptr);
   GALVATRON_CHECK(model != nullptr);
+  layer_sig_ids_.reserve(static_cast<size_t>(model->num_layers()));
+  for (int l = 0; l < model->num_layers(); ++l) {
+    layer_sig_ids_.push_back(InternShared(model->layer(l).signature()));
+  }
 }
 
 std::string SharedCostCache::BlockFingerprint(const ClusterSpec& cluster,
@@ -148,25 +152,21 @@ int32_t SharedCostCache::Intern(const std::string& text) {
   ThreadCache& local = LocalCacheFor(serial_);
   auto cached = local.interned.find(text);
   if (cached != local.interned.end()) return cached->second;
-
-  InternShard& shard =
-      intern_shards_[std::hash<std::string>{}(text) %
-                     static_cast<size_t>(kNumInternShards)];
-  int32_t id;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.ids.emplace(text, 0);
-    if (inserted) {
-      it->second = next_intern_id_.fetch_add(1, std::memory_order_relaxed);
-    }
-    id = it->second;
-  }
+  const int32_t id = InternShared(text);
   local.interned.emplace(text, id);
   return id;
 }
 
-int32_t SharedCostCache::InternSignature(int layer_index) {
-  return Intern(model_->layer(layer_index).signature());
+int32_t SharedCostCache::InternShared(const std::string& text) {
+  InternShard& shard =
+      intern_shards_[std::hash<std::string>{}(text) %
+                     static_cast<size_t>(kNumInternShards)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto [it, inserted] = shard.ids.emplace(text, 0);
+  if (inserted) {
+    it->second = next_intern_id_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return it->second;
 }
 
 int32_t SharedCostCache::InternStrategy(const HybridStrategy& strategy) {
@@ -218,25 +218,6 @@ Result<LayerCost> SharedCostCache::Layer(const LayerCostKey& key,
   return cost;
 }
 
-Result<LayerCost> SharedCostCache::Layer(int layer_index,
-                                         const HybridStrategy& strategy,
-                                         int stage_first_device,
-                                         int batch_per_group,
-                                         int micro_batches, bool recompute,
-                                         int resident_micro_batches) {
-  LayerCostKey key;
-  key.layer_sig = InternSignature(layer_index);
-  key.strategy = InternStrategy(strategy);
-  key.fingerprint = InternFingerprint(
-      stage_first_device,
-      strategy.TotalDegree() > 0 ? strategy.TotalDegree() : 1);
-  key.batch_per_group = batch_per_group;
-  key.micro_batches = micro_batches;
-  key.resident_micro_batches = resident_micro_batches;
-  key.recompute = recompute ? 1 : 0;
-  return Layer(key, layer_index, strategy, stage_first_device);
-}
-
 Result<double> SharedCostCache::TransformSeconds(
     const TransformCostKey& key, int layer_index,
     const HybridStrategy& prev_strategy, const HybridStrategy& next_strategy,
@@ -276,24 +257,6 @@ Result<double> SharedCostCache::TransformSeconds(
   local.transform_values[slot] = cost.seconds;
   local.transform_valid[slot] = 1;
   return cost.seconds;
-}
-
-Result<double> SharedCostCache::TransformSeconds(
-    int layer_index, const HybridStrategy& prev_strategy,
-    const HybridStrategy& next_strategy, int stage_first_device,
-    int mb_size) {
-  GALVATRON_CHECK_GT(layer_index, 0);
-  TransformCostKey key;
-  key.prev_sig = InternSignature(layer_index - 1);
-  key.next_sig = InternSignature(layer_index);
-  key.prev_strategy = TransformClassOf(prev_strategy);
-  key.next_strategy = TransformClassOf(next_strategy);
-  key.fingerprint = InternFingerprint(
-      stage_first_device,
-      prev_strategy.TotalDegree() > 0 ? prev_strategy.TotalDegree() : 1);
-  key.mb_size = mb_size;
-  return TransformSeconds(key, layer_index, prev_strategy, next_strategy,
-                          stage_first_device);
 }
 
 std::shared_ptr<const PlanCost> SharedCostCache::LookupPlan(

@@ -131,10 +131,10 @@ struct PlanCostKeyHash {
 /// blocks that straddle interconnect boundaries differently do not.
 ///
 /// The table is keyed by interned ids (LayerCostKey / TransformCostKey) in
-/// flat unordered_maps. Callers on the hot path (RunCostCache inside
-/// DpSearch::Run) intern the string parts once per Run and pass ready-made
-/// keys; the string-based overloads below intern on every call and exist
-/// for one-off lookups and tests.
+/// flat unordered_maps. Callers (RunCostCache inside DpSearch::Run) intern
+/// the string parts once per Run with the Intern* helpers and pass
+/// ready-made keys. The same interner supplies the layer-signature ids of
+/// DpFrontierCache keys.
 ///
 /// Thread-safety: all methods may be called concurrently; the table is
 /// sharded by key hash, each shard behind its own mutex, the interner is
@@ -172,8 +172,13 @@ class SharedCostCache {
   /// this thread has interned before.
   int32_t Intern(const std::string& text);
 
-  /// Convenience interners for the three string-valued key parts.
-  int32_t InternSignature(int layer_index);
+  /// Convenience interners for the three string-valued key parts. Layer
+  /// signatures are interned once, when the cache is built, so
+  /// InternSignature is an array read — frontier keys call it per layer
+  /// on every DpSearch::Run.
+  int32_t InternSignature(int layer_index) const {
+    return layer_sig_ids_[static_cast<size_t>(layer_index)];
+  }
   int32_t InternStrategy(const HybridStrategy& strategy);
   int32_t InternFingerprint(int first_device, int span);
 
@@ -183,12 +188,6 @@ class SharedCostCache {
   Result<LayerCost> Layer(const LayerCostKey& key, int layer_index,
                           const HybridStrategy& strategy,
                           int stage_first_device);
-
-  /// Memoized c(l, s): interns the key parts, then looks up as above.
-  Result<LayerCost> Layer(int layer_index, const HybridStrategy& strategy,
-                          int stage_first_device, int batch_per_group,
-                          int micro_batches, bool recompute,
-                          int resident_micro_batches);
 
   /// Memoized R(L, S_prev, S_next) with a caller-built interned key, for
   /// the boundary entering layer `layer_index` (its predecessor is
@@ -200,12 +199,6 @@ class SharedCostCache {
                                   const HybridStrategy& prev_strategy,
                                   const HybridStrategy& next_strategy,
                                   int stage_first_device);
-
-  /// Memoized R: interns the key parts, then looks up as above.
-  Result<double> TransformSeconds(int layer_index,
-                                  const HybridStrategy& prev_strategy,
-                                  const HybridStrategy& next_strategy,
-                                  int stage_first_device, int mb_size);
 
   /// Memoized whole-plan cost, computed with EstimatePlan's per-stage
   /// memory checks DEFERRED (check_memory = false): peaks are recorded but
@@ -251,6 +244,9 @@ class SharedCostCache {
     std::unordered_map<std::string, int32_t> ids;
   };
 
+  /// Intern without the thread-local L1: the shared-table half of Intern.
+  int32_t InternShared(const std::string& text);
+
   Shard& ShardFor(size_t hash) {
     return shards_[hash % static_cast<size_t>(kNumShards)];
   }
@@ -264,6 +260,8 @@ class SharedCostCache {
 
   InternShard intern_shards_[kNumInternShards];
   std::atomic<int32_t> next_intern_id_{0};
+  /// Per model layer: the interned id of its signature.
+  std::vector<int32_t> layer_sig_ids_;
 
   std::atomic<int64_t> layer_hits_{0};
   std::atomic<int64_t> layer_misses_{0};

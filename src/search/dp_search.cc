@@ -76,7 +76,9 @@ class RunCostCache {
       const std::string& sig = model_->layer(first_layer + l).signature();
       auto [it, inserted] = sig_to_local.emplace(
           sig, static_cast<int>(shared_sig_ids_.size()));
-      if (inserted) shared_sig_ids_.push_back(shared_->Intern(sig));
+      if (inserted) {
+        shared_sig_ids_.push_back(shared_->InternSignature(first_layer + l));
+      }
       local_sig_[static_cast<size_t>(l)] = it->second;
     }
     layer_slots_.resize(shared_sig_ids_.size() *
@@ -250,11 +252,11 @@ inline bool OptionRecompute(int option, int num_strategies) {
   return option >= num_strategies;
 }
 
-/// Everything both kernels need, precomputed identically so they explore
-/// the same quantized feasible set. The per-(layer, option) cost tables
-/// are flat [layer * num_candidates + option] views into thread-local
-/// scratch (see DpScratch) — no nested vectors, no per-Run table
-/// allocations once a thread is warm.
+/// Everything the searchers need, precomputed identically by BuildDpWork so
+/// they explore the same quantized feasible set. The per-(layer, option)
+/// cost tables are flat [layer * num_candidates + option] views into
+/// caller storage (DpSearch::Run: thread-local scratch, see DpScratch) — no
+/// nested vectors, no per-Run table allocations once a thread is warm.
 struct DpWork {
   int num_candidates = 0;
   int num_strategies = 0;
@@ -262,7 +264,9 @@ struct DpWork {
   int first_layer = 0;
   int budget_units = 0;
   int64_t gran = 0;
-  int micro_batches = 0;
+  /// Transient headroom reserved off the budget (2x the largest transient
+  /// any option needs).
+  int64_t max_transient = 0;
   // Quantized resident memory and scalar cost per (layer, option);
   // infeasible options (estimator errors other than OOM propagate) get
   // +inf seconds.
@@ -272,8 +276,96 @@ struct DpWork {
 
 /// Polled between layer columns: a serving deadline that expires mid-DP
 /// stops the kernel within one column instead of finishing the table.
-bool CancelRequested(const std::function<bool()>* cancel) {
-  return cancel != nullptr && *cancel && (*cancel)();
+bool CancelRequested(const std::function<bool()>& cancel) {
+  return cancel && cancel();
+}
+
+/// Argument checks shared by DpSearch::Run and the reference searchers.
+Status ValidateSearch(const ModelSpec& model, int first_layer, int num_layers,
+                      const std::vector<HybridStrategy>& candidates,
+                      const DpSearchOptions& options) {
+  if (options.memory_granularity <= 0) {
+    return Status::InvalidArgument("memory granularity must be positive");
+  }
+  if (num_layers < 1 || first_layer < 0 ||
+      first_layer + num_layers > model.num_layers()) {
+    return Status::InvalidArgument("layer range out of bounds");
+  }
+  if (candidates.empty()) {
+    return Status::InvalidArgument("no candidate strategies");
+  }
+  // The option count multiplies the work of every column, so the cap
+  // bounds what one request can cost. DenseDpSearch's parent table stores
+  // int16 option indices and relies on it too.
+  const int num_candidates = ExpandedOptionCount(
+      static_cast<int>(candidates.size()), options.allow_recompute);
+  if (num_candidates > std::numeric_limits<int16_t>::max()) {
+    return Status::InvalidArgument(StrFormat(
+        "%d expanded options exceed the search's cap of %d", num_candidates,
+        static_cast<int>(std::numeric_limits<int16_t>::max())));
+  }
+  return Status::OK();
+}
+
+/// The prelude every searcher shares: fills the quantized per-(layer,
+/// option) cost tables into `units` / `seconds`, reserves headroom for the
+/// largest transient (SDP weight gather) any candidate might need, and
+/// quantizes the remaining budget — which is then purely additive in
+/// per-layer resident memory, what the DP quantizes. `cancel` is polled
+/// between layers.
+Result<DpWork> BuildDpWork(RunCostCache& cache, const CostEstimator& estimator,
+                           const DpSearchOptions& options, int first_layer,
+                           int num_layers, int num_strategies,
+                           int micro_batches, int64_t memory_budget,
+                           const std::function<bool()>& cancel,
+                           std::vector<int32_t>* units,
+                           std::vector<double>* seconds) {
+  DpWork w;
+  w.num_strategies = num_strategies;
+  w.num_candidates =
+      ExpandedOptionCount(num_strategies, options.allow_recompute);
+  w.num_layers = num_layers;
+  w.first_layer = first_layer;
+  w.gran = options.memory_granularity;
+  const size_t table = static_cast<size_t>(num_layers) *
+                       static_cast<size_t>(w.num_candidates);
+  units->assign(table, 0);
+  seconds->assign(table, kInf);
+  for (int l = 0; l < num_layers; ++l) {
+    if (CancelRequested(cancel)) {
+      return Status::Cancelled("per-stage search cancelled");
+    }
+    for (int s = 0; s < w.num_candidates; ++s) {
+      GALVATRON_ASSIGN_OR_RETURN(
+          LayerCost cost,
+          cache.Layer(first_layer + l, OptionStrategy(s, num_strategies),
+                      OptionRecompute(s, num_strategies)));
+      // x2: ZeRO-3 prefetch holds two layers' gathered weights.
+      w.max_transient =
+          std::max(w.max_transient, 2 * cost.transient_memory_bytes);
+      const size_t e = static_cast<size_t>(l) *
+                           static_cast<size_t>(w.num_candidates) +
+                       static_cast<size_t>(s);
+      (*units)[e] = static_cast<int32_t>(
+          (cost.resident_memory_bytes + w.gran / 2) / w.gran);
+      (*seconds)[e] =
+          cost.IterationSeconds(micro_batches, estimator.effective_options());
+    }
+  }
+  const int64_t effective_budget = memory_budget - w.max_transient;
+  // Round the budget up: marginal acceptances are re-validated exactly by
+  // the optimizer's EstimatePlan pass, so optimism here is safe while
+  // pessimism would shrink the search space below the baselines'.
+  w.budget_units =
+      effective_budget > 0
+          ? static_cast<int>(CeilDiv(effective_budget, w.gran))
+          : -1;
+  if (w.budget_units < 0) {
+    return Status::Infeasible("memory budget below transient headroom");
+  }
+  w.units = units->data();
+  w.seconds = seconds->data();
+  return w;
 }
 
 /// Reusable per-thread workspace of the sparse kernel. Every buffer keeps
@@ -312,13 +404,9 @@ struct DpScratch {
   std::vector<int32_t> w_units;
   std::vector<double> w_cost;
   std::vector<int32_t> w_parent;
-  // Frontier-cache key scratch and the signature-id memo in front of
-  // DpFrontierCache::Intern, keyed by the cache's serial so meeting a
-  // different cache instance drops the stale ids.
+  // Frontier-cache key scratch.
   DpFrontierKey key;
   std::vector<int32_t> distinct_spans;
-  uint64_t intern_serial = 0;
-  std::unordered_map<std::string, int32_t> intern_ids;
 };
 
 DpScratch& ScratchForThisThread() {
@@ -326,27 +414,16 @@ DpScratch& ScratchForThisThread() {
   return scratch;
 }
 
-int32_t InternSignature(DpFrontierCache* cache, DpScratch& scratch,
-                        const std::string& sig) {
-  if (scratch.intern_serial != cache->serial()) {
-    scratch.intern_ids.clear();
-    scratch.intern_serial = cache->serial();
-  }
-  auto it = scratch.intern_ids.find(sig);
-  if (it != scratch.intern_ids.end()) return it->second;
-  const int32_t id = cache->Intern(sig);
-  scratch.intern_ids.emplace(sig, id);
-  return id;
-}
-
-/// Builds the cache key of one sparse Run into scratch.key: everything that
-/// shapes the frontiers except the memory budget (model/cluster/estimator
-/// identity is the cache owner's contract — see DpFrontierCache).
+/// Builds the frontier-cache key of one Run into scratch.key: everything
+/// that shapes the frontiers except the memory budget (model/cluster/
+/// estimator identity is the cache owner's contract — see DpFrontierCache).
+/// Layer signatures enter as ids interned by `cost_cache`, the cache the
+/// frontier cache is paired with.
 ///
 /// Two deliberate generalizations over the raw Run arguments widen sharing
 /// without losing exactness:
 ///
-/// - The layer range appends as a run-length encoding of layer-SIGNATURE
+/// - The layer range appends as a run-length encoding of layer-signature
 ///   ids, not as (first_layer, num_layers): per-layer and transformation
 ///   costs are memoized by signature (the SharedCostCache contract), so two
 ///   ranges with the same signature sequence build identical frontiers.
@@ -361,8 +438,8 @@ int32_t InternSignature(DpFrontierCache* cache, DpScratch& scratch,
 ///   same links at every group shape — e.g. all P stages of an even split
 ///   across uniform islands — share one key and therefore one cold DP run
 ///   per sweep.
-void BuildFrontierKey(DpScratch& scratch, DpFrontierCache* cache,
-                      const ModelSpec& model, const ClusterSpec& cluster,
+void BuildFrontierKey(DpScratch& scratch, SharedCostCache& cost_cache,
+                      const ClusterSpec& cluster,
                       const std::vector<HybridStrategy>& candidates,
                       int first_layer, int num_layers, int stage_first_device,
                       int batch_per_group, int micro_batches,
@@ -370,7 +447,6 @@ void BuildFrontierKey(DpScratch& scratch, DpFrontierCache* cache,
                       bool allow_recompute) {
   DpFrontierKey& key = scratch.key;
   key.Clear();
-  key.Append(0);  // tag: structural (1 is reserved for string-packed keys)
   key.Append(batch_per_group);
   key.Append(micro_batches);
   key.Append(resident_micro_batches);
@@ -386,8 +462,7 @@ void BuildFrontierKey(DpScratch& scratch, DpFrontierCache* cache,
   int32_t run_sig = -1;
   int32_t run_len = 0;
   for (int l = 0; l < num_layers; ++l) {
-    const int32_t sig = InternSignature(
-        cache, scratch, model.layer(first_layer + l).signature());
+    const int32_t sig = cost_cache.InternSignature(first_layer + l);
     if (sig == run_sig) {
       ++run_len;
       continue;
@@ -445,17 +520,11 @@ void BuildFrontierKey(DpScratch& scratch, DpFrontierCache* cache,
   key.Finalize();
 }
 
-/// The dense reference kernel: sweeps every (budget granule, option) cell.
+/// DenseDpSearch's kernel: sweeps every (budget granule, option) cell.
 /// dp[e][s]: min cost of the layers so far using <= e units, last layer on
-/// strategy s. parent[l][e][s]: the previous layer's option index. This is
-/// the executable specification — it always materializes per_layer with
-/// direct copying reconstruction, which the sparse kernel's index-based
-/// assembly is checked against byte-for-byte.
+/// strategy s. parent[l][e][s]: the previous layer's option index.
 Result<DpSearchResult> RunDenseKernel(const DpWork& w, RunCostCache& cache,
-                                      const std::vector<HybridStrategy>&
-                                          candidates,
-                                      int64_t memory_budget,
-                                      const std::function<bool()>* cancel) {
+                                      int64_t memory_budget) {
   const int num_candidates = w.num_candidates;
   const int num_layers = w.num_layers;
   const int budget_units = w.budget_units;
@@ -491,9 +560,6 @@ Result<DpSearchResult> RunDenseKernel(const DpWork& w, RunCostCache& cache,
   }
 
   for (int l = 1; l < num_layers; ++l) {
-    if (CancelRequested(cancel)) {
-      return Status::Cancelled("per-stage DP cancelled");
-    }
     std::fill(cur_dp.begin(), cur_dp.end(), kInf);
     // The boundary's transformation matrix, shared across the run's
     // repeated identical boundaries; indexed by strategy pair (recompute
@@ -562,16 +628,13 @@ Result<DpSearchResult> RunDenseKernel(const DpWork& w, RunCostCache& cache,
   // exact units consumed by the suffix are recovered by subtracting each
   // chosen layer's units from the running budget.
   result.stage_seconds = best;
-  result.per_layer.assign(static_cast<size_t>(num_layers), HybridStrategy());
   result.per_layer_option.assign(static_cast<size_t>(num_layers), 0);
   result.per_layer_recompute.assign(static_cast<size_t>(num_layers), 0);
   int e = budget_units;
   int s = best_s;
   for (int l = num_layers - 1; l >= 0; --l) {
-    const int strategy = OptionStrategy(s, w.num_strategies);
-    result.per_layer[static_cast<size_t>(l)] =
-        candidates[static_cast<size_t>(strategy)];
-    result.per_layer_option[static_cast<size_t>(l)] = strategy;
+    result.per_layer_option[static_cast<size_t>(l)] =
+        OptionStrategy(s, w.num_strategies);
     result.per_layer_recompute[static_cast<size_t>(l)] =
         OptionRecompute(s, w.num_strategies) ? 1 : 0;
     result.resident_memory_bytes +=
@@ -605,7 +668,7 @@ struct SparseStats {
 Result<SparseStats> BuildSparseFrontiers(
     const DpWork& w, RunCostCache& cache,
     const std::vector<HybridStrategy>& candidates, DpScratch& scratch,
-    const std::function<bool()>* cancel) {
+    const std::function<bool()>& cancel) {
   const int num_candidates = w.num_candidates;
   const int num_strategies = w.num_strategies;
   const int num_layers = w.num_layers;
@@ -893,6 +956,23 @@ struct FrontierView {
   int num_candidates = 0;
 };
 
+/// Views the frontier columns held by `columns`: this thread's DpScratch or
+/// a cached DpFrontierEntry, which name their arrays alike.
+template <typename Columns>
+FrontierView ViewOf(const Columns& columns, int num_layers,
+                    int num_strategies, int num_candidates) {
+  FrontierView view;
+  view.bp_units = columns.bp_units.data();
+  view.bp_cost = columns.bp_cost.data();
+  view.bp_parent = columns.bp_parent.data();
+  view.spans = columns.spans.data();
+  view.units = columns.units.data();
+  view.num_layers = num_layers;
+  view.num_strategies = num_strategies;
+  view.num_candidates = num_candidates;
+  return view;
+}
+
 /// Extracts the optimal assignment at `budget_units` from built frontier
 /// columns. `budget_units` may be SMALLER than the budget the columns were
 /// built at: truncating a Pareto column to units <= U is identical to
@@ -993,28 +1073,18 @@ Result<DpSearchResult> DpSearch::Run(
     const ModelSpec& model, int first_layer, int num_layers,
     const std::vector<HybridStrategy>& candidates, int stage_first_device,
     int batch_per_group, int micro_batches, int64_t memory_budget,
-    int resident_micro_batches, SharedCostCache* shared_cache,
-    DpFrontierCache* frontier_cache,
-    const std::function<bool()>* cancel_check) const {
+    int resident_micro_batches, const SearchHooks& hooks) const {
   const int64_t alloc_start = CurrentThreadAllocCount();
-  if (num_layers < 1 || first_layer < 0 ||
-      first_layer + num_layers > model.num_layers()) {
-    return Status::InvalidArgument("layer range out of bounds");
-  }
-  if (candidates.empty()) {
-    return Status::InvalidArgument("no candidate strategies");
+  GALVATRON_RETURN_IF_ERROR(
+      ValidateSearch(model, first_layer, num_layers, candidates, options_));
+  DpFrontierCache* const frontier_cache = hooks.frontier_cache;
+  if (frontier_cache != nullptr && hooks.cost_cache == nullptr) {
+    return Status::InvalidArgument(
+        "a frontier cache needs the cost cache that interns its keys");
   }
   const int num_strategies = static_cast<int>(candidates.size());
   const int num_candidates =
       ExpandedOptionCount(num_strategies, options_.allow_recompute);
-  // The dense kernel's parent table stores int16 option indices; both
-  // kernels share the limit so their feasibility envelopes stay identical.
-  if (num_candidates > std::numeric_limits<int16_t>::max()) {
-    return Status::InvalidArgument(StrFormat(
-        "%d expanded options exceed the DP parent table's int16 range (%d)",
-        num_candidates,
-        static_cast<int>(std::numeric_limits<int16_t>::max())));
-  }
   DpScratch& scratch = ScratchForThisThread();
 
   // Warm path: a cached frontier for this signature at a budget >= the
@@ -1022,9 +1092,8 @@ Result<DpSearchResult> DpSearch::Run(
   // the repeated-near-miss serving workload (identical request, different
   // memory budget) and the repeated identical pipeline stages of one sweep
   // skip the entire cold pipeline.
-  const bool cacheable = frontier_cache != nullptr && options_.use_sparse_dp;
-  if (cacheable) {
-    BuildFrontierKey(scratch, frontier_cache, model, estimator_->cluster(),
+  if (frontier_cache != nullptr) {
+    BuildFrontierKey(scratch, *hooks.cost_cache, estimator_->cluster(),
                      candidates, first_layer, num_layers, stage_first_device,
                      batch_per_group, micro_batches, resident_micro_batches,
                      options_.memory_granularity, options_.allow_recompute);
@@ -1033,6 +1102,7 @@ Result<DpSearchResult> DpSearch::Run(
     if (entry != nullptr) {
       GALVATRON_CHECK_EQ(entry->num_candidates, num_candidates);
       GALVATRON_CHECK_EQ(entry->num_strategies, num_strategies);
+      GALVATRON_CHECK_EQ(entry->num_layers, num_layers);
       const int64_t effective = memory_budget - entry->max_transient;
       const int budget_units =
           effective > 0
@@ -1044,22 +1114,11 @@ Result<DpSearchResult> DpSearch::Run(
       }
       if (budget_units <= entry->budget_units) {
         frontier_cache->CountHit();
-        FrontierView view;
-        view.bp_units = entry->bp_units.data();
-        view.bp_cost = entry->bp_cost.data();
-        view.bp_parent = entry->bp_parent.data();
-        view.spans = entry->spans.data();
-        view.units = entry->units.data();
-        view.num_layers = entry->num_layers;
-        view.num_strategies = entry->num_strategies;
-        view.num_candidates = entry->num_candidates;
         Result<DpSearchResult> out = AnswerFromFrontiers(
-            view, options_.memory_granularity, budget_units, memory_budget);
+            ViewOf(*entry, num_layers, num_strategies, num_candidates),
+            options_.memory_granularity, budget_units, memory_budget);
         if (out.ok()) {
           out->frontier_hit = true;
-          if (options_.materialize_plans) {
-            MaterializeDpSearchResult(candidates, &*out);
-          }
           out->allocations = CurrentThreadAllocCount() - alloc_start;
         }
         return out;
@@ -1072,80 +1131,22 @@ Result<DpSearchResult> DpSearch::Run(
 
   RunCostCache cache(estimator_, &model, &candidates, first_layer, num_layers,
                      stage_first_device, batch_per_group, micro_batches,
-                     resident_micro_batches, shared_cache);
-
-  // Reserve headroom for the largest transient (SDP weight gather) any
-  // candidate might need; the remaining budget is then purely additive in
-  // per-layer resident memory, which is what the DP quantizes.
-  int64_t max_transient = 0;
-  const size_t table = static_cast<size_t>(num_layers) *
-                       static_cast<size_t>(num_candidates);
-  scratch.units.assign(table, 0);
-  scratch.seconds.assign(table, kInf);
-  for (int l = 0; l < num_layers; ++l) {
-    if (CancelRequested(cancel_check)) {
-      return Status::Cancelled("per-stage search cancelled");
-    }
-    for (int s = 0; s < num_candidates; ++s) {
-      GALVATRON_ASSIGN_OR_RETURN(
-          LayerCost cost,
-          cache.Layer(first_layer + l, OptionStrategy(s, num_strategies),
-                      OptionRecompute(s, num_strategies)));
-      // x2: ZeRO-3 prefetch holds two layers' gathered weights.
-      max_transient = std::max(max_transient, 2 * cost.transient_memory_bytes);
-      const size_t e = static_cast<size_t>(l) *
-                           static_cast<size_t>(num_candidates) +
-                       static_cast<size_t>(s);
-      scratch.units[e] = static_cast<int32_t>(
-          (cost.resident_memory_bytes + options_.memory_granularity / 2) /
-          options_.memory_granularity);
-      scratch.seconds[e] =
-          cost.IterationSeconds(micro_batches, estimator_->effective_options());
-    }
-  }
-  const int64_t effective_budget = memory_budget - max_transient;
-  // Round the budget up: marginal acceptances are re-validated exactly by
-  // the optimizer's EstimatePlan pass, so optimism here is safe while
-  // pessimism would shrink the search space below the baselines'.
-  // BruteForceSearch applies the same CeilDiv so both searchers explore
-  // the same feasible set at granule-straddling budgets.
-  const int budget_units =
-      effective_budget > 0
-          ? static_cast<int>(
-                CeilDiv(effective_budget, options_.memory_granularity))
-          : -1;
-  if (budget_units < 0) {
-    return Status::Infeasible("memory budget below transient headroom");
-  }
-
-  DpWork w;
-  w.num_candidates = num_candidates;
-  w.num_strategies = num_strategies;
-  w.num_layers = num_layers;
-  w.first_layer = first_layer;
-  w.budget_units = budget_units;
-  w.gran = options_.memory_granularity;
-  w.micro_batches = micro_batches;
-  w.units = scratch.units.data();
-  w.seconds = scratch.seconds.data();
-
-  if (!options_.use_sparse_dp) {
-    Result<DpSearchResult> out =
-        RunDenseKernel(w, cache, candidates, memory_budget, cancel_check);
-    if (out.ok()) out->allocations = CurrentThreadAllocCount() - alloc_start;
-    return out;
-  }
-
+                     resident_micro_batches, hooks.cost_cache);
+  GALVATRON_ASSIGN_OR_RETURN(
+      const DpWork w,
+      BuildDpWork(cache, *estimator_, options_, first_layer, num_layers,
+                  num_strategies, micro_batches, memory_budget, hooks.cancel,
+                  &scratch.units, &scratch.seconds));
   GALVATRON_ASSIGN_OR_RETURN(
       SparseStats stats,
-      BuildSparseFrontiers(w, cache, candidates, scratch, cancel_check));
-  if (cacheable) {
+      BuildSparseFrontiers(w, cache, candidates, scratch, hooks.cancel));
+  if (frontier_cache != nullptr) {
     // Publish even when the answer below is Infeasible: the frontiers are
     // valid for every budget up to w.budget_units, and a warm infeasible
     // replay is as cheap as a warm feasible one.
     auto entry = std::make_shared<DpFrontierEntry>();
     entry->budget_units = w.budget_units;
-    entry->max_transient = max_transient;
+    entry->max_transient = w.max_transient;
     entry->num_layers = num_layers;
     entry->num_strategies = num_strategies;
     entry->num_candidates = num_candidates;
@@ -1157,28 +1158,38 @@ Result<DpSearchResult> DpSearch::Run(
     entry->options_pruned = stats.options_pruned;
     frontier_cache->Insert(scratch.key, std::move(entry));
   }
-  FrontierView view;
-  view.bp_units = scratch.bp_units.data();
-  view.bp_cost = scratch.bp_cost.data();
-  view.bp_parent = scratch.bp_parent.data();
-  view.spans = scratch.spans.data();
-  view.units = scratch.units.data();
-  view.num_layers = num_layers;
-  view.num_strategies = num_strategies;
-  view.num_candidates = num_candidates;
-  Result<DpSearchResult> out =
-      AnswerFromFrontiers(view, w.gran, w.budget_units, memory_budget);
+  Result<DpSearchResult> out = AnswerFromFrontiers(
+      ViewOf(scratch, num_layers, num_strategies, num_candidates), w.gran,
+      w.budget_units, memory_budget);
   if (out.ok()) {
     out->states_explored = stats.breakpoints_emitted;
     out->breakpoints_emitted = stats.breakpoints_emitted;
     out->breakpoints_scanned = stats.breakpoints_scanned;
     out->options_pruned = stats.options_pruned;
-    if (options_.materialize_plans) {
-      MaterializeDpSearchResult(candidates, &*out);
-    }
     out->allocations = CurrentThreadAllocCount() - alloc_start;
   }
   return out;
+}
+
+Result<DpSearchResult> DenseDpSearch(
+    const CostEstimator& estimator, const ModelSpec& model, int first_layer,
+    int num_layers, const std::vector<HybridStrategy>& candidates,
+    int stage_first_device, int batch_per_group, int micro_batches,
+    int64_t memory_budget, DpSearchOptions options,
+    SharedCostCache* shared_cache, int resident_micro_batches) {
+  GALVATRON_RETURN_IF_ERROR(
+      ValidateSearch(model, first_layer, num_layers, candidates, options));
+  RunCostCache cache(&estimator, &model, &candidates, first_layer, num_layers,
+                     stage_first_device, batch_per_group, micro_batches,
+                     resident_micro_batches, shared_cache);
+  std::vector<int32_t> units;
+  std::vector<double> seconds;
+  GALVATRON_ASSIGN_OR_RETURN(
+      const DpWork w,
+      BuildDpWork(cache, estimator, options, first_layer, num_layers,
+                  static_cast<int>(candidates.size()), micro_batches,
+                  memory_budget, /*cancel=*/{}, &units, &seconds));
+  return RunDenseKernel(w, cache, memory_budget);
 }
 
 Result<DpSearchResult> BruteForceSearch(
@@ -1187,59 +1198,23 @@ Result<DpSearchResult> BruteForceSearch(
     int stage_first_device, int batch_per_group, int micro_batches,
     int64_t memory_budget, DpSearchOptions options,
     SharedCostCache* shared_cache) {
-  if (num_layers < 1 || candidates.empty()) {
-    return Status::InvalidArgument("empty search");
-  }
-  if (options.memory_granularity <= 0) {
-    return Status::InvalidArgument("memory granularity must be positive");
-  }
-  if (first_layer < 0 || first_layer + num_layers > model.num_layers()) {
-    return Status::InvalidArgument("layer range out of bounds");
-  }
-  // Same option expansion as DpSearch: strategies, then (optionally) their
-  // checkpointed variants.
+  GALVATRON_RETURN_IF_ERROR(
+      ValidateSearch(model, first_layer, num_layers, candidates, options));
   const int num_strategies = static_cast<int>(candidates.size());
-  const int num_candidates =
-      ExpandedOptionCount(num_strategies, options.allow_recompute);
-  // Matches DpSearch's quantized accounting exactly so tests can compare.
-  const int64_t gran = options.memory_granularity;
-
   RunCostCache cache(&estimator, &model, &candidates, first_layer, num_layers,
                      stage_first_device, batch_per_group, micro_batches,
                      /*resident_micro_batches=*/-1, shared_cache);
-  int64_t max_transient = 0;
-  const size_t table = static_cast<size_t>(num_layers) *
-                       static_cast<size_t>(num_candidates);
-  std::vector<int32_t> units(table, 0);
-  std::vector<double> seconds(table, kInf);
+  std::vector<int32_t> units;
+  std::vector<double> seconds;
+  GALVATRON_ASSIGN_OR_RETURN(
+      const DpWork w,
+      BuildDpWork(cache, estimator, options, first_layer, num_layers,
+                  num_strategies, micro_batches, memory_budget,
+                  /*cancel=*/{}, &units, &seconds));
   auto cell = [&](int l, int s) {
-    return static_cast<size_t>(l) * static_cast<size_t>(num_candidates) +
+    return static_cast<size_t>(l) * static_cast<size_t>(w.num_candidates) +
            static_cast<size_t>(s);
   };
-  for (int l = 0; l < num_layers; ++l) {
-    for (int s = 0; s < num_candidates; ++s) {
-      GALVATRON_ASSIGN_OR_RETURN(
-          LayerCost cost,
-          cache.Layer(first_layer + l, OptionStrategy(s, num_strategies),
-                      OptionRecompute(s, num_strategies)));
-      max_transient =
-          std::max(max_transient, 2 * cost.transient_memory_bytes);
-      units[cell(l, s)] = static_cast<int32_t>(
-          (cost.resident_memory_bytes + gran / 2) / gran);
-      seconds[cell(l, s)] =
-          cost.IterationSeconds(micro_batches, estimator.effective_options());
-    }
-  }
-  const int64_t effective_budget = memory_budget - max_transient;
-  // CeilDiv, exactly like DpSearch::Run: flooring here would admit one
-  // granule less than the DP at budgets that straddle a granule boundary,
-  // making the two searchers disagree at marginal budgets.
-  const int budget_units =
-      effective_budget > 0 ? static_cast<int>(CeilDiv(effective_budget, gran))
-                           : -1;
-  if (budget_units < 0) {
-    return Status::Infeasible("memory budget below transient headroom");
-  }
 
   DpSearchResult best;
   best.stage_seconds = kInf;
@@ -1257,9 +1232,9 @@ Result<DpSearchResult> BruteForceSearch(
       best_assignment = assignment;
       return Status::OK();
     }
-    for (int s = 0; s < num_candidates; ++s) {
+    for (int s = 0; s < w.num_candidates; ++s) {
       const int o = units[cell(l, s)];
-      if (used + o > budget_units) continue;
+      if (used + o > w.budget_units) continue;
       double step = seconds[cell(l, s)];
       if (l > 0) {
         const int prev_option = assignment[static_cast<size_t>(l) - 1];
@@ -1281,13 +1256,11 @@ Result<DpSearchResult> BruteForceSearch(
   }
   for (int l = 0; l < num_layers; ++l) {
     const int s = best_assignment[static_cast<size_t>(l)];
-    const int strategy = OptionStrategy(s, num_strategies);
-    best.per_layer.push_back(candidates[static_cast<size_t>(strategy)]);
-    best.per_layer_option.push_back(strategy);
+    best.per_layer_option.push_back(OptionStrategy(s, num_strategies));
     best.per_layer_recompute.push_back(
         OptionRecompute(s, num_strategies) ? 1 : 0);
     best.resident_memory_bytes +=
-        static_cast<int64_t>(units[cell(l, s)]) * gran;
+        static_cast<int64_t>(units[cell(l, s)]) * w.gran;
   }
   return best;
 }

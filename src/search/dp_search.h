@@ -24,52 +24,56 @@ struct DpSearchOptions {
   /// (doubles the option count per layer). Off by default — the paper
   /// disables recompute (Sec 5.1) and leaves it as future work.
   bool allow_recompute = false;
-  /// Run the sparse Pareto-frontier DP kernel (default) instead of the
-  /// dense table sweep. Both kernels return byte-identical plans (the
-  /// differential fuzz check and the dense-vs-sparse property tests prove
-  /// it); the sparse kernel's work scales with the number of DISTINCT cost
-  /// levels per budget column instead of with the granule count, which is
-  /// 10-100x fewer states on realistic budgets. The dense path is kept as
-  /// the executable specification.
-  bool use_sparse_dp = true;
-  /// Fill DpSearchResult::per_layer with materialized HybridStrategy
-  /// copies (the historical behavior). Sweep callers that rank thousands
-  /// of results and commit one turn this off and call
-  /// MaterializeDpSearchResult on the winners only; per_layer_option is
-  /// always filled either way and identifies the plan completely. The
-  /// dense kernel ignores this and always materializes — it is the
-  /// copying-reconstruction executable specification the index path is
-  /// checked against.
-  bool materialize_plans = true;
+};
+
+/// Caller-owned state a search may borrow; every member is optional.
+///
+/// - `cost_cache`: a memo over the estimator shared across searches (one
+///   sweep, or many requests of one PlanningContext). It must describe
+///   the same model, cluster topology and estimator options as the search;
+///   per-device memory budgets may differ.
+/// - `frontier_cache`: completed Pareto frontiers replayed by later
+///   searches over the same signature (see DpFrontierCache). Its keys hold
+///   layer-signature ids interned by `cost_cache`, so it requires one:
+///   ids from two cost caches are not comparable, and a long-lived
+///   frontier cache keyed by a per-run cache's ids would serve wrong
+///   frontiers. Searches given a frontier cache without a cost cache
+///   return InvalidArgument.
+/// - `cancel`: polled between units of work; once it returns true the
+///   search stops with Status::Cancelled. Serving threads a per-request
+///   deadline through it.
+struct SearchHooks {
+  SharedCostCache* cost_cache = nullptr;
+  DpFrontierCache* frontier_cache = nullptr;
+  std::function<bool()> cancel;
 };
 
 /// Output of one per-stage search: the per-layer strategies minimizing the
 /// stage execution time under the memory budget.
 struct DpSearchResult {
   double stage_seconds = 0.0;  // sum of c(l, s) + transformation costs
-  /// Materialized per-layer strategies. Filled by the dense kernel and by
-  /// sparse runs with DpSearchOptions::materialize_plans (the default);
-  /// empty otherwise — per_layer_option carries the same information
-  /// without the copies, and MaterializeDpSearchResult fills this on
-  /// demand.
+  /// Materialized per-layer strategies. Searches leave this empty —
+  /// per_layer_option carries the same information without the copies —
+  /// and MaterializeDpSearchResult fills it for the results a caller
+  /// commits.
   std::vector<HybridStrategy> per_layer;
-  /// Per layer: the index into the Run's `candidates` of the chosen
-  /// strategy. Always filled (both kernels, warm and cold paths); together
-  /// with per_layer_recompute it identifies the plan completely.
+  /// Per layer: the index into the search's `candidates` of the chosen
+  /// strategy. Together with per_layer_recompute it identifies the plan
+  /// completely.
   std::vector<int32_t> per_layer_option;
   /// Per-layer checkpointing choice (empty unless allow_recompute).
   std::vector<uint8_t> per_layer_recompute;
   int64_t resident_memory_bytes = 0;
-  /// DP states materialized (Fig 4 metric). Dense kernel: table cells
-  /// touched. Sparse kernel: Pareto breakpoints emitted — by construction
-  /// never more than the dense cell count on the same inputs (each
-  /// breakpoint is a distinct budget level of one dense column).
+  /// DP states materialized (Fig 4 metric): Pareto breakpoints emitted.
+  /// DenseDpSearch reports the table cells it touched instead — never
+  /// fewer, since each breakpoint is a distinct budget level of one dense
+  /// column.
   int64_t states_explored = 0;
-  /// Sparse kernel only: breakpoints emitted across all layer/option
-  /// frontiers (== states_explored there), candidate breakpoints scanned
-  /// while merging frontiers (the true work measure), and per-layer options
-  /// dropped because their (units, seconds) were dominated by a
-  /// lower-index variant of the same strategy. All zero on the dense path.
+  /// Breakpoints emitted across all layer/option frontiers
+  /// (== states_explored), candidate breakpoints scanned while merging
+  /// frontiers (the true work measure), and per-layer options dropped
+  /// because their (units, seconds) were dominated by a lower-index variant
+  /// of the same strategy. All zero for the reference searchers.
   int64_t breakpoints_emitted = 0;
   int64_t breakpoints_scanned = 0;
   int64_t options_pruned = 0;
@@ -79,18 +83,16 @@ struct DpSearchResult {
   bool frontier_hit = false;
   /// Heap allocations the Run performed on the calling thread (operator
   /// new calls, counted by util/alloc_counter). Telemetry for the
-  /// allocation-budget tripwire: a warm sparse Run should stay within a
-  /// small fixed budget (the result's own vectors), independent of model
-  /// size or budget.
+  /// allocation-budget tripwire: a warm Run should stay within a small
+  /// fixed budget (the result's own vectors), independent of model size or
+  /// budget.
   int64_t allocations = 0;
 };
 
 /// Fills `result->per_layer` from `result->per_layer_option`, copying out
-/// of the same `candidates` vector the producing Run was given. Sweep
-/// callers run with DpSearchOptions::materialize_plans off and call this
-/// only for the handful of results they commit; the output is byte-identical
-/// to what a materializing Run would have returned (the index chain IS the
-/// dense reconstruction, minus the copies).
+/// of the same `candidates` vector the producing search was given. Callers
+/// rank results by their index chains and materialize only the handful
+/// they commit.
 void MaterializeDpSearchResult(const std::vector<HybridStrategy>& candidates,
                                DpSearchResult* result);
 
@@ -106,18 +108,15 @@ void MaterializeDpSearchResult(const std::vector<HybridStrategy>& candidates,
 /// R matrix of a boundary is built once per distinct signature pair per Run
 /// and reused across repeated identical block boundaries.
 ///
-/// Two kernels compute the same recurrence (selected by
-/// DpSearchOptions::use_sparse_dp):
-///
-/// - The dense kernel sweeps every (budget granule, option) cell:
-///   O(L * E * S^2) with E = budget / granularity.
-/// - The sparse kernel exploits that C(L, e, S) is a non-increasing step
-///   function of the budget e: each (layer, option) column is a Pareto
-///   frontier of (units, cost, parent) breakpoints, and layer l is computed
-///   by merging the shifted frontiers of layer l-1. Work is
-///   O(L * S * sum_s |frontier_s| * log) with |frontier| bounded by the
-///   number of distinct cost levels (<= E, typically orders of magnitude
-///   less).
+/// The kernel exploits that C(L, e, S) is a non-increasing step function of
+/// the budget e: each (layer, option) column is a Pareto frontier of
+/// (units, cost, parent) breakpoints, and layer l is computed by merging
+/// the shifted frontiers of layer l-1. Work is
+/// O(L * S * sum_s |frontier_s| * log) with |frontier| bounded by the
+/// number of distinct cost levels (<= E, typically orders of magnitude
+/// less). DenseDpSearch below sweeps every (budget granule, option) cell
+/// of the same recurrence and returns byte-identical plans; tests compare
+/// the two.
 ///
 /// Returns Infeasible when no assignment fits the budget (Algorithm 1
 /// treats that as C = infinity).
@@ -132,67 +131,64 @@ class DpSearch {
   /// micro-batches, under `memory_budget` bytes per device.
   /// `resident_micro_batches`: how many micro-batches' activations the
   /// pipeline schedule keeps live on this stage (-1 = all, i.e. GPipe).
-  /// `shared_cache` (optional): a sweep-wide memo over the estimator so
-  /// repeated layer signatures are estimated once per sweep instead of
-  /// once per Run; it must wrap the same estimator and model. Run is const
-  /// and thread-safe, so independent configurations may Run concurrently
-  /// against one shared cache.
+  /// Run is const and thread-safe, so independent configurations may Run
+  /// concurrently against shared hooks.
   ///
   /// Tie-breaking is deterministic: on equal cost the DP keeps the lowest
   /// option index (lowest strategy index, recompute variants after plain
-  /// ones), so the returned plan is byte-stable across runs, thread counts
-  /// and kernels (the sparse kernel reproduces the dense tie-breaking
-  /// exactly, including equal-cost parent handoffs to lower option
-  /// indices).
+  /// ones), so the returned plan is byte-stable across runs and thread
+  /// counts, and equal to DenseDpSearch's.
   ///
   /// Returns InvalidArgument when the expanded option count exceeds
-  /// INT16_MAX — the dense kernel's parent table stores int16 indices, and
-  /// both kernels share the limit so their feasibility envelopes stay
-  /// identical.
+  /// INT16_MAX: the option count multiplies every column's work, so the cap
+  /// bounds what one request can cost.
   ///
-  /// `frontier_cache` (optional, sparse kernel only): a caller-owned cache
-  /// of completed Pareto frontiers. When it holds this Run's signature at a
-  /// budget >= the requested one, the answer is reconstructed directly from
-  /// the cached columns — no estimator calls, no merging — and is
-  /// byte-identical to a cold run (the frontier prefix property; see
-  /// frontier_cache.h). Cold runs publish their frontiers back. The cache
-  /// must only be shared across Runs whose model, cluster topology and
-  /// estimator agree (the PlanningContext contract).
-  ///
-  /// `cancel_check` (optional) is polled between layer columns in both
-  /// kernels and between layers of the cost-estimation pass; once it
-  /// returns true the Run stops with Status::Cancelled. Serving threads a
-  /// per-request deadline through it so an expired request stops burning a
-  /// worker mid-DP instead of completing the full table.
+  /// `hooks` (see SearchHooks): with a frontier cache that holds this Run's
+  /// signature at a budget >= the requested one, the answer is
+  /// reconstructed directly from the cached columns — no estimator calls,
+  /// no merging — and is byte-identical to a cold run (the frontier prefix
+  /// property; see frontier_cache.h). Cold runs publish their frontiers
+  /// back. The caches must only be shared across Runs whose model, cluster
+  /// topology and estimator agree (the PlanningContext contract). The
+  /// cancel hook is polled between layer columns and between layers of the
+  /// cost-estimation pass.
   Result<DpSearchResult> Run(const ModelSpec& model, int first_layer,
                              int num_layers,
                              const std::vector<HybridStrategy>& candidates,
                              int stage_first_device, int batch_per_group,
                              int micro_batches, int64_t memory_budget,
                              int resident_micro_batches = -1,
-                             SharedCostCache* shared_cache = nullptr,
-                             DpFrontierCache* frontier_cache = nullptr,
-                             const std::function<bool()>* cancel_check =
-                                 nullptr) const;
+                             const SearchHooks& hooks = {}) const;
 
  private:
   const CostEstimator* estimator_;
   DpSearchOptions options_;
 };
 
-/// Reference searcher: exhaustively enumerates all assignments over the
-/// same option space as DpSearch (every candidate strategy, plus its
-/// checkpointed variant when `options.allow_recompute`) with identical
-/// cost accounting — including the budget quantization, which rounds the
-/// effective budget up with CeilDiv exactly like DpSearch::Run, so the two
-/// searchers explore the same feasible set at marginal budgets.
-/// Exponential — tests only.
+// Reference searchers, tests only. Both search the same option space as
+// DpSearch::Run (every candidate strategy, plus its checkpointed variant
+// when `options.allow_recompute`) with identical cost accounting —
+// including the budget quantization, which rounds the effective budget up
+// with CeilDiv — so all three explore the same feasible set.
+
+/// Exhaustively enumerates all assignments. Exponential.
 Result<DpSearchResult> BruteForceSearch(
     const CostEstimator& estimator, const ModelSpec& model, int first_layer,
     int num_layers, const std::vector<HybridStrategy>& candidates,
     int stage_first_device, int batch_per_group, int micro_batches,
     int64_t memory_budget, DpSearchOptions options = {},
     SharedCostCache* shared_cache = nullptr);
+
+/// Sweeps every (budget granule, option) cell of Eq. (1):
+/// O(L * E * S^2) with E = budget / granularity. Returns the plan
+/// DpSearch::Run returns, byte for byte; states_explored counts the table
+/// cells touched.
+Result<DpSearchResult> DenseDpSearch(
+    const CostEstimator& estimator, const ModelSpec& model, int first_layer,
+    int num_layers, const std::vector<HybridStrategy>& candidates,
+    int stage_first_device, int batch_per_group, int micro_batches,
+    int64_t memory_budget, DpSearchOptions options = {},
+    SharedCostCache* shared_cache = nullptr, int resident_micro_batches = -1);
 
 }  // namespace galvatron
 

@@ -13,11 +13,6 @@ inline size_t HashCombine(size_t h, uint64_t v) {
   return static_cast<size_t>(v ^ (v >> 31)) ^ h;
 }
 
-uint64_t NextCacheSerial() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 void DpFrontierKey::Finalize() {
@@ -34,28 +29,7 @@ void DpFrontierKey::Finalize() {
   hash = h;
 }
 
-DpFrontierKey DpFrontierKey::FromString(const std::string& text) {
-  DpFrontierKey key;
-  key.words.reserve(2 + text.size() / 4 + 1);
-  key.Append(1);  // tag: string-packed, disjoint from structural keys
-  key.Append(static_cast<int32_t>(text.size()));
-  uint32_t word = 0;
-  int filled = 0;
-  for (const char c : text) {
-    word = (word << 8) | static_cast<unsigned char>(c);
-    if (++filled == 4) {
-      key.Append(static_cast<int32_t>(word));
-      word = 0;
-      filled = 0;
-    }
-  }
-  if (filled > 0) key.Append(static_cast<int32_t>(word));
-  key.Finalize();
-  return key;
-}
-
-DpFrontierCache::DpFrontierCache(size_t capacity)
-    : serial_(NextCacheSerial()), capacity_(capacity) {}
+DpFrontierCache::DpFrontierCache(size_t capacity) : capacity_(capacity) {}
 
 std::shared_ptr<const DpFrontierEntry> DpFrontierCache::Lookup(
     const DpFrontierKey& key) {
@@ -89,23 +63,6 @@ void DpFrontierCache::Insert(const DpFrontierKey& key,
     lru_.pop_back();
     ++evictions_;
   }
-}
-
-std::shared_ptr<const DpFrontierEntry> DpFrontierCache::Lookup(
-    const std::string& key) {
-  return Lookup(DpFrontierKey::FromString(key));
-}
-
-void DpFrontierCache::Insert(const std::string& key,
-                             std::shared_ptr<const DpFrontierEntry> entry) {
-  Insert(DpFrontierKey::FromString(key), std::move(entry));
-}
-
-int32_t DpFrontierCache::Intern(const std::string& text) {
-  std::lock_guard<std::mutex> lock(intern_mu_);
-  auto [it, inserted] =
-      intern_ids_.emplace(text, static_cast<int32_t>(intern_ids_.size()));
-  return it->second;
 }
 
 DpFrontierCacheStats DpFrontierCache::stats() const {

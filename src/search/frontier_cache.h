@@ -7,7 +7,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,7 +19,7 @@ struct DpColumnSpan {
   int64_t size = 0;
 };
 
-/// The complete frontier state of one sparse DpSearch::Run, cached so a
+/// The complete frontier state of one DpSearch::Run, cached so a
 /// later Run over the same (layer range, candidates, batch, micro) signature
 /// can answer directly from the frontiers instead of re-estimating costs and
 /// re-merging columns.
@@ -72,10 +71,8 @@ struct DpFrontierEntry {
 /// A Run signature as a packed word sequence: everything that determines the
 /// frontiers EXCEPT the memory budget (see DpFrontierEntry). Built once into
 /// thread-local scratch by DpSearch::Run — no strings, no per-lookup heap.
-///
-/// words[0] is a format tag: 0 for the structural encoding Run emits,
-/// 1 for keys packed from a caller-supplied string (the test-facing string
-/// overloads), so the two namespaces can never collide.
+/// Layer signatures enter as ids interned by the SharedCostCache the
+/// frontier cache is paired with (see SearchHooks).
 struct DpFrontierKey {
   std::vector<int32_t> words;
   size_t hash = 0;
@@ -89,9 +86,6 @@ struct DpFrontierKey {
   /// Lookup/Insert. (SplitMix64-style mix per word, matching the cost-cache
   /// keys' scheme.)
   void Finalize();
-
-  /// Packs an arbitrary string under tag 1 (4 bytes per word, length first).
-  static DpFrontierKey FromString(const std::string& text);
 
   friend bool operator==(const DpFrontierKey& a, const DpFrontierKey& b) {
     return a.hash == b.hash && a.words == b.words;
@@ -121,12 +115,9 @@ struct DpFrontierCacheStats {
 /// PlanningContext) must only share one cache across Runs whose model,
 /// cluster topology and estimator agree — the same contract SharedCostCache
 /// documents. Only budget-like cluster differences (per-device memory) are
-/// safe to vary, because per-layer costs never depend on the budget.
-///
-/// The cache also interns the per-layer signature strings Run folds into its
-/// keys (Intern below): ids are stable for the lifetime of one cache, and
-/// serial() lets Run keep a thread-local id memo that self-invalidates when
-/// it meets a different cache instance.
+/// safe to vary, because per-layer costs never depend on the budget. Keys
+/// carry ids interned by one SharedCostCache, so a frontier cache must
+/// always be used with the same cost cache.
 class DpFrontierCache {
  public:
   /// Default sized for a full Algorithm-1 sweep: one sweep issues a few
@@ -147,22 +138,6 @@ class DpFrontierCache {
   void Insert(const DpFrontierKey& key,
               std::shared_ptr<const DpFrontierEntry> entry);
 
-  /// String-keyed conveniences for tests and tooling; they pack `key` with
-  /// DpFrontierKey::FromString, so they share the LRU with structural keys
-  /// but can never alias them.
-  std::shared_ptr<const DpFrontierEntry> Lookup(const std::string& key);
-  void Insert(const std::string& key,
-              std::shared_ptr<const DpFrontierEntry> entry);
-
-  /// Interns `text`, returning an id unique per distinct string within this
-  /// cache instance (dense, starting at 0). Ids from different cache
-  /// instances are incomparable — callers memoizing string->id must key the
-  /// memo on serial().
-  int32_t Intern(const std::string& text);
-
-  /// Process-unique id of this cache instance (never reused).
-  uint64_t serial() const { return serial_; }
-
   void CountHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
   void CountMiss() { misses_.fetch_add(1, std::memory_order_relaxed); }
 
@@ -172,7 +147,6 @@ class DpFrontierCache {
   using Entry =
       std::pair<DpFrontierKey, std::shared_ptr<const DpFrontierEntry>>;
 
-  const uint64_t serial_;
   mutable std::mutex mu_;
   size_t capacity_;
   std::list<Entry> lru_;  // front = most recently used
@@ -183,9 +157,6 @@ class DpFrontierCache {
   std::atomic<int64_t> misses_{0};
   int64_t insertions_ = 0;
   int64_t evictions_ = 0;
-
-  std::mutex intern_mu_;
-  std::unordered_map<std::string, int32_t> intern_ids_;
 };
 
 }  // namespace galvatron

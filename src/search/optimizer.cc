@@ -1,9 +1,11 @@
 #include "search/optimizer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -176,21 +178,8 @@ Optimizer::Optimizer(const ClusterSpec* cluster, OptimizerOptions options)
   GALVATRON_CHECK(cluster != nullptr);
 }
 
-Result<OptimizationResult> Optimizer::Optimize(const ModelSpec& model) const {
-  return Optimize(model, /*shared_cache=*/nullptr);
-}
-
 Result<OptimizationResult> Optimizer::Optimize(
-    const ModelSpec& model, SharedCostCache* shared_cache,
-    const std::function<bool()>& cancel_check) const {
-  return Optimize(model, shared_cache, /*frontier_cache=*/nullptr,
-                  cancel_check);
-}
-
-Result<OptimizationResult> Optimizer::Optimize(
-    const ModelSpec& model, SharedCostCache* shared_cache,
-    DpFrontierCache* frontier_cache,
-    const std::function<bool()>& cancel_check) const {
+    const ModelSpec& model, const SearchHooks& hooks) const {
   // Options validation. A negative thread count is a caller bug, not a
   // request for serial search — clamping it silently used to mask e.g.
   // sign errors in CLI/serve plumbing.
@@ -199,11 +188,12 @@ Result<OptimizationResult> Optimizer::Optimize(
         "search_threads must be >= 0 (0 = all hardware threads), got %d",
         options_.search_threads));
   }
+  if (hooks.frontier_cache != nullptr && hooks.cost_cache == nullptr) {
+    return Status::InvalidArgument(
+        "a frontier cache needs the cost cache that interns its keys");
+  }
   const auto start = std::chrono::steady_clock::now();
   const int num_devices = cluster_->num_devices();
-  const auto cancelled = [&cancel_check] {
-    return cancel_check && cancel_check();
-  };
 
   std::vector<int> pp_degrees = options_.pp_degrees;
   if (pp_degrees.empty()) {
@@ -213,10 +203,6 @@ Result<OptimizationResult> Optimizer::Optimize(
   DpSearchOptions dp_options;
   dp_options.memory_granularity = options_.memory_granularity;
   dp_options.allow_recompute = options_.allow_recompute;
-  dp_options.use_sparse_dp = options_.use_sparse_dp;
-  // The sweep ranks results by index chains and materializes only the
-  // committed winners (see MaterializeDpSearchResult calls below).
-  dp_options.materialize_plans = false;
   DpSearch search(&estimator_, dp_options);
 
   // Sweep-wide memo over the estimator: every stage search of every
@@ -225,26 +211,43 @@ Result<OptimizationResult> Optimizer::Optimize(
   // caller-provided cache extends the sharing across runs (the serving
   // daemon's warm path); its entries carry no memory budget, so reuse
   // across budget variants is sound.
-  SharedCostCache local_cache(&estimator_, &model);
-  SharedCostCache* cache = shared_cache != nullptr ? shared_cache
-                                                   : &local_cache;
+  std::optional<SharedCostCache> local_cache;
+  if (hooks.cost_cache == nullptr) local_cache.emplace(&estimator_, &model);
+  SharedCostCache* cache = hooks.cost_cache != nullptr ? hooks.cost_cache
+                                                       : &*local_cache;
   const CostCacheStats cache_stats_before = cache->stats();
 
   // Run-local frontier sharing: even with no caller-provided cache, the
-  // sparse sweep keeps one for the duration of this run. Under GPipe every
+  // sweep keeps one for the duration of this run. Under GPipe every
   // stage of a configuration holds the same resident micro-batch count, so
   // the P stages of a P-deep pipeline share one Run signature per distinct
   // layer block — one cold kernel run serves all of them, and repeated
   // signatures across (batch, micro) configurations replay too (the
   // frontier prefix property keeps the answers byte-identical; see
-  // frontier_cache.h). Warm replays report zero states/breakpoints, so the
-  // sparse-vs-dense telemetry invariants are unaffected.
+  // frontier_cache.h). Warm replays report zero states/breakpoints.
   std::unique_ptr<DpFrontierCache> local_frontier;
-  if (frontier_cache == nullptr && options_.use_sparse_dp) {
+  if (hooks.frontier_cache == nullptr) {
     local_frontier = std::make_unique<DpFrontierCache>();
   }
-  DpFrontierCache* fcache =
-      frontier_cache != nullptr ? frontier_cache : local_frontier.get();
+  SearchHooks run_hooks;
+  run_hooks.cost_cache = cache;
+  run_hooks.frontier_cache = hooks.frontier_cache != nullptr
+                                 ? hooks.frontier_cache
+                                 : local_frontier.get();
+  // The caller's cancel hook, latched: once it reports cancellation the
+  // sweep's remaining polls answer true without calling it again.
+  std::atomic<bool> cancel_seen{false};
+  if (hooks.cancel) {
+    run_hooks.cancel = [&hooks, &cancel_seen] {
+      if (cancel_seen.load(std::memory_order_relaxed)) return true;
+      if (!hooks.cancel()) return false;
+      cancel_seen.store(true, std::memory_order_relaxed);
+      return true;
+    };
+  }
+  const auto cancelled = [&run_hooks] {
+    return run_hooks.cancel && run_hooks.cancel();
+  };
 
   std::vector<PerDegree> degrees;
   // batch=1/micro=1 satisfies every batch-dependent Validate check, so a
@@ -627,9 +630,9 @@ Result<OptimizationResult> Optimizer::Optimize(
       }
     }
 
-    // Per-stage DP, collected as a draft of candidate indices (the kernel
-    // runs with materialize_plans off and returns index chains only). The
-    // probe plan carries just the schedule shape InFlightForDegree reads.
+    // Per-stage DP, collected as a draft of candidate indices (the search
+    // returns index chains only). The probe plan carries just the schedule
+    // shape InFlightForDegree reads.
     TrainingPlan probe;
     probe.global_batch = batch;
     probe.num_micro_batches = micro;
@@ -652,16 +655,14 @@ Result<OptimizationResult> Optimizer::Optimize(
                                geom.first_device,
                                batch, micro, stage_budget,
                                probe.InFlightForDegree(degree.pp, s),
-                               cache, fcache, &cancel_check);
-      if (fcache != nullptr) {
-        // Warm infeasible answers are invisible here (no DpSearchResult to
-        // carry the flag) and count as misses; the cache's own stats()
-        // still record them as hits.
-        if (result.ok() && result->frontier_hit) {
-          ++out.dp_frontier_hits;
-        } else {
-          ++out.dp_frontier_misses;
-        }
+                               run_hooks);
+      // Warm infeasible answers are invisible here (no DpSearchResult to
+      // carry the flag) and count as misses; the cache's own stats() still
+      // record them as hits.
+      if (result.ok() && result->frontier_hit) {
+        ++out.dp_frontier_hits;
+      } else {
+        ++out.dp_frontier_misses;
       }
       if (!result.ok()) {
         if (result.status().IsInfeasible() ||
@@ -920,14 +921,13 @@ Result<OptimizationResult> Optimizer::Optimize(
           search.Run(model, first_layer, stage_layers, **candidates,
                      block.first_device, refined.global_batch,
                      refined.num_micro_batches, stage_budget,
-                     refined.InFlightForDegree(pp, s), cache, fcache,
-                     &cancel_check);
+                     refined.InFlightForDegree(pp, s), run_hooks);
       if (!stage_result.ok()) {
         oom = true;
         break;
       }
-      // The sweep-wide search runs with materialize_plans off; this stage
-      // is being committed, so fill per_layer from the index chain.
+      // This stage is being committed, so fill per_layer from the index
+      // chain.
       MaterializeDpSearchResult(**candidates, &*stage_result);
       StagePlan stage;
       stage.first_device = block.first_device;
@@ -963,7 +963,7 @@ Result<OptimizationResult> Optimizer::Optimize(
       cache_stats.misses() - cache_stats_before.misses();
   stats.cost_cache_lifetime_hits = cache_stats.hits();
   stats.cost_cache_lifetime_misses = cache_stats.misses();
-  stats.used_external_cost_cache = shared_cache != nullptr;
+  stats.used_external_cost_cache = hooks.cost_cache != nullptr;
   stats.search_seconds = SecondsSince(start);
   result.stats = stats;
   return result;

@@ -2,7 +2,6 @@
 #define GALVATRON_SEARCH_OPTIMIZER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -54,11 +53,6 @@ struct OptimizerOptions {
   /// clusters — the equal-split enumeration is untouched either way.
   bool allow_uneven_stages = true;
 
-  /// Per-stage DP kernel selection (see DpSearchOptions::use_sparse_dp):
-  /// sparse Pareto-frontier kernel by default, dense table sweep when
-  /// false. Plans are byte-identical either way.
-  bool use_sparse_dp = true;
-
   /// Alpa/Unity-style co-optimization rounds (Sec 3.3: "it is also possible
   /// to co-optimize by repeatedly interacting with the search inside each
   /// stage"): after the sweep, re-partition the pipeline using the winning
@@ -81,12 +75,12 @@ struct OptimizerOptions {
 struct SearchStats {
   double search_seconds = 0.0;
   int configs_explored = 0;        // (B, P, m) triples evaluated
-  /// DP states materialized across all per-stage searches: dense-kernel
-  /// table cells, or sparse-kernel Pareto breakpoints (see DpSearchResult).
+  /// DP states materialized across all per-stage searches: Pareto
+  /// breakpoints (see DpSearchResult).
   int64_t dp_states_explored = 0;
-  /// Sparse-kernel telemetry, summed over per-stage searches: breakpoints
-  /// emitted onto frontiers and per-layer options dropped by the
-  /// same-strategy domination prune. Zero when use_sparse_dp is false.
+  /// Kernel telemetry, summed over per-stage searches: breakpoints emitted
+  /// onto frontiers and per-layer options dropped by the same-strategy
+  /// domination prune.
   int64_t dp_breakpoints_emitted = 0;
   int64_t dp_options_pruned = 0;
   int num_candidate_strategies = 0;
@@ -99,7 +93,7 @@ struct SearchStats {
 
   /// Shared cost-cache counters, summed over layer and transformation
   /// lookups. A miss is one estimator invocation. These are per-call deltas:
-  /// with an external cache (see Optimizer::Optimize below) they count only
+  /// with an external cache (SearchHooks::cost_cache) they count only
   /// this run's lookups, so a fully warm cache shows misses == 0.
   int64_t cost_cache_hits = 0;
   int64_t cost_cache_misses = 0;
@@ -114,7 +108,7 @@ struct SearchStats {
   /// by replaying a cached Pareto frontier vs. searches that ran the cold
   /// kernel. With a caller-provided frontier cache these span requests (a
   /// warm-start serving request shows hits ~= the per-stage search count);
-  /// without one, the sparse sweep still uses a run-local cache, so the
+  /// without one, the sweep still uses a run-local cache, so the
   /// identical pipeline stages of one configuration — and repeated
   /// signatures across configurations — run the cold kernel once and
   /// replay everywhere else.
@@ -161,36 +155,29 @@ class Optimizer {
 
   /// Finds the best plan for `model` on the cluster. Returns Infeasible if
   /// no batch size / strategy combination fits the memory budget.
-  Result<OptimizationResult> Optimize(const ModelSpec& model) const;
-
-  /// Same, with serving hooks.
   ///
-  /// `shared_cache` (optional) is a caller-owned cost cache reused across
-  /// runs — the cross-request warm path of the plan-serving daemon. The
-  /// cache's estimator/model must describe the same model, cluster topology
-  /// and estimator options as this optimizer's; cached entries are keyed by
-  /// batch/micro/strategy/topology but NOT by memory budget, so budget-only
-  /// variations share entries by design. Thread-safe: concurrent Optimize
-  /// runs may share one cache.
+  /// `hooks` (optional, see SearchHooks) carry the serving daemon's state:
   ///
-  /// `cancel_check` (optional) is polled between configuration evaluations
-  /// and pipeline stages; once it returns true the sweep stops and the run
-  /// returns Status::Cancelled. Used for per-request deadlines.
-  Result<OptimizationResult> Optimize(
-      const ModelSpec& model, SharedCostCache* shared_cache,
-      const std::function<bool()>& cancel_check = {}) const;
-
-  /// Same, plus a caller-owned DP frontier cache (see DpFrontierCache):
-  /// per-stage searches whose signature already has a cached Pareto
-  /// frontier at a covering budget replay the answer instead of running
-  /// the kernel — the serving daemon's warm-start path for requests that
-  /// differ only in memory budget or batch envelope. The frontier cache
-  /// must be scoped with the cost cache (same model / cluster topology /
-  /// estimator). Thread-safe like `shared_cache`.
-  Result<OptimizationResult> Optimize(
-      const ModelSpec& model, SharedCostCache* shared_cache,
-      DpFrontierCache* frontier_cache,
-      const std::function<bool()>& cancel_check = {}) const;
+  /// - `cost_cache` is reused across runs — the cross-request warm path.
+  ///   Its estimator/model must describe the same model, cluster topology
+  ///   and estimator options as this optimizer's; entries are keyed by
+  ///   batch/micro/strategy/topology but NOT by memory budget, so
+  ///   budget-only variations share entries by design. Without one the run
+  ///   builds its own.
+  /// - `frontier_cache`: per-stage searches whose signature already has a
+  ///   cached Pareto frontier at a covering budget replay the answer
+  ///   instead of running the kernel — the warm-start path for requests
+  ///   that differ only in memory budget or batch envelope. It must be
+  ///   scoped with the cost cache, and requires one (InvalidArgument
+  ///   otherwise). Without one the run keeps its own for its duration.
+  /// - `cancel` is polled between batch waves, configuration evaluations,
+  ///   pipeline stages and DP layer columns; once it returns true the
+  ///   sweep stops polling it and returns Status::Cancelled. Used for
+  ///   per-request deadlines.
+  ///
+  /// Thread-safe: concurrent Optimize runs may share one set of caches.
+  Result<OptimizationResult> Optimize(const ModelSpec& model,
+                                      const SearchHooks& hooks = {}) const;
 
  private:
   const ClusterSpec* cluster_;

@@ -35,18 +35,24 @@ Status CheckKeys(const JsonValue& object,
   return Status::OK();
 }
 
+constexpr char kBadModelKind[] =
+    "'model' must be a zoo model name or a model-spec object";
+
+/// The cache-key form of the "model" member: zoo:<name> for a model-zoo
+/// name, the WriteJson normalization of a full spec (so formatting
+/// differences don't split cache entries).
+Result<std::string> CanonicalModelKey(const JsonValue& value) {
+  if (value.kind == JsonValue::Kind::kString) return "zoo:" + value.string;
+  if (value.kind == JsonValue::Kind::kObject) return WriteJson(value);
+  return Status::InvalidArgument(kBadModelKind);
+}
+
 /// Resolves the "model" member: a string is a model-zoo name, an object is a
-/// full spec. `canonical` gets the cache-key form (zoo:<name>, or the
-/// WriteJson normalization, so formatting differences don't split cache
-/// entries).
-Result<ModelSpec> ResolveModel(const JsonValue& value,
-                               std::string* canonical) {
+/// full spec.
+Result<ModelSpec> ResolveModel(const JsonValue& value) {
   if (value.kind == JsonValue::Kind::kString) {
     for (ModelId id : AllModelIds()) {
-      if (value.string == ModelIdToString(id)) {
-        *canonical = "zoo:" + value.string;
-        return BuildModel(id);
-      }
+      if (value.string == ModelIdToString(id)) return BuildModel(id);
     }
     std::string known;
     for (ModelId id : AllModelIds()) {
@@ -58,11 +64,9 @@ Result<ModelSpec> ResolveModel(const JsonValue& value,
         known.c_str()));
   }
   if (value.kind == JsonValue::Kind::kObject) {
-    *canonical = WriteJson(value);
     return ModelSpecFromJsonValue(value);
   }
-  return Status::InvalidArgument(
-      "'model' must be a zoo model name or a model-spec object");
+  return Status::InvalidArgument(kBadModelKind);
 }
 
 Status ParseEstimatorOptions(const JsonValue& value,
@@ -124,8 +128,8 @@ Status ParseOptimizerOptions(const JsonValue* value, OptimizerOptions* options,
     }
     GALVATRON_RETURN_IF_ERROR(CheckKeys(
         *value,
-        {"schedule", "allow_recompute", "use_sparse_dp", "search_threads",
-         "batch_step", "max_batch", "pp_degrees", "micro_batch_multipliers",
+        {"schedule", "allow_recompute", "search_threads", "batch_step",
+         "max_batch", "pp_degrees", "micro_batch_multipliers",
          "co_optimize_rounds", "memory_granularity", "estimator"},
         "'options'"));
     if (FindMember(*value, "schedule") != nullptr) {
@@ -144,10 +148,6 @@ Status ParseOptimizerOptions(const JsonValue* value, OptimizerOptions* options,
     if (FindMember(*value, "allow_recompute") != nullptr) {
       GALVATRON_ASSIGN_OR_RETURN(options->allow_recompute,
                                  GetBool(*value, "allow_recompute"));
-    }
-    if (FindMember(*value, "use_sparse_dp") != nullptr) {
-      GALVATRON_ASSIGN_OR_RETURN(options->use_sparse_dp,
-                                 GetBool(*value, "use_sparse_dp"));
     }
     if (FindMember(*value, "search_threads") != nullptr) {
       GALVATRON_ASSIGN_OR_RETURN(options->search_threads,
@@ -194,12 +194,12 @@ Status ParseOptimizerOptions(const JsonValue* value, OptimizerOptions* options,
     multipliers += StrFormat("%d,", m);
   }
   *signature = StrFormat(
-      "schedule=%s;recompute=%d;sparse=%d;threads=%d;step=%d;max=%d;"
+      "schedule=%s;recompute=%d;threads=%d;step=%d;max=%d;"
       "pp=[%s];mbm=[%s];coopt=%d;gran=%lld;est=%d:%s:%d",
       std::string(PipelineScheduleToString(options->schedule)).c_str(),
-      options->allow_recompute ? 1 : 0, options->use_sparse_dp ? 1 : 0,
-      options->search_threads, options->batch_step, options->max_batch,
-      degrees.c_str(), multipliers.c_str(), options->co_optimize_rounds,
+      options->allow_recompute ? 1 : 0, options->search_threads,
+      options->batch_step, options->max_batch, degrees.c_str(),
+      multipliers.c_str(), options->co_optimize_rounds,
       static_cast<long long>(options->memory_granularity),
       options->estimator.model_overlap_slowdown ? 1 : 0,
       JsonNumber(options->estimator.overlap_slowdown).c_str(),
@@ -484,14 +484,9 @@ HttpResponse PlanService::HandlePlan(const HttpRequest& request) {
   // The cache key is built from canonical forms before any heavy work, so a
   // hit never parses specs or touches the optimizer. The deadline is
   // excluded: it changes whether a result arrives, never which result.
-  std::string model_canonical;
-  if (model_value->kind == JsonValue::Kind::kString) {
-    model_canonical = "zoo:" + model_value->string;
-  } else if (model_value->kind == JsonValue::Kind::kObject) {
-    model_canonical = WriteJson(*model_value);
-  } else {
-    return MakeJsonErrorResponse(Status::InvalidArgument(
-        "'model' must be a zoo model name or a model-spec object"));
+  Result<std::string> model_canonical = CanonicalModelKey(*model_value);
+  if (!model_canonical.ok()) {
+    return MakeJsonErrorResponse(model_canonical.status());
   }
   const std::string cluster_canonical = WriteJson(**cluster_value);
   // The active calibration profile changes which result the search produces,
@@ -503,7 +498,7 @@ HttpResponse PlanService::HandlePlan(const HttpRequest& request) {
   std::shared_ptr<const calibrate::CalibrationProfile> calibration =
       ActiveCalibration(&calibration_version);
   const std::string cache_key =
-      model_canonical + "\n" + cluster_canonical + "\n" + options_signature +
+      *model_canonical + "\n" + cluster_canonical + "\n" + options_signature +
       StrFormat("\ncal=%lld", static_cast<long long>(calibration_version));
 
   const auto wait_deadline =
@@ -540,8 +535,8 @@ HttpResponse PlanService::HandlePlan(const HttpRequest& request) {
 
     if (leader) {
       HttpResponse response =
-          ComputePlan(*root, *model_value, **cluster_value, model_canonical,
-                      cache_key, deadline_ms, calibration,
+          ComputePlan(options, *model_value, **cluster_value,
+                      *model_canonical, cache_key, deadline_ms, calibration,
                       calibration_version);
       {
         // Unpublish BEFORE waking followers: a new request must either see
@@ -583,19 +578,12 @@ HttpResponse PlanService::HandlePlan(const HttpRequest& request) {
 }
 
 HttpResponse PlanService::ComputePlan(
-    const JsonValue& root, const JsonValue& model_value,
+    OptimizerOptions options, const JsonValue& model_value,
     const JsonValue& cluster_value, const std::string& model_canonical,
     const std::string& cache_key, double deadline_ms,
     std::shared_ptr<const calibrate::CalibrationProfile> calibration,
     int64_t calibration_version) {
-  OptimizerOptions options;
-  std::string options_signature;  // already validated by HandlePlan
-  Status options_status = ParseOptimizerOptions(FindMember(root, "options"),
-                                                &options, &options_signature);
-  if (!options_status.ok()) return MakeJsonErrorResponse(options_status);
-
-  std::string resolved_canonical = model_canonical;
-  Result<ModelSpec> model = ResolveModel(model_value, &resolved_canonical);
+  Result<ModelSpec> model = ResolveModel(model_value);
   if (!model.ok()) return MakeJsonErrorResponse(model.status());
   Result<ClusterSpec> cluster = ClusterSpecFromJsonValue(cluster_value);
   if (!cluster.ok()) return MakeJsonErrorResponse(cluster.status());
@@ -617,13 +605,15 @@ HttpResponse PlanService::ComputePlan(
   std::shared_ptr<PlanningContext> context = GetOrCreateContext(
       context_key, *model, *cluster, options.estimator, calibration);
 
-  std::function<bool()> cancel_check;
+  SearchHooks hooks;
+  hooks.cost_cache = context->cache();
+  hooks.frontier_cache = context->frontier_cache();
   if (deadline_ms > 0.0) {
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double, std::milli>(deadline_ms));
-    cancel_check = [deadline] {
+    hooks.cancel = [deadline] {
       return std::chrono::steady_clock::now() >= deadline;
     };
   }
@@ -631,7 +621,7 @@ HttpResponse PlanService::ComputePlan(
   // Optimize against the REQUEST's cluster (its real memory budgets) while
   // borrowing the context's caches — the warm-start near-miss path.
   Result<TrainedPlan> result =
-      Galvatron::Plan(*context, *cluster, options, cancel_check);
+      Galvatron::Plan(context->model(), *cluster, options, hooks);
   if (!result.ok()) return MakeJsonErrorResponse(result.status());
 
   if (options_.metrics != nullptr) {
@@ -761,8 +751,7 @@ HttpResponse PlanService::HandleMeasure(const HttpRequest& request) {
     return MakeJsonErrorResponse(
         Status::InvalidArgument("missing required key 'model'"));
   }
-  std::string unused_canonical;
-  Result<ModelSpec> model = ResolveModel(*model_value, &unused_canonical);
+  Result<ModelSpec> model = ResolveModel(*model_value);
   if (!model.ok()) return MakeJsonErrorResponse(model.status());
 
   Result<const JsonValue*> cluster_value =

@@ -169,11 +169,13 @@ class PlanService {
   HttpResponse HandlePlan(const HttpRequest& request);
   /// The post-singleflight search path: parse specs, find the warm
   /// context, run the optimizer, serialize, fill the plan cache.
-  /// `calibration` is the profile snapshot whose version HandlePlan folded
-  /// into `cache_key` — passed through (not re-read) so the cached response
-  /// is always priced by exactly the profile its key names.
+  /// `options` are the request's options as HandlePlan parsed them (their
+  /// signature is already part of `cache_key`). `calibration` is the
+  /// profile snapshot whose version HandlePlan folded into `cache_key` —
+  /// passed through (not re-read) so the cached response is always priced
+  /// by exactly the profile its key names.
   HttpResponse ComputePlan(
-      const JsonValue& root, const JsonValue& model_value,
+      OptimizerOptions options, const JsonValue& model_value,
       const JsonValue& cluster_value, const std::string& model_canonical,
       const std::string& cache_key, double deadline_ms,
       std::shared_ptr<const calibrate::CalibrationProfile> calibration,

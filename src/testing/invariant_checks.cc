@@ -107,8 +107,9 @@ std::optional<CheckFailure> CheckPlanValidity(uint64_t seed,
   return std::nullopt;
 }
 
-/// Check (b): DpSearch and BruteForceSearch agree on feasibility and on the
-/// optimal stage cost for small instances. Kept exponential-safe: at most
+/// Check (b): DpSearch agrees with DenseDpSearch byte for byte, and with
+/// BruteForceSearch on feasibility and on the optimal stage cost, for small
+/// instances. Kept exponential-safe: at most
 /// 3 layers and 4 devices regardless of the configured generator sizes.
 std::optional<CheckFailure> CheckSearchEquivalence(uint64_t seed,
                                                    const CheckOptions& options) {
@@ -160,17 +161,13 @@ std::optional<CheckFailure> CheckSearchEquivalence(uint64_t seed,
   const int64_t budget = static_cast<int64_t>(std::exp(log_budget));
 
   const CostEstimator estimator(&cluster);
-  search_options.use_sparse_dp = true;
   const DpSearch dp(&estimator, search_options);
-  DpSearchOptions dense_options = search_options;
-  dense_options.use_sparse_dp = false;
-  const DpSearch dense_dp(&estimator, dense_options);
   Result<DpSearchResult> dp_or =
       dp.Run(model, first_layer, num_layers, *candidates_or, first_device,
              batch, micro_batches, budget);
-  Result<DpSearchResult> dense_or =
-      dense_dp.Run(model, first_layer, num_layers, *candidates_or,
-                   first_device, batch, micro_batches, budget);
+  Result<DpSearchResult> dense_or = DenseDpSearch(
+      estimator, model, first_layer, num_layers, *candidates_or, first_device,
+      batch, micro_batches, budget, search_options);
   Result<DpSearchResult> bf_or = BruteForceSearch(
       estimator, model, first_layer, num_layers, *candidates_or, first_device,
       batch, micro_batches, budget, search_options);
@@ -182,9 +179,9 @@ std::optional<CheckFailure> CheckSearchEquivalence(uint64_t seed,
       static_cast<long long>(search_options.memory_granularity),
       search_options.allow_recompute ? " +recompute" : "");
 
-  // The sparse and dense kernels claim BYTE-identical results, not merely
-  // tolerance-equal ones: same feasibility verdict, bitwise-equal
-  // stage_seconds, and identical per-layer strategy/recompute assignments.
+  // DpSearch and the dense reference claim BYTE-identical results, not
+  // merely tolerance-equal ones: same feasibility verdict, bitwise-equal
+  // stage_seconds, and identical per-layer strategy/recompute index chains.
   if (dp_or.ok() != dense_or.ok()) {
     return MakeFailure(
         kCheck, seed,
@@ -199,12 +196,7 @@ std::optional<CheckFailure> CheckSearchEquivalence(uint64_t seed,
     const bool identical =
         dp_or->stage_seconds == dense_or->stage_seconds &&
         dp_or->resident_memory_bytes == dense_or->resident_memory_bytes &&
-        dp_or->per_layer.size() == dense_or->per_layer.size() &&
-        std::equal(dp_or->per_layer.begin(), dp_or->per_layer.end(),
-                   dense_or->per_layer.begin(),
-                   [](const HybridStrategy& a, const HybridStrategy& b) {
-                     return a.ToString() == b.ToString();
-                   }) &&
+        dp_or->per_layer_option == dense_or->per_layer_option &&
         dp_or->per_layer_recompute == dense_or->per_layer_recompute;
     if (!identical) {
       return MakeFailure(
@@ -213,46 +205,6 @@ std::optional<CheckFailure> CheckSearchEquivalence(uint64_t seed,
                     "dense=%.17g",
                     instance.c_str(), dp_or->stage_seconds,
                     dense_or->stage_seconds));
-    }
-    // Index-based assembly: with materialize_plans off the sparse kernel
-    // returns only the per_layer_option index chain; materializing it
-    // afterwards must reproduce the copying reconstruction byte for byte.
-    DpSearchOptions indexed_options = search_options;
-    indexed_options.materialize_plans = false;
-    const DpSearch indexed_dp(&estimator, indexed_options);
-    Result<DpSearchResult> indexed_or =
-        indexed_dp.Run(model, first_layer, num_layers, *candidates_or,
-                       first_device, batch, micro_batches, budget);
-    if (!indexed_or.ok()) {
-      return MakeFailure(
-          kCheck, seed,
-          StrFormat("index-assembly run infeasible on feasible %s: %s",
-                    instance.c_str(),
-                    indexed_or.status().ToString().c_str()));
-    }
-    if (!indexed_or->per_layer.empty()) {
-      return MakeFailure(
-          kCheck, seed,
-          StrFormat("materialize_plans=false still materialized on %s",
-                    instance.c_str()));
-    }
-    MaterializeDpSearchResult(*candidates_or, &*indexed_or);
-    const bool assembly_identical =
-        indexed_or->stage_seconds == dense_or->stage_seconds &&
-        indexed_or->per_layer_option == dp_or->per_layer_option &&
-        indexed_or->per_layer.size() == dense_or->per_layer.size() &&
-        std::equal(indexed_or->per_layer.begin(), indexed_or->per_layer.end(),
-                   dense_or->per_layer.begin(),
-                   [](const HybridStrategy& a, const HybridStrategy& b) {
-                     return a.ToString() == b.ToString();
-                   }) &&
-        indexed_or->per_layer_recompute == dense_or->per_layer_recompute;
-    if (!assembly_identical) {
-      return MakeFailure(
-          kCheck, seed,
-          StrFormat("index assembly diverges from copying reconstruction "
-                    "on %s",
-                    instance.c_str()));
     }
   }
   if (dp_or.ok() != bf_or.ok()) {

@@ -37,6 +37,36 @@ HybridStrategy Make(
   return *s;
 }
 
+/// c(l, s) through the keyed lookup, with the key built the way DpSearch
+/// builds it: a stage at device 0 running 16 samples in one micro-batch,
+/// all of them resident.
+Result<LayerCost> LayerAt(SharedCostCache& cache, int layer,
+                          const HybridStrategy& strategy) {
+  LayerCostKey key;
+  key.layer_sig = cache.InternSignature(layer);
+  key.strategy = cache.InternStrategy(strategy);
+  key.fingerprint = cache.InternFingerprint(0, strategy.TotalDegree());
+  key.batch_per_group = 16;
+  key.micro_batches = 1;
+  key.resident_micro_batches = -1;
+  key.recompute = 0;
+  return cache.Layer(key, layer, strategy, 0);
+}
+
+/// R(l, prev, next) through the keyed lookup, for micro-batches of 16.
+Result<double> TransformAt(SharedCostCache& cache, int layer,
+                           const HybridStrategy& prev,
+                           const HybridStrategy& next) {
+  TransformCostKey key;
+  key.prev_sig = cache.InternSignature(layer - 1);
+  key.next_sig = cache.InternSignature(layer);
+  key.prev_strategy = TransformClassOf(prev);
+  key.next_strategy = TransformClassOf(next);
+  key.fingerprint = cache.InternFingerprint(0, prev.TotalDegree());
+  key.mb_size = 16;
+  return cache.TransformSeconds(key, layer, prev, next, 0);
+}
+
 TEST(ThreadPoolTest, RunsEveryTaskAcrossWaves) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4);
@@ -199,8 +229,8 @@ TEST_F(CostCacheTest, TransformKeyDistinguishesSuccessorLayers) {
   // dp8 -> tp8 re-gathers the full batch of the SUCCESSOR layer's input.
   const HybridStrategy dp8 = Make({{ParallelDim::kData, 8}});
   const HybridStrategy tp8 = Make({{ParallelDim::kTensor, 8}});
-  auto a_to_b = cache.TransformSeconds(1, dp8, tp8, 0, 16);
-  auto a_to_c = cache.TransformSeconds(3, dp8, tp8, 0, 16);
+  auto a_to_b = TransformAt(cache, 1, dp8, tp8);
+  auto a_to_c = TransformAt(cache, 3, dp8, tp8);
   ASSERT_TRUE(a_to_b.ok());
   ASSERT_TRUE(a_to_c.ok());
   // Same predecessor signature, different successors: the costs must
@@ -230,6 +260,7 @@ TEST_F(CostCacheTest, DpSearchMatchesEstimateStageOnHeterogeneousStack) {
   auto result = search.Run(model_, 0, model_.num_layers(), *candidates, 0,
                            16, 1, 16 * kGB);
   ASSERT_TRUE(result.ok()) << result.status();
+  MaterializeDpSearchResult(*candidates, &*result);
   auto stage = estimator_.EstimateStage(model_, 0, model_.num_layers(),
                                         result->per_layer, 0, 16, 1);
   ASSERT_TRUE(stage.ok()) << stage.status();
@@ -250,11 +281,11 @@ TEST_F(CostCacheTest, ConcurrentLookupsMatchSerialValues) {
   std::vector<double> ref_transform;
   for (int l = 0; l < model_.num_layers(); ++l) {
     for (const HybridStrategy& s : strategies) {
-      auto cost = reference.Layer(l, s, 0, 16, 1, false, -1);
+      auto cost = LayerAt(reference, l, s);
       ASSERT_TRUE(cost.ok());
       ref_layer.push_back(cost->IterationSeconds(1, estimator_.options()));
       if (l > 0) {
-        auto r = reference.TransformSeconds(l, dp8, s, 0, 16);
+        auto r = TransformAt(reference, l, dp8, s);
         ASSERT_TRUE(r.ok());
         ref_transform.push_back(*r);
       }
@@ -272,14 +303,14 @@ TEST_F(CostCacheTest, ConcurrentLookupsMatchSerialValues) {
     size_t ti = 0;
     for (int l = 0; l < model_.num_layers(); ++l) {
       for (const HybridStrategy& s : strategies) {
-        auto cost = cache.Layer(l, s, 0, 16, 1, false, -1);
+        auto cost = LayerAt(cache, l, s);
         if (!cost.ok() ||
             cost->IterationSeconds(1, estimator_.options()) !=
                 ref_layer[li++]) {
           mismatches.fetch_add(1);
         }
         if (l > 0) {
-          auto r = cache.TransformSeconds(l, dp8, s, 0, 16);
+          auto r = TransformAt(cache, l, dp8, s);
           if (!r.ok() || *r != ref_transform[ti++]) {
             mismatches.fetch_add(1);
           }
@@ -350,7 +381,7 @@ TEST_F(CostCacheTest, FreshCacheNeverServesAPriorCachesEntries) {
   double stale = 0.0;
   {
     SharedCostCache first(&estimator_, &model_);
-    auto cost = first.Layer(0, dp8, 0, 16, 1, false, -1);
+    auto cost = LayerAt(first, 0, dp8);
     ASSERT_TRUE(cost.ok());
     stale = cost->IterationSeconds(1, estimator_.options());
   }
@@ -359,14 +390,14 @@ TEST_F(CostCacheTest, FreshCacheNeverServesAPriorCachesEntries) {
   double expected = 0.0;
   std::thread([&] {
     SharedCostCache ref(&estimator_, &other);
-    auto cost = ref.Layer(0, dp8, 0, 16, 1, false, -1);
+    auto cost = LayerAt(ref, 0, dp8);
     ASSERT_TRUE(cost.ok());
     expected = cost->IterationSeconds(1, estimator_.options());
   }).join();
   ASSERT_NE(expected, stale);  // the two models genuinely differ
 
   SharedCostCache second(&estimator_, &other);
-  auto cost = second.Layer(0, dp8, 0, 16, 1, false, -1);
+  auto cost = LayerAt(second, 0, dp8);
   ASSERT_TRUE(cost.ok());
   EXPECT_EQ(cost->IterationSeconds(1, estimator_.options()), expected);
 }

@@ -2,11 +2,14 @@
 
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "estimator/cost_estimator.h"
 #include "ir/model_zoo.h"
+#include "parallel/decision_tree.h"
 #include "search/cost_cache.h"
+#include "search/dp_search.h"
 #include "search/frontier_cache.h"
 #include "search/optimizer.h"
 #include "sim/simulator.h"
@@ -14,11 +17,12 @@
 namespace galvatron {
 namespace {
 
-/// Timer-free perf tripwire (runs under the `perf` ctest label): on a
-/// miniature end-to-end sweep, the sparse kernel must (a) return the exact
-/// plan the dense kernel returns and (b) materialize no more DP states —
-/// each sparse breakpoint is a distinct budget level of one dense column,
-/// so sparse > dense means the frontier representation regressed.
+/// Timer-free perf tripwire (runs under the `perf` ctest label): on the
+/// per-stage searches of a miniature end-to-end sweep's committed plans,
+/// DpSearch must (a) return the exact plan the dense reference returns and
+/// (b) materialize no more DP states — each breakpoint is a distinct budget
+/// level of one dense column, so sparse > dense means the frontier
+/// representation regressed.
 TEST(PerfRegressionTest, SparseExploresNoMoreStatesThanDense) {
   BertConfig config;
   config.num_layers = 8;
@@ -27,32 +31,54 @@ TEST(PerfRegressionTest, SparseExploresNoMoreStatesThanDense) {
   const ModelSpec model = BuildBert("perf-bert", config);
   const ClusterSpec cluster = MakeTitanNode8(12 * kGB);
 
-  OptimizerOptions sparse_options;
-  sparse_options.use_sparse_dp = true;
-  OptimizerOptions dense_options;
-  dense_options.use_sparse_dp = false;
+  auto swept = Optimizer(&cluster).Optimize(model);
+  ASSERT_TRUE(swept.ok()) << swept.status();
+  std::vector<TrainingPlan> plans = swept->alternates;
+  plans.push_back(swept->plan);
 
-  auto sparse = Optimizer(&cluster, sparse_options).Optimize(model);
-  auto dense = Optimizer(&cluster, dense_options).Optimize(model);
-  ASSERT_TRUE(sparse.ok()) << sparse.status();
-  ASSERT_TRUE(dense.ok()) << dense.status();
+  const CostEstimator estimator(&cluster);
+  const DpSearch search(&estimator);
+  int64_t sparse_states = 0;
+  int64_t dense_states = 0;
+  for (const TrainingPlan& plan : plans) {
+    for (int s = 0; s < plan.pp_degree(); ++s) {
+      const StagePlan& stage = plan.stages[static_cast<size_t>(s)];
+      const std::string context =
+          plan.ToString() + " stage " + std::to_string(s);
+      auto candidates = EnumerateSingleLayerStrategies(stage.num_devices);
+      ASSERT_TRUE(candidates.ok()) << candidates.status();
+      const int64_t budget =
+          cluster.MinMemoryInRange(stage.first_device, stage.num_devices);
+      const int resident = plan.InFlightMicroBatches(s);
+      auto sparse = search.Run(model, stage.first_layer, stage.num_layers,
+                               *candidates, stage.first_device,
+                               plan.global_batch, plan.num_micro_batches,
+                               budget, resident);
+      auto dense = DenseDpSearch(
+          estimator, model, stage.first_layer, stage.num_layers, *candidates,
+          stage.first_device, plan.global_batch, plan.num_micro_batches,
+          budget, DpSearchOptions{}, /*shared_cache=*/nullptr, resident);
+      ASSERT_EQ(sparse.ok(), dense.ok())
+          << context << ": " << sparse.status() << " vs " << dense.status();
+      if (!sparse.ok()) continue;
 
-  // Byte-identical winning plans (same serialized form and same estimate).
-  EXPECT_EQ(sparse->plan.ToString(), dense->plan.ToString());
-  EXPECT_EQ(sparse->estimated.throughput_samples_per_sec,
-            dense->estimated.throughput_samples_per_sec);
+      // Byte-identical stage plans.
+      EXPECT_EQ(sparse->stage_seconds, dense->stage_seconds) << context;
+      EXPECT_EQ(sparse->per_layer_option, dense->per_layer_option)
+          << context;
 
-  // Identical sweeps: same configurations, same candidate sets.
-  EXPECT_EQ(sparse->stats.configs_explored, dense->stats.configs_explored);
-
-  // The tripwire. Strict < in practice (the ratio is ~10-100x); <= is the
-  // invariant that can never legitimately break.
-  EXPECT_LE(sparse->stats.dp_states_explored,
-            dense->stats.dp_states_explored);
-  EXPECT_GT(sparse->stats.dp_states_explored, 0);
-  EXPECT_EQ(sparse->stats.dp_states_explored,
-            sparse->stats.dp_breakpoints_emitted);
-  EXPECT_EQ(dense->stats.dp_breakpoints_emitted, 0);
+      // The tripwire. Strict < in practice (the ratio is ~10-100x); <= is
+      // the invariant that can never legitimately break.
+      EXPECT_LE(sparse->states_explored, dense->states_explored) << context;
+      EXPECT_EQ(sparse->states_explored, sparse->breakpoints_emitted)
+          << context;
+      EXPECT_EQ(dense->breakpoints_emitted, 0) << context;
+      sparse_states += sparse->states_explored;
+      dense_states += dense->states_explored;
+    }
+  }
+  EXPECT_GT(sparse_states, 0);
+  EXPECT_LE(sparse_states, dense_states);
 }
 
 /// Timer-free tracing-off tripwire: with SimOptions::record_trace at its
@@ -167,12 +193,15 @@ TEST(PerfRegressionTest, WarmOptimizeAllocationsStayCollapsed) {
   const CostEstimator estimator(&cluster);
   SharedCostCache cache(&estimator, &model);
   DpFrontierCache frontier;
+  SearchHooks hooks;
+  hooks.cost_cache = &cache;
+  hooks.frontier_cache = &frontier;
 
-  auto cold = optimizer.Optimize(model, &cache, &frontier);
+  auto cold = optimizer.Optimize(model, hooks);
   ASSERT_TRUE(cold.ok()) << cold.status();
-  auto warm1 = optimizer.Optimize(model, &cache, &frontier);
+  auto warm1 = optimizer.Optimize(model, hooks);
   ASSERT_TRUE(warm1.ok()) << warm1.status();
-  auto warm2 = optimizer.Optimize(model, &cache, &frontier);
+  auto warm2 = optimizer.Optimize(model, hooks);
   ASSERT_TRUE(warm2.ok()) << warm2.status();
 
   // Warm runs return the cold run's plan and allocate identically.

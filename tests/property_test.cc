@@ -97,13 +97,22 @@ TEST_P(RandomDpVsBruteForceOptions, AgreeAcrossGranularitiesAndRecompute) {
                            batch, 1, budget);
       auto bf = BruteForceSearch(estimator, model, 0, model.num_layers(),
                                  *candidates, 0, batch, 1, budget, options);
+      auto dense = DenseDpSearch(estimator, model, 0, model.num_layers(),
+                                 *candidates, 0, batch, 1, budget, options);
       ASSERT_EQ(dp.ok(), bf.ok())
           << "gran " << gran_mib << "MiB recompute " << recompute << ": "
           << dp.status() << " vs " << bf.status();
+      ASSERT_EQ(dp.ok(), dense.ok())
+          << "gran " << gran_mib << "MiB recompute " << recompute << ": "
+          << dp.status() << " vs dense " << dense.status();
       if (!dp.ok()) {
         EXPECT_TRUE(dp.status().IsInfeasible());
         continue;
       }
+      // The dense sweep of the same recurrence agrees byte for byte.
+      EXPECT_EQ(dp->stage_seconds, dense->stage_seconds);
+      EXPECT_EQ(dp->per_layer_option, dense->per_layer_option);
+      EXPECT_EQ(dp->per_layer_recompute, dense->per_layer_recompute);
       EXPECT_NEAR(dp->stage_seconds, bf->stage_seconds,
                   1e-9 * std::max(1.0, bf->stage_seconds))
           << "gran " << gran_mib << "MiB recompute " << recompute;

@@ -41,7 +41,7 @@ TEST_F(DpSearchTest, SingleLayerPicksCheapestFittingStrategy) {
   ASSERT_TRUE(candidates.ok());
   auto result = search_.Run(model, 1, 1, *candidates, 0, 8, 1, 16 * kGB);
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->per_layer.size(), 1u);
+  ASSERT_EQ(result->per_layer_option.size(), 1u);
   // Verify it is really the argmin over candidates.
   double best = 1e18;
   for (const HybridStrategy& s : *candidates) {
@@ -156,18 +156,15 @@ TEST_F(DpSearchTest, MemoryStaysWithinBudget) {
 
 TEST_F(DpSearchTest, StatesExploredScalesLinearlyInLayers) {
   // Figure 4(a): search cost is linear in the layer count. The dense
-  // kernel's cell count is exactly linear in L; the sparse kernel's
-  // breakpoint count grows with frontier size instead, so pin dense here.
-  DpSearchOptions options;
-  options.use_sparse_dp = false;
-  DpSearch search(&estimator_, options);
+  // reference's cell count is exactly linear in L; DpSearch's breakpoint
+  // count grows with frontier size instead, so pin the dense sweep here.
   auto candidates = EnumerateSingleLayerStrategies(8);
   ModelSpec small = SmallBert(8);
   ModelSpec large = SmallBert(16);
-  auto a = search.Run(small, 0, small.num_layers(), *candidates, 0, 8, 1,
-                      16 * kGB);
-  auto b = search.Run(large, 0, large.num_layers(), *candidates, 0, 8, 1,
-                      16 * kGB);
+  auto a = DenseDpSearch(estimator_, small, 0, small.num_layers(),
+                         *candidates, 0, 8, 1, 16 * kGB);
+  auto b = DenseDpSearch(estimator_, large, 0, large.num_layers(),
+                         *candidates, 0, 8, 1, 16 * kGB);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   const double ratio = static_cast<double>(b->states_explored) /

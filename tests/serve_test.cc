@@ -826,19 +826,26 @@ TEST_F(ServeTest, NearMissBudgetWarmStartsFromCachedFrontiers) {
   }
 }
 
-TEST_F(ServeTest, DeadlineCancelsMidSearchOnA256LayerModel) {
-  // Regression: the deadline used to be enforced only around request
-  // framing, so a request whose search was already running burned a worker
-  // for the full sweep. Cancellation is now polled between DP layer
-  // columns: a 256-layer model with a deadline far below its cold-search
-  // time must come back 504 promptly, not after the table completes.
+/// A 256-layer BERT on the 8-GPU node: a cold search far longer than any
+/// test should wait for.
+ModelSpec Bert256() {
   BertConfig config;
   config.num_layers = 256;
-  const ModelSpec big = BuildBert("bert-256-deadline", config);
+  return BuildBert("bert-256-deadline", config);
+}
+
+TEST_F(ServeTest, DeadlinePassedBeforeTheFirstPollCancelsA256LayerSearch) {
+  // Regression: the deadline used to be enforced only around request
+  // framing, so a request whose search was already running burned a worker
+  // for the full sweep. The deadline is now a cancel hook the sweep polls;
+  // a deadline that has passed before the first poll must come back 504
+  // promptly, not after the table completes. The deadline is 1 ns so the
+  // test never races the search: the model is infeasible on this cluster,
+  // and its search can end (422) inside a deadline of a few milliseconds.
   const std::string body =
-      "{\"model\": " + ModelSpecToJson(big) +
+      "{\"model\": " + ModelSpecToJson(Bert256()) +
       ", \"cluster\": " + ClusterSpecToJson(cluster_) +
-      ", \"deadline_ms\": 10}";
+      ", \"deadline_ms\": 0.000001}";
 
   PlanService service;
   const auto start = std::chrono::steady_clock::now();
@@ -851,6 +858,29 @@ TEST_F(ServeTest, DeadlineCancelsMidSearchOnA256LayerModel) {
   EXPECT_NE(response.body.find("Cancelled"), std::string::npos);
   // Generous CI bound, still orders of magnitude below the full sweep.
   EXPECT_LT(elapsed_seconds, 10.0);
+}
+
+TEST_F(ServeTest, PlanCancelHookStopsTheSweepOnItsThirdPoll) {
+  // The clock-free form of the deadline test: a cancel hook that reports
+  // cancellation on its 3rd poll stops the 256-layer search with
+  // Cancelled, and the sweep never polls it again after that.
+  int calls = 0;
+  SearchHooks hooks;
+  hooks.cancel = [&calls] { return ++calls == 3; };
+  auto result = Galvatron::Plan(Bert256(), cluster_, {}, hooks);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status();
+  EXPECT_EQ(calls, 3);
+}
+
+TEST_F(ServeTest, RemovedKernelOptionIsRejectedByName) {
+  PlanService service;
+  const HttpResponse response = service.Handle(Post(
+      "/v1/plan",
+      PlanRequestBody(", \"options\": {\"use_sparse_dp\": true}")));
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_NE(response.body.find("use_sparse_dp"), std::string::npos)
+      << response.body;
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -11,7 +10,10 @@
 #include "ir/model_zoo.h"
 #include "ir/transformer_builder.h"
 #include "parallel/decision_tree.h"
+#include "search/cost_cache.h"
 #include "search/dp_search.h"
+#include "search/frontier_cache.h"
+#include "search/optimizer.h"
 #include "testing/fuzz_generators.h"
 #include "util/math_util.h"
 #include "util/rng.h"
@@ -34,39 +36,27 @@ void ExpectIdentical(const DpSearchResult& sparse, const DpSearchResult& dense,
   EXPECT_EQ(sparse.stage_seconds, dense.stage_seconds) << context;
   EXPECT_EQ(sparse.resident_memory_bytes, dense.resident_memory_bytes)
       << context;
-  ASSERT_EQ(sparse.per_layer.size(), dense.per_layer.size()) << context;
-  for (size_t l = 0; l < sparse.per_layer.size(); ++l) {
-    EXPECT_EQ(sparse.per_layer[l].ToString(), dense.per_layer[l].ToString())
-        << context << " layer " << l;
-  }
+  EXPECT_EQ(sparse.per_layer_option, dense.per_layer_option) << context;
   EXPECT_EQ(sparse.per_layer_recompute, dense.per_layer_recompute) << context;
 }
 
-/// Runs both kernels on one instance; checks agreement on feasibility and,
-/// when feasible, byte-identical plans plus the sparse <= dense state-count
-/// bound. Returns true when the instance was feasible.
+/// Runs DpSearch and the dense reference on one instance; checks agreement
+/// on feasibility and, when feasible, byte-identical plans plus the
+/// sparse <= dense state-count bound. Returns true when the instance was
+/// feasible.
 bool CheckInstance(const CostEstimator& estimator, const ModelSpec& model,
                    int first_layer, int num_layers,
                    const std::vector<HybridStrategy>& candidates,
                    int first_device, int batch, int micro_batches,
                    int64_t budget, DpSearchOptions options,
                    const std::string& context) {
-  options.use_sparse_dp = true;
   const DpSearch sparse(&estimator, options);
-  options.materialize_plans = false;
-  const DpSearch indexed(&estimator, options);
-  options.materialize_plans = true;
-  options.use_sparse_dp = false;
-  const DpSearch dense(&estimator, options);
   auto a = sparse.Run(model, first_layer, num_layers, candidates,
                       first_device, batch, micro_batches, budget);
-  auto b = dense.Run(model, first_layer, num_layers, candidates, first_device,
-                     batch, micro_batches, budget);
-  auto c = indexed.Run(model, first_layer, num_layers, candidates,
-                       first_device, batch, micro_batches, budget);
+  auto b = DenseDpSearch(estimator, model, first_layer, num_layers, candidates,
+                         first_device, batch, micro_batches, budget, options);
   EXPECT_EQ(a.ok(), b.ok()) << context << ": sparse=" << a.status()
                             << " dense=" << b.status();
-  EXPECT_EQ(a.ok(), c.ok()) << context << ": indexed=" << c.status();
   if (!a.ok() || !b.ok()) {
     if (!a.ok() && !b.ok()) {
       EXPECT_EQ(a.status().ToString(), b.status().ToString()) << context;
@@ -74,18 +64,20 @@ bool CheckInstance(const CostEstimator& estimator, const ModelSpec& model,
     return false;
   }
   ExpectIdentical(*a, *b, context);
-  // The index-based assembly: with materialize_plans off the kernel returns
-  // only index chains; materializing them afterwards must reproduce the
-  // copying reconstruction byte for byte.
-  if (c.ok()) {
-    EXPECT_TRUE(c->per_layer.empty()) << context;
-    EXPECT_EQ(c->per_layer_option, a->per_layer_option) << context;
-    MaterializeDpSearchResult(candidates, &*c);
-    ExpectIdentical(*c, *b, context + " (index assembly)");
+  // The index-based assembly: the search returns only index chains, and
+  // materializing them copies exactly the indexed candidates.
+  EXPECT_TRUE(a->per_layer.empty()) << context;
+  MaterializeDpSearchResult(candidates, &*a);
+  EXPECT_EQ(a->per_layer.size(), a->per_layer_option.size()) << context;
+  for (size_t l = 0; l < a->per_layer.size(); ++l) {
+    EXPECT_EQ(a->per_layer[l].ToString(),
+              candidates[static_cast<size_t>(a->per_layer_option[l])]
+                  .ToString())
+        << context << " layer " << l;
   }
-  // The anti-regression bound: every sparse breakpoint is a distinct budget
-  // level of one dense column, so the sparse kernel can never materialize
-  // more states than the dense sweep on the same inputs.
+  // The anti-regression bound: every breakpoint is a distinct budget level
+  // of one dense column, so DpSearch can never materialize more states
+  // than the dense sweep on the same inputs.
   EXPECT_LE(a->states_explored, b->states_explored) << context;
   EXPECT_EQ(a->states_explored, a->breakpoints_emitted) << context;
   EXPECT_EQ(b->breakpoints_emitted, 0) << context;
@@ -231,13 +223,16 @@ TEST(SparseDpFrontierCacheTest, WarmAnswersAreByteIdenticalToColdRuns) {
   auto candidates = EnumerateSingleLayerStrategies(8);
   ASSERT_TRUE(candidates.ok()) << candidates.status();
   DpSearchOptions options;
-  options.use_sparse_dp = true;
   options.allow_recompute = true;
   const DpSearch search(&estimator, options);
 
+  SharedCostCache costs(&estimator, &model);
   DpFrontierCache cache;
+  SearchHooks hooks;
+  hooks.cost_cache = &costs;
+  hooks.frontier_cache = &cache;
   auto prime = search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1,
-                          48 * kGB, -1, nullptr, &cache);
+                          48 * kGB, -1, hooks);
   ASSERT_TRUE(prime.ok()) << prime.status();
   EXPECT_FALSE(prime->frontier_hit);
   EXPECT_EQ(cache.stats().misses, 1);
@@ -248,7 +243,7 @@ TEST(SparseDpFrontierCacheTest, WarmAnswersAreByteIdenticalToColdRuns) {
        budget *= 2) {
     const std::string context = "budget " + std::to_string(budget);
     auto warm = search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1,
-                           budget, -1, nullptr, &cache);
+                           budget, -1, hooks);
     auto cold =
         search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1, budget);
     ASSERT_EQ(warm.ok(), cold.ok())
@@ -274,60 +269,78 @@ TEST(SparseDpFrontierCacheTest, WarmAnswersAreByteIdenticalToColdRuns) {
   // A budget ABOVE the cached one cannot reuse a truncated frontier: it
   // must fall through to a fresh kernel run and republish wider.
   auto wider = search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1,
-                          96 * kGB, -1, nullptr, &cache);
+                          96 * kGB, -1, hooks);
   ASSERT_TRUE(wider.ok()) << wider.status();
   EXPECT_FALSE(wider->frontier_hit);
   EXPECT_EQ(cache.stats().misses, 2);
 }
 
-TEST(SparseDpCancellationTest, CancelCheckStopsBothKernels) {
+TEST(SparseDpFrontierCacheTest, RequiresTheCostCacheThatInternsItsKeys) {
+  // Frontier keys hold layer-signature ids interned by the paired cost
+  // cache; without one there is no id space to key by, so the search
+  // refuses instead of keying a long-lived cache by per-run ids.
+  const ClusterSpec cluster = MakeTitanNode8(16 * kGB);
+  const CostEstimator estimator(&cluster);
+  const ModelSpec model = SmallBert(2);
+  auto candidates = EnumerateSingleLayerStrategies(8);
+  ASSERT_TRUE(candidates.ok()) << candidates.status();
+  DpFrontierCache cache;
+  SearchHooks hooks;
+  hooks.frontier_cache = &cache;
+  auto result = DpSearch(&estimator).Run(model, 0, model.num_layers(),
+                                         *candidates, 0, 8, 1, 16 * kGB, -1,
+                                         hooks);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
+  auto swept = Optimizer(&cluster).Optimize(model, hooks);
+  ASSERT_FALSE(swept.ok());
+  EXPECT_TRUE(swept.status().IsInvalidArgument()) << swept.status();
+  EXPECT_EQ(cache.stats().size, 0u);
+}
+
+TEST(SparseDpCancellationTest, CancelCheckStopsTheRun) {
   const ClusterSpec cluster = MakeTitanNode8(16 * kGB);
   const CostEstimator estimator(&cluster);
   const ModelSpec model = SmallBert(4);
   auto candidates = EnumerateSingleLayerStrategies(8);
   ASSERT_TRUE(candidates.ok()) << candidates.status();
+  const DpSearch search(&estimator);
 
-  for (const bool use_sparse : {true, false}) {
-    DpSearchOptions options;
-    options.use_sparse_dp = use_sparse;
-    const DpSearch search(&estimator, options);
+  // An immediately-true cancel stops the run before any real work.
+  SearchHooks now;
+  now.cancel = [] { return true; };
+  auto cancelled = search.Run(model, 0, model.num_layers(), *candidates, 0, 8,
+                              1, 16 * kGB, -1, now);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_TRUE(cancelled.status().IsCancelled()) << cancelled.status();
 
-    // An immediately-true cancel stops the run before any real work.
-    std::function<bool()> now = [] { return true; };
-    auto cancelled = search.Run(model, 0, model.num_layers(), *candidates, 0,
-                                8, 1, 16 * kGB, -1, nullptr, nullptr, &now);
-    ASSERT_FALSE(cancelled.ok()) << "use_sparse=" << use_sparse;
-    EXPECT_TRUE(cancelled.status().IsCancelled())
-        << "use_sparse=" << use_sparse << ": " << cancelled.status();
+  // A cancel that trips after a few polls lands mid-table (between layer
+  // columns) and must still surface Cancelled, not a partial answer.
+  int polls = 0;
+  SearchHooks later;
+  later.cancel = [&polls] { return ++polls > 3; };
+  auto mid = search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1,
+                        16 * kGB, -1, later);
+  ASSERT_FALSE(mid.ok());
+  EXPECT_TRUE(mid.status().IsCancelled()) << mid.status();
+  EXPECT_GT(polls, 3);
 
-    // A cancel that trips after a few polls lands mid-table (between layer
-    // columns) and must still surface Cancelled, not a partial answer.
-    int polls = 0;
-    std::function<bool()> later = [&polls] { return ++polls > 3; };
-    auto mid = search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1,
-                          16 * kGB, -1, nullptr, nullptr, &later);
-    ASSERT_FALSE(mid.ok()) << "use_sparse=" << use_sparse;
-    EXPECT_TRUE(mid.status().IsCancelled())
-        << "use_sparse=" << use_sparse << ": " << mid.status();
-    EXPECT_GT(polls, 3) << "use_sparse=" << use_sparse;
-
-    // A never-true cancel is byte-identical to passing no cancel at all.
-    std::function<bool()> never = [] { return false; };
-    auto watched = search.Run(model, 0, model.num_layers(), *candidates, 0, 8,
-                              1, 16 * kGB, -1, nullptr, nullptr, &never);
-    auto plain = search.Run(model, 0, model.num_layers(), *candidates, 0, 8,
-                            1, 16 * kGB);
-    ASSERT_TRUE(watched.ok()) << watched.status();
-    ASSERT_TRUE(plain.ok()) << plain.status();
-    ExpectIdentical(*watched, *plain,
-                    use_sparse ? "sparse watched" : "dense watched");
-  }
+  // A never-true cancel is byte-identical to passing no cancel at all.
+  SearchHooks never;
+  never.cancel = [] { return false; };
+  auto watched = search.Run(model, 0, model.num_layers(), *candidates, 0, 8,
+                            1, 16 * kGB, -1, never);
+  auto plain =
+      search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1, 16 * kGB);
+  ASSERT_TRUE(watched.ok()) << watched.status();
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  ExpectIdentical(*watched, *plain, "watched");
 }
 
 TEST(SparseDpGuardTest, RejectsOptionCountsBeyondInt16) {
-  // Regression for the int16_t parent table: an expanded option count above
-  // INT16_MAX must be rejected with InvalidArgument by BOTH kernels, not
-  // silently truncated.
+  // The option cap bounds request work, and the dense reference's int16_t
+  // parent table relies on it: an expanded option count above INT16_MAX
+  // must be rejected with InvalidArgument by both, not silently truncated.
   const ClusterSpec cluster = MakeTitanNode8(16 * kGB);
   const CostEstimator estimator(&cluster);
   const ModelSpec model = SmallBert(2);
@@ -339,16 +352,14 @@ TEST(SparseDpGuardTest, RejectsOptionCountsBeyondInt16) {
     many.insert(many.end(), base->begin(), base->end());
   }
   many.resize(40000);
-  for (const bool use_sparse : {true, false}) {
-    DpSearchOptions options;
-    options.use_sparse_dp = use_sparse;
-    const DpSearch search(&estimator, options);
-    auto result =
-        search.Run(model, 0, model.num_layers(), many, 0, 8, 1, 16 * kGB);
-    ASSERT_FALSE(result.ok()) << "use_sparse=" << use_sparse;
-    EXPECT_TRUE(result.status().IsInvalidArgument())
-        << "use_sparse=" << use_sparse << ": " << result.status();
-  }
+  auto sparse = DpSearch(&estimator).Run(model, 0, model.num_layers(), many,
+                                         0, 8, 1, 16 * kGB);
+  ASSERT_FALSE(sparse.ok());
+  EXPECT_TRUE(sparse.status().IsInvalidArgument()) << sparse.status();
+  auto dense = DenseDpSearch(estimator, model, 0, model.num_layers(), many, 0,
+                             8, 1, 16 * kGB);
+  ASSERT_FALSE(dense.ok());
+  EXPECT_TRUE(dense.status().IsInvalidArgument()) << dense.status();
   // With recompute doubling the options, half as many candidates must also
   // be rejected.
   std::vector<HybridStrategy> half(many.begin(), many.begin() + 20000);

@@ -44,7 +44,6 @@ struct CliArgs {
   std::string mode = "galvatron";
   std::string schedule = "gpipe";
   bool recompute = false;
-  bool dense_dp = false;
   int search_threads = 1;
   std::string json_out;
   std::string trace_out;
@@ -78,8 +77,6 @@ void PrintUsage() {
   --mode M            galvatron | dp | tp | pp | sdp | 3d | dp+tp | dp+pp
   --schedule S        gpipe | 1f1b         (default gpipe)
   --recompute         allow per-layer activation checkpointing
-  --dense-dp          use the dense DP kernel instead of the sparse
-                      Pareto-frontier one (same plan, more work; debugging)
   --search-threads N  worker threads for the strategy sweep
                       (default 1 = serial, 0 = all hardware threads;
                       the resulting plan is identical for every N)
@@ -172,8 +169,6 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
       GALVATRON_ASSIGN_OR_RETURN(args.schedule, next());
     } else if (flag == "--recompute") {
       args.recompute = true;
-    } else if (flag == "--dense-dp") {
-      args.dense_dp = true;
     } else if (flag == "--search-threads") {
       GALVATRON_ASSIGN_OR_RETURN(std::string v, next());
       // Negative values are rejected by the optimizer's options validation
@@ -348,12 +343,11 @@ Result<int> RunRemote(const CliArgs& args) {
   std::string body = StrFormat(
       "{\"model\": \"%s\", \"cluster\": %s, \"options\": "
       "{\"schedule\": \"%s\", \"allow_recompute\": %s, "
-      "\"use_sparse_dp\": %s, \"search_threads\": %d}",
+      "\"search_threads\": %d}",
       std::string(ModelIdToString(model_id)).c_str(),
       ClusterSpecToJson(cluster).c_str(),
       args.schedule == "1f1b" ? "1f1b" : "gpipe",
-      args.recompute ? "true" : "false", args.dense_dp ? "false" : "true",
-      args.search_threads);
+      args.recompute ? "true" : "false", args.search_threads);
   if (args.deadline_ms > 0) {
     body += StrFormat(", \"deadline_ms\": %s",
                       JsonNumber(args.deadline_ms).c_str());
@@ -476,7 +470,6 @@ Result<int> RunCli(const CliArgs& args) {
 
   BaselineOptions options;
   options.search_threads = args.search_threads;
-  options.use_sparse_dp = !args.dense_dp;
   if (have_calibration) options.estimator.calibration = &calibration;
   auto result = RunBaseline(mode, model, cluster, options);
   if (!result.ok()) {
@@ -492,7 +485,6 @@ Result<int> RunCli(const CliArgs& args) {
     OptimizerOptions opt;
     opt.allow_recompute = args.recompute;
     opt.search_threads = args.search_threads;
-    opt.use_sparse_dp = !args.dense_dp;
     if (have_calibration) opt.estimator.calibration = &calibration;
     opt.schedule = args.schedule == "1f1b" ? PipelineSchedule::k1F1B
                                            : PipelineSchedule::kGPipe;
