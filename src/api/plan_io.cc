@@ -487,37 +487,11 @@ Result<ClusterSpec> ClusterSpecFromJsonValue(const JsonValue& root) {
     levels.push_back(level);
   }
 
-  GALVATRON_ASSIGN_OR_RETURN(
-      ClusterSpec cluster,
-      ClusterSpec::Create(std::move(name),
-                          static_cast<int>(memory_bytes.size()),
-                          memory_bytes[0], sustained_flops,
-                          std::move(levels)));
-
-  // Re-apply heterogeneous budgets as maximal runs of equal budget (each
-  // WithDeviceMemoryRange copies the cluster, so batching runs keeps the
-  // rebuild linear-ish for the cluster sizes here).
-  for (size_t first = 0; first < memory_bytes.size();) {
-    size_t past = first + 1;
-    while (past < memory_bytes.size() &&
-           memory_bytes[past] == memory_bytes[first]) {
-      ++past;
-    }
-    if (memory_bytes[first] != memory_bytes[0]) {
-      cluster = cluster.WithDeviceMemoryRange(
-          static_cast<int>(first), static_cast<int>(past - first),
-          memory_bytes[first]);
-    }
-    first = past;
-  }
-
   // Optional mixed-generation fields: per-device throughput and half-life
-  // arrays (absent on homogeneous documents). Applied as maximal runs of
-  // equal (flops, half_life), like the memory budgets above.
+  // arrays (absent on homogeneous documents).
   const size_t n = memory_bytes.size();
-  std::vector<double> device_flops(n, sustained_flops);
-  std::vector<double> device_half_life(n, 0.0);
-  bool any_compute_override = false;
+  std::vector<double> device_flops;
+  std::vector<double> device_half_life;
   if (const JsonValue* flops_json =
           FindMember(root, "device_sustained_flops")) {
     if (flops_json->kind != JsonValue::Kind::kArray ||
@@ -526,15 +500,14 @@ Result<ClusterSpec> ClusterSpecFromJsonValue(const JsonValue& root) {
           "device_sustained_flops must be an array with one entry per "
           "device");
     }
-    for (size_t d = 0; d < n; ++d) {
-      if (flops_json->array[d].kind != JsonValue::Kind::kNumber ||
-          !(flops_json->array[d].number > 0)) {
+    device_flops.reserve(n);
+    for (const JsonValue& entry : flops_json->array) {
+      if (entry.kind != JsonValue::Kind::kNumber || !(entry.number > 0)) {
         return Status::InvalidArgument(
             "device_sustained_flops entries must be positive numbers");
       }
-      device_flops[d] = flops_json->array[d].number;
+      device_flops.push_back(entry.number);
     }
-    any_compute_override = true;
   }
   if (const JsonValue* half_json =
           FindMember(root, "device_small_batch_half_life")) {
@@ -544,33 +517,24 @@ Result<ClusterSpec> ClusterSpecFromJsonValue(const JsonValue& root) {
           "device_small_batch_half_life must be an array with one entry "
           "per device");
     }
-    for (size_t d = 0; d < n; ++d) {
-      if (half_json->array[d].kind != JsonValue::Kind::kNumber ||
-          half_json->array[d].number < 0) {
+    device_half_life.reserve(n);
+    for (const JsonValue& entry : half_json->array) {
+      if (entry.kind != JsonValue::Kind::kNumber || entry.number < 0) {
         return Status::InvalidArgument(
             "device_small_batch_half_life entries must be non-negative "
             "numbers");
       }
-      device_half_life[d] = half_json->array[d].number;
-    }
-    any_compute_override = true;
-  }
-  if (any_compute_override) {
-    for (size_t run = 0; run < n;) {
-      size_t past = run + 1;
-      while (past < n && device_flops[past] == device_flops[run] &&
-             device_half_life[past] == device_half_life[run]) {
-        ++past;
-      }
-      if (device_flops[run] != sustained_flops ||
-          device_half_life[run] != 0) {
-        cluster = cluster.WithDeviceComputeRange(
-            static_cast<int>(run), static_cast<int>(past - run),
-            device_flops[run], device_half_life[run]);
-      }
-      run = past;
+      device_half_life.push_back(entry.number);
     }
   }
+
+  // One pass over the per-device tables: budgets, throughput and
+  // half-lives land in the device table as the cluster is built.
+  GALVATRON_ASSIGN_OR_RETURN(
+      ClusterSpec cluster,
+      ClusterSpec::CreateWithDevices(std::move(name), memory_bytes,
+                                     sustained_flops, device_flops,
+                                     device_half_life, std::move(levels)));
 
   // Optional interconnect graph: link pricing switches to the graph's
   // crossed edges (ClusterSpec::WithTopology validates the device count).

@@ -15,6 +15,28 @@ Result<ClusterSpec> ClusterSpec::Create(std::string name, int num_devices,
   if (num_devices <= 0) {
     return Status::InvalidArgument("num_devices must be positive");
   }
+  return CreateWithDevices(
+      std::move(name),
+      std::vector<int64_t>(static_cast<size_t>(num_devices),
+                           device_memory_bytes),
+      sustained_flops, {}, {}, std::move(levels));
+}
+
+Result<ClusterSpec> ClusterSpec::CreateWithDevices(
+    std::string name, const std::vector<int64_t>& memory_bytes,
+    double sustained_flops, const std::vector<double>& device_flops,
+    const std::vector<double>& device_half_life,
+    std::vector<TopologyLevel> levels) {
+  const int num_devices = static_cast<int>(memory_bytes.size());
+  if (num_devices <= 0) {
+    return Status::InvalidArgument("num_devices must be positive");
+  }
+  if ((!device_flops.empty() && device_flops.size() != memory_bytes.size()) ||
+      (!device_half_life.empty() &&
+       device_half_life.size() != memory_bytes.size())) {
+    return Status::InvalidArgument(
+        "per-device compute arrays need one entry per device");
+  }
   if (levels.empty()) {
     return Status::InvalidArgument("topology needs at least one level");
   }
@@ -46,8 +68,28 @@ Result<ClusterSpec> ClusterSpec::Create(std::string name, int num_devices,
   cluster.levels_ = std::move(levels);
   cluster.devices_.resize(static_cast<size_t>(num_devices));
   for (int i = 0; i < num_devices; ++i) {
-    cluster.devices_[static_cast<size_t>(i)] =
-        Device{i, device_memory_bytes, sustained_flops};
+    const size_t d = static_cast<size_t>(i);
+    Device& device = cluster.devices_[d];
+    device = Device{i, memory_bytes[d], sustained_flops};
+    if (!device_flops.empty()) {
+      if (!(device_flops[d] > 0)) {
+        return Status::InvalidArgument("device throughput must be positive");
+      }
+      device.sustained_flops = device_flops[d];
+    }
+    if (!device_half_life.empty()) {
+      if (!(device_half_life[d] >= 0)) {
+        return Status::InvalidArgument("device half-life must be >= 0");
+      }
+      device.small_batch_half_life = device_half_life[d];
+    }
+    // Only per-device compute can make devices differ; the O(1) range
+    // queries rely on this flag staying false otherwise.
+    if (!device_flops.empty() || !device_half_life.empty()) {
+      cluster.maybe_mixed_compute_ |=
+          device.sustained_flops != sustained_flops ||
+          device.small_batch_half_life != 0;
+    }
   }
   return cluster;
 }
@@ -159,6 +201,8 @@ double ClusterSpec::MinSustainedFlopsInRange(int first, int count) const {
   GALVATRON_CHECK_GE(first, 0);
   GALVATRON_CHECK_GE(count, 1);
   GALVATRON_CHECK_LE(first + count, num_devices());
+  // Compute never set per device: every device holds the front's value.
+  if (!maybe_mixed_compute_) return devices_.front().sustained_flops;
   double min_flops = devices_[static_cast<size_t>(first)].sustained_flops;
   for (int i = first + 1; i < first + count; ++i) {
     min_flops = std::min(min_flops,
@@ -171,6 +215,10 @@ double ClusterSpec::SmallBatchHalfLifeInRange(int first, int count) const {
   GALVATRON_CHECK_GE(first, 0);
   GALVATRON_CHECK_GE(count, 1);
   GALVATRON_CHECK_LE(first + count, num_devices());
+  if (!maybe_mixed_compute_) {
+    const double h = devices_.front().small_batch_half_life;
+    return std::max(0.0, h != 0 ? h : small_batch_half_life_);
+  }
   double worst = 0;
   for (int i = first; i < first + count; ++i) {
     const double h = devices_[static_cast<size_t>(i)].small_batch_half_life;

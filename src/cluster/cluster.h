@@ -52,6 +52,19 @@ class ClusterSpec {
                                     double sustained_flops,
                                     std::vector<TopologyLevel> levels);
 
+  /// Builds a cluster from per-device tables in one pass: device i gets
+  /// `memory_bytes[i]`, `device_flops[i]` and `device_half_life[i]`. Empty
+  /// compute arrays give every device `sustained_flops` and the cluster
+  /// default half-life (0). Equivalent to Create followed by one
+  /// WithDeviceMemoryRange / WithDeviceComputeRange per differing device,
+  /// without copying the cluster per call. Levels are validated as in
+  /// Create; non-empty compute arrays must hold one entry per device.
+  static Result<ClusterSpec> CreateWithDevices(
+      std::string name, const std::vector<int64_t>& memory_bytes,
+      double sustained_flops, const std::vector<double>& device_flops,
+      const std::vector<double>& device_half_life,
+      std::vector<TopologyLevel> levels);
+
   /// Builds a cluster straight from an interconnect graph: devices take
   /// their memory/throughput/half-life from the graph's islands, and a
   /// single whole-cluster level mirroring the root fabric keeps the

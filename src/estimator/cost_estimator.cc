@@ -1,6 +1,7 @@
 #include "estimator/cost_estimator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "parallel/transformation.h"
 #include "util/logging.h"
@@ -109,6 +110,67 @@ Result<LayerCost> CostEstimator::EstimateLayer(
   return cost;
 }
 
+namespace {
+
+/// The estimator's own answers for stages given by explicit per-layer
+/// strategies: the source of EstimateStage (one stage) and EstimatePlan.
+class StrategySource : public PlanCostSource {
+ public:
+  struct StageView {
+    Stage extent;
+    const std::vector<HybridStrategy>* strategies = nullptr;
+    const std::vector<uint8_t>* recompute = nullptr;  // empty = none
+    int resident_micro_batches = -1;
+  };
+
+  StrategySource(const CostEstimator* estimator, const ModelSpec* model,
+                 std::vector<StageView> stages, int batch_per_group,
+                 int micro_batches)
+      : estimator_(estimator),
+        model_(model),
+        stages_(std::move(stages)),
+        batch_per_group_(batch_per_group),
+        micro_batches_(micro_batches) {}
+
+  int num_stages() const override { return static_cast<int>(stages_.size()); }
+  Stage StageAt(int stage) const override {
+    return stages_[static_cast<size_t>(stage)].extent;
+  }
+
+  Result<LayerCost> Layer(int stage, int layer) override {
+    const StageView& view = stages_[static_cast<size_t>(stage)];
+    const size_t i = static_cast<size_t>(layer - view.extent.first_layer);
+    return estimator_->EstimateLayer(
+        model_->layer(layer), (*view.strategies)[i], view.extent.first_device,
+        batch_per_group_, micro_batches_,
+        !view.recompute->empty() && (*view.recompute)[i] != 0,
+        view.resident_micro_batches);
+  }
+
+  Result<double> TransformSeconds(int stage, int layer) override {
+    const StageView& view = stages_[static_cast<size_t>(stage)];
+    const size_t i = static_cast<size_t>(layer - view.extent.first_layer);
+    GALVATRON_ASSIGN_OR_RETURN(
+        TransformationCost transform,
+        ComputeTransformationCost(
+            model_->layer(layer - 1), model_->layer(layer),
+            (*view.strategies)[i - 1], (*view.strategies)[i],
+            view.extent.first_device,
+            static_cast<int>(CeilDiv(batch_per_group_, micro_batches_)),
+            estimator_->cluster()));
+    return transform.seconds;
+  }
+
+ private:
+  const CostEstimator* estimator_;
+  const ModelSpec* model_;
+  std::vector<StageView> stages_;
+  int batch_per_group_;
+  int micro_batches_;
+};
+
+}  // namespace
+
 Result<StageCost> CostEstimator::EstimateStage(
     const ModelSpec& model, int first_layer, int num_layers,
     const std::vector<HybridStrategy>& strategies, int stage_first_device,
@@ -126,22 +188,30 @@ Result<StageCost> CostEstimator::EstimateStage(
       static_cast<int>(recompute_flags.size()) != num_layers) {
     return Status::InvalidArgument("one recompute flag per layer required");
   }
+  // The budget row is the leading strategy's footprint.
+  const PlanCostSource::Stage extent{stage_first_device,
+                                     strategies.front().TotalDegree(),
+                                     first_layer, num_layers};
+  StrategySource source(
+      this, &model,
+      {{extent, &strategies, &recompute_flags, resident_micro_batches}},
+      batch_per_group, micro_batches);
+  return ComposeStage(0, extent, micro_batches, source, check_memory);
+}
 
+Result<StageCost> CostEstimator::ComposeStage(
+    int stage_index, const PlanCostSource::Stage& extent,
+    int num_micro_batches, PlanCostSource& source, bool check_memory) const {
   StageCost stage;
+  stage.per_layer_seconds.reserve(static_cast<size_t>(extent.num_layers));
   int64_t resident = 0;
   int64_t max_transient = 0;
-  for (int i = 0; i < num_layers; ++i) {
-    const LayerSpec& layer = model.layer(first_layer + i);
-    const bool recompute =
-        !recompute_flags.empty() &&
-        recompute_flags[static_cast<size_t>(i)] != 0;
-    GALVATRON_ASSIGN_OR_RETURN(
-        LayerCost cost,
-        EstimateLayer(layer, strategies[static_cast<size_t>(i)],
-                      stage_first_device, batch_per_group, micro_batches,
-                      recompute, resident_micro_batches));
+  for (int i = 0; i < extent.num_layers; ++i) {
+    const int layer = extent.first_layer + i;
+    GALVATRON_ASSIGN_OR_RETURN(LayerCost cost,
+                               source.Layer(stage_index, layer));
     const double seconds =
-        cost.IterationSeconds(micro_batches, effective_options_);
+        cost.IterationSeconds(num_micro_batches, effective_options_);
     stage.per_layer_seconds.push_back(seconds);
     stage.seconds += seconds;
     resident += cost.resident_memory_bytes;
@@ -152,23 +222,16 @@ Result<StageCost> CostEstimator::EstimateStage(
     if (i > 0) {
       // Slice-Gather at the strategy boundary, forward and backward, per
       // micro-batch.
-      const int mb_size =
-          static_cast<int>(CeilDiv(batch_per_group, micro_batches));
-      GALVATRON_ASSIGN_OR_RETURN(
-          TransformationCost transform,
-          ComputeTransformationCost(
-              model.layer(first_layer + i - 1), layer,
-              strategies[static_cast<size_t>(i) - 1],
-              strategies[static_cast<size_t>(i)], stage_first_device, mb_size,
-              *cluster_));
-      stage.seconds += 2.0 * micro_batches * transform.seconds;
+      GALVATRON_ASSIGN_OR_RETURN(const double once,
+                                 source.TransformSeconds(stage_index, layer));
+      stage.seconds += 2.0 * num_micro_batches * once;
     }
   }
   stage.peak_memory_bytes = resident + max_transient;
   if (check_memory) {
     // Heterogeneous clusters: the stage is limited by its tightest device.
-    const int64_t budget = cluster_->MinMemoryInRange(
-        stage_first_device, strategies.front().TotalDegree());
+    const int64_t budget =
+        cluster_->MinMemoryInRange(extent.first_device, extent.num_devices);
     if (stage.peak_memory_bytes > budget) {
       return Status::OutOfMemory(StrFormat(
           "stage needs %s but budget is %s",
@@ -183,27 +246,44 @@ Result<PlanCost> CostEstimator::EstimatePlan(const ModelSpec& model,
                                              const TrainingPlan& plan,
                                              bool check_memory) const {
   GALVATRON_RETURN_IF_ERROR(plan.Validate(model, cluster_->num_devices()));
+  std::vector<StrategySource::StageView> stages;
+  stages.reserve(plan.stages.size());
+  for (const StagePlan& stage : plan.stages) {
+    stages.push_back(
+        {{stage.first_device, stage.num_devices, stage.first_layer,
+          stage.num_layers},
+         &stage.layer_strategies,
+         &stage.recompute,
+         plan.InFlightMicroBatches(static_cast<int>(stages.size()))});
+  }
+  StrategySource source(this, &model, std::move(stages), plan.global_batch,
+                        plan.num_micro_batches);
+  return ComposePlanCost(model, plan.global_batch, plan.num_micro_batches,
+                         source, check_memory);
+}
 
+Result<PlanCost> CostEstimator::ComposePlanCost(const ModelSpec& model,
+                                                int global_batch,
+                                                int num_micro_batches,
+                                                PlanCostSource& source,
+                                                bool check_memory) const {
   PlanCost total;
+  total.stages.reserve(static_cast<size_t>(source.num_stages()));
   double sum_u = 0.0;
   double max_u = 0.0;
-  const int mb_size = plan.MicroBatchSize();
-  for (size_t i = 0; i < plan.stages.size(); ++i) {
-    const StagePlan& stage = plan.stages[i];
+  const int mb_size =
+      static_cast<int>(CeilDiv(global_batch, num_micro_batches));
+  PlanCostSource::Stage prev;
+  for (int i = 0; i < source.num_stages(); ++i) {
+    const PlanCostSource::Stage stage = source.StageAt(i);
     GALVATRON_ASSIGN_OR_RETURN(
         StageCost cost,
-        EstimateStage(model, stage.first_layer, stage.num_layers,
-                      stage.layer_strategies, stage.first_device,
-                      plan.global_batch, plan.num_micro_batches,
-                      stage.recompute,
-                      plan.InFlightMicroBatches(static_cast<int>(i)),
-                      check_memory));
+        ComposeStage(i, stage, num_micro_batches, source, check_memory));
     if (i > 0) {
       // Per-micro-batch boundary transfer: forward activations in, gradient
       // activations back out. The DP search excludes this (Sec 3.3, "we
       // exclude the boundary layers' activation transferring costs"); the
       // plan-level estimate includes it so pipelining is not free.
-      const StagePlan& prev = plan.stages[i - 1];
       const LinkSpec& link = cluster_->LinkBetween(
           prev.first_device + prev.num_devices - 1, stage.first_device);
       const int64_t bytes =
@@ -215,26 +295,26 @@ Result<PlanCost> CostEstimator::EstimatePlan(const ModelSpec& model,
         once *= calibration_->CommScale(
             link.cls, CollectiveKind::kPointToPoint, bytes);
       }
-      const double p2p = 2.0 * plan.num_micro_batches * once;
+      const double p2p = 2.0 * num_micro_batches * once;
       // The transfer occupies both neighbours' comm streams.
       cost.seconds += p2p;
       total.stages.back().seconds += p2p;
-      sum_u += p2p / plan.num_micro_batches;
+      sum_u += p2p / num_micro_batches;
       max_u = std::max(max_u, total.stages.back().seconds /
-                                  plan.num_micro_batches);
+                                  num_micro_batches);
     }
-    const double u = cost.seconds / plan.num_micro_batches;
+    const double u = cost.seconds / num_micro_batches;
     sum_u += u;
     max_u = std::max(max_u, u);
     total.peak_memory_bytes =
         std::max(total.peak_memory_bytes, cost.peak_memory_bytes);
     total.stages.push_back(std::move(cost));
+    prev = stage;
   }
   // GPipe schedule: fill/drain bubbles cost (m - 1) extra slots of the
   // bottleneck stage.
-  total.iteration_seconds = sum_u + (plan.num_micro_batches - 1) * max_u;
-  total.throughput_samples_per_sec =
-      plan.global_batch / total.iteration_seconds;
+  total.iteration_seconds = sum_u + (num_micro_batches - 1) * max_u;
+  total.throughput_samples_per_sec = global_batch / total.iteration_seconds;
   return total;
 }
 

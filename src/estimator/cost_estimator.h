@@ -76,6 +76,33 @@ struct PlanCost {
   std::vector<StageCost> stages;
 };
 
+/// Where ComposePlanCost reads a plan from: its stage extents, each
+/// layer's c(l, s) and each Slice-Gather transformation. EstimatePlan
+/// answers from the estimator; the search sweep answers from its
+/// SharedCostCache (CachedPlanSource). Both feed the one
+/// composition, so they agree bit for bit whenever their per-layer terms do.
+class PlanCostSource {
+ public:
+  /// Extent of one pipeline stage. `num_devices` picks the budget row of
+  /// the memory check.
+  struct Stage {
+    int first_device = 0;
+    int num_devices = 1;
+    int first_layer = 0;
+    int num_layers = 0;
+  };
+
+  virtual ~PlanCostSource() = default;
+  virtual int num_stages() const = 0;
+  virtual Stage StageAt(int stage) const = 0;
+  /// c(l, s) of model layer `layer` in `stage`, at the plan's batch and the
+  /// stage's in-flight micro-batch count.
+  virtual Result<LayerCost> Layer(int stage, int layer) = 0;
+  /// ONE Slice-Gather application entering model layer `layer` (from
+  /// `layer` - 1, both in `stage`), at the plan's micro-batch size.
+  virtual Result<double> TransformSeconds(int stage, int layer) = 0;
+};
+
 /// The analytic cost estimator of Sec 3.4: memory from tensor shapes,
 /// compute from FLOPs over sustained device throughput, communication from
 /// payload over bottleneck bandwidth, with the compute/communication
@@ -164,7 +191,26 @@ class CostEstimator {
                                 const TrainingPlan& plan,
                                 bool check_memory = true) const;
 
+  /// The plan-cost composition EstimatePlan runs, over terms read from
+  /// `source`: per stage the layer iteration seconds and Slice-Gather
+  /// transformations (2x per micro-batch) summed in layer order, the peak
+  /// memory, then the p2p boundary transfer and the GPipe bubble formula.
+  /// The plan's structure is the caller's to have validated. With
+  /// `check_memory` each stage's peak is compared to its block's tightest
+  /// budget before the next stage is read, exactly as EstimatePlan does.
+  Result<PlanCost> ComposePlanCost(const ModelSpec& model, int global_batch,
+                                   int num_micro_batches,
+                                   PlanCostSource& source,
+                                   bool check_memory) const;
+
  private:
+  /// One stage of ComposePlanCost (and all of EstimateStage).
+  Result<StageCost> ComposeStage(int stage_index,
+                                 const PlanCostSource::Stage& stage,
+                                 int num_micro_batches,
+                                 PlanCostSource& source,
+                                 bool check_memory) const;
+
   /// task.Time() with the calibration scale applied; exactly task.Time()
   /// when no profile is installed (no multiply happens, so the result is
   /// bit-identical, not merely equal).

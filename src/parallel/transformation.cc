@@ -17,16 +17,15 @@ Result<TransformationCost> ComputeTransformationCost(
         next.TotalDegree()));
   }
 
+  // Same layout, or more (or equal) batch splitting downstream: every
+  // device already holds a superset of the sample shard it needs — pure
+  // local slicing, no communication. This covers the paper's "4-way TP ->
+  // 4-way DP" example.
   TransformationCost cost;
-  if (prev == next) return cost;  // same layout: nothing to do
+  if (IsFreeSlicing(prev, next)) return cost;
 
   const int m_prev = prev.BatchSplit();
   const int m_next = next.BatchSplit();
-
-  // More (or equal) batch splitting downstream: every device already holds a
-  // superset of the sample shard it needs — pure local slicing, no
-  // communication. This covers the paper's "4-way TP -> 4-way DP" example.
-  if (m_next >= m_prev) return cost;
 
   // Less batch splitting: each device must gather the sample shards it is
   // missing from r = m_prev / m_next peers. The gathered tensor is the
@@ -39,12 +38,10 @@ Result<TransformationCost> ComputeTransformationCost(
 
   const int group_size = prev.TotalDegree();
   if (group_size >= 2) {
-    std::vector<int> stage_devices;
-    stage_devices.reserve(static_cast<size_t>(group_size));
-    for (int i = 0; i < group_size; ++i) {
-      stage_devices.push_back(stage_first_device + i);
-    }
-    const LinkSpec& link = cluster.GroupBottleneckLink(stage_devices);
+    // The group is the contiguous stage block, so its extremes decide the
+    // bottleneck (no device-id vector per call).
+    const LinkSpec link = cluster.GroupBottleneckLink(
+        stage_first_device, stage_first_device + group_size - 1);
     cost.seconds =
         CollectiveTime(CollectiveKind::kAllGather, needed_bytes, r, link);
   }

@@ -47,6 +47,16 @@ struct TransformationCost {
 /// strategy identity, collapsing the O(S^2) strategy-pair matrix to the
 /// handful of distinct (degree, batch-split) classes; widening this
 /// function's strategy dependence requires widening that key in step.
+/// True when R(L, prev, next) is zero whatever the layers, block and
+/// batch: equal group sizes and no less batch splitting downstream, so the
+/// re-layout is local slicing. ComputeTransformationCost returns zero
+/// seconds for exactly these pairs; callers may skip it for them.
+inline bool IsFreeSlicing(const HybridStrategy& prev,
+                          const HybridStrategy& next) {
+  return prev.TotalDegree() == next.TotalDegree() &&
+         next.BatchSplit() >= prev.BatchSplit();
+}
+
 Result<TransformationCost> ComputeTransformationCost(
     const LayerSpec& prev_layer, const LayerSpec& next_layer,
     const HybridStrategy& prev, const HybridStrategy& next,

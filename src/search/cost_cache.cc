@@ -4,21 +4,14 @@
 #include <vector>
 
 #include "parallel/transformation.h"
+#include "util/hash.h"
 #include "util/logging.h"
+#include "util/math_util.h"
 #include "util/string_util.h"
 
 namespace galvatron {
 
 namespace {
-
-/// SplitMix64-style mixing of one more word into a running hash. Cheap,
-/// well-dispersed, and deterministic across platforms.
-inline size_t HashCombine(size_t h, uint64_t v) {
-  v += 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  v = (v ^ (v >> 27)) * 0x94d049bb133111ebULL;
-  return static_cast<size_t>(v ^ (v >> 31)) ^ h;
-}
 
 /// Thread-local read-through L1 in front of the shared shards. Direct-
 /// mapped (one slot per hash bucket, newest wins): no probing, no
@@ -82,21 +75,7 @@ size_t LayerCostKeyHash::operator()(const LayerCostKey& k) const {
   return HashCombine(h, static_cast<uint32_t>(k.recompute));
 }
 
-void PlanCostKey::Finalize() {
-  // Two words per mixing round: plan keys run ~100 words and every sweep
-  // evaluation builds one, so the hash is on the warm-serving hot path.
-  size_t h = HashCombine(0, words.size());
-  size_t i = 0;
-  for (; i + 1 < words.size(); i += 2) {
-    h = HashCombine(
-        h, (static_cast<uint64_t>(static_cast<uint32_t>(words[i])) << 32) |
-               static_cast<uint32_t>(words[i + 1]));
-  }
-  if (i < words.size()) {
-    h = HashCombine(h, static_cast<uint32_t>(words[i]));
-  }
-  hash = h;
-}
+void PlanCostKey::Finalize() { hash = HashWords(words); }
 
 size_t TransformCostKeyHash::operator()(const TransformCostKey& k) const {
   size_t h = HashCombine(
@@ -176,6 +155,80 @@ int32_t SharedCostCache::InternStrategy(const HybridStrategy& strategy) {
 int32_t SharedCostCache::InternFingerprint(int first_device, int span) {
   return Intern(
       BlockFingerprint(estimator_->cluster(), first_device, span));
+}
+
+CandidateKeys SharedCostCache::InternCandidates(
+    const std::vector<HybridStrategy>& candidates, int stage_first_device) {
+  CandidateKeys keys;
+  keys.strategy.reserve(candidates.size());
+  keys.fingerprint.reserve(candidates.size());
+  int last_span = -1;
+  int32_t last_fp = -1;
+  for (const HybridStrategy& s : candidates) {
+    keys.strategy.push_back(InternStrategy(s));
+    // Candidates of one stage share their footprint, so the fingerprint is
+    // formatted once per distinct span, not once per candidate.
+    const int span = s.TotalDegree() > 0 ? s.TotalDegree() : 1;
+    if (span != last_span) {
+      last_span = span;
+      last_fp = InternFingerprint(stage_first_device, span);
+    }
+    keys.fingerprint.push_back(last_fp);
+  }
+  return keys;
+}
+
+CachedPlanSource::CachedPlanSource(SharedCostCache* cache,
+                                   const std::vector<IndexedStage>* stages,
+                                   int global_batch, int num_micro_batches,
+                                   PipelineSchedule schedule)
+    : cache_(cache),
+      stages_(stages),
+      global_batch_(global_batch),
+      num_micro_batches_(num_micro_batches),
+      mb_size_(static_cast<int>(CeilDiv(global_batch, num_micro_batches))) {
+  probe_.num_micro_batches = num_micro_batches;
+  probe_.schedule = schedule;
+}
+
+PlanCostSource::Stage CachedPlanSource::StageAt(int stage) const {
+  const IndexedStage& s = (*stages_)[static_cast<size_t>(stage)];
+  return Stage{s.first_device, s.num_devices, s.first_layer, s.num_layers};
+}
+
+Result<LayerCost> CachedPlanSource::Layer(int stage, int layer) {
+  const IndexedStage& s = (*stages_)[static_cast<size_t>(stage)];
+  const int i = layer - s.first_layer;
+  const size_t option = static_cast<size_t>(s.OptionAt(i));
+  LayerCostKey key;
+  key.layer_sig = cache_->InternSignature(layer);
+  key.strategy = s.keys->strategy[option];
+  key.fingerprint = s.keys->fingerprint[option];
+  key.batch_per_group = global_batch_;
+  key.micro_batches = num_micro_batches_;
+  key.resident_micro_batches = probe_.InFlightForDegree(num_stages(), stage);
+  key.recompute = s.RecomputeAt(i) ? 1 : 0;
+  return cache_->Layer(key, layer, (*s.candidates)[option], s.first_device);
+}
+
+Result<double> CachedPlanSource::TransformSeconds(int stage, int layer) {
+  const IndexedStage& s = (*stages_)[static_cast<size_t>(stage)];
+  const int i = layer - s.first_layer;
+  const size_t prev = static_cast<size_t>(s.OptionAt(i - 1));
+  const size_t next = static_cast<size_t>(s.OptionAt(i));
+  // Local slicing costs nothing; no estimator call to look up.
+  if (IsFreeSlicing((*s.candidates)[prev], (*s.candidates)[next])) {
+    return 0.0;
+  }
+  TransformCostKey key;
+  key.prev_sig = cache_->InternSignature(layer - 1);
+  key.next_sig = cache_->InternSignature(layer);
+  key.prev_strategy = TransformClassOf((*s.candidates)[prev]);
+  key.next_strategy = TransformClassOf((*s.candidates)[next]);
+  key.fingerprint = s.keys->fingerprint[prev];
+  key.mb_size = mb_size_;
+  return cache_->TransformSeconds(key, layer, (*s.candidates)[prev],
+                                  (*s.candidates)[next], s.first_device);
 }
 
 Result<LayerCost> SharedCostCache::Layer(const LayerCostKey& key,

@@ -11,6 +11,7 @@
 
 #include "estimator/cost_estimator.h"
 #include "ir/model.h"
+#include "parallel/plan.h"
 #include "parallel/strategy.h"
 #include "util/result.h"
 
@@ -112,6 +113,41 @@ struct PlanCostKeyHash {
   size_t operator()(const PlanCostKey& k) const { return k.hash; }
 };
 
+/// The interned key parts of one stage's candidate strategies: per
+/// candidate its strategy id and the fingerprint of its footprint on the
+/// stage block. DpSearch::Run's lookups and CachedPlanSource
+/// build their LayerCostKey / TransformCostKey from these, so both name
+/// every cost by the same key.
+struct CandidateKeys {
+  std::vector<int32_t> strategy;
+  std::vector<int32_t> fingerprint;
+};
+
+/// One pipeline stage of a plan named by candidate indices — the form the
+/// sweep ranks and prices plans in without materializing them.
+struct IndexedStage {
+  int first_device = 0;
+  int num_devices = 1;
+  int first_layer = 0;
+  int num_layers = 0;
+  const std::vector<HybridStrategy>* candidates = nullptr;
+  /// InternCandidates(*candidates, first_device) of the pricing cache.
+  const CandidateKeys* keys = nullptr;
+  /// Candidate index per stage layer; nullptr = every layer runs
+  /// `uniform_option`.
+  const int32_t* options = nullptr;
+  int32_t uniform_option = 0;
+  /// Checkpointing flag per stage layer; nullptr = none.
+  const uint8_t* recompute = nullptr;
+
+  int32_t OptionAt(int i) const {
+    return options != nullptr ? options[i] : uniform_option;
+  }
+  bool RecomputeAt(int i) const {
+    return recompute != nullptr && recompute[i] != 0;
+  }
+};
+
 /// A sweep-wide, thread-safe memoization layer over the cost estimator.
 ///
 /// One instance lives for a whole Optimizer::Optimize call and is shared by
@@ -181,6 +217,10 @@ class SharedCostCache {
   }
   int32_t InternStrategy(const HybridStrategy& strategy);
   int32_t InternFingerprint(int first_device, int span);
+  /// Both ids for every candidate of a stage starting at
+  /// `stage_first_device` (one fingerprint per distinct footprint).
+  CandidateKeys InternCandidates(
+      const std::vector<HybridStrategy>& candidates, int stage_first_device);
 
   /// Memoized c(l, s) with a caller-built interned key. The key must have
   /// been built with this cache's Intern* ids and must describe the same
@@ -269,6 +309,38 @@ class SharedCostCache {
   std::atomic<int64_t> transform_misses_{0};
   std::atomic<int64_t> plan_hits_{0};
   std::atomic<int64_t> plan_misses_{0};
+};
+
+/// A plan whose stages are `stages` (covering the model in order) at
+/// (`global_batch`, `num_micro_batches`, `schedule`), as a PlanCostSource
+/// that reads every term through `cache` by the keys DpSearch::Run builds —
+/// pricing a plan whose stages were just searched calls no estimator and
+/// materializes nothing. Feed it to CostEstimator::ComposePlanCost: for a
+/// structurally valid plan (what TrainingPlan::Validate checks) the result
+/// equals EstimatePlan on the materialized plan bit for bit, with the same
+/// `check_memory`. Estimator errors are returned as is.
+class CachedPlanSource : public PlanCostSource {
+ public:
+  /// `cache` and `stages` must outlive the source.
+  CachedPlanSource(SharedCostCache* cache,
+                   const std::vector<IndexedStage>* stages, int global_batch,
+                   int num_micro_batches, PipelineSchedule schedule);
+
+  int num_stages() const override {
+    return static_cast<int>(stages_->size());
+  }
+  Stage StageAt(int stage) const override;
+  Result<LayerCost> Layer(int stage, int layer) override;
+  Result<double> TransformSeconds(int stage, int layer) override;
+
+ private:
+  SharedCostCache* cache_;
+  const std::vector<IndexedStage>* stages_;
+  int global_batch_;
+  int num_micro_batches_;
+  int mb_size_;
+  /// Carries the schedule shape InFlightForDegree reads.
+  TrainingPlan probe_;
 };
 
 }  // namespace galvatron

@@ -61,13 +61,7 @@ class RunCostCache {
     }
     mb_size_ = static_cast<int>(CeilDiv(batch_per_group_, micro_batches_));
     num_strategies_ = static_cast<int>(candidates_->size());
-    strategy_ids_.reserve(candidates_->size());
-    fp_ids_.reserve(candidates_->size());
-    for (const HybridStrategy& s : *candidates_) {
-      strategy_ids_.push_back(shared_->InternStrategy(s));
-      fp_ids_.push_back(shared_->InternFingerprint(
-          stage_first_device_, s.TotalDegree() > 0 ? s.TotalDegree() : 1));
-    }
+    keys_ = shared_->InternCandidates(*candidates_, stage_first_device_);
     // Dedupe the layer range to distinct signatures: a 24-layer model with
     // one repeated block shape costs one slot row, not 24.
     local_sig_.resize(static_cast<size_t>(num_layers));
@@ -97,8 +91,8 @@ class RunCostCache {
     if (layer_slots_[slot].has_value()) return *layer_slots_[slot];
     LayerCostKey key;
     key.layer_sig = shared_sig_ids_[static_cast<size_t>(sig)];
-    key.strategy = strategy_ids_[static_cast<size_t>(strategy_index)];
-    key.fingerprint = fp_ids_[static_cast<size_t>(strategy_index)];
+    key.strategy = keys_.strategy[static_cast<size_t>(strategy_index)];
+    key.fingerprint = keys_.fingerprint[static_cast<size_t>(strategy_index)];
     key.batch_per_group = batch_per_group_;
     key.micro_batches = micro_batches_;
     key.resident_micro_batches = resident_micro_batches_;
@@ -154,6 +148,13 @@ class RunCostCache {
 
   const CostEstimator& estimator() const { return shared_->estimator(); }
 
+  /// The distinct-signature row of `layer_index`: layers sharing a row read
+  /// bitwise-equal cost-table rows (their costs come from one slot row).
+  int RowOf(int layer_index) const {
+    return local_sig_[static_cast<size_t>(layer_index - first_layer_)];
+  }
+  int num_rows() const { return static_cast<int>(shared_sig_ids_.size()); }
+
  private:
   struct Boundary {
     std::vector<double> r;        // scaled seconds, strategy-pair indexed
@@ -182,6 +183,16 @@ class RunCostCache {
 
   Status FillElement(Boundary& boundary, int layer_index, int prev_strategy,
                      int strategy) {
+    const size_t e = static_cast<size_t>(prev_strategy) *
+                         static_cast<size_t>(num_strategies_) +
+                     static_cast<size_t>(strategy);
+    // Local slicing costs nothing (the value a lookup would return).
+    if (IsFreeSlicing((*candidates_)[static_cast<size_t>(prev_strategy)],
+                      (*candidates_)[static_cast<size_t>(strategy)])) {
+      boundary.r[e] = 0.0;
+      boundary.filled[e] = 1;
+      return Status::OK();
+    }
     const int l = layer_index - first_layer_;
     TransformCostKey key;
     key.prev_sig = shared_sig_ids_[static_cast<size_t>(
@@ -195,7 +206,7 @@ class RunCostCache {
         TransformClassOf((*candidates_)[static_cast<size_t>(prev_strategy)]);
     key.next_strategy =
         TransformClassOf((*candidates_)[static_cast<size_t>(strategy)]);
-    key.fingerprint = fp_ids_[static_cast<size_t>(prev_strategy)];
+    key.fingerprint = keys_.fingerprint[static_cast<size_t>(prev_strategy)];
     key.mb_size = mb_size_;
     GALVATRON_ASSIGN_OR_RETURN(
         double once,
@@ -204,9 +215,6 @@ class RunCostCache {
             (*candidates_)[static_cast<size_t>(prev_strategy)],
             (*candidates_)[static_cast<size_t>(strategy)],
             stage_first_device_));
-    const size_t e = static_cast<size_t>(prev_strategy) *
-                         static_cast<size_t>(num_strategies_) +
-                     static_cast<size_t>(strategy);
     boundary.r[e] = 2.0 * micro_batches_ * once;
     boundary.filled[e] = 1;
     return Status::OK();
@@ -225,8 +233,7 @@ class RunCostCache {
   SharedCostCache* shared_;
   std::unique_ptr<SharedCostCache> owned_;
 
-  std::vector<int32_t> strategy_ids_;   // per candidate
-  std::vector<int32_t> fp_ids_;         // per candidate
+  CandidateKeys keys_;                  // interned ids per candidate
   std::vector<int> local_sig_;          // per layer in range -> distinct id
   std::vector<int32_t> shared_sig_ids_; // distinct id -> shared intern id
 
@@ -404,6 +411,11 @@ struct DpScratch {
   std::vector<int32_t> w_units;
   std::vector<double> w_cost;
   std::vector<int32_t> w_parent;
+  // Same-class domination prune, per distinct cost-table row (see
+  // BuildSparseFrontiers): row_pruned[row * num_candidates + option] is
+  // valid once row_built[row] is set.
+  std::vector<uint8_t> row_pruned;
+  std::vector<uint8_t> row_built;
   // Frontier-cache key scratch.
   DpFrontierKey key;
   std::vector<int32_t> distinct_spans;
@@ -675,20 +687,68 @@ Result<SparseStats> BuildSparseFrontiers(
   const int budget_units = w.budget_units;
   SparseStats stats;
 
-  // A recompute variant dominated by its plain twin in BOTH quantized
-  // units and seconds can never appear in an optimal assignment: the twin
-  // has the same strategy index (so identical R rows and columns), a lower
-  // option index (so it wins every exact tie), and a pointwise no-worse
-  // column. Dropping the variant preserves byte-identical plans.
   auto cell = [&](int l, int s) {
     return static_cast<size_t>(l) * static_cast<size_t>(num_candidates) +
            static_cast<size_t>(s);
   };
-  auto dominated = [&](int l, int s) {
-    if (s < num_strategies) return false;  // plain options are never pruned
-    const size_t plain = cell(l, s - num_strategies);
-    return w.units[cell(l, s)] >= w.units[plain] &&
-           w.seconds[cell(l, s)] >= w.seconds[plain];
+
+  // The class grouping is a function of the candidate set alone, so it is
+  // computed once per Run, not per boundary (see phase 1 below).
+  scratch.class_of.assign(static_cast<size_t>(num_strategies), -1);
+  scratch.class_words.clear();
+  scratch.class_rep.clear();
+  int num_classes = 0;
+  for (int cs = 0; cs < num_strategies; ++cs) {
+    const int32_t word = TransformClassOf(candidates[static_cast<size_t>(cs)]);
+    int k = 0;
+    for (; k < num_classes; ++k) {
+      if (scratch.class_words[static_cast<size_t>(k)] == word) break;
+    }
+    if (k == num_classes) {
+      scratch.class_words.push_back(word);
+      scratch.class_rep.push_back(cs);
+      ++num_classes;
+    }
+    scratch.class_of[static_cast<size_t>(cs)] = k;
+  }
+  auto class_of_option = [&](int s) {
+    return scratch.class_of[static_cast<size_t>(
+        OptionStrategy(s, num_strategies))];
+  };
+
+  // Same-class domination: an option s is dropped when a lower option
+  // t < s of the same transformation class needs no more quantized units
+  // and no more seconds. Equal class means bitwise-equal R rows and
+  // columns (the TransformCostKey contract), so s's column is pointwise
+  // no better than t's at every budget, and the lower index wins every
+  // exact tie: s is never a parent and never the answer, and dropping it
+  // keeps plans byte-identical (DenseDpSearch, unpruned, is the check).
+  // The verdict depends only on the layer's cost-table row, so it is
+  // computed once per distinct row (layers of one signature share it).
+  scratch.row_pruned.resize(static_cast<size_t>(cache.num_rows()) *
+                            static_cast<size_t>(num_candidates));
+  scratch.row_built.assign(static_cast<size_t>(cache.num_rows()), 0);
+  auto pruned_row = [&](int l) -> const uint8_t* {
+    const size_t row = static_cast<size_t>(cache.RowOf(w.first_layer + l));
+    uint8_t* const pruned =
+        scratch.row_pruned.data() + row * static_cast<size_t>(num_candidates);
+    if (scratch.row_built[row] == 0) {
+      scratch.row_built[row] = 1;
+      const int32_t* const units = w.units + cell(l, 0);
+      const double* const seconds = w.seconds + cell(l, 0);
+      for (int s = 0; s < num_candidates; ++s) {
+        pruned[s] = 0;
+        const int k = class_of_option(s);
+        for (int t = 0; t < s; ++t) {
+          if (class_of_option(t) == k && units[t] <= units[s] &&
+              seconds[t] <= seconds[s]) {
+            pruned[s] = 1;
+            break;
+          }
+        }
+      }
+    }
+    return pruned;
   };
 
   // Breakpoint columns live in contiguous structure-of-arrays buffers,
@@ -708,10 +768,11 @@ Result<SparseStats> BuildSparseFrontiers(
 
   // Layer 0: one breakpoint per feasible option — the cost is constant in
   // the budget, so the dense row [o, budget] collapses to a single step.
+  const uint8_t* const pruned0 = pruned_row(0);
   for (int s = 0; s < num_candidates; ++s) {
     const double c = w.seconds[cell(0, s)];
     if (c == kInf) continue;
-    if (dominated(0, s)) {
+    if (pruned0[s] != 0) {
       ++stats.options_pruned;
       continue;
     }
@@ -769,26 +830,6 @@ Result<SparseStats> BuildSparseFrontiers(
   // budget, and duplicate-cost entries after + c are kept deliberately:
   // they mark budgets where the dense parent changes while the value does
   // not.
-  // The class grouping is a function of the candidate set alone, so it is
-  // computed once per Run, not per boundary.
-  scratch.class_of.assign(static_cast<size_t>(num_strategies), -1);
-  scratch.class_words.clear();
-  scratch.class_rep.clear();
-  int num_classes = 0;
-  for (int cs = 0; cs < num_strategies; ++cs) {
-    const int32_t word = TransformClassOf(candidates[static_cast<size_t>(cs)]);
-    int k = 0;
-    for (; k < num_classes; ++k) {
-      if (scratch.class_words[static_cast<size_t>(k)] == word) break;
-    }
-    if (k == num_classes) {
-      scratch.class_words.push_back(word);
-      scratch.class_rep.push_back(cs);
-      ++num_classes;
-    }
-    scratch.class_of[static_cast<size_t>(cs)] = k;
-  }
-
   for (int l = 1; l < num_layers; ++l) {
     if (CancelRequested(cancel)) {
       return Status::Cancelled("per-stage DP cancelled");
@@ -796,6 +837,7 @@ Result<SparseStats> BuildSparseFrontiers(
     GALVATRON_ASSIGN_OR_RETURN(const std::vector<double>* transform,
                                cache.BoundaryMatrix(w.first_layer + l));
     const double* const m = transform->data();
+    const uint8_t* const pruned = pruned_row(l);
 
     // Only classes with at least one admissible option this layer are
     // combined. The admissibility tests mirror phase 2 exactly, but the
@@ -803,7 +845,7 @@ Result<SparseStats> BuildSparseFrontiers(
     scratch.class_used.assign(static_cast<size_t>(num_classes), 0);
     for (int s = 0; s < num_candidates; ++s) {
       if (w.seconds[cell(l, s)] == kInf) continue;
-      if (dominated(l, s)) continue;
+      if (pruned[s] != 0) continue;
       if (w.units[cell(l, s)] > budget_units) continue;
       scratch.class_used[static_cast<size_t>(
           scratch.class_of[static_cast<size_t>(
@@ -914,7 +956,7 @@ Result<SparseStats> BuildSparseFrontiers(
     for (int s = 0; s < num_candidates; ++s) {
       const double c = w.seconds[cell(l, s)];
       if (c == kInf) continue;
-      if (dominated(l, s)) {
+      if (pruned[s] != 0) {
         ++stats.options_pruned;
         continue;
       }

@@ -72,8 +72,9 @@ struct DpSearchResult {
   /// Breakpoints emitted across all layer/option frontiers
   /// (== states_explored), candidate breakpoints scanned while merging
   /// frontiers (the true work measure), and per-layer options dropped
-  /// because their (units, seconds) were dominated by a lower-index variant
-  /// of the same strategy. All zero for the reference searchers.
+  /// because their (units, seconds) were dominated by a lower-index option
+  /// of the same transformation class. All zero for the reference
+  /// searchers.
   int64_t breakpoints_emitted = 0;
   int64_t breakpoints_scanned = 0;
   int64_t options_pruned = 0;

@@ -1,33 +1,10 @@
 #include "search/frontier_cache.h"
 
+#include "util/hash.h"
+
 namespace galvatron {
 
-namespace {
-
-/// SplitMix64-style mixing of one more word into a running hash — the same
-/// scheme the shared cost cache uses, so both key families disperse alike.
-inline size_t HashCombine(size_t h, uint64_t v) {
-  v += 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  v = (v ^ (v >> 27)) * 0x94d049bb133111ebULL;
-  return static_cast<size_t>(v ^ (v >> 31)) ^ h;
-}
-
-}  // namespace
-
-void DpFrontierKey::Finalize() {
-  size_t h = HashCombine(0, words.size());
-  size_t i = 0;
-  for (; i + 1 < words.size(); i += 2) {
-    h = HashCombine(
-        h, (static_cast<uint64_t>(static_cast<uint32_t>(words[i])) << 32) |
-               static_cast<uint32_t>(words[i + 1]));
-  }
-  if (i < words.size()) {
-    h = HashCombine(h, static_cast<uint32_t>(words[i]));
-  }
-  hash = h;
-}
+void DpFrontierKey::Finalize() { hash = HashWords(words); }
 
 DpFrontierCache::DpFrontierCache(size_t capacity) : capacity_(capacity) {}
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -10,6 +11,7 @@
 #include <utility>
 
 #include "search/cost_cache.h"
+#include "search/wave_pipeline.h"
 #include "util/alloc_counter.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -54,13 +56,22 @@ struct PerDegree {
   /// candidate (the widest stage's count on uneven entries).
   int dp_rank = 0;
   /// True when every stage is num_devices/pp wide — the only shape
-  /// MakeUniformPlan templates cover.
+  /// MakeUniformPlan covers.
   bool equal_split = true;
-  /// (candidate index, fully-built uniform plan) per structurally valid
-  /// candidate. Built once per degree; the per-configuration loop patches
-  /// the batch fields into a thread-local scratch copy instead of
-  /// re-allocating every stage's strategy vector for every configuration.
-  std::vector<std::pair<int, TrainingPlan>> uniform_templates;
+  /// Candidates whose uniform single-strategy plan is structurally valid
+  /// (MakeUniformPlan accepts it), in enumeration order. Every
+  /// configuration prices these plans by index; none is materialized
+  /// unless it wins.
+  std::vector<int> uniform_candidates;
+  /// Per stage: the cost cache's interned ids of the stage's candidates
+  /// (what CachedPlanSource keys its lookups by) and the
+  /// tightest memory budget of the stage's block.
+  std::vector<CandidateKeys> stage_keys;
+  std::vector<int64_t> stage_budgets;
+  /// True when every plan of this degree passes TrainingPlan::Validate at
+  /// any valid batch shape — the precondition of pricing from the cache.
+  /// Otherwise plans are materialized and EstimatePlan reports the error.
+  bool structure_valid = false;
 };
 
 /// One pipeline stage of a DP result, as indices into the owning
@@ -75,7 +86,7 @@ struct StageDraft {
 };
 
 /// A configuration's winning plan by reference: the degree it came from,
-/// the batch shape, the shared cost entry, and either a uniform-template
+/// the batch shape, the shared cost entry, and either a uniform candidate
 /// index or a draft of candidate indices. No TrainingPlan is materialized
 /// until the sweep commits its single winner (and the per-degree
 /// alternates) — comparison needs only the cached cost and the ordinals.
@@ -91,9 +102,9 @@ struct RankedPlan {
   int candidate_rank = 0;
   /// Global enumeration ordinal of the (batch, degree, micro) configuration.
   int config_ordinal = 0;
-  /// >= 0: the winner is degree->uniform_templates[uniform_template] with
-  /// the batch fields patched; -1: the DP plan described by `stages`.
-  int uniform_template = -1;
+  /// >= 0: every layer runs this candidate (the uniform plan); -1: the DP
+  /// plan described by `stages`.
+  int uniform_candidate = -1;
   std::vector<StageDraft> stages;
 };
 
@@ -116,7 +127,7 @@ bool BetterPlan(const RankedPlan& a, const RankedPlan& b) {
 }
 
 /// Everything one worker produces for one configuration. Merged serially in
-/// ordinal order after each wave.
+/// ordinal order, one wave at a time.
 struct ConfigOutcome {
   bool feasible = false;  // at least one plan passed EstimatePlan
   bool has_best = false;
@@ -131,6 +142,23 @@ struct ConfigOutcome {
   Status error;  // non-OK only on fatal (non-OOM, non-infeasible) errors
 };
 
+/// One (degree, micro-batch count) configuration of a wave.
+struct ConfigTask {
+  const PerDegree* degree = nullptr;
+  int micro = 1;
+  int ordinal = 0;
+};
+
+/// One batch size's configurations — a wave of Algorithm 1's sweep — and,
+/// once run, their outcomes (indexed like `tasks`).
+struct Wave : PipelineWave {
+  int batch = 0;
+  /// Some degree's pipeline cannot be filled at this batch yet.
+  bool any_pending = false;
+  std::vector<ConfigTask> tasks;
+  std::vector<ConfigOutcome> outcomes;
+};
+
 /// Appends one stage's identity to a plan-cost memo key. Strategy levels
 /// encode structurally — NOT via InternStrategy: interning formats the
 /// strategy string first, and that formatting dominated the whole warm
@@ -140,10 +168,9 @@ struct ConfigOutcome {
 /// a stage's layers deterministically, so the encoding stays injective.
 ///
 /// `layer(l)` returns (strategy pointer, recompute flag) for stage-local
-/// layer l; runs compare strategies by VALUE, so a key built from a
-/// StageDraft's candidate indices and one built from a materialized plan's
-/// layer_strategies are word-identical — the draft path and the plan path
-/// share one memo.
+/// layer l; runs compare strategies by VALUE, so a key is the same whether
+/// the plan is a uniform candidate or a draft that happens to repeat one
+/// candidate throughout.
 template <typename LayerFn>
 void AppendStageKey(PlanCostKey& key, int first_device, int num_devices,
                     int first_layer, int num_layers, const LayerFn& layer) {
@@ -234,11 +261,24 @@ Result<OptimizationResult> Optimizer::Optimize(
   run_hooks.frontier_cache = hooks.frontier_cache != nullptr
                                  ? hooks.frontier_cache
                                  : local_frontier.get();
+  int threads = options_.search_threads;
+  if (threads == 0) threads = ThreadPool::HardwareThreads();
+  // The sweep is CPU-bound, so a pool wider than the physical core count
+  // only buys thread start-up and context-switch cost; cap it so asking
+  // for 4 threads on a smaller host is never slower than asking for 1.
+  threads = std::min(threads, ThreadPool::HardwareThreads());
+
   // The caller's cancel hook, latched: once it reports cancellation the
-  // sweep's remaining polls answer true without calling it again.
+  // sweep's remaining polls answer true without calling it again. A
+  // threaded sweep also answers true while it abandons the configurations
+  // it ran ahead on (see WavePipeline::Stop); the user's hook is not
+  // consulted then.
   std::atomic<bool> cancel_seen{false};
-  if (hooks.cancel) {
-    run_hooks.cancel = [&hooks, &cancel_seen] {
+  std::atomic<bool> abandon{false};
+  if (hooks.cancel || threads > 1) {
+    run_hooks.cancel = [&hooks, &cancel_seen, &abandon] {
+      if (abandon.load(std::memory_order_relaxed)) return true;
+      if (!hooks.cancel) return false;
       if (cancel_seen.load(std::memory_order_relaxed)) return true;
       if (!hooks.cancel()) return false;
       cancel_seen.store(true, std::memory_order_relaxed);
@@ -249,20 +289,86 @@ Result<OptimizationResult> Optimizer::Optimize(
     return run_hooks.cancel && run_hooks.cancel();
   };
 
+  // Materializes a plan given by reference — a uniform candidate (>= 0,
+  // every layer of every stage) or a DP draft — into `plan`, reusing its
+  // nested buffers. Reached for the committed winner and alternates, for
+  // structure checks, and when pricing falls back to EstimatePlan.
+  auto materialize = [&](const PerDegree& degree, int batch, int micro,
+                         int uniform_candidate,
+                         const std::vector<StageDraft>* draft,
+                         TrainingPlan& plan) {
+    plan.model_name = model.name();
+    plan.global_batch = batch;
+    plan.num_micro_batches = micro;
+    plan.schedule = options_.schedule;
+    plan.stages.resize(degree.geometry.size());
+    int first_layer = 0;
+    for (size_t s = 0; s < plan.stages.size(); ++s) {
+      StagePlan& stage = plan.stages[s];
+      const StageGeometry& geom = degree.geometry[s];
+      const std::vector<HybridStrategy>& candidates =
+          *degree.stage_candidates[s];
+      stage.first_device = geom.first_device;
+      stage.num_devices = geom.num_devices;
+      stage.layer_strategies.clear();
+      stage.recompute.clear();
+      if (uniform_candidate >= 0) {
+        stage.first_layer = first_layer;
+        stage.num_layers = degree.stage_sizes[s];
+        stage.layer_strategies.assign(
+            static_cast<size_t>(stage.num_layers),
+            candidates[static_cast<size_t>(uniform_candidate)]);
+      } else {
+        const StageDraft& d = (*draft)[s];
+        stage.first_layer = d.first_layer;
+        stage.num_layers = d.num_layers;
+        stage.layer_strategies.reserve(d.options.size());
+        for (const int32_t o : d.options) {
+          stage.layer_strategies.push_back(
+              candidates[static_cast<size_t>(o)]);
+        }
+        stage.recompute.assign(d.recompute.begin(), d.recompute.end());
+      }
+      first_layer += stage.num_layers;
+    }
+  };
+
   std::vector<PerDegree> degrees;
-  // batch=1/micro=1 satisfies every batch-dependent Validate check, so a
-  // template failure here is structural and holds for every configuration.
-  auto build_uniform_templates = [&](PerDegree& d) {
-    if (!d.equal_split) return;  // templates require equal stage widths
-    const std::vector<HybridStrategy>& candidates = *d.stage_candidates.front();
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      auto uniform = MakeUniformPlan(model, num_devices, d.pp, d.stage_sizes,
-                                     candidates[c], /*global_batch=*/1,
-                                     /*num_micro_batches=*/1);
-      if (!uniform.ok()) continue;
-      uniform->schedule = options_.schedule;
-      d.uniform_templates.emplace_back(static_cast<int>(c),
-                                       *std::move(uniform));
+  // Completes a degree before it joins the sweep: its uniform candidates,
+  // its stages' interned candidate ids and budgets, and whether its
+  // structure validates. batch=1/micro=1 satisfies every batch-dependent
+  // Validate check, so a failure here is structural and holds for every
+  // configuration.
+  auto finish_degree = [&](PerDegree& d) {
+    if (d.equal_split) {
+      const std::vector<HybridStrategy>& candidates =
+          *d.stage_candidates.front();
+      for (size_t c = 0; c < candidates.size(); ++c) {
+        if (MakeUniformPlan(model, num_devices, d.pp, d.stage_sizes,
+                            candidates[c], /*global_batch=*/1,
+                            /*num_micro_batches=*/1)
+                .ok()) {
+          d.uniform_candidates.push_back(static_cast<int>(c));
+        }
+      }
+    }
+    bool footprints_match = d.stage_sizes.size() == d.geometry.size();
+    for (size_t s = 0; s < d.geometry.size(); ++s) {
+      const StageGeometry& geom = d.geometry[s];
+      d.stage_keys.push_back(
+          cache->InternCandidates(*d.stage_candidates[s], geom.first_device));
+      d.stage_budgets.push_back(
+          cluster_->MinMemoryInRange(geom.first_device, geom.num_devices));
+      footprints_match &= !d.stage_candidates[s]->empty();
+      for (const HybridStrategy& candidate : *d.stage_candidates[s]) {
+        footprints_match &= candidate.TotalDegree() == geom.num_devices;
+      }
+    }
+    if (footprints_match) {
+      TrainingPlan probe;
+      materialize(d, /*batch=*/1, /*micro=*/1, /*uniform_candidate=*/0,
+                  nullptr, probe);
+      d.structure_valid = probe.Validate(model, num_devices).ok();
     }
   };
   std::set<std::string> candidate_names;
@@ -315,11 +421,11 @@ Result<OptimizationResult> Optimizer::Optimize(
           model, options_.partition_policy, capacities);
       if (sizes.ok() && *sizes != d.stage_sizes) {
         hetero.stage_sizes = *std::move(sizes);
-        build_uniform_templates(hetero);
+        finish_degree(hetero);
         degrees.push_back(std::move(hetero));
       }
     }
-    build_uniform_templates(d);
+    finish_degree(d);
     degrees.push_back(std::move(d));
   }
   // Mixed-generation (or graph-backed) clusters: island-proportional
@@ -380,7 +486,7 @@ Result<OptimizationResult> Optimizer::Optimize(
                      existing.stage_sizes == d.stage_sizes;
             });
         if (duplicate) continue;
-        build_uniform_templates(d);
+        finish_degree(d);
         degrees.push_back(std::move(d));
       }
     }
@@ -392,60 +498,42 @@ Result<OptimizationResult> Optimizer::Optimize(
   SearchStats stats;
   stats.num_candidate_strategies = static_cast<int>(candidate_names.size());
   stats.enumerate_seconds = SecondsSince(start);
-
-  int threads = options_.search_threads;
-  if (threads == 0) threads = ThreadPool::HardwareThreads();
-  // The sweep is CPU-bound, so a pool wider than the physical core count
-  // only buys thread start-up and context-switch cost; cap it so asking
-  // for 4 threads on a smaller host is never slower than asking for 1.
-  threads = std::min(threads, ThreadPool::HardwareThreads());
   stats.search_threads_used = threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
 
-  // Whole-plan cost memo. EstimatePlan is budget-independent except for
-  // the per-stage peak-vs-budget comparison, so the cost is computed once
-  // with the check deferred, published to the (possibly cross-request)
-  // cache, and the comparison re-applied here per call — with the same
-  // stage order, short-circuiting, and error text as the checked call.
+  // Whole-plan cost memo. Plan costs are budget-independent except for
+  // the per-stage peak-vs-budget comparison, so an entry is a cost with the
+  // check deferred, published to the (possibly cross-request) cache, and
+  // the comparison is re-applied here per call — with the same stage
+  // order, short-circuiting, and error text as the checked EstimatePlan.
   // Keys are built into thread-local scratch (one sweep issues hundreds of
-  // lookups, mostly hits, which need no owned copy) via AppendStageKey,
-  // from a materialized plan or straight from a StageDraft's candidate
-  // indices — both spell identical keys.
-  auto plan_cost_key = [&](const TrainingPlan& plan) -> const PlanCostKey& {
-    thread_local PlanCostKey key;
-    key.words.clear();
-    key.words.push_back(static_cast<int32_t>(plan.schedule));
-    key.words.push_back(plan.global_batch);
-    key.words.push_back(plan.num_micro_batches);
-    for (const StagePlan& stage : plan.stages) {
-      AppendStageKey(
-          key, stage.first_device, stage.num_devices, stage.first_layer,
-          stage.num_layers, [&](int l) {
-            return std::pair<const HybridStrategy*, int32_t>(
-                &stage.layer_strategies[static_cast<size_t>(l)],
-                !stage.recompute.empty() &&
-                        stage.recompute[static_cast<size_t>(l)] != 0
-                    ? 1
-                    : 0);
-          });
-    }
-    key.Finalize();
-    return key;
-  };
-  auto draft_cost_key = [&](const PerDegree& degree, int batch, int micro,
-                            const std::vector<StageDraft>& stages)
+  // lookups, mostly hits, which need no owned copy) straight from the
+  // plan's candidate indices via AppendStageKey.
+  auto plan_cost_key = [&](const PerDegree& degree, int batch, int micro,
+                           int uniform_candidate,
+                           const std::vector<StageDraft>* draft)
       -> const PlanCostKey& {
     thread_local PlanCostKey key;
     key.words.clear();
     key.words.push_back(static_cast<int32_t>(options_.schedule));
     key.words.push_back(batch);
     key.words.push_back(micro);
-    for (size_t s = 0; s < stages.size(); ++s) {
-      const StageDraft& d = stages[s];
+    int first_layer = 0;
+    for (size_t s = 0; s < degree.geometry.size(); ++s) {
       const StageGeometry& geom = degree.geometry[s];
       const std::vector<HybridStrategy>& candidates =
           *degree.stage_candidates[s];
+      if (uniform_candidate >= 0) {
+        const HybridStrategy* strategy =
+            &candidates[static_cast<size_t>(uniform_candidate)];
+        AppendStageKey(key, geom.first_device, geom.num_devices, first_layer,
+                       degree.stage_sizes[s], [&](int) {
+                         return std::pair<const HybridStrategy*, int32_t>(
+                             strategy, 0);
+                       });
+        first_layer += degree.stage_sizes[s];
+        continue;
+      }
+      const StageDraft& d = (*draft)[s];
       AppendStageKey(
           key, geom.first_device, geom.num_devices, d.first_layer,
           d.num_layers, [&](int l) {
@@ -461,104 +549,83 @@ Result<OptimizationResult> Optimizer::Optimize(
     key.Finalize();
     return key;
   };
-  auto lookup_or_estimate = [&](const PlanCostKey& key,
-                                const TrainingPlan& plan)
+  // EstimatePlan on a materialized plan, through the memo: the fallback
+  // for plans the cache cannot price. Estimation errors stay uncached and
+  // are re-raised through the checked call, so failure semantics match
+  // the unmemoized path.
+  auto estimate_materialized = [&](const PlanCostKey& key,
+                                   const TrainingPlan& plan)
       -> Result<std::shared_ptr<const PlanCost>> {
+    auto unchecked =
+        estimator_.EstimatePlan(model, plan, /*check_memory=*/false);
+    if (!unchecked.ok()) {
+      auto checked = estimator_.EstimatePlan(model, plan);
+      if (!checked.ok()) return checked.status();
+      return std::shared_ptr<const PlanCost>(
+          std::make_shared<PlanCost>(*std::move(checked)));
+    }
+    return cache->InsertPlan(key, *std::move(unchecked));
+  };
+  // Prices a plan given by reference (see `materialize`) and applies the
+  // memory check. A memo miss composes the cost from the cost cache by
+  // candidate index (CachedPlanSource: the entries the stage searches
+  // fill, no estimator call, nothing materialized). Only a structurally
+  // invalid plan or an estimator error materializes it, so EstimatePlan
+  // reports the failure exactly as before.
+  auto price = [&](const PerDegree& degree, int batch, int micro,
+                   int uniform_candidate,
+                   const std::vector<StageDraft>* draft)
+      -> Result<std::shared_ptr<const PlanCost>> {
+    const PlanCostKey& key =
+        plan_cost_key(degree, batch, micro, uniform_candidate, draft);
     std::shared_ptr<const PlanCost> cost = cache->LookupPlan(key);
-    if (cost == nullptr) {
-      auto unchecked =
-          estimator_.EstimatePlan(model, plan, /*check_memory=*/false);
-      // Estimation errors stay uncached and are re-raised through the
-      // checked call, so failure semantics match the unmemoized path.
-      if (!unchecked.ok()) {
-        auto checked = estimator_.EstimatePlan(model, plan);
-        if (!checked.ok()) return checked.status();
-        return std::shared_ptr<const PlanCost>(
-            std::make_shared<PlanCost>(*std::move(checked)));
+    if (cost == nullptr && degree.structure_valid && batch >= 1 &&
+        micro >= 1 && micro <= batch) {
+      thread_local std::vector<IndexedStage> stages;
+      stages.resize(degree.geometry.size());
+      int first_layer = 0;
+      for (size_t s = 0; s < stages.size(); ++s) {
+        IndexedStage& stage = stages[s];
+        stage.first_device = degree.geometry[s].first_device;
+        stage.num_devices = degree.geometry[s].num_devices;
+        stage.candidates = degree.stage_candidates[s].get();
+        stage.keys = &degree.stage_keys[s];
+        if (uniform_candidate >= 0) {
+          stage.first_layer = first_layer;
+          stage.num_layers = degree.stage_sizes[s];
+          stage.options = nullptr;
+          stage.uniform_option = uniform_candidate;
+          stage.recompute = nullptr;
+        } else {
+          const StageDraft& d = (*draft)[s];
+          stage.first_layer = d.first_layer;
+          stage.num_layers = d.num_layers;
+          stage.options = d.options.data();
+          stage.recompute = d.recompute.empty() ? nullptr : d.recompute.data();
+        }
+        first_layer += stage.num_layers;
       }
-      cost = cache->InsertPlan(key, *std::move(unchecked));
-    }
-    return cost;
-  };
-  auto check_plan_memory = [&](const TrainingPlan& plan,
-                               const PlanCost& cost) -> Status {
-    for (size_t i = 0; i < plan.stages.size(); ++i) {
-      const StagePlan& stage = plan.stages[i];
-      const int64_t budget = cluster_->MinMemoryInRange(
-          stage.first_device, stage.layer_strategies.front().TotalDegree());
-      const int64_t peak = cost.stages[i].peak_memory_bytes;
-      if (peak > budget) {
-        return Status::OutOfMemory(StrFormat(
-            "stage needs %s but budget is %s",
-            HumanBytes(static_cast<double>(peak)).c_str(),
-            HumanBytes(static_cast<double>(budget)).c_str()));
+      // Composed with the check applied stage by stage: a plan that runs
+      // out of memory stops at the failing stage (later stages are never
+      // priced) and is not memoized; one that fits is the unchecked cost.
+      CachedPlanSource source(cache, &stages, batch, micro, options_.schedule);
+      auto priced = estimator_.ComposePlanCost(model, batch, micro, source,
+                                               /*check_memory=*/true);
+      if (priced.ok()) {
+        cost = cache->InsertPlan(key, *std::move(priced));
+      } else if (priced.status().IsOutOfMemory()) {
+        return priced.status();
       }
     }
-    return Status::OK();
-  };
-  auto estimate_plan = [&](const TrainingPlan& plan)
-      -> Result<std::shared_ptr<const PlanCost>> {
-    GALVATRON_ASSIGN_OR_RETURN(
-        std::shared_ptr<const PlanCost> cost,
-        lookup_or_estimate(plan_cost_key(plan), plan));
-    GALVATRON_RETURN_IF_ERROR(check_plan_memory(plan, *cost));
-    return cost;
-  };
-
-  // Materializes a draft into `plan`, reusing its nested buffers — the
-  // only place full strategy vectors are built for DP plans, reached on a
-  // plan-memo miss and when the sweep commits a winner.
-  auto materialize_draft = [&](const PerDegree& degree, int batch, int micro,
-                               const std::vector<StageDraft>& stages,
-                               TrainingPlan& plan) {
-    plan.model_name = model.name();
-    plan.global_batch = batch;
-    plan.num_micro_batches = micro;
-    plan.schedule = options_.schedule;
-    plan.stages.resize(stages.size());
-    for (size_t s = 0; s < stages.size(); ++s) {
-      const StageDraft& d = stages[s];
-      StagePlan& stage = plan.stages[s];
-      const StageGeometry& geom = degree.geometry[s];
-      const std::vector<HybridStrategy>& candidates =
-          *degree.stage_candidates[s];
-      stage.first_device = geom.first_device;
-      stage.num_devices = geom.num_devices;
-      stage.first_layer = d.first_layer;
-      stage.num_layers = d.num_layers;
-      stage.layer_strategies.clear();
-      stage.layer_strategies.reserve(d.options.size());
-      for (const int32_t o : d.options) {
-        stage.layer_strategies.push_back(candidates[static_cast<size_t>(o)]);
-      }
-      stage.recompute.assign(d.recompute.begin(), d.recompute.end());
-    }
-  };
-  // Estimates a DP draft without materializing it: the memo key comes
-  // straight from the candidate indices, so a sweep whose plan costs are
-  // already memoized never copies a strategy at all. Only a memo miss
-  // materializes the draft, into a thread-local scratch plan whose buffers
-  // are reused across configurations. The memory check reads each stage's
-  // leading strategy (its TotalDegree picks the budget row) and the cached
-  // per-stage peaks — same order, short-circuiting, and message as
-  // check_plan_memory.
-  auto estimate_draft = [&](const PerDegree& degree, int batch, int micro,
-                            const std::vector<StageDraft>& stages)
-      -> Result<std::shared_ptr<const PlanCost>> {
-    const PlanCostKey& key = draft_cost_key(degree, batch, micro, stages);
-    std::shared_ptr<const PlanCost> cost = cache->LookupPlan(key);
     if (cost == nullptr) {
       static thread_local TrainingPlan scratch;
-      materialize_draft(degree, batch, micro, stages, scratch);
-      GALVATRON_ASSIGN_OR_RETURN(cost, lookup_or_estimate(key, scratch));
+      materialize(degree, batch, micro, uniform_candidate, draft, scratch);
+      GALVATRON_ASSIGN_OR_RETURN(cost, estimate_materialized(key, scratch));
     }
-    for (size_t s = 0; s < stages.size(); ++s) {
-      const StageDraft& d = stages[s];
-      const int64_t budget = cluster_->MinMemoryInRange(
-          degree.geometry[s].first_device,
-          (*degree.stage_candidates[s])[static_cast<size_t>(
-                                            d.options.front())]
-              .TotalDegree());
+    // Any plan that reaches here validated, so each stage's strategies
+    // span its block and the block's budget is EstimatePlan's.
+    for (size_t s = 0; s < degree.stage_budgets.size(); ++s) {
+      const int64_t budget = degree.stage_budgets[s];
       const int64_t peak = cost->stages[s].peak_memory_bytes;
       if (peak > budget) {
         return Status::OutOfMemory(StrFormat(
@@ -581,14 +648,14 @@ Result<OptimizationResult> Optimizer::Optimize(
       return out;
     }
     // Best plan of THIS configuration, tracked without materializing
-    // anything: a uniform-template index or a draft of candidate indices,
-    // plus the shared cost entry. Within one configuration the PP degree
-    // and ordinal are fixed, so BetterPlan reduces to strictly higher
+    // anything: a uniform candidate or a draft of candidate indices, plus
+    // the shared cost entry. Within one configuration the PP degree and
+    // ordinal are fixed, so BetterPlan reduces to strictly higher
     // throughput (earlier candidates keep ties); nothing is deep-copied —
     // the sweep materializes only its single committed winner.
     std::shared_ptr<const PlanCost> best_cost;
     int best_rank = 0;
-    int best_template = -1;
+    int best_uniform = -1;
     std::vector<StageDraft> draft;
     auto commit_best = [&] {
       if (best_cost == nullptr) return;
@@ -599,33 +666,26 @@ Result<OptimizationResult> Optimizer::Optimize(
       out.best.cost = std::move(best_cost);
       out.best.candidate_rank = best_rank;
       out.best.config_ordinal = config_ordinal;
-      out.best.uniform_template = best_template;
-      if (best_template < 0) out.best.stages = std::move(draft);
+      out.best.uniform_candidate = best_uniform;
+      if (best_uniform < 0) out.best.stages = std::move(draft);
       out.has_best = true;
     };
     // Uniform single-strategy plans first: they are points of the same
-    // search space, and evaluating them through the exact estimator
-    // guarantees the search never loses to a pure baseline because of
-    // DP-table memory quantization. The structure comes from the pre-built
-    // per-degree template; only the batch fields differ per configuration,
-    // patched into a thread-local scratch whose nested vectors are reused
-    // across configurations. The guard reproduces exactly the
-    // batch-dependent Validate failures MakeUniformPlan would hit.
+    // search space, and pricing them exactly guarantees the search never
+    // loses to a pure baseline because of DP-table memory quantization.
+    // The guard reproduces exactly the batch-dependent Validate failures
+    // MakeUniformPlan would hit.
     if (batch >= 1 && micro >= 1 && micro <= batch) {
-      static thread_local TrainingPlan uniform_scratch;
-      for (size_t t = 0; t < degree.uniform_templates.size(); ++t) {
-        uniform_scratch = degree.uniform_templates[t].second;
-        uniform_scratch.global_batch = batch;
-        uniform_scratch.num_micro_batches = micro;
-        auto uniform_cost = estimate_plan(uniform_scratch);
+      for (const int c : degree.uniform_candidates) {
+        auto uniform_cost = price(degree, batch, micro, c, nullptr);
         if (!uniform_cost.ok()) continue;
         out.feasible = true;
         if (best_cost == nullptr ||
             (*uniform_cost)->throughput_samples_per_sec >
                 best_cost->throughput_samples_per_sec) {
           best_cost = *std::move(uniform_cost);
-          best_rank = degree.uniform_templates[t].first;
-          best_template = static_cast<int>(t);
+          best_rank = c;
+          best_uniform = c;
         }
       }
     }
@@ -648,12 +708,10 @@ Result<OptimizationResult> Optimizer::Optimize(
       }
       const int stage_layers = degree.stage_sizes[static_cast<size_t>(s)];
       const StageGeometry& geom = degree.geometry[static_cast<size_t>(s)];
-      const int64_t stage_budget =
-          cluster_->MinMemoryInRange(geom.first_device, geom.num_devices);
       auto result = search.Run(model, first_layer, stage_layers,
                                *degree.stage_candidates[static_cast<size_t>(s)],
-                               geom.first_device,
-                               batch, micro, stage_budget,
+                               geom.first_device, batch, micro,
+                               degree.stage_budgets[static_cast<size_t>(s)],
                                probe.InFlightForDegree(degree.pp, s),
                                run_hooks);
       // Warm infeasible answers are invisible here (no DpSearchResult to
@@ -692,7 +750,7 @@ Result<OptimizationResult> Optimizer::Optimize(
       return out;
     }
 
-    auto cost = estimate_draft(degree, batch, micro, draft);
+    auto cost = price(degree, batch, micro, /*uniform_candidate=*/-1, &draft);
     if (!cost.ok()) {
       if (!cost.status().IsOutOfMemory()) out.error = cost.status();
       commit_best();
@@ -706,7 +764,7 @@ Result<OptimizationResult> Optimizer::Optimize(
             best_cost->throughput_samples_per_sec) {
       best_cost = *std::move(cost);
       best_rank = degree.dp_rank;
-      best_template = -1;
+      best_uniform = -1;
     }
     commit_best();
     return out;
@@ -716,17 +774,8 @@ Result<OptimizationResult> Optimizer::Optimize(
   // the winner and once per alternate, after the sweep has settled.
   auto materialize_plan = [&](const RankedPlan& ranked) -> TrainingPlan {
     TrainingPlan plan;
-    if (ranked.uniform_template >= 0) {
-      plan = ranked.degree
-                 ->uniform_templates[static_cast<size_t>(
-                     ranked.uniform_template)]
-                 .second;
-      plan.global_batch = ranked.batch;
-      plan.num_micro_batches = ranked.micro;
-      return plan;
-    }
-    materialize_draft(*ranked.degree, ranked.batch, ranked.micro,
-                      ranked.stages, plan);
+    materialize(*ranked.degree, ranked.batch, ranked.micro,
+                ranked.uniform_candidate, &ranked.stages, plan);
     return plan;
   };
 
@@ -735,31 +784,17 @@ Result<OptimizationResult> Optimizer::Optimize(
   // Best plan per PP degree, kept as alternates.
   std::map<int, RankedPlan> best_per_degree;
   int next_ordinal = 0;
-
-  // Wave dispatch is adaptive: handing a wave to the pool costs futex
-  // round-trips that dwarf a fully warm wave's compute (frontier + plan
-  // memos make it microseconds), so a wave that finishes under the
-  // threshold runs the NEXT wave inline, and a slow inline wave switches
-  // back. Only latency changes — the ordinal-ordered merge below makes the
-  // result identical however a wave was executed.
-  constexpr double kInlineWaveSeconds = 250e-6;
-  bool wave_inline = false;
+  int next_batch = options_.batch_step;
 
   // Algorithm 1: grow the batch until every PP degree is out of memory.
-  // The batch loop stays serial (its exit condition depends on this wave's
-  // feasibility); within a wave, the independent (degree, micro)
-  // configurations fan out across the pool and are merged in enumeration
-  // order below.
-  for (int batch = options_.batch_step;
-       batch <= options_.max_batch; batch += options_.batch_step) {
-    if (cancelled()) return Status::Cancelled("strategy sweep cancelled");
-    bool any_pending = false;  // degrees whose pipelines the batch can't fill yet
-    struct ConfigTask {
-      const PerDegree* degree;
-      int micro;
-      int ordinal;
-    };
-    std::vector<ConfigTask> tasks;
+  // Each batch is one wave of independent (degree, micro) configurations,
+  // enumerated with their ordinals in batch order. Returns null past
+  // max_batch.
+  auto enumerate_wave = [&]() -> std::unique_ptr<Wave> {
+    if (next_batch > options_.max_batch) return nullptr;
+    auto wave = std::make_unique<Wave>();
+    wave->batch = next_batch;
+    next_batch += options_.batch_step;
     for (const PerDegree& degree : degrees) {
       // Micro-batch counts: 1 for the non-pipelined case, else multiples of
       // the stage count (GPipe needs m >= P to fill the pipe).
@@ -769,37 +804,65 @@ Result<OptimizationResult> Optimizer::Optimize(
       } else {
         for (int mult : options_.micro_batch_multipliers) {
           const int m = degree.pp * mult;
-          if (m <= batch) micro_counts.push_back(m);
+          if (m <= wave->batch) micro_counts.push_back(m);
         }
-        if (micro_counts.empty() && degree.pp <= batch) {
+        if (micro_counts.empty() && degree.pp <= wave->batch) {
           micro_counts.push_back(degree.pp);
         }
-        if (micro_counts.empty()) any_pending = true;
+        if (micro_counts.empty()) wave->any_pending = true;
       }
       for (int micro : micro_counts) {
-        tasks.push_back(ConfigTask{&degree, micro, next_ordinal++});
+        wave->tasks.push_back(ConfigTask{&degree, micro, next_ordinal++});
       }
     }
+    wave->outcomes.resize(wave->tasks.size());
+    wave->num_tasks = wave->tasks.size();
+    return wave;
+  };
 
-    std::vector<ConfigOutcome> outcomes(tasks.size());
-    const auto wave_start = std::chrono::steady_clock::now();
-    ParallelFor(wave_inline ? nullptr : pool.get(),
-                static_cast<int>(tasks.size()), [&](int i) {
-      const ConfigTask& task = tasks[static_cast<size_t>(i)];
-      ConfigOutcome& out = outcomes[static_cast<size_t>(i)];
-      // Allocation telemetry: evaluate runs entirely on this worker, so a
-      // thread-local counter delta captures its heap traffic exactly.
-      const int64_t allocs_before = CurrentThreadAllocCount();
-      out = evaluate(*task.degree, batch, task.micro, task.ordinal);
-      out.sweep_allocations = CurrentThreadAllocCount() - allocs_before;
-    });
-    wave_inline = SecondsSince(wave_start) < kInlineWaveSeconds;
+  // The wave pipeline: with workers, the next wave is published before the
+  // current one is merged (a fixed lookahead of one wave), so configurations
+  // of batch B+1 fill the cores the slowest configuration of batch B leaves
+  // idle. The merge below walks waves strictly in batch order; a wave that
+  // stops the sweep discards the one run ahead, so no outcome of it reaches
+  // the result, the error or the work counters. Inline (one thread) the
+  // same loop runs each wave on the caller with no lookahead.
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  const size_t max_open_waves = pool != nullptr ? 2 : 1;
+  std::deque<std::unique_ptr<Wave>> waves;
+  WavePipeline pipeline(pool.get(), &abandon, [&](PipelineWave& run,
+                                                   size_t i) {
+    Wave& wave = static_cast<Wave&>(run);
+    const ConfigTask& task = wave.tasks[i];
+    ConfigOutcome& out = wave.outcomes[i];
+    // Allocation telemetry: evaluate runs entirely on this thread, so a
+    // thread-local counter delta captures its heap traffic exactly.
+    const int64_t allocs_before = CurrentThreadAllocCount();
+    out = evaluate(*task.degree, wave.batch, task.micro, task.ordinal);
+    out.sweep_allocations = CurrentThreadAllocCount() - allocs_before;
+  });
+  auto open_wave = [&] {
+    std::unique_ptr<Wave> wave = enumerate_wave();
+    if (wave == nullptr) return false;
+    pipeline.Publish(wave.get());
+    waves.push_back(std::move(wave));
+    return true;
+  };
+
+  open_wave();
+  while (!waves.empty()) {
+    if (cancelled()) return Status::Cancelled("strategy sweep cancelled");
+    while (waves.size() < max_open_waves && open_wave()) {
+    }
+    Wave& wave = *waves.front();
+    pipeline.Finish(&wave);
 
     // Deterministic merge: walk outcomes in enumeration order; the first
     // fatal error (by ordinal) is returned, exactly as the serial sweep
     // would have surfaced it.
     bool any_feasible = false;
-    for (ConfigOutcome& out : outcomes) {
+    for (ConfigOutcome& out : wave.outcomes) {
       if (!out.error.ok()) return out.error;
       ++stats.configs_explored;
       stats.dp_states_explored += out.dp_states;
@@ -821,10 +884,13 @@ Result<OptimizationResult> Optimizer::Optimize(
         have_best = true;
       }
     }
-    if (!any_feasible && !any_pending) {
+    if (!any_feasible && !wave.any_pending) {
       break;  // larger batches only use more memory
     }
+    waves.pop_front();
+    if (waves.empty()) open_wave();
   }
+  pipeline.Stop();
   stats.sweep_seconds = SecondsSince(start) - stats.enumerate_seconds;
 
   if (!have_best) {

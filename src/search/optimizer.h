@@ -62,12 +62,14 @@ struct OptimizerOptions {
 
   /// Worker threads for the strategy sweep. The independent (PP degree,
   /// micro-batch count) configurations of each batch wave fan out across
-  /// this many threads; 1 keeps the sweep serial, 0 uses the machine's
-  /// hardware concurrency, and a negative value makes Optimize return
-  /// InvalidArgument (it is a caller bug, not a request for serial
-  /// search). The result is bit-identical for every valid value — outcomes
-  /// are merged in enumeration order with total-order tie-breaking, never
-  /// first-finished-wins.
+  /// this many worker threads, which also run one wave ahead while the
+  /// calling thread merges the current one; 1 keeps the sweep serial,
+  /// 0 uses the machine's hardware concurrency, and a negative value makes
+  /// Optimize return InvalidArgument (it is a caller bug, not a request for
+  /// serial search). The result is bit-identical for every valid value —
+  /// outcomes are merged wave by wave in enumeration order with total-order
+  /// tie-breaking, never first-finished-wins, and a wave run ahead of a
+  /// stopping one is discarded.
   int search_threads = 1;
 };
 
@@ -79,7 +81,7 @@ struct SearchStats {
   /// breakpoints (see DpSearchResult).
   int64_t dp_states_explored = 0;
   /// Kernel telemetry, summed over per-stage searches: breakpoints emitted
-  /// onto frontiers and per-layer options dropped by the same-strategy
+  /// onto frontiers and per-layer options dropped by the same-class
   /// domination prune.
   int64_t dp_breakpoints_emitted = 0;
   int64_t dp_options_pruned = 0;
@@ -94,7 +96,10 @@ struct SearchStats {
   /// Shared cost-cache counters, summed over layer and transformation
   /// lookups. A miss is one estimator invocation. These are per-call deltas:
   /// with an external cache (SearchHooks::cost_cache) they count only
-  /// this run's lookups, so a fully warm cache shows misses == 0.
+  /// this run's lookups, so a fully warm cache shows misses == 0. Being
+  /// cache deltas, they include the lookups of configurations a threaded
+  /// sweep ran ahead on and discarded; the per-outcome counters below
+  /// (configs, DP states, frontier, allocations) do not.
   int64_t cost_cache_hits = 0;
   int64_t cost_cache_misses = 0;
 

@@ -111,6 +111,11 @@ const std::vector<CorpusEntry>& SeedCorpus() {
           {FuzzCheck::kCalibrationIdentity, 0x71ULL, "pinning seed"},
           {FuzzCheck::kCalibrationIdentity, 0x72ULL, "pinning seed"},
           {FuzzCheck::kCalibrationIdentity, 0x73ULL, "pinning seed"},
+          // Plan-pricing-identity pins: the sweep's cache-fed plan pricing
+          // stays bit-identical to EstimatePlan in tier-1.
+          {FuzzCheck::kPlanPricingIdentity, 0x81ULL, "pinning seed"},
+          {FuzzCheck::kPlanPricingIdentity, 0x82ULL, "pinning seed"},
+          {FuzzCheck::kPlanPricingIdentity, 0x83ULL, "pinning seed"},
           // 1F1B in-flight band: interior stages whose downstream returns
           // backwards fast enough that the stage never stacks a second
           // micro-batch — the simulated peak sits at the one-micro-batch

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -12,7 +13,10 @@
 #include "calibrate/profile.h"
 #include "estimator/cost_estimator.h"
 #include "parallel/decision_tree.h"
+#include "parallel/pipeline_partition.h"
+#include "search/cost_cache.h"
 #include "search/dp_search.h"
+#include "search/optimizer.h"
 #include "sim/simulator.h"
 #include "trace/analyzer.h"
 #include "trace/trace.h"
@@ -1202,6 +1206,177 @@ std::optional<CheckFailure> CheckCalibrationIdentity(
   return std::nullopt;
 }
 
+/// Bitwise equality of two doubles (distinguishes -0.0 and NaN payloads,
+/// which == does not).
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Field-by-field, bit-for-bit equality of two plan costs, per-layer
+/// seconds included.
+bool PlanCostsBitIdentical(const PlanCost& a, const PlanCost& b) {
+  if (!SameBits(a.iteration_seconds, b.iteration_seconds) ||
+      !SameBits(a.throughput_samples_per_sec, b.throughput_samples_per_sec) ||
+      a.peak_memory_bytes != b.peak_memory_bytes ||
+      a.stages.size() != b.stages.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.stages.size(); ++i) {
+    const StageCost& x = a.stages[i];
+    const StageCost& y = b.stages[i];
+    if (!SameBits(x.seconds, y.seconds) ||
+        x.peak_memory_bytes != y.peak_memory_bytes ||
+        x.per_layer_seconds.size() != y.per_layer_seconds.size()) {
+      return false;
+    }
+    for (size_t l = 0; l < x.per_layer_seconds.size(); ++l) {
+      if (!SameBits(x.per_layer_seconds[l], y.per_layer_seconds[l])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// `plan` as candidate-indexed stages: each stage's candidates are its
+/// distinct strategies in first-use order. `storage` owns the vectors the
+/// returned stages point into.
+struct IndexedPlanStorage {
+  std::vector<std::vector<HybridStrategy>> candidates;
+  std::vector<CandidateKeys> keys;
+  std::vector<std::vector<int32_t>> options;
+};
+std::vector<IndexedStage> IndexPlan(const TrainingPlan& plan,
+                                    SharedCostCache& cache,
+                                    IndexedPlanStorage* storage) {
+  const size_t n = plan.stages.size();
+  storage->candidates.assign(n, {});
+  storage->keys.assign(n, {});
+  storage->options.assign(n, {});
+  std::vector<IndexedStage> stages(n);
+  for (size_t s = 0; s < n; ++s) {
+    const StagePlan& stage = plan.stages[s];
+    std::vector<HybridStrategy>& candidates = storage->candidates[s];
+    for (const HybridStrategy& strategy : stage.layer_strategies) {
+      auto it = std::find(candidates.begin(), candidates.end(), strategy);
+      if (it == candidates.end()) {
+        candidates.push_back(strategy);
+        it = candidates.end() - 1;
+      }
+      storage->options[s].push_back(
+          static_cast<int32_t>(it - candidates.begin()));
+    }
+    storage->keys[s] = cache.InternCandidates(candidates, stage.first_device);
+    IndexedStage& indexed = stages[s];
+    indexed.first_device = stage.first_device;
+    indexed.num_devices = stage.num_devices;
+    indexed.first_layer = stage.first_layer;
+    indexed.num_layers = stage.num_layers;
+    indexed.candidates = &candidates;
+    indexed.keys = &storage->keys[s];
+    indexed.options = storage->options[s].data();
+    indexed.recompute = stage.recompute.empty() ? nullptr
+                                                : stage.recompute.data();
+  }
+  return stages;
+}
+
+/// Check (i): the sweep prices plans by composing cost-cache entries
+/// (CachedPlanSource into CostEstimator::ComposePlanCost) instead of
+/// running EstimatePlan. Run a sweep with a caller-owned cost cache, then
+/// price — through that warm cache, whose entries were estimated at other
+/// layers and stage positions of equal signature and fingerprint — its
+/// winner, its alternates, a uniform plan per PP degree and a random
+/// draft (random cut points, per-layer strategies and recompute flags):
+/// each must equal EstimatePlan bit for bit with the memory check deferred,
+/// and match its verdict and cost with the check applied.
+std::optional<CheckFailure> CheckPlanPricingIdentity(
+    uint64_t seed, const CheckOptions& options) {
+  const FuzzCheck kCheck = FuzzCheck::kPlanPricingIdentity;
+  Rng rng(seed);
+  const ModelSpec model = GenerateModel(&rng, options.generator);
+  const ClusterSpec cluster = GenerateCluster(&rng, options.generator);
+  OptimizerOptions sweep;
+  sweep.schedule = rng.NextBelow(2) == 0 ? PipelineSchedule::kGPipe
+                                         : PipelineSchedule::k1F1B;
+  sweep.allow_recompute = rng.NextBelow(3) == 0;
+  sweep.batch_step = 4;
+  sweep.max_batch = 64;
+  const CostEstimator estimator(&cluster, sweep.estimator);
+  SharedCostCache cache(&estimator, &model);
+  SearchHooks hooks;
+  hooks.cost_cache = &cache;
+  Result<OptimizationResult> swept =
+      Optimizer(&cluster, sweep).Optimize(model, hooks);
+
+  std::vector<TrainingPlan> plans;
+  if (swept.ok()) {
+    plans.push_back(swept->plan);
+    plans.insert(plans.end(), swept->alternates.begin(),
+                 swept->alternates.end());
+  }
+  for (int pp = 1; pp <= cluster.num_devices() && pp <= model.num_layers();
+       pp *= 2) {
+    auto sizes = PartitionPipeline(model, pp, sweep.partition_policy);
+    auto candidates =
+        EnumerateSingleLayerStrategies(cluster.num_devices() / pp);
+    if (!sizes.ok() || !candidates.ok() || candidates->empty()) continue;
+    const int batch = 4 * pp;
+    auto uniform = MakeUniformPlan(
+        model, cluster.num_devices(), pp, *sizes,
+        (*candidates)[rng.NextBelow(candidates->size())], batch, pp);
+    if (!uniform.ok()) continue;
+    uniform->schedule = sweep.schedule;
+    plans.push_back(*std::move(uniform));
+  }
+  Result<TrainingPlan> draft = GeneratePlan(&rng, model, cluster);
+  if (!draft.ok()) {
+    return MakeFailure(kCheck, seed,
+                       StrFormat("generator emitted an invalid plan: %s",
+                                 draft.status().ToString().c_str()));
+  }
+  plans.push_back(*std::move(draft));
+
+  for (const TrainingPlan& plan : plans) {
+    IndexedPlanStorage storage;
+    const std::vector<IndexedStage> stages = IndexPlan(plan, cache, &storage);
+    for (const bool check_memory : {false, true}) {
+      CachedPlanSource source(&cache, &stages, plan.global_batch,
+                              plan.num_micro_batches, plan.schedule);
+      const Result<PlanCost> composed =
+          estimator.ComposePlanCost(model, plan.global_batch,
+                                    plan.num_micro_batches, source,
+                                    check_memory);
+      const Result<PlanCost> estimated =
+          estimator.EstimatePlan(model, plan, check_memory);
+      if (composed.ok() != estimated.ok() ||
+          (!composed.ok() && composed.status().ToString() !=
+                                 estimated.status().ToString())) {
+        return MakeFailure(
+            kCheck, seed,
+            StrFormat("pricing verdicts diverge (check_memory=%d): "
+                      "cached %s vs EstimatePlan %s",
+                      check_memory ? 1 : 0,
+                      composed.ok() ? "ok"
+                                    : composed.status().ToString().c_str(),
+                      estimated.ok() ? "ok"
+                                     : estimated.status().ToString().c_str()),
+            &plan);
+      }
+      if (composed.ok() && !PlanCostsBitIdentical(*composed, *estimated)) {
+        return MakeFailure(
+            kCheck, seed,
+            StrFormat("cache-fed pricing differs from EstimatePlan "
+                      "(check_memory=%d): %.17g s vs %.17g s",
+                      check_memory ? 1 : 0, composed->iteration_seconds,
+                      estimated->iteration_seconds),
+            &plan);
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::string_view FuzzCheckToString(FuzzCheck check) {
@@ -1222,6 +1397,8 @@ std::string_view FuzzCheckToString(FuzzCheck check) {
       return "topology-identity";
     case FuzzCheck::kCalibrationIdentity:
       return "calibration-identity";
+    case FuzzCheck::kPlanPricingIdentity:
+      return "plan-pricing-identity";
   }
   return "unknown";
 }
@@ -1235,11 +1412,13 @@ Result<FuzzCheck> FuzzCheckFromString(const std::string& text) {
   if (text == "trace-conservation") return FuzzCheck::kTraceConservation;
   if (text == "topology-identity") return FuzzCheck::kTopologyIdentity;
   if (text == "calibration-identity") return FuzzCheck::kCalibrationIdentity;
+  if (text == "plan-pricing-identity") return FuzzCheck::kPlanPricingIdentity;
   return Status::InvalidArgument(
       StrFormat("unknown check '%s' (expected plan-validity, "
                 "search-equivalence, memory-model, json-roundtrip, "
                 "spec-json-roundtrip, trace-conservation, "
-                "topology-identity or calibration-identity)",
+                "topology-identity, calibration-identity or "
+                "plan-pricing-identity)",
                 text.c_str()));
 }
 
@@ -1271,6 +1450,8 @@ std::optional<CheckFailure> RunCheck(FuzzCheck check, uint64_t seed,
       return CheckTopologyIdentity(seed, options);
     case FuzzCheck::kCalibrationIdentity:
       return CheckCalibrationIdentity(seed, options);
+    case FuzzCheck::kPlanPricingIdentity:
+      return CheckPlanPricingIdentity(seed, options);
   }
   return MakeFailure(check, seed, "unknown check");
 }
@@ -1280,7 +1461,8 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
       FuzzCheck::kPlanValidity,      FuzzCheck::kSearchEquivalence,
       FuzzCheck::kMemoryModel,       FuzzCheck::kJsonRoundTrip,
       FuzzCheck::kSpecJsonRoundTrip, FuzzCheck::kTraceConservation,
-      FuzzCheck::kTopologyIdentity,   FuzzCheck::kCalibrationIdentity};
+      FuzzCheck::kTopologyIdentity,   FuzzCheck::kCalibrationIdentity,
+      FuzzCheck::kPlanPricingIdentity};
   std::vector<FuzzCheck> checks = options.checks;
   if (checks.empty()) checks.assign(kAll, kAll + kNumFuzzChecks);
 

@@ -12,7 +12,7 @@
 
 namespace galvatron {
 
-/// The eight differential checks (see docs/fuzzing.md):
+/// The nine differential checks (see docs/fuzzing.md):
 ///   kPlanValidity      — generated plans Validate, render, and their
 ///                        strategies parse back (generator + plan layer).
 ///   kSearchEquivalence — DP search == brute force on small instances:
@@ -54,6 +54,12 @@ namespace galvatron {
 ///                        bit-exactly; and on monotone contention-free
 ///                        hierarchies a profile applies identically to the
 ///                        level-priced cluster and its mirror-graph twin.
+///   kPlanPricingIdentity — the sweep's plan pricing is EstimatePlan: the
+///                        composition fed from the sweep's warm cost cache
+///                        (CachedPlanSource) prices the sweep's winner,
+///                        alternates, uniform plans and random drafts bit
+///                        for bit like EstimatePlan, with the memory check
+///                        deferred and applied.
 enum class FuzzCheck {
   kPlanValidity,
   kSearchEquivalence,
@@ -63,9 +69,10 @@ enum class FuzzCheck {
   kTraceConservation,
   kTopologyIdentity,
   kCalibrationIdentity,
+  kPlanPricingIdentity,
 };
 
-inline constexpr int kNumFuzzChecks = 8;
+inline constexpr int kNumFuzzChecks = 9;
 
 std::string_view FuzzCheckToString(FuzzCheck check);
 Result<FuzzCheck> FuzzCheckFromString(const std::string& text);
@@ -110,7 +117,7 @@ std::optional<CheckFailure> RunCheck(FuzzCheck check, uint64_t seed,
 struct FuzzOptions {
   uint64_t seed = 1;
   int iterations = 100;
-  /// Empty = all eight checks.
+  /// Empty = all nine checks.
   std::vector<FuzzCheck> checks;
   /// Stop collecting per check after this many failures (the campaign
   /// still finishes the other checks).

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "cluster/link.h"
 #include "comm/collective.h"
@@ -64,6 +66,57 @@ TEST(ClusterTest, CreateRejectsBadTopologies) {
   EXPECT_FALSE(r2.ok());
   // Zero devices.
   EXPECT_FALSE(ClusterSpec::Create("bad", 0, kGiB, 1e12, {}).ok());
+}
+
+// The per-device factory builds the same device table as re-applying
+// each differing device through the copying range setters, and the range
+// queries answer alike on both.
+TEST(ClusterTest, CreateWithDevicesMatchesRangeSetters) {
+  const ClusterSpec base = MakeTitanCluster16(16 * kGB);
+  const ClusterSpec chained =
+      base.WithDeviceMemoryRange(3, 5, 8 * kGB)
+          .WithDeviceComputeRange(8, 8, 9e12, /*small_batch_half_life=*/0.5);
+  std::vector<int64_t> memory;
+  std::vector<double> flops;
+  std::vector<double> half_life;
+  for (const Device& d : chained.devices()) {
+    memory.push_back(d.memory_bytes);
+    flops.push_back(d.sustained_flops);
+    half_life.push_back(d.small_batch_half_life);
+  }
+  auto built = ClusterSpec::CreateWithDevices(
+      base.name(), memory, base.devices().front().sustained_flops, flops,
+      half_life, base.levels());
+  ASSERT_TRUE(built.ok()) << built.status();
+  ASSERT_EQ(built->num_devices(), chained.num_devices());
+  EXPECT_FALSE(built->HasUniformCompute());
+  for (int first = 0; first < chained.num_devices(); ++first) {
+    for (int count = 1; first + count <= chained.num_devices(); ++count) {
+      EXPECT_EQ(built->MinMemoryInRange(first, count),
+                chained.MinMemoryInRange(first, count));
+      EXPECT_EQ(built->MinSustainedFlopsInRange(first, count),
+                chained.MinSustainedFlopsInRange(first, count));
+      EXPECT_EQ(built->SmallBatchHalfLifeInRange(first, count),
+                chained.SmallBatchHalfLifeInRange(first, count));
+    }
+  }
+
+  // Without per-device compute the cluster stays uniform (the O(1) range
+  // path), whatever the budgets.
+  auto uniform = ClusterSpec::CreateWithDevices(
+      base.name(), memory, 6.5e12, {}, {}, base.levels());
+  ASSERT_TRUE(uniform.ok()) << uniform.status();
+  EXPECT_TRUE(uniform->HasUniformCompute());
+  EXPECT_EQ(uniform->MinSustainedFlopsInRange(2, 9), 6.5e12);
+  EXPECT_EQ(uniform->SmallBatchHalfLifeInRange(2, 9),
+            uniform->small_batch_half_life());
+
+  EXPECT_FALSE(ClusterSpec::CreateWithDevices(base.name(), memory, 6.5e12,
+                                              {1.0}, {}, base.levels())
+                   .ok());
+  EXPECT_FALSE(ClusterSpec::CreateWithDevices(base.name(), {}, 6.5e12, {},
+                                              {}, base.levels())
+                   .ok());
 }
 
 TEST(ClusterTest, SameBlock) {

@@ -7,20 +7,26 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "api/plan_io.h"
+
 #include "cluster/cluster.h"
 #include "estimator/cost_estimator.h"
+#include "ir/model_zoo.h"
 #include "ir/transformer_builder.h"
 #include "parallel/decision_tree.h"
 #include "parallel/transformation.h"
 #include "search/cost_cache.h"
 #include "search/dp_search.h"
 #include "search/optimizer.h"
+#include "search/wave_pipeline.h"
 #include "util/thread_pool.h"
 
 namespace galvatron {
@@ -432,6 +438,227 @@ TEST(ParallelOptimizerTest, HardwareThreadsMatchSerialPlan) {
             serial->estimated.throughput_samples_per_sec);
   EXPECT_EQ(parallel->estimated.iteration_seconds,
             serial->estimated.iteration_seconds);
+}
+
+/// A test wave whose tasks record the order they ran in.
+struct RecordingWave : PipelineWave {
+  explicit RecordingWave(size_t n) { num_tasks = n; }
+  std::vector<int> ran;  // guarded by the test's mutex
+};
+
+TEST(WavePipelineTest, InlineRunsEachWaveInIndexOrderOnFinish) {
+  std::atomic<bool> abandon{false};
+  std::vector<std::pair<int, int>> order;  // (wave id, task)
+  RecordingWave first(3);
+  RecordingWave second(2);
+  WavePipeline pipeline(nullptr, &abandon, [&](PipelineWave& wave,
+                                               size_t i) {
+    order.emplace_back(&wave == &first ? 0 : 1, static_cast<int>(i));
+  });
+  pipeline.Publish(&first);
+  pipeline.Publish(&second);
+  EXPECT_TRUE(order.empty());  // no lookahead inline
+  pipeline.Finish(&first);
+  pipeline.Finish(&second);
+  const std::vector<std::pair<int, int>> expected = {
+      {0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}};
+  EXPECT_EQ(order, expected);
+}
+
+// The lookahead: the next wave's tasks run to completion while a task of
+// the current wave is still unfinished. The current wave's only task
+// waits for every task of the next one, so this test finishes only if
+// the next wave really runs ahead (no timers involved).
+TEST(WavePipelineTest, NextWaveRunsWhileTheCurrentOneIsUnfinished) {
+  ThreadPool pool(2);
+  std::atomic<bool> abandon{false};
+  std::mutex mu;
+  std::condition_variable cv;
+  int ahead_done = 0;
+  RecordingWave current(1);
+  RecordingWave ahead(3);
+  WavePipeline pipeline(&pool, &abandon, [&](PipelineWave& wave, size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (&wave == &current) {
+      cv.wait(lock, [&] { return ahead_done == 3; });
+    } else {
+      ++ahead_done;
+      cv.notify_all();
+    }
+  });
+  pipeline.Publish(&current);
+  pipeline.Publish(&ahead);
+  pipeline.Finish(&current);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(ahead_done, 3);
+  }
+  pipeline.Finish(&ahead);
+}
+
+// Stop: a running task of a discarded wave sees `abandon` (what the
+// optimizer's cancel hook reads) and returns; tasks that never started
+// never run; the flag is lowered again once nothing runs.
+TEST(WavePipelineTest, StopAbandonsRunningTasksAndSkipsUnstartedOnes) {
+  ThreadPool pool(1);
+  std::atomic<bool> abandon{false};
+  std::atomic<bool> first_started{false};
+  std::atomic<bool> first_saw_abandon{false};
+  std::atomic<int> others_ran{0};
+  RecordingWave discarded(8);
+  {
+    WavePipeline pipeline(&pool, &abandon, [&](PipelineWave&, size_t i) {
+      if (i != 0) {
+        ++others_ran;
+        return;
+      }
+      first_started = true;
+      while (!abandon.load()) std::this_thread::yield();
+      first_saw_abandon = true;
+    });
+    // The single worker claims task 0 and holds it until Stop.
+    pipeline.Publish(&discarded);
+    while (!first_started.load()) std::this_thread::yield();
+    pipeline.Stop();
+    EXPECT_TRUE(first_saw_abandon.load());
+    EXPECT_EQ(others_ran.load(), 0);
+    EXPECT_FALSE(abandon.load());
+    pipeline.Stop();  // idempotent
+  }
+  EXPECT_EQ(others_ran.load(), 0);
+}
+
+// Finish surfaces only its own wave's exception: a throwing task of the
+// wave run ahead never fails the wave before it.
+TEST(WavePipelineTest, FinishRethrowsOnlyItsOwnWavesException) {
+  ThreadPool pool(2);
+  std::atomic<bool> abandon{false};
+  RecordingWave current(4);
+  RecordingWave ahead(4);
+  WavePipeline pipeline(&pool, &abandon, [&](PipelineWave& wave, size_t i) {
+    if (&wave == &ahead && i == 1) throw std::runtime_error("ahead");
+  });
+  pipeline.Publish(&current);
+  pipeline.Publish(&ahead);
+  EXPECT_NO_THROW(pipeline.Finish(&current));
+  try {
+    pipeline.Finish(&ahead);
+    ADD_FAILURE() << "the run-ahead wave's exception was lost";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "ahead");
+  }
+}
+
+/// An 8-layer BERT on one TITAN node: a sweep of many batch waves.
+ModelSpec WaveBert() {
+  BertConfig config;
+  config.num_layers = 8;
+  config.hidden = 1024;
+  config.heads = 16;
+  return BuildBert("wave-bert", config);
+}
+
+/// Everything a sweep returns that must not depend on the thread count:
+/// the error, or the plan, every alternate and the configuration count.
+std::string SweepOutcome(const Result<OptimizationResult>& result) {
+  if (!result.ok()) return "error: " + result.status().ToString();
+  std::string out = PlanToJson(result->plan);
+  for (const TrainingPlan& alternate : result->alternates) {
+    out += "alternate: " + PlanToJson(alternate);
+  }
+  return out + "configs: " + std::to_string(result->stats.configs_explored);
+}
+
+TEST(WavePipelineOptimizeTest, ThreadCountsGiveIdenticalResults) {
+  const ModelSpec model = WaveBert();
+  struct Instance {
+    std::string name;
+    ClusterSpec cluster;
+    OptimizerOptions options;
+  };
+  std::vector<Instance> instances;
+  instances.push_back({"titan8", MakeTitanNode8(12 * kGB), {}});
+  OptimizerOptions one_f_one_b;
+  one_f_one_b.schedule = PipelineSchedule::k1F1B;
+  one_f_one_b.allow_recompute = true;
+  instances.push_back({"titan8-1f1b-recompute", MakeTitanNode8(8 * kGB),
+                       one_f_one_b});
+  instances.push_back({"infeasible", MakeTitanNode8(kGB / 4), {}});
+  for (const Instance& instance : instances) {
+    OptimizerOptions options = instance.options;
+    options.search_threads = 1;
+    const std::string serial = SweepOutcome(
+        Optimizer(&instance.cluster, options).Optimize(model));
+    for (const int threads : {2, 4}) {
+      options.search_threads = threads;
+      EXPECT_EQ(SweepOutcome(
+                    Optimizer(&instance.cluster, options).Optimize(model)),
+                serial)
+          << instance.name << " at " << threads << " threads";
+    }
+  }
+}
+
+// A cancel that fires at the k-th poll of the caller's hook, wherever the
+// poll comes from — a merged wave or the one run ahead. Either the sweep
+// is cancelled or, when only discarded work saw the cancel, it returns
+// exactly the uncancelled result: nothing of the run-ahead wave leaks.
+// Every merged configuration polls the hook when it starts, so a cancel
+// firing within the first configs_explored polls must cancel the sweep.
+TEST(WavePipelineOptimizeTest, CancelDuringARunAheadWaveLeaksNothing) {
+  const ModelSpec model = WaveBert();
+  const ClusterSpec cluster = MakeTitanNode8(12 * kGB);
+  OptimizerOptions options;
+  options.search_threads = 4;
+  const Optimizer optimizer(&cluster, options);
+  const Result<OptimizationResult> reference = optimizer.Optimize(model);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  const int configs = reference->stats.configs_explored;
+  ASSERT_GT(configs, 8);
+  for (int k = 1; k <= 4 * configs; k += 1 + k / 4) {
+    std::atomic<int> polls{0};
+    SearchHooks hooks;
+    hooks.cancel = [&polls, k] { return ++polls >= k; };
+    const Result<OptimizationResult> result = optimizer.Optimize(model, hooks);
+    if (!result.ok()) {
+      EXPECT_TRUE(result.status().IsCancelled())
+          << "k=" << k << ": " << result.status();
+    } else {
+      EXPECT_EQ(SweepOutcome(result), SweepOutcome(reference)) << "k=" << k;
+    }
+    if (k <= configs) {
+      EXPECT_FALSE(result.ok()) << "k=" << k;
+    }
+  }
+}
+
+// A fatal error in wave w is returned even though wave w+1 — which fails
+// too, with a message naming its own batch — is in flight. The negative
+// micro-batch multiplier makes every PP-2 configuration fail in the
+// estimator with "micro_batches -2 invalid for batch B".
+TEST(WavePipelineOptimizeTest, FatalErrorWinsOverTheWaveRunAhead) {
+  const ModelSpec model = WaveBert();
+  const ClusterSpec cluster = MakeTitanNode8(12 * kGB);
+  OptimizerOptions options;
+  options.pp_degrees = {1, 2};
+  options.micro_batch_multipliers = {1, -1};
+  options.search_threads = 1;
+  const Result<OptimizationResult> serial =
+      Optimizer(&cluster, options).Optimize(model);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_NE(serial.status().ToString().find("for batch 8"),
+            std::string::npos)
+      << serial.status();
+  for (const int threads : {2, 4}) {
+    options.search_threads = threads;
+    const Optimizer optimizer(&cluster, options);
+    for (int rep = 0; rep < 10; ++rep) {
+      const Result<OptimizationResult> result = optimizer.Optimize(model);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().ToString(), serial.status().ToString())
+          << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

@@ -17,6 +17,10 @@
 namespace galvatron {
 namespace {
 
+/// Ceilings of SerialSweepWorkStaysUnderItsCeilings (see there).
+constexpr int64_t kMaxDpStates = 31500;
+constexpr int64_t kMaxSweepAllocations = 34500;
+
 /// Timer-free perf tripwire (runs under the `perf` ctest label): on the
 /// per-stage searches of a miniature end-to-end sweep's committed plans,
 /// DpSearch must (a) return the exact plan the dense reference returns and
@@ -251,6 +255,31 @@ TEST(PerfRegressionTest, UnevenStageSweepAddsNoHomogeneousWork) {
             without_flag->stats.configs_explored);
   EXPECT_EQ(with_flag->stats.dp_states_explored,
             without_flag->stats.dp_states_explored);
+}
+
+/// Timer-free work tripwire on the 8-layer BERT / TITAN-8 sweep at one
+/// thread (a fresh process, so the thread-local scratch starts cold and
+/// both counters are exact): DP states materialized and heap allocations
+/// of the whole sweep. The same-class domination prune and pricing plans
+/// from the cost cache (no EstimatePlan, no template copies, no draft
+/// materialized per configuration) brought these to 28,664 states and
+/// 31,418 allocations, from 40,972 and 41,999; the ceilings sit ~10% above
+/// the new counts, below the old ones.
+TEST(PerfRegressionTest, SerialSweepWorkStaysUnderItsCeilings) {
+  BertConfig config;
+  config.num_layers = 8;
+  config.hidden = 1024;
+  config.heads = 16;
+  const ModelSpec model = BuildBert("perf-bert", config);
+  const ClusterSpec cluster = MakeTitanNode8(12 * kGB);
+  OptimizerOptions options;
+  options.search_threads = 1;
+  auto result = Optimizer(&cluster, options).Optimize(model);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_LE(result->stats.dp_states_explored, kMaxDpStates)
+      << "DP states regressed";
+  EXPECT_LE(result->stats.sweep_allocations, kMaxSweepAllocations)
+      << "sweep allocations regressed";
 }
 
 TEST(PerfRegressionTest, PlanBitIdenticalAcrossThreadCounts) {

@@ -247,6 +247,35 @@ TEST_F(PlanIoTest, ClusterSpecRoundTrips) {
   EXPECT_EQ(ClusterSpecToJson(*parsed), json);
 }
 
+// The parser builds the device table in one pass. It used to re-apply
+// per-device budgets run by run, copying the whole cluster per run, which
+// made a document whose budgets alternate device by device quadratic to
+// parse (tens of seconds at this size).
+TEST_F(PlanIoTest, AlternatingBudgetsOn131072DevicesRoundTrip) {
+  constexpr int kDevices = 131072;
+  std::vector<int64_t> budgets(kDevices);
+  for (int d = 0; d < kDevices; ++d) {
+    budgets[static_cast<size_t>(d)] = (d % 2 == 0 ? 16 : 24) * kGB;
+  }
+  std::vector<TopologyLevel> levels = {
+      {8, DefaultLinkSpec(LinkClass::kNvLink)},
+      {kDevices, DefaultLinkSpec(LinkClass::kInfiniBand100)}};
+  auto cluster = ClusterSpec::CreateWithDevices("alternating", budgets, 17e12,
+                                                {}, {}, std::move(levels));
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  const std::string json = ClusterSpecToJson(*cluster);
+
+  auto parsed = ParseClusterSpecJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->num_devices(), kDevices);
+  EXPECT_EQ(parsed->device(0).memory_bytes, 16 * kGB);
+  EXPECT_EQ(parsed->device(kDevices - 1).memory_bytes, 24 * kGB);
+  EXPECT_EQ(parsed->MinMemoryInRange(1, 1), 24 * kGB);
+  EXPECT_EQ(parsed->MinMemoryInRange(0, kDevices), 16 * kGB);
+  EXPECT_TRUE(parsed->HasUniformCompute());
+  EXPECT_EQ(ClusterSpecToJson(*parsed), json);
+}
+
 TEST_F(PlanIoTest, SpecParsersRejectMalformedInput) {
   EXPECT_FALSE(ParseModelSpecJson("").ok());
   EXPECT_FALSE(ParseModelSpecJson("[]").ok());

@@ -45,8 +45,8 @@ void PrintUsage(std::FILE* out) {
                "usage: galvatron_fuzz [options]\n"
                "  --seed=N            base seed of the campaign (default 1)\n"
                "  --iterations=N      iterations per check (default 100)\n"
-               "  --checks=a,b,...    subset of checks (default: all "
-               "seven)\n"
+               "  --checks=a,b,...    subset of checks (default: all; "
+               "see --list-checks)\n"
                "  --corpus            run the pinned seed/JSON corpus only\n"
                "  --repro=CHECK:SEED  replay one reported iteration\n"
                "  --dump-dir=PATH     where failure repros are written "
