@@ -287,6 +287,14 @@ bool CancelRequested(const std::function<bool()>& cancel) {
   return cancel && cancel();
 }
 
+/// The Infeasible verdict DpSearch::Run and DenseDpSearch return when no
+/// assignment fits.
+Status NoAssignmentFits(int64_t memory_budget) {
+  return Status::Infeasible(
+      StrFormat("no strategy assignment fits %s per device",
+                HumanBytes(static_cast<double>(memory_budget)).c_str()));
+}
+
 /// Argument checks shared by DpSearch::Run and the reference searchers.
 Status ValidateSearch(const ModelSpec& model, int first_layer, int num_layers,
                       const std::vector<HybridStrategy>& candidates,
@@ -385,32 +393,35 @@ struct DpScratch {
   // Flat cost tables [layer * num_candidates + option].
   std::vector<int32_t> units;
   std::vector<double> seconds;
-  // Merge slots, lazily reset via generation stamps (see
-  // BuildSparseFrontiers). slot_cost/slot_parent hold garbage from prior
-  // generations by design — reads are gated on slot_gen.
+  // Merge slots of the fused combine (see BuildSparseFrontiers): one row
+  // per units level, one slot per used class, [units * used + j]. Rows are
+  // lazily reset via per-units generation stamps; slot_cost/slot_parent
+  // hold garbage from prior generations by design — reads are gated on
+  // slot_gen.
   std::vector<double> slot_cost;
   std::vector<int32_t> slot_parent;
   std::vector<uint32_t> slot_gen;
   uint32_t generation = 0;
   std::vector<int32_t> touched;
-  // Frontier columns under construction, structure-of-arrays (the layout
-  // DpFrontierEntry stores — a cold publish is three flat copies).
+  // Class-frontier breakpoints of every layer, structure-of-arrays, and the
+  // per-(layer, option) column views over them — the layout
+  // DpFrontierEntry stores, so a cold publish is four flat copies.
   std::vector<int32_t> bp_units;
   std::vector<double> bp_cost;
   std::vector<int32_t> bp_parent;
   std::vector<DpColumnSpan> spans;
-  // Transformation-class grouping and the per-class combined frontiers of
-  // one boundary (see BuildSparseFrontiers): class_of maps a strategy to
-  // its class, class_rep holds one representative strategy per class, and
-  // the w_* arrays are the class frontiers' own arena, rebuilt per layer.
+  // Transformation-class grouping (see BuildSparseFrontiers): class_of maps
+  // a strategy to its class, class_rep holds one representative strategy
+  // per class; per layer, used_classes lists the classes some admissible
+  // option needs, class_spans locates their frontiers and r_row holds one
+  // predecessor's R entries toward them.
   std::vector<int32_t> class_of;
   std::vector<int32_t> class_words;
   std::vector<int32_t> class_rep;
   std::vector<uint8_t> class_used;
+  std::vector<int32_t> used_classes;
   std::vector<DpColumnSpan> class_spans;
-  std::vector<int32_t> w_units;
-  std::vector<double> w_cost;
-  std::vector<int32_t> w_parent;
+  std::vector<double> r_row;
   // Same-class domination prune, per distinct cost-table row (see
   // BuildSparseFrontiers): row_pruned[row * num_candidates + option] is
   // valid once row_built[row] is set.
@@ -419,6 +430,9 @@ struct DpScratch {
   // Frontier-cache key scratch.
   DpFrontierKey key;
   std::vector<int32_t> distinct_spans;
+  // Cold Runs this thread answered Infeasible by the feasibility test
+  // (see CurrentThreadDpInfeasibleSkips).
+  int64_t infeasible_skipped = 0;
 };
 
 DpScratch& ScratchForThisThread() {
@@ -630,11 +644,7 @@ Result<DpSearchResult> RunDenseKernel(const DpWork& w, RunCostCache& cache,
       best_s = s;
     }
   }
-  if (best_s < 0) {
-    return Status::Infeasible(StrFormat(
-        "no strategy assignment fits %s per device",
-        HumanBytes(static_cast<double>(memory_budget)).c_str()));
-  }
+  if (best_s < 0) return NoAssignmentFits(memory_budget);
 
   // Reconstruct: walk parents backwards. dp uses "<= e" semantics, so the
   // exact units consumed by the suffix are recovered by subtracting each
@@ -669,14 +679,15 @@ struct SparseStats {
 
 /// The sparse Pareto-frontier kernel's build phase. Exploits that dp[e][s]
 /// is a non-increasing step function of the budget e: each column keeps
-/// only its breakpoints, and layer l is computed from layer l-1's
-/// frontiers combined per transformation class (bias R(sp, class)), then
-/// shifted by the option's units and biased by its layer cost c(l, s).
-/// Work scales with the number of DISTINCT cost levels instead of the
-/// granule count. The produced columns (written into scratch's
-/// structure-of-arrays buffers) yield plans byte-identical to
-/// RunDenseKernel — at w.budget_units AND at every smaller budget (the
-/// prefix property AnswerFromFrontiers and the frontier cache rely on).
+/// only its breakpoints, and layer l is computed from layer l-1's columns
+/// combined per transformation class (bias R(sp, class)); every option's
+/// column is then a view of its class frontier, shifted by the option's
+/// units and biased by its layer cost c(l, s). Work scales with the number
+/// of DISTINCT cost levels instead of the granule count. The produced
+/// columns (written into scratch's structure-of-arrays buffers) yield plans
+/// byte-identical to RunDenseKernel — at w.budget_units AND at every
+/// smaller budget (the prefix property AnswerFromFrontiers and the frontier
+/// cache rely on).
 Result<SparseStats> BuildSparseFrontiers(
     const DpWork& w, RunCostCache& cache,
     const std::vector<HybridStrategy>& candidates, DpScratch& scratch,
@@ -693,7 +704,7 @@ Result<SparseStats> BuildSparseFrontiers(
   };
 
   // The class grouping is a function of the candidate set alone, so it is
-  // computed once per Run, not per boundary (see phase 1 below).
+  // computed once per Run, not per boundary (see the combine below).
   scratch.class_of.assign(static_cast<size_t>(num_strategies), -1);
   scratch.class_words.clear();
   scratch.class_rep.clear();
@@ -751,11 +762,11 @@ Result<SparseStats> BuildSparseFrontiers(
     return pruned;
   };
 
-  // Breakpoint columns live in contiguous structure-of-arrays buffers,
-  // addressed by (begin, size) spans per (layer, option): columns are
-  // built strictly one at a time, so appends are always at the end, the
-  // merge streams each array with unit-stride loads, and warm threads
-  // reuse the buffers' capacity outright.
+  // Class frontiers live in contiguous structure-of-arrays buffers, one
+  // layer after another; every (layer, option) column is a DpColumnSpan
+  // view into them. Appends are always at the end, the combine streams
+  // each array with unit-stride loads, and warm threads reuse the buffers'
+  // capacity outright.
   scratch.bp_units.clear();
   scratch.bp_cost.clear();
   scratch.bp_parent.clear();
@@ -765,46 +776,59 @@ Result<SparseStats> BuildSparseFrontiers(
   auto span_of = [&](int l, int s) -> DpColumnSpan& {
     return scratch.spans[cell(l, s)];
   };
+  // Whether option s gets a column at layer l: finite seconds, not
+  // dominated (a dominated option is counted when `count` is set), and
+  // within the budget on its own.
+  auto admissible = [&](int l, int s, const uint8_t* pruned, bool count) {
+    if (w.seconds[cell(l, s)] == kInf) return false;
+    if (pruned[s] != 0) {
+      if (count) ++stats.options_pruned;
+      return false;
+    }
+    return w.units[cell(l, s)] <= budget_units;
+  };
 
-  // Layer 0: one breakpoint per feasible option — the cost is constant in
+  // Layer 0: one breakpoint per admissible option — the cost is constant in
   // the budget, so the dense row [o, budget] collapses to a single step.
+  // Every layer-0 column views one seed breakpoint (0 units, 0.0 cost, no
+  // parent) through its own shift and bias: 0 + o and 0.0 + c are exactly
+  // o and c.
+  scratch.bp_units.push_back(0);
+  scratch.bp_cost.push_back(0.0);
+  scratch.bp_parent.push_back(-1);
   const uint8_t* const pruned0 = pruned_row(0);
   for (int s = 0; s < num_candidates; ++s) {
-    const double c = w.seconds[cell(0, s)];
-    if (c == kInf) continue;
-    if (pruned0[s] != 0) {
-      ++stats.options_pruned;
-      continue;
-    }
-    const int o = w.units[cell(0, s)];
-    if (o > budget_units) continue;
-    DpColumnSpan& span = span_of(0, s);
-    span.begin = static_cast<int64_t>(scratch.bp_units.size());
-    span.size = 1;
-    scratch.bp_units.push_back(o);
-    scratch.bp_cost.push_back(c);
-    scratch.bp_parent.push_back(-1);
+    if (!admissible(0, s, pruned0, /*count=*/true)) continue;
+    span_of(0, s) =
+        DpColumnSpan{0, 1, w.units[cell(0, s)], w.seconds[cell(0, s)]};
     ++stats.breakpoints_emitted;
   }
 
-  // Merge scratch, shared by every column: per-units best candidate,
-  // lazily reset via generation stamps so clearing costs nothing. A column
-  // never emits more than one breakpoint per distinct units value, and the
-  // one it emits is the (cost, parent)-lexicographic minimum among that
-  // units level's candidates — so bucketing candidates by units and
-  // keeping the per-bucket minimum replaces a comparison sort of (units,
-  // cost, parent) structs with an ordering pass over the touched units.
+  // Merge scratch, shared by every layer: per units level, one slot per
+  // used class holding that class's best candidate, lazily reset via
+  // per-units generation stamps so clearing costs nothing. A column never
+  // emits more than one breakpoint per distinct units value, and the one
+  // it emits is the (cost, parent)-lexicographic minimum among that units
+  // level's candidates — so bucketing candidates by units and keeping the
+  // per-bucket minimum replaces a comparison sort of (units, cost, parent)
+  // structs with an ordering pass over the touched units.
   const size_t num_slots = static_cast<size_t>(budget_units) + 1;
   if (scratch.slot_gen.size() < num_slots) {
-    scratch.slot_cost.resize(num_slots);
-    scratch.slot_parent.resize(num_slots);
     scratch.slot_gen.resize(num_slots, 0);
     scratch.touched.resize(num_slots);
+  }
+  const size_t slot_cells = num_slots * static_cast<size_t>(num_classes);
+  if (scratch.slot_cost.size() < slot_cells) {
+    scratch.slot_cost.resize(slot_cells);
+    scratch.slot_parent.resize(slot_cells);
   }
   double* const slot_cost = scratch.slot_cost.data();
   int32_t* const slot_parent = scratch.slot_parent.data();
   uint32_t* const slot_gen = scratch.slot_gen.data();
   int32_t* const touched = scratch.touched.data();
+  scratch.class_spans.resize(static_cast<size_t>(num_classes));
+  scratch.r_row.resize(static_cast<size_t>(num_classes));
+  double* const r_row = scratch.r_row.data();
 
   // Per layer, the merge runs in two phases instead of one merge per
   // option. Phase 1 exploits that the bias R[sp][s] depends on s only
@@ -813,23 +837,28 @@ Result<SparseStats> BuildSparseFrontiers(
   // FillElement), so strategies of equal TransformClassOf hold
   // bitwise-equal matrix columns by construction — and by the
   // ComputeTransformationCost contract (transformation.h) when no shared
-  // cache is attached. All predecessor columns are combined ONCE per
-  // class into a frontier of lex-minimal (prior + R, sp) pairs. Phase 2
-  // derives every option's column from its class frontier by shifting
-  // units by o and adding the layer cost c — V_s(e) = W_class(s)(e - o)
-  // + c holds exactly, so no second envelope pass is needed. This turns
-  // the S columns x S predecessors quadratic merge into K combines + S
-  // copies (K = distinct classes, typically the few distinct batch-split
-  // degrees).
+  // cache is attached. One fused pass scans every predecessor breakpoint
+  // once and updates the slot of every used class at its units level, so
+  // each class's slots see the same sp-ascending candidate sequence a
+  // per-class pass would; the touched units are then ordered once and
+  // each class's lower envelope emitted as its class frontier of
+  // lex-minimal (prior + R, sp) pairs. Phase 2 makes every option's column
+  // a view of its class frontier, shifted by units o and biased by the
+  // layer cost c — V_s(e) = W_class(s)(e - o) + c holds exactly, so no
+  // second envelope pass and no copy are needed. This turns the S columns
+  // x S predecessors quadratic merge into one pass over the predecessors
+  // with K slot updates per breakpoint (K = used classes: ~4 on an 8-device
+  // stage, ~10 on a 512-device one) plus S binary searches.
   //
   // Bit-identity with the dense kernel: both kernels compare predecessor
   // candidates as prior + R (the class frontier's stored cost) and add c
   // only after the argmin, so ordering never depends on how the final sum
-  // rounds. The class frontier keeps an entry on equal cost with a lower
-  // sp as well — that reproduces the dense lowest-index tie-break at every
-  // budget, and duplicate-cost entries after + c are kept deliberately:
-  // they mark budgets where the dense parent changes while the value does
-  // not.
+  // rounds. A view's cost is computed as class cost + c, the very sum the
+  // dense kernel stores. The class frontier keeps an entry on equal cost
+  // with a lower sp as well — that reproduces the dense lowest-index
+  // tie-break at every budget, and duplicate-cost entries after + c are
+  // kept deliberately: they mark budgets where the dense parent changes
+  // while the value does not.
   for (int l = 1; l < num_layers; ++l) {
     if (CancelRequested(cancel)) {
       return Status::Cancelled("per-stage DP cancelled");
@@ -840,144 +869,135 @@ Result<SparseStats> BuildSparseFrontiers(
     const uint8_t* const pruned = pruned_row(l);
 
     // Only classes with at least one admissible option this layer are
-    // combined. The admissibility tests mirror phase 2 exactly, but the
+    // combined; slot j of a units row belongs to used_classes[j]. The
     // pruned counter is phase 2's — counting here would double it.
     scratch.class_used.assign(static_cast<size_t>(num_classes), 0);
     for (int s = 0; s < num_candidates; ++s) {
-      if (w.seconds[cell(l, s)] == kInf) continue;
-      if (pruned[s] != 0) continue;
-      if (w.units[cell(l, s)] > budget_units) continue;
-      scratch.class_used[static_cast<size_t>(
-          scratch.class_of[static_cast<size_t>(
-              OptionStrategy(s, num_strategies))])] = 1;
+      if (admissible(l, s, pruned, /*count=*/false)) {
+        scratch.class_used[static_cast<size_t>(class_of_option(s))] = 1;
+      }
     }
+    scratch.used_classes.clear();
+    for (int k = 0; k < num_classes; ++k) {
+      if (scratch.class_used[static_cast<size_t>(k)] != 0) {
+        scratch.used_classes.push_back(k);
+      }
+    }
+    const int used = static_cast<int>(scratch.used_classes.size());
+    if (used == 0) continue;  // no admissible option: the layer is empty
 
-    // Phase 1: one combined frontier per used class, into the w_* arena
-    // (rebuilt per layer, capacity reused). The main arena is only
-    // appended to in phase 2, so raw pointers into it are stable here.
-    scratch.w_units.clear();
-    scratch.w_cost.clear();
-    scratch.w_parent.clear();
-    scratch.class_spans.assign(static_cast<size_t>(num_classes),
-                               DpColumnSpan{});
+    // Phase 1: the fused combine.
+    if (scratch.generation == std::numeric_limits<uint32_t>::max()) {
+      std::fill(scratch.slot_gen.begin(), scratch.slot_gen.end(), 0);
+      scratch.generation = 0;
+    }
+    const uint32_t gen = ++scratch.generation;
+    int tc = 0;
+    int32_t min_u = std::numeric_limits<int32_t>::max();
+    int32_t max_u = -1;
     const int32_t* const arena_units = scratch.bp_units.data();
     const double* const arena_cost = scratch.bp_cost.data();
-    for (int k = 0; k < num_classes; ++k) {
-      if (scratch.class_used[static_cast<size_t>(k)] == 0) continue;
-      const int rep = scratch.class_rep[static_cast<size_t>(k)];
-      if (scratch.generation == std::numeric_limits<uint32_t>::max()) {
-        std::fill(scratch.slot_gen.begin(), scratch.slot_gen.end(), 0);
-        scratch.generation = 0;
+    for (int sp = 0; sp < num_candidates; ++sp) {
+      const DpColumnSpan prev = span_of(l - 1, sp);
+      if (prev.size == 0) continue;
+      const double* const r_from =
+          m + static_cast<size_t>(OptionStrategy(sp, num_strategies)) *
+                  static_cast<size_t>(num_strategies);
+      for (int j = 0; j < used; ++j) {
+        r_row[j] = r_from[scratch.class_rep[static_cast<size_t>(
+            scratch.used_classes[static_cast<size_t>(j)])]];
       }
-      const uint32_t gen = ++scratch.generation;
-      int tc = 0;
-      int32_t min_u = std::numeric_limits<int32_t>::max();
-      int32_t max_u = -1;
-      for (int sp = 0; sp < num_candidates; ++sp) {
-        const DpColumnSpan prev = span_of(l - 1, sp);
-        if (prev.size == 0) continue;
-        const double r =
-            m[static_cast<size_t>(OptionStrategy(sp, num_strategies)) *
-                  static_cast<size_t>(num_strategies) +
-              static_cast<size_t>(rep)];
-        const int32_t* const pu = arena_units + prev.begin;
-        const double* const pc = arena_cost + prev.begin;
-        stats.breakpoints_scanned += prev.size;
-        // Branchless inner loop: no data-dependent branches, so the
-        // compiler can unroll/vectorize and the hard-to-predict
-        // cost-comparison branch the profile was dominated by is gone.
-        //
-        // Two invariants make the simplified update exact:
-        // - `fresh` forces `better`, so the stale slot_cost read (prior
-        //   generations' leftovers, gated off by slot_gen) never affects
-        //   the outcome;
-        // - sp strictly ascends and each u appears at most once per sp
-        //   (units are unique within a frontier), so an equal-cost
-        //   candidate can never carry a LOWER parent than the slot —
-        //   the dense tie-break needs no equality arm here.
-        for (int64_t i = 0; i < prev.size; ++i) {
-          const int32_t u = pu[i];
-          const double cost = pc[i] + r;
-          const bool fresh = slot_gen[u] != gen;
-          const bool better = fresh | (cost < slot_cost[u]);
-          slot_gen[u] = gen;
-          touched[tc] = u;
-          tc += fresh;
-          slot_cost[u] = better ? cost : slot_cost[u];
-          slot_parent[u] = better ? sp : slot_parent[u];
-          min_u = u < min_u ? u : min_u;
-          max_u = u > max_u ? u : max_u;
+      const int32_t* const pu = arena_units + prev.begin;
+      const double* const pc = arena_cost + prev.begin;
+      stats.breakpoints_scanned += static_cast<int64_t>(prev.size) * used;
+      // Branch-free slot updates: no data-dependent branches, so the
+      // compiler can unroll/vectorize and the hard-to-predict
+      // cost-comparison branch stays out of the loop.
+      //
+      // Two invariants make the simplified update exact:
+      // - `fresh` forces `better`, so the stale slot_cost reads (prior
+      //   generations' leftovers, gated off by slot_gen) never affect the
+      //   outcome;
+      // - sp strictly ascends and each u appears at most once per sp
+      //   (units are unique within a column), so an equal-cost candidate
+      //   can never carry a LOWER parent than the slot — the dense
+      //   tie-break needs no equality arm here.
+      for (int32_t i = 0; i < prev.size; ++i) {
+        const int32_t u = pu[i] + prev.shift;
+        const double prior = pc[i] + prev.bias;
+        const bool fresh = slot_gen[u] != gen;
+        slot_gen[u] = gen;
+        touched[tc] = u;
+        tc += fresh;
+        min_u = u < min_u ? u : min_u;
+        max_u = u > max_u ? u : max_u;
+        double* const row_cost = slot_cost + static_cast<size_t>(u) * used;
+        int32_t* const row_parent =
+            slot_parent + static_cast<size_t>(u) * used;
+        for (int j = 0; j < used; ++j) {
+          const double cost = prior + r_row[j];
+          const bool better = fresh | (cost < row_cost[j]);
+          row_cost[j] = better ? cost : row_cost[j];
+          row_parent[j] = better ? sp : row_parent[j];
         }
       }
+    }
 
-      // Lower envelope over ascending units: a units level extends the
-      // class frontier iff its best candidate strictly improves the
-      // running best cost, or matches it through a lower predecessor
-      // option index — the latter reproduces the dense kernel's
-      // lowest-index tie-break at every budget, not just where the cost
-      // changes.
-      DpColumnSpan& out = scratch.class_spans[static_cast<size_t>(k)];
-      out.begin = static_cast<int64_t>(scratch.w_units.size());
+    // Ascending order of the touched units, two ways: when they are dense
+    // in [min_u, max_u], sweeping the range and testing generation stamps
+    // is branch-friendlier and cheaper than sorting; a sparse spread falls
+    // back to sorting the touched list.
+    if (static_cast<int64_t>(max_u) - min_u < static_cast<int64_t>(tc) * 4) {
+      int n = 0;
+      for (int32_t u = min_u; u <= max_u; ++u) {
+        if (slot_gen[u] == gen) touched[n++] = u;
+      }
+    } else {
+      std::sort(touched, touched + tc);
+    }
+
+    // Lower envelope per used class over ascending units: a units level
+    // extends the class frontier iff its best candidate strictly improves
+    // the running best cost, or matches it through a lower predecessor
+    // option index — the latter reproduces the dense kernel's lowest-index
+    // tie-break at every budget, not just where the cost changes.
+    for (int j = 0; j < used; ++j) {
+      DpColumnSpan& out = scratch.class_spans[static_cast<size_t>(
+          scratch.used_classes[static_cast<size_t>(j)])];
+      out.begin = static_cast<int64_t>(scratch.bp_units.size());
       double best_cost = kInf;
       int32_t best_parent = std::numeric_limits<int32_t>::max();
-      auto emit = [&](int32_t u) {
-        const double cost = slot_cost[u];
-        const int32_t parent = slot_parent[u];
+      for (int t = 0; t < tc; ++t) {
+        const int32_t u = touched[t];
+        const size_t slot = static_cast<size_t>(u) * used + j;
+        const double cost = slot_cost[slot];
+        const int32_t parent = slot_parent[slot];
         if (cost < best_cost ||
             (cost == best_cost && parent < best_parent)) {
           best_cost = cost;
           best_parent = parent;
-          scratch.w_units.push_back(u);
-          scratch.w_cost.push_back(cost);
-          scratch.w_parent.push_back(parent);
-        }
-      };
-      if (tc > 0) {
-        // Ascending order, two ways: when the touched units are dense in
-        // [min_u, max_u], sweeping the range and testing generation stamps
-        // is branch-friendlier and cheaper than sorting; a sparse spread
-        // falls back to sorting the touched list.
-        if (static_cast<int64_t>(max_u) - min_u <
-            static_cast<int64_t>(tc) * 4) {
-          for (int32_t u = min_u; u <= max_u; ++u) {
-            if (slot_gen[u] == gen) emit(u);
-          }
-        } else {
-          std::sort(touched, touched + tc);
-          for (int i = 0; i < tc; ++i) emit(touched[i]);
+          scratch.bp_units.push_back(u);
+          scratch.bp_cost.push_back(cost);
+          scratch.bp_parent.push_back(parent);
         }
       }
-      out.size = static_cast<int64_t>(scratch.w_units.size()) - out.begin;
+      out.size = static_cast<int32_t>(
+          static_cast<int64_t>(scratch.bp_units.size()) - out.begin);
     }
 
-    // Phase 2: every option's column is its class frontier, shifted by the
-    // option's units and biased by its layer cost. The over-budget tail is
-    // one upper_bound (units ascend strictly within a frontier).
+    // Phase 2: every option's column views its class frontier, shifted by
+    // the option's units and biased by its layer cost. The over-budget
+    // tail is cut by one upper_bound (units ascend strictly within a
+    // frontier).
     for (int s = 0; s < num_candidates; ++s) {
-      const double c = w.seconds[cell(l, s)];
-      if (c == kInf) continue;
-      if (pruned[s] != 0) {
-        ++stats.options_pruned;
-        continue;
-      }
+      if (!admissible(l, s, pruned, /*count=*/true)) continue;
       const int o = w.units[cell(l, s)];
-      if (o > budget_units) continue;
-      const DpColumnSpan klass = scratch.class_spans[static_cast<size_t>(
-          scratch.class_of[static_cast<size_t>(
-              OptionStrategy(s, num_strategies))])];
-      const int32_t* const wu = scratch.w_units.data() + klass.begin;
-      const double* const wc = scratch.w_cost.data() + klass.begin;
-      const int32_t* const wp = scratch.w_parent.data() + klass.begin;
-      const int64_t cut =
-          std::upper_bound(wu, wu + klass.size, budget_units - o) - wu;
-      DpColumnSpan& out = span_of(l, s);
-      out.begin = static_cast<int64_t>(scratch.bp_units.size());
-      out.size = cut;
-      for (int64_t i = 0; i < cut; ++i) {
-        scratch.bp_units.push_back(wu[i] + o);
-        scratch.bp_cost.push_back(wc[i] + c);
-        scratch.bp_parent.push_back(wp[i]);
-      }
+      const DpColumnSpan klass =
+          scratch.class_spans[static_cast<size_t>(class_of_option(s))];
+      const int32_t* const wu = scratch.bp_units.data() + klass.begin;
+      const int32_t cut = static_cast<int32_t>(
+          std::upper_bound(wu, wu + klass.size, budget_units - o) - wu);
+      span_of(l, s) = DpColumnSpan{klass.begin, cut, o, w.seconds[cell(l, s)]};
       stats.breakpoints_emitted += cut;
     }
   }
@@ -992,7 +1012,6 @@ struct FrontierView {
   const double* bp_cost = nullptr;
   const int32_t* bp_parent = nullptr;
   const DpColumnSpan* spans = nullptr;
-  const int32_t* units = nullptr;  // flat [layer * num_candidates + option]
   int num_layers = 0;
   int num_strategies = 0;
   int num_candidates = 0;
@@ -1008,11 +1027,31 @@ FrontierView ViewOf(const Columns& columns, int num_layers,
   view.bp_cost = columns.bp_cost.data();
   view.bp_parent = columns.bp_parent.data();
   view.spans = columns.spans.data();
-  view.units = columns.units.data();
   view.num_layers = num_layers;
   view.num_strategies = num_strategies;
   view.num_candidates = num_candidates;
   return view;
+}
+
+/// The feasibility test a cold Run applies before building any column. The
+/// DP's memory constraint is a plain sum of per-layer units, so some
+/// assignment fits iff the one taking every layer's smallest option (over
+/// options with finite seconds) fits. Transformation costs are finite, so
+/// the frontier build finds a plan exactly when this returns true.
+bool MinimalAssignmentFits(const DpWork& w) {
+  int64_t total = 0;
+  for (int l = 0; l < w.num_layers; ++l) {
+    const size_t row =
+        static_cast<size_t>(l) * static_cast<size_t>(w.num_candidates);
+    int32_t least = std::numeric_limits<int32_t>::max();
+    for (int s = 0; s < w.num_candidates; ++s) {
+      if (w.seconds[row + static_cast<size_t>(s)] == kInf) continue;
+      least = std::min(least, w.units[row + static_cast<size_t>(s)]);
+    }
+    total += least;
+    if (total > w.budget_units) return false;
+  }
+  return true;
 }
 
 /// Extracts the optimal assignment at `budget_units` from built frontier
@@ -1033,15 +1072,17 @@ Result<DpSearchResult> AnswerFromFrontiers(const FrontierView& v, int64_t gran,
                                            int64_t memory_budget) {
   const int num_candidates = v.num_candidates;
   const int num_layers = v.num_layers;
-  auto cell = [&](int l, int s) {
-    return static_cast<size_t>(l) * static_cast<size_t>(num_candidates) +
-           static_cast<size_t>(s);
+  auto column = [&](int l, int s) -> const DpColumnSpan& {
+    return v.spans[static_cast<size_t>(l) *
+                       static_cast<size_t>(num_candidates) +
+                   static_cast<size_t>(s)];
   };
-  // Arena index of the last breakpoint with units <= e, or -1 when even
-  // the column's cheapest step is over budget.
+  // Class-frontier index of the column's last breakpoint with units <= e
+  // (class units <= e - shift), or -1 when even the column's cheapest step
+  // is over budget.
   auto active_breakpoint = [&](const DpColumnSpan& f, int e) -> int64_t {
     const int32_t* begin = v.bp_units + f.begin;
-    const int32_t* it = std::upper_bound(begin, begin + f.size, e);
+    const int32_t* it = std::upper_bound(begin, begin + f.size, e - f.shift);
     return it == begin ? -1 : f.begin + (it - begin) - 1;
   };
 
@@ -1051,43 +1092,41 @@ Result<DpSearchResult> AnswerFromFrontiers(const FrontierView& v, int64_t gran,
   double best = kInf;
   int best_s = -1;
   for (int s = 0; s < num_candidates; ++s) {
-    const DpColumnSpan f = v.spans[cell(num_layers - 1, s)];
+    const DpColumnSpan& f = column(num_layers - 1, s);
     if (f.size == 0) continue;
     const int64_t bp = active_breakpoint(f, budget_units);
     if (bp < 0) continue;
-    if (v.bp_cost[bp] < best) {
-      best = v.bp_cost[bp];
+    const double cost = v.bp_cost[bp] + f.bias;
+    if (cost < best) {
+      best = cost;
       best_s = s;
     }
   }
-  if (best_s < 0) {
-    return Status::Infeasible(StrFormat(
-        "no strategy assignment fits %s per device",
-        HumanBytes(static_cast<double>(memory_budget)).c_str()));
-  }
+  if (best_s < 0) return NoAssignmentFits(memory_budget);
 
   // Reconstruct: at each layer, the breakpoint active at the remaining
   // budget names the predecessor option; subtracting the layer's units
-  // recovers the exact budget the prefix ran under ("<= e" semantics).
+  // (its column's shift) recovers the exact budget the prefix ran under
+  // ("<= e" semantics).
   result.stage_seconds = best;
   result.per_layer_option.assign(static_cast<size_t>(num_layers), 0);
   result.per_layer_recompute.assign(static_cast<size_t>(num_layers), 0);
   int e = budget_units;
   int s = best_s;
   for (int l = num_layers - 1; l >= 0; --l) {
+    const DpColumnSpan& f = column(l, s);
     result.per_layer_option[static_cast<size_t>(l)] =
         OptionStrategy(s, v.num_strategies);
     result.per_layer_recompute[static_cast<size_t>(l)] =
         OptionRecompute(s, v.num_strategies) ? 1 : 0;
-    result.resident_memory_bytes +=
-        static_cast<int64_t>(v.units[cell(l, s)]) * gran;
+    result.resident_memory_bytes += static_cast<int64_t>(f.shift) * gran;
     if (l > 0) {
       // The chosen breakpoint was generated from a predecessor breakpoint
       // at exactly (units - this layer's units), so the walk never falls
       // off a column's front even at truncated budgets.
-      const int64_t bp = active_breakpoint(v.spans[cell(l, s)], e);
+      const int64_t bp = active_breakpoint(f, e);
       GALVATRON_CHECK_GE(bp, 0);
-      e -= v.units[cell(l, s)];
+      e -= f.shift;
       s = v.bp_parent[bp];
     }
   }
@@ -1095,6 +1134,10 @@ Result<DpSearchResult> AnswerFromFrontiers(const FrontierView& v, int64_t gran,
 }
 
 }  // namespace
+
+int64_t CurrentThreadDpInfeasibleSkips() {
+  return ScratchForThisThread().infeasible_skipped;
+}
 
 void MaterializeDpSearchResult(const std::vector<HybridStrategy>& candidates,
                                DpSearchResult* result) {
@@ -1179,20 +1222,24 @@ Result<DpSearchResult> DpSearch::Run(
       BuildDpWork(cache, *estimator_, options_, first_layer, num_layers,
                   num_strategies, micro_batches, memory_budget, hooks.cancel,
                   &scratch.units, &scratch.seconds));
+  // Feasibility before the build: a Run no assignment can fit returns the
+  // verdict the built frontiers would have given, without building or
+  // publishing them. A later Run of this signature at a larger budget
+  // misses the frontier cache and builds cold, as it would anyway.
+  if (!MinimalAssignmentFits(w)) {
+    ++scratch.infeasible_skipped;
+    return NoAssignmentFits(memory_budget);
+  }
   GALVATRON_ASSIGN_OR_RETURN(
       SparseStats stats,
       BuildSparseFrontiers(w, cache, candidates, scratch, hooks.cancel));
   if (frontier_cache != nullptr) {
-    // Publish even when the answer below is Infeasible: the frontiers are
-    // valid for every budget up to w.budget_units, and a warm infeasible
-    // replay is as cheap as a warm feasible one.
     auto entry = std::make_shared<DpFrontierEntry>();
     entry->budget_units = w.budget_units;
     entry->max_transient = w.max_transient;
     entry->num_layers = num_layers;
     entry->num_strategies = num_strategies;
     entry->num_candidates = num_candidates;
-    entry->units = scratch.units;
     entry->bp_units = scratch.bp_units;
     entry->bp_cost = scratch.bp_cost;
     entry->bp_parent = scratch.bp_parent;

@@ -97,6 +97,11 @@ struct DpSearchResult {
 void MaterializeDpSearchResult(const std::vector<HybridStrategy>& candidates,
                                DpSearchResult* result);
 
+/// Number of cold DpSearch::Run calls on this thread that returned
+/// Infeasible from the feasibility test, before building any frontier.
+/// Callers measure a scope by differencing, like CurrentThreadAllocCount.
+int64_t CurrentThreadDpInfeasibleSkips();
+
 /// The dynamic-programming search of Eq. (1):
 ///
 ///   C(L, E) = min_{S_j} { C(L-1, E - O(L, S_j)) + c(L, S_j) + R(L, S_i, S_j) }
@@ -111,16 +116,20 @@ void MaterializeDpSearchResult(const std::vector<HybridStrategy>& candidates,
 ///
 /// The kernel exploits that C(L, e, S) is a non-increasing step function of
 /// the budget e: each (layer, option) column is a Pareto frontier of
-/// (units, cost, parent) breakpoints, and layer l is computed by merging
-/// the shifted frontiers of layer l-1. Work is
-/// O(L * S * sum_s |frontier_s| * log) with |frontier| bounded by the
-/// number of distinct cost levels (<= E, typically orders of magnitude
-/// less). DenseDpSearch below sweeps every (budget granule, option) cell
-/// of the same recurrence and returns byte-identical plans; tests compare
-/// the two.
+/// (units, cost, parent) breakpoints. Layer l combines the columns of layer
+/// l-1 once per transformation class, in one pass over their breakpoints,
+/// and stores each option's column as a view of its class frontier
+/// (shifted by the option's units, biased by its layer cost). Work is
+/// O(L * K * sum_s |frontier_s|) with K the used transformation classes
+/// and |frontier| bounded by the number of distinct cost levels (<= E,
+/// typically orders of magnitude less). DenseDpSearch below sweeps every
+/// (budget granule, option) cell of the same recurrence and returns
+/// byte-identical plans; tests compare the two.
 ///
 /// Returns Infeasible when no assignment fits the budget (Algorithm 1
-/// treats that as C = infinity).
+/// treats that as C = infinity). The memory constraint is a plain sum of
+/// per-layer units, so a Run whose per-layer smallest options already
+/// exceed the budget returns that verdict before building any column.
 class DpSearch {
  public:
   /// `estimator` and `model` must outlive this object.
@@ -148,11 +157,11 @@ class DpSearch {
   /// signature at a budget >= the requested one, the answer is
   /// reconstructed directly from the cached columns — no estimator calls,
   /// no merging — and is byte-identical to a cold run (the frontier prefix
-  /// property; see frontier_cache.h). Cold runs publish their frontiers
-  /// back. The caches must only be shared across Runs whose model, cluster
-  /// topology and estimator agree (the PlanningContext contract). The
-  /// cancel hook is polled between layer columns and between layers of the
-  /// cost-estimation pass.
+  /// property; see frontier_cache.h). Feasible cold runs publish their
+  /// frontiers back. The caches must only be shared across Runs whose
+  /// model, cluster topology and estimator agree (the PlanningContext
+  /// contract). The cancel hook is polled between layer columns and between
+  /// layers of the cost-estimation pass.
   Result<DpSearchResult> Run(const ModelSpec& model, int first_layer,
                              int num_layers,
                              const std::vector<HybridStrategy>& candidates,

@@ -13,10 +13,17 @@
 
 namespace galvatron {
 
-/// Addresses one (layer, option) column inside the shared breakpoint arrays.
+/// One frontier column inside the shared breakpoint arrays, stored as a
+/// VIEW of its transformation-class frontier: breakpoint i of the column is
+/// class breakpoint `begin + i` with its units shifted by `shift` and its
+/// cost biased by `bias`; the parent is the class breakpoint's own. `size`
+/// is the cut — how many class breakpoints fit the build budget after the
+/// shift. (A class frontier itself is a view with shift 0 and bias 0.)
 struct DpColumnSpan {
   int64_t begin = 0;
-  int64_t size = 0;
+  int32_t size = 0;
+  int32_t shift = 0;  // the option's quantized resident units o(l, s)
+  double bias = 0.0;  // the option's layer cost c(l, s)
 };
 
 /// The complete frontier state of one DpSearch::Run, cached so a
@@ -32,16 +39,18 @@ struct DpColumnSpan {
 /// byte-identical plan (the serving daemon's near-miss workload: identical
 /// requests except for the per-device memory budget).
 ///
-/// Frontier columns are stored structure-of-arrays: entry i of column
-/// spans[layer * num_candidates + option] lives at arena index
-/// spans[...].begin + i across bp_units / bp_cost / bp_parent. Within a
-/// column, units strictly increase and cost never increases; for budgets in
-/// [bp_units[i], bp_units[i+1]) the best achievable cost is bp_cost[i],
-/// reached through predecessor option bp_parent[i] (-1 at layer 0).
-/// Equal-cost entries record a handoff to a LOWER predecessor option index
-/// (the dense kernel's tie-break), so reconstruction at any budget returns
-/// exactly the dense parent. The split layout lets the merge kernel stream
-/// each array with unit-stride loads instead of gathering 16-byte structs.
+/// The arrays hold the per-layer CLASS frontiers (structure-of-arrays, one
+/// combined frontier per used transformation class and layer, plus one
+/// (0, 0.0, -1) seed entry the layer-0 columns view), and
+/// spans[layer * num_candidates + option] views one of them (see
+/// DpColumnSpan). Entry i of that column has units bp_units[begin + i] +
+/// shift, cost bp_cost[begin + i] + bias and parent bp_parent[begin + i].
+/// Within a column, units strictly increase and cost never increases; for
+/// budgets in [units_i, units_{i+1}) the best achievable cost is cost_i,
+/// reached through predecessor option parent_i (-1 at layer 0). Equal-cost
+/// entries record a handoff to a LOWER predecessor option index (the dense
+/// kernel's tie-break), so reconstruction at any budget returns exactly the
+/// dense parent. The option's resident units are its column's shift.
 struct DpFrontierEntry {
   /// Budget (in granules, after transient headroom) the frontiers were
   /// built at. Lookups at most this many units reconstruct exactly.
@@ -53,13 +62,10 @@ struct DpFrontierEntry {
   /// Candidate strategies before recompute expansion. The expanded option
   /// list needs no table: option o maps to strategy o < num_strategies
   /// ? o : o - num_strategies, with recompute set iff o >= num_strategies
-  /// (ExpandOptions' fixed order).
+  /// (the fixed option order of DpSearch::Run).
   int num_strategies = 0;
   int num_candidates = 0;  // expanded options, recompute variants included
-  /// Per (layer, option): quantized resident memory granules, flat
-  /// [layer * num_candidates + option].
-  std::vector<int32_t> units;
-  /// Frontier columns (see above).
+  /// Class-frontier breakpoints and the column views over them (see above).
   std::vector<int32_t> bp_units;
   std::vector<double> bp_cost;
   std::vector<int32_t> bp_parent;

@@ -137,6 +137,7 @@ struct ConfigOutcome {
   int64_t dp_pruned = 0;
   int64_t dp_frontier_hits = 0;    // stage searches replayed from cache
   int64_t dp_frontier_misses = 0;  // stage searches that ran cold
+  int64_t dp_infeasible_skipped = 0;  // cold ones the feasibility test ended
   int64_t dp_allocations = 0;      // heap allocations inside DpSearch::Run
   int64_t sweep_allocations = 0;   // heap allocations of the whole evaluate
   Status error;  // non-OK only on fatal (non-OOM, non-infeasible) errors
@@ -836,11 +837,14 @@ Result<OptimizationResult> Optimizer::Optimize(
     Wave& wave = static_cast<Wave&>(run);
     const ConfigTask& task = wave.tasks[i];
     ConfigOutcome& out = wave.outcomes[i];
-    // Allocation telemetry: evaluate runs entirely on this thread, so a
-    // thread-local counter delta captures its heap traffic exactly.
+    // Allocation and feasibility-test telemetry: evaluate runs entirely on
+    // this thread, so thread-local counter deltas capture it exactly.
     const int64_t allocs_before = CurrentThreadAllocCount();
+    const int64_t skips_before = CurrentThreadDpInfeasibleSkips();
     out = evaluate(*task.degree, wave.batch, task.micro, task.ordinal);
     out.sweep_allocations = CurrentThreadAllocCount() - allocs_before;
+    out.dp_infeasible_skipped =
+        CurrentThreadDpInfeasibleSkips() - skips_before;
   });
   auto open_wave = [&] {
     std::unique_ptr<Wave> wave = enumerate_wave();
@@ -870,6 +874,7 @@ Result<OptimizationResult> Optimizer::Optimize(
       stats.dp_options_pruned += out.dp_pruned;
       stats.dp_frontier_hits += out.dp_frontier_hits;
       stats.dp_frontier_misses += out.dp_frontier_misses;
+      stats.dp_infeasible_skipped += out.dp_infeasible_skipped;
       stats.dp_allocations += out.dp_allocations;
       stats.sweep_allocations += out.sweep_allocations;
       any_feasible = any_feasible || out.feasible;

@@ -85,6 +85,10 @@ struct SearchStats {
   /// domination prune.
   int64_t dp_breakpoints_emitted = 0;
   int64_t dp_options_pruned = 0;
+  /// Cold per-stage searches answered Infeasible by the feasibility test
+  /// (the per-layer smallest options already exceed the budget) without
+  /// building a frontier; see DpSearch::Run.
+  int64_t dp_infeasible_skipped = 0;
   int num_candidate_strategies = 0;
 
   /// Wall time per phase: candidate/partition enumeration, the batch/degree

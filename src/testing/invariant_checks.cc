@@ -196,6 +196,16 @@ std::optional<CheckFailure> CheckSearchEquivalence(uint64_t seed,
                   dense_or.ok() ? "ok"
                                 : dense_or.status().ToString().c_str()));
   }
+  if (!dp_or.ok() &&
+      dp_or.status().ToString() != dense_or.status().ToString()) {
+    // A cold DpSearch::Run may decide infeasibility before building any
+    // frontier; its verdict must still read exactly like the dense one.
+    return MakeFailure(
+        kCheck, seed,
+        StrFormat("sparse/dense verdicts differ on %s: sparse=%s dense=%s",
+                  instance.c_str(), dp_or.status().ToString().c_str(),
+                  dense_or.status().ToString().c_str()));
+  }
   if (dp_or.ok()) {
     const bool identical =
         dp_or->stage_seconds == dense_or->stage_seconds &&

@@ -5,7 +5,7 @@
 
 namespace galvatron {
 namespace internal {
-thread_local int64_t thread_alloc_count = 0;
+thread_local constinit int64_t thread_alloc_count = 0;
 }  // namespace internal
 }  // namespace galvatron
 

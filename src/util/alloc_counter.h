@@ -8,8 +8,11 @@ namespace galvatron {
 namespace internal {
 /// Incremented by the replaced global operator new (all variants) in
 /// alloc_counter.cc. Per-thread, so concurrent sweep workers measure their
-/// own allocation traffic without any synchronization.
-extern thread_local int64_t thread_alloc_count;
+/// own allocation traffic without any synchronization. `constinit` tells
+/// readers in other translation units that no dynamic initializer exists,
+/// so they access the variable directly instead of through a TLS wrapper
+/// call (whose result UBSan reported as a null-pointer load).
+extern thread_local constinit int64_t thread_alloc_count;
 }  // namespace internal
 
 /// Number of heap allocations this thread has performed since it started

@@ -280,6 +280,10 @@ TEST(PerfRegressionTest, SerialSweepWorkStaysUnderItsCeilings) {
       << "DP states regressed";
   EXPECT_LE(result->stats.sweep_allocations, kMaxSweepAllocations)
       << "sweep allocations regressed";
+  // Some of this sweep's stage searches cannot fit 12 GB; the feasibility
+  // test must answer those before any frontier is built.
+  EXPECT_GT(result->stats.dp_infeasible_skipped, 0)
+      << "no infeasible stage search was decided before its build";
 }
 
 TEST(PerfRegressionTest, PlanBitIdenticalAcrossThreadCounts) {

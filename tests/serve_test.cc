@@ -583,8 +583,16 @@ TEST(ServeLoopbackTest, AdmissionControlAnswers429BeyondMaxInFlight) {
 
 TEST(ServeLoopbackTest, ShutdownDrainsInFlightRequests) {
   std::atomic<bool> finished{false};
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false;
   HttpServerOptions options;
   auto server = HttpServer::Start(options, [&](const HttpRequest&) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      started = true;
+    }
+    cv.notify_all();
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     finished.store(true);
     HttpResponse ok;
@@ -601,9 +609,16 @@ TEST(ServeLoopbackTest, ShutdownDrainsInFlightRequests) {
     client_status.store(response.ok() ? response->status : -1);
     if (response.ok()) client_body = response->body;
   });
-  // Wait for the request to be in flight, then shut down: Shutdown must
-  // block until the handler finished and the response was written.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Wait until the handler has started, then shut down: Shutdown must
+  // block until the handler finished and the response was written. (The
+  // timeout only bounds a failure in which the request never arrives.)
+  bool handler_started = false;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    handler_started =
+        cv.wait_for(lock, std::chrono::seconds(30), [&] { return started; });
+  }
+  EXPECT_TRUE(handler_started) << "the request never reached its handler";
   (*server)->Shutdown();
   EXPECT_TRUE(finished.load());
   client.join();

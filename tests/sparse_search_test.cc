@@ -10,6 +10,7 @@
 #include "ir/model_zoo.h"
 #include "ir/transformer_builder.h"
 #include "parallel/decision_tree.h"
+#include "parallel/transformation.h"
 #include "search/cost_cache.h"
 #include "search/dp_search.h"
 #include "search/frontier_cache.h"
@@ -335,6 +336,221 @@ TEST(SparseDpCancellationTest, CancelCheckStopsTheRun) {
   ASSERT_TRUE(watched.ok()) << watched.status();
   ASSERT_TRUE(plain.ok()) << plain.status();
   ExpectIdentical(*watched, *plain, "watched");
+}
+
+/// A fleet cluster (64 nodes x 8 GPUs) and a BERT whose activations make
+/// memory bind on wide stage blocks, where the kernel combines ~8-10
+/// transformation classes per layer instead of the ~4 of an 8-GPU node.
+struct WideStage {
+  ClusterSpec cluster = MakeHomogeneousCluster(
+      "fleet-512", /*num_nodes=*/64, /*gpus_per_node=*/8, 16 * kGB,
+      /*sustained_flops=*/6.5e12, LinkClass::kPcie3,
+      LinkClass::kInfiniBand100);
+  ModelSpec model = [] {
+    BertConfig config;
+    config.num_layers = 4;
+    config.hidden = 2560;
+    config.heads = 32;
+    return BuildBert("wide-bert", config);
+  }();
+  int batch = 2048;
+  int micro_batches = 2;
+};
+
+int DistinctTransformClasses(const std::vector<HybridStrategy>& candidates) {
+  std::vector<int32_t> classes;
+  for (const HybridStrategy& s : candidates) {
+    classes.push_back(TransformClassOf(s));
+  }
+  std::sort(classes.begin(), classes.end());
+  return static_cast<int>(
+      std::unique(classes.begin(), classes.end()) - classes.begin());
+}
+
+/// The smallest budget (to within `tolerance` bytes) at which a cold Run of
+/// the whole model on the block is feasible.
+int64_t FeasibilityFrontier(const DpSearch& search, const WideStage& stage,
+                            const std::vector<HybridStrategy>& candidates,
+                            int first_device, int64_t tolerance) {
+  auto feasible = [&](int64_t budget) {
+    return search
+        .Run(stage.model, 0, stage.model.num_layers(), candidates,
+             first_device, stage.batch, stage.micro_batches, budget)
+        .ok();
+  };
+  int64_t lo = 1;
+  int64_t hi = 256 * kGB;
+  EXPECT_TRUE(feasible(hi));
+  while (hi - lo > tolerance) {
+    const int64_t mid = lo + (hi - lo) / 2;
+    (feasible(mid) ? hi : lo) = mid;
+  }
+  return hi;
+}
+
+TEST(SparseDpWideStageTest, KernelsAgreeOnFleetBlocks) {
+  // 64-, 128- and 512-device blocks: K = log2(width) + 1 batch-split
+  // classes, so the fused combine updates 7, 8 and 10 slots per scanned
+  // breakpoint. Budgets straddle each block's feasibility frontier (where
+  // the feasibility test and the frontier build must agree) and reach
+  // well above it (where most options survive the cut).
+  const WideStage stage;
+  const CostEstimator estimator(&stage.cluster);
+  for (const int width : {64, 128, 512}) {
+    auto candidates = EnumerateSingleLayerStrategies(width);
+    ASSERT_TRUE(candidates.ok()) << candidates.status();
+    EXPECT_EQ(DistinctTransformClasses(*candidates),
+              static_cast<int>(std::log2(width)) + 1)
+        << "width " << width;
+    const int first_device = width == 512 ? 0 : 2 * width;
+    for (const bool recompute : {false, true}) {
+      DpSearchOptions options;
+      options.allow_recompute = recompute;
+      const int64_t gran = options.memory_granularity;
+      const DpSearch search(&estimator, options);
+      const int64_t frontier = FeasibilityFrontier(search, stage, *candidates,
+                                                   first_device, gran / 8);
+      int feasible = 0;
+      int infeasible = 0;
+      for (const int64_t budget :
+           {frontier - gran, frontier - gran / 4, frontier, frontier + gran,
+            frontier + frontier / 2, 3 * frontier}) {
+        const std::string context =
+            "width " + std::to_string(width) +
+            (recompute ? " +recompute" : "") + " budget " +
+            std::to_string(budget);
+        if (CheckInstance(estimator, stage.model, 0, stage.model.num_layers(),
+                          *candidates, first_device, stage.batch,
+                          stage.micro_batches, budget, options, context)) {
+          ++feasible;
+        } else {
+          ++infeasible;
+        }
+      }
+      EXPECT_EQ(feasible, 4) << "width " << width;
+      EXPECT_EQ(infeasible, 2) << "width " << width;
+    }
+  }
+}
+
+TEST(SparseDpWideStageTest, ClassViewReplaysMatchColdRunsAtTruncatedBudgets) {
+  // One entry built at a generous budget on the 512-device block stores
+  // class frontiers plus per-option (shift, bias, cut) views; replaying it
+  // at every smaller budget must equal a cold Run and the dense reference
+  // there — plans, costs, resident bytes and infeasible verdicts alike.
+  const WideStage stage;
+  const CostEstimator estimator(&stage.cluster);
+  auto candidates = EnumerateSingleLayerStrategies(512);
+  ASSERT_TRUE(candidates.ok()) << candidates.status();
+  for (const bool recompute : {false, true}) {
+    DpSearchOptions options;
+    options.allow_recompute = recompute;
+    const DpSearch search(&estimator, options);
+    const int64_t frontier = FeasibilityFrontier(
+        search, stage, *candidates, 0, options.memory_granularity / 8);
+
+    SharedCostCache costs(&estimator, &stage.model);
+    DpFrontierCache cache;
+    SearchHooks hooks;
+    hooks.cost_cache = &costs;
+    hooks.frontier_cache = &cache;
+    auto prime = search.Run(stage.model, 0, stage.model.num_layers(),
+                            *candidates, 0, stage.batch, stage.micro_batches,
+                            4 * frontier, -1, hooks);
+    ASSERT_TRUE(prime.ok()) << prime.status();
+    ASSERT_EQ(cache.stats().insertions, 1);
+
+    int feasible = 0;
+    int infeasible = 0;
+    for (int64_t budget = 4 * frontier; budget > frontier / 2;
+         budget = budget * 3 / 4) {
+      const std::string context = std::string(recompute ? "+recompute " : "") +
+                                  "budget " + std::to_string(budget);
+      auto warm = search.Run(stage.model, 0, stage.model.num_layers(),
+                             *candidates, 0, stage.batch, stage.micro_batches,
+                             budget, -1, hooks);
+      auto cold = search.Run(stage.model, 0, stage.model.num_layers(),
+                             *candidates, 0, stage.batch, stage.micro_batches,
+                             budget);
+      auto dense = DenseDpSearch(estimator, stage.model, 0,
+                                 stage.model.num_layers(), *candidates, 0,
+                                 stage.batch, stage.micro_batches, budget,
+                                 options);
+      ASSERT_EQ(warm.ok(), cold.ok())
+          << context << ": warm=" << warm.status() << " cold=" << cold.status();
+      ASSERT_EQ(warm.ok(), dense.ok())
+          << context << ": warm=" << warm.status()
+          << " dense=" << dense.status();
+      if (!warm.ok()) {
+        EXPECT_EQ(warm.status().ToString(), cold.status().ToString())
+            << context;
+        EXPECT_EQ(warm.status().ToString(), dense.status().ToString())
+            << context;
+        ++infeasible;
+        continue;
+      }
+      EXPECT_TRUE(warm->frontier_hit) << context;
+      ExpectIdentical(*warm, *cold, context);
+      ExpectIdentical(*warm, *dense, context);
+      ++feasible;
+    }
+    EXPECT_GT(feasible, 3);
+    EXPECT_GT(infeasible, 0);
+    // Every replay was answered by the one entry.
+    EXPECT_EQ(cache.stats().misses, 1);
+    EXPECT_EQ(cache.stats().hits, feasible + infeasible);
+  }
+}
+
+TEST(SparseDpWideStageTest, FeasibilityTestGivesTheBuiltVerdict) {
+  // Below the frontier a cold Run returns Infeasible from the feasibility
+  // test, before building or publishing anything; a warm replay reaches
+  // the same verdict by walking built frontiers, and the dense sweep by
+  // filling its table. All three must read alike.
+  const WideStage stage;
+  const CostEstimator estimator(&stage.cluster);
+  auto candidates = EnumerateSingleLayerStrategies(512);
+  ASSERT_TRUE(candidates.ok()) << candidates.status();
+  const DpSearchOptions options;
+  const DpSearch search(&estimator, options);
+  const int64_t frontier = FeasibilityFrontier(
+      search, stage, *candidates, 0, options.memory_granularity / 8);
+  const int64_t below = frontier - options.memory_granularity;
+
+  SharedCostCache costs(&estimator, &stage.model);
+  DpFrontierCache cache;
+  SearchHooks hooks;
+  hooks.cost_cache = &costs;
+  hooks.frontier_cache = &cache;
+  auto run = [&](int64_t budget) {
+    return search.Run(stage.model, 0, stage.model.num_layers(), *candidates,
+                      0, stage.batch, stage.micro_batches, budget, -1, hooks);
+  };
+
+  // Cold and infeasible: answered by the test, nothing published.
+  const int64_t skips_before = CurrentThreadDpInfeasibleSkips();
+  auto early = run(below);
+  ASSERT_FALSE(early.ok());
+  EXPECT_TRUE(early.status().IsInfeasible()) << early.status();
+  EXPECT_EQ(CurrentThreadDpInfeasibleSkips() - skips_before, 1);
+  EXPECT_EQ(cache.stats().insertions, 0);
+  EXPECT_EQ(cache.stats().size, 0u);
+
+  // Built at the frontier, then replayed below it.
+  ASSERT_TRUE(run(frontier).ok());
+  EXPECT_EQ(cache.stats().insertions, 1);
+  auto built = run(below);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(CurrentThreadDpInfeasibleSkips() - skips_before, 1)
+      << "a warm replay must not count as a feasibility-test answer";
+  EXPECT_EQ(cache.stats().hits, 1);
+
+  auto dense = DenseDpSearch(estimator, stage.model, 0,
+                             stage.model.num_layers(), *candidates, 0,
+                             stage.batch, stage.micro_batches, below, options);
+  ASSERT_FALSE(dense.ok());
+  EXPECT_EQ(early.status().ToString(), built.status().ToString());
+  EXPECT_EQ(early.status().ToString(), dense.status().ToString());
 }
 
 TEST(SparseDpGuardTest, RejectsOptionCountsBeyondInt16) {
