@@ -131,6 +131,9 @@ void RecordThreadSweep(bench::BenchJson* out, const std::string& base_name,
     out->Record(name, "threads", stats.search_threads_used);
     out->Record(name, "host_threads", ThreadPool::HardwareThreads());
     out->Record(name, "configs_explored", stats.configs_explored);
+    out->Record(name, "configs_pruned", stats.configs_pruned);
+    out->Record(name, "dp_drafts_over_budget",
+                static_cast<double>(stats.dp_drafts_over_budget));
     out->Record(name, "dp_states_explored",
                 static_cast<double>(stats.dp_states_explored));
     out->Record(name, "dp_allocations",

@@ -271,8 +271,6 @@ Result<PlanCost> CostEstimator::ComposePlanCost(const ModelSpec& model,
   total.stages.reserve(static_cast<size_t>(source.num_stages()));
   double sum_u = 0.0;
   double max_u = 0.0;
-  const int mb_size =
-      static_cast<int>(CeilDiv(global_batch, num_micro_batches));
   PlanCostSource::Stage prev;
   for (int i = 0; i < source.num_stages(); ++i) {
     const PlanCostSource::Stage stage = source.StageAt(i);
@@ -280,22 +278,12 @@ Result<PlanCost> CostEstimator::ComposePlanCost(const ModelSpec& model,
         StageCost cost,
         ComposeStage(i, stage, num_micro_batches, source, check_memory));
     if (i > 0) {
-      // Per-micro-batch boundary transfer: forward activations in, gradient
-      // activations back out. The DP search excludes this (Sec 3.3, "we
-      // exclude the boundary layers' activation transferring costs"); the
+      // The DP search excludes the boundary transfer (Sec 3.3, "we exclude
+      // the boundary layers' activation transferring costs"); the
       // plan-level estimate includes it so pipelining is not free.
-      const LinkSpec& link = cluster_->LinkBetween(
-          prev.first_device + prev.num_devices - 1, stage.first_device);
-      const int64_t bytes =
-          model.layer(stage.first_layer).input_bytes() * mb_size;
-      double once =
-          CollectiveTime(CollectiveKind::kPointToPoint, bytes, 2, link) +
-          cluster_->pipeline_rpc_overhead_sec();
-      if (calibration_ != nullptr) {
-        once *= calibration_->CommScale(
-            link.cls, CollectiveKind::kPointToPoint, bytes);
-      }
-      const double p2p = 2.0 * num_micro_batches * once;
+      const double p2p = BoundaryTransferSeconds(model, prev, stage,
+                                                 global_batch,
+                                                 num_micro_batches);
       // The transfer occupies both neighbours' comm streams.
       cost.seconds += p2p;
       total.stages.back().seconds += p2p;
@@ -316,6 +304,47 @@ Result<PlanCost> CostEstimator::ComposePlanCost(const ModelSpec& model,
   total.iteration_seconds = sum_u + (num_micro_batches - 1) * max_u;
   total.throughput_samples_per_sec = global_batch / total.iteration_seconds;
   return total;
+}
+
+double CostEstimator::BoundaryTransferSeconds(
+    const ModelSpec& model, const PlanCostSource::Stage& prev,
+    const PlanCostSource::Stage& next, int global_batch,
+    int num_micro_batches) const {
+  const LinkSpec& link = cluster_->LinkBetween(
+      prev.first_device + prev.num_devices - 1, next.first_device);
+  const int64_t bytes =
+      model.layer(next.first_layer).input_bytes() *
+      static_cast<int>(CeilDiv(global_batch, num_micro_batches));
+  double once = CollectiveTime(CollectiveKind::kPointToPoint, bytes, 2, link) +
+                cluster_->pipeline_rpc_overhead_sec();
+  if (calibration_ != nullptr) {
+    once *= calibration_->CommScale(link.cls, CollectiveKind::kPointToPoint,
+                                    bytes);
+  }
+  return 2.0 * num_micro_batches * once;
+}
+
+double CostEstimator::PipelineThroughputBound(
+    const ModelSpec& model, int global_batch, int num_micro_batches,
+    const std::vector<PlanCostSource::Stage>& stages,
+    const std::vector<double>& stage_lower_seconds) const {
+  double sum_u = 0.0;
+  double max_u = 0.0;
+  double transfer_in = 0.0;
+  for (size_t i = 0; i < stages.size(); ++i) {
+    const double transfer_out =
+        i + 1 < stages.size()
+            ? BoundaryTransferSeconds(model, stages[i], stages[i + 1],
+                                      global_batch, num_micro_batches)
+            : 0.0;
+    const double u =
+        (stage_lower_seconds[i] + transfer_in + transfer_out) /
+        num_micro_batches;
+    sum_u += u;
+    max_u = std::max(max_u, u);
+    transfer_in = transfer_out;
+  }
+  return global_batch / (sum_u + (num_micro_batches - 1) * max_u);
 }
 
 }  // namespace galvatron

@@ -203,6 +203,29 @@ class CostEstimator {
                                    PlanCostSource& source,
                                    bool check_memory) const;
 
+  /// The pipeline boundary transfer between consecutive stages `prev` and
+  /// `next` across one iteration: per micro-batch, forward activations in
+  /// and gradient activations back out, each a point-to-point send plus
+  /// the pipeline RPC overhead, calibration applied. ComposePlanCost
+  /// charges it to both neighbours; PipelineThroughputBound does the same.
+  double BoundaryTransferSeconds(const ModelSpec& model,
+                                 const PlanCostSource::Stage& prev,
+                                 const PlanCostSource::Stage& next,
+                                 int global_batch,
+                                 int num_micro_batches) const;
+
+  /// An upper bound on the throughput ComposePlanCost gives any plan with
+  /// these stage extents whose stage i sums at least
+  /// `stage_lower_seconds[i]` of layer and transformation seconds: the same
+  /// GPipe composition, B / (sum_s F_s / m + (m - 1) * max_s F_s / m), with
+  /// F_s the stage's lower bound plus its boundary transfers in and out.
+  /// Exact (up to summation order) when every lower bound is the stage's
+  /// actual seconds.
+  double PipelineThroughputBound(
+      const ModelSpec& model, int global_batch, int num_micro_batches,
+      const std::vector<PlanCostSource::Stage>& stages,
+      const std::vector<double>& stage_lower_seconds) const;
+
  private:
   /// One stage of ComposePlanCost (and all of EstimateStage).
   Result<StageCost> ComposeStage(int stage_index,

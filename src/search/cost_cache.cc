@@ -20,6 +20,12 @@ namespace {
 /// collision costs one shard lookup, never a wrong value.
 constexpr size_t kThreadCacheSlots = 1024;  // power of two
 
+struct WordsHash {
+  size_t operator()(const std::vector<int32_t>& words) const {
+    return HashWords(words);
+  }
+};
+
 struct ThreadCache {
   uint64_t serial = 0;  // which SharedCostCache these entries belong to
 
@@ -32,6 +38,10 @@ struct ThreadCache {
   std::vector<uint8_t> transform_valid;
 
   std::unordered_map<std::string, int32_t> interned;
+  /// InternStrategy's ids by level structure (per level: dim, degree),
+  /// and the lookup key's buffer.
+  std::unordered_map<std::vector<int32_t>, int32_t, WordsHash> strategy_ids;
+  std::vector<int32_t> strategy_words;
 };
 
 /// The calling thread's L1 for the cache with this serial. Serials are
@@ -48,6 +58,7 @@ ThreadCache& LocalCacheFor(uint64_t serial) {
     cache.transform_values.assign(kThreadCacheSlots, 0.0);
     cache.transform_valid.assign(kThreadCacheSlots, 0);
     cache.interned.clear();
+    cache.strategy_ids.clear();
   }
   return cache;
 }
@@ -149,7 +160,18 @@ int32_t SharedCostCache::InternShared(const std::string& text) {
 }
 
 int32_t SharedCostCache::InternStrategy(const HybridStrategy& strategy) {
-  return Intern(strategy.ToString());
+  ThreadCache& local = LocalCacheFor(serial_);
+  std::vector<int32_t>& words = local.strategy_words;
+  words.clear();
+  for (const ParallelComponent& level : strategy.levels()) {
+    words.push_back(static_cast<int32_t>(level.dim));
+    words.push_back(level.degree);
+  }
+  auto cached = local.strategy_ids.find(words);
+  if (cached != local.strategy_ids.end()) return cached->second;
+  const int32_t id = Intern(strategy.ToString());
+  local.strategy_ids.emplace(words, id);
+  return id;
 }
 
 int32_t SharedCostCache::InternFingerprint(int first_device, int span) {
@@ -157,15 +179,15 @@ int32_t SharedCostCache::InternFingerprint(int first_device, int span) {
       BlockFingerprint(estimator_->cluster(), first_device, span));
 }
 
-CandidateKeys SharedCostCache::InternCandidates(
-    const std::vector<HybridStrategy>& candidates, int stage_first_device) {
-  CandidateKeys keys;
-  keys.strategy.reserve(candidates.size());
-  keys.fingerprint.reserve(candidates.size());
+void SharedCostCache::InternCandidates(
+    const std::vector<HybridStrategy>& candidates, int stage_first_device,
+    CandidateKeys* keys) {
+  keys->strategy.clear();
+  keys->fingerprint.clear();
   int last_span = -1;
   int32_t last_fp = -1;
   for (const HybridStrategy& s : candidates) {
-    keys.strategy.push_back(InternStrategy(s));
+    keys->strategy.push_back(InternStrategy(s));
     // Candidates of one stage share their footprint, so the fingerprint is
     // formatted once per distinct span, not once per candidate.
     const int span = s.TotalDegree() > 0 ? s.TotalDegree() : 1;
@@ -173,9 +195,8 @@ CandidateKeys SharedCostCache::InternCandidates(
       last_span = span;
       last_fp = InternFingerprint(stage_first_device, span);
     }
-    keys.fingerprint.push_back(last_fp);
+    keys->fingerprint.push_back(last_fp);
   }
-  return keys;
 }
 
 CachedPlanSource::CachedPlanSource(SharedCostCache* cache,

@@ -215,12 +215,18 @@ class SharedCostCache {
   int32_t InternSignature(int layer_index) const {
     return layer_sig_ids_[static_cast<size_t>(layer_index)];
   }
+  /// A strategy's id. The calling thread remembers ids by the strategy's
+  /// level structure, so a repeat lookup formats no text.
   int32_t InternStrategy(const HybridStrategy& strategy);
   int32_t InternFingerprint(int first_device, int span);
   /// Both ids for every candidate of a stage starting at
-  /// `stage_first_device` (one fingerprint per distinct footprint).
-  CandidateKeys InternCandidates(
-      const std::vector<HybridStrategy>& candidates, int stage_first_device);
+  /// `stage_first_device` (one fingerprint per distinct footprint), into
+  /// `keys`, reusing its capacity.
+  void InternCandidates(const std::vector<HybridStrategy>& candidates,
+                        int stage_first_device, CandidateKeys* keys);
+  /// Process-unique id of this instance: ids interned by two caches are
+  /// comparable only when their serials are equal.
+  uint64_t serial() const { return serial_; }
 
   /// Memoized c(l, s) with a caller-built interned key. The key must have
   /// been built with this cache's Intern* ids and must describe the same

@@ -1,6 +1,7 @@
 #include "search/dp_search.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -8,7 +9,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,6 +24,17 @@ namespace galvatron {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The per-Run buffers of a RunCostCache. DpSearch keeps one per thread
+/// (in DpScratch), so a warm thread sets up a Run's cache without heap
+/// allocations; the reference searchers own theirs.
+struct RunCostStorage {
+  CandidateKeys keys;                   // interned ids per candidate
+  std::vector<int> local_sig;           // per layer in range -> distinct id
+  std::vector<int32_t> shared_sig_ids;  // distinct id -> shared intern id
+  std::vector<int> row_first;           // distinct id -> its first layer
+  std::vector<std::optional<LayerCost>> layer_slots;
+};
 
 /// Per-Run L1 over the sweep-wide SharedCostCache. At construction it
 /// interns the run's layer signatures, candidate strategy texts and block
@@ -46,37 +57,47 @@ class RunCostCache {
                const std::vector<HybridStrategy>* candidates, int first_layer,
                int num_layers, int stage_first_device, int batch_per_group,
                int micro_batches, int resident_micro_batches,
-               SharedCostCache* shared)
-      : model_(model),
-        candidates_(candidates),
+               SharedCostCache* shared, RunCostStorage* storage)
+      : candidates_(candidates),
         first_layer_(first_layer),
         stage_first_device_(stage_first_device),
         batch_per_group_(batch_per_group),
         micro_batches_(micro_batches),
         resident_micro_batches_(resident_micro_batches),
-        shared_(shared) {
+        shared_(shared),
+        keys_(storage->keys),
+        local_sig_(storage->local_sig),
+        shared_sig_ids_(storage->shared_sig_ids),
+        row_first_(storage->row_first),
+        layer_slots_(storage->layer_slots) {
     if (shared_ == nullptr) {
       owned_ = std::make_unique<SharedCostCache>(estimator, model);
       shared_ = owned_.get();
     }
     mb_size_ = static_cast<int>(CeilDiv(batch_per_group_, micro_batches_));
     num_strategies_ = static_cast<int>(candidates_->size());
-    keys_ = shared_->InternCandidates(*candidates_, stage_first_device_);
-    // Dedupe the layer range to distinct signatures: a 24-layer model with
-    // one repeated block shape costs one slot row, not 24.
+    shared_->InternCandidates(*candidates_, stage_first_device_, &keys_);
+    // Dedupe the layer range to distinct signatures (equal interned ids):
+    // a 24-layer model with one repeated block shape costs one slot row,
+    // not 24. Stages hold a handful of distinct shapes, so a scan beats a
+    // map.
     local_sig_.resize(static_cast<size_t>(num_layers));
-    std::unordered_map<std::string, int> sig_to_local;
+    shared_sig_ids_.clear();
+    row_first_.clear();
     for (int l = 0; l < num_layers; ++l) {
-      const std::string& sig = model_->layer(first_layer + l).signature();
-      auto [it, inserted] = sig_to_local.emplace(
-          sig, static_cast<int>(shared_sig_ids_.size()));
-      if (inserted) {
-        shared_sig_ids_.push_back(shared_->InternSignature(first_layer + l));
+      const int32_t sig = shared_->InternSignature(first_layer + l);
+      const auto it =
+          std::find(shared_sig_ids_.begin(), shared_sig_ids_.end(), sig);
+      local_sig_[static_cast<size_t>(l)] =
+          static_cast<int>(it - shared_sig_ids_.begin());
+      if (it == shared_sig_ids_.end()) {
+        shared_sig_ids_.push_back(sig);
+        row_first_.push_back(first_layer + l);
       }
-      local_sig_[static_cast<size_t>(l)] = it->second;
     }
-    layer_slots_.resize(shared_sig_ids_.size() *
-                        static_cast<size_t>(num_strategies_) * 2);
+    layer_slots_.assign(
+        shared_sig_ids_.size() * static_cast<size_t>(num_strategies_) * 2,
+        std::nullopt);
   }
 
   /// c(l, s) pieces; slotted by (distinct signature, strategy, recompute).
@@ -154,6 +175,10 @@ class RunCostCache {
     return local_sig_[static_cast<size_t>(layer_index - first_layer_)];
   }
   int num_rows() const { return static_cast<int>(shared_sig_ids_.size()); }
+  /// The first layer (model index) of distinct-signature row `row`.
+  int FirstLayerOfRow(int row) const {
+    return row_first_[static_cast<size_t>(row)];
+  }
 
  private:
   struct Boundary {
@@ -220,7 +245,6 @@ class RunCostCache {
     return Status::OK();
   }
 
-  const ModelSpec* model_;
   const std::vector<HybridStrategy>* candidates_;
   int first_layer_;
   int stage_first_device_;
@@ -233,11 +257,11 @@ class RunCostCache {
   SharedCostCache* shared_;
   std::unique_ptr<SharedCostCache> owned_;
 
-  CandidateKeys keys_;                  // interned ids per candidate
-  std::vector<int> local_sig_;          // per layer in range -> distinct id
-  std::vector<int32_t> shared_sig_ids_; // distinct id -> shared intern id
-
-  std::vector<std::optional<LayerCost>> layer_slots_;
+  CandidateKeys& keys_;
+  std::vector<int>& local_sig_;
+  std::vector<int32_t>& shared_sig_ids_;
+  std::vector<int>& row_first_;
+  std::vector<std::optional<LayerCost>>& layer_slots_;
   std::map<std::pair<int, int>, int> boundary_index_;
   std::vector<std::unique_ptr<Boundary>> boundaries_;
 };
@@ -346,9 +370,22 @@ Result<DpWork> BuildDpWork(RunCostCache& cache, const CostEstimator& estimator,
                        static_cast<size_t>(w.num_candidates);
   units->assign(table, 0);
   seconds->assign(table, kInf);
+  const size_t row_size = static_cast<size_t>(w.num_candidates);
   for (int l = 0; l < num_layers; ++l) {
     if (CancelRequested(cancel)) {
       return Status::Cancelled("per-stage search cancelled");
+    }
+    // Layers of one distinct-signature row read one slot row of the
+    // cache, so their table rows are bitwise equal: a repeat copies the
+    // row's first layer.
+    const int source =
+        cache.FirstLayerOfRow(cache.RowOf(first_layer + l)) - first_layer;
+    if (source < l) {
+      const size_t from = static_cast<size_t>(source) * row_size;
+      const size_t to = static_cast<size_t>(l) * row_size;
+      std::copy_n(units->begin() + from, row_size, units->begin() + to);
+      std::copy_n(seconds->begin() + from, row_size, seconds->begin() + to);
+      continue;
     }
     for (int s = 0; s < w.num_candidates; ++s) {
       GALVATRON_ASSIGN_OR_RETURN(
@@ -383,6 +420,15 @@ Result<DpWork> BuildDpWork(RunCostCache& cache, const CostEstimator& estimator,
   return w;
 }
 
+/// One lower-hull segment of a cost row, taken by every layer of the row:
+/// seconds saved per extra unit (negative), and the units and seconds the
+/// segment adds across the row's layers.
+struct LpSegment {
+  double rate = 0.0;
+  int64_t units = 0;
+  double seconds = 0.0;
+};
+
 /// Reusable per-thread workspace of the sparse kernel. Every buffer keeps
 /// its capacity across Runs, so a warm thread's Run performs no heap
 /// allocations on the DP path: the cost tables, the merge slots, the
@@ -390,6 +436,7 @@ Result<DpWork> BuildDpWork(RunCostCache& cache, const CostEstimator& estimator,
 /// capacity. DpSearch::Run is const and thread-safe; the scratch is
 /// thread-local, never shared.
 struct DpScratch {
+  RunCostStorage run_cost;
   // Flat cost tables [layer * num_candidates + option].
   std::vector<int32_t> units;
   std::vector<double> seconds;
@@ -430,6 +477,27 @@ struct DpScratch {
   // Frontier-cache key scratch.
   DpFrontierKey key;
   std::vector<int32_t> distinct_spans;
+  // LP bound (see LpStageBound): per distinct cost row its layer count,
+  // one row's (units, seconds) points and their lower hull, and the hull
+  // segments of every row.
+  std::vector<int32_t> row_layers;
+  std::vector<std::pair<int32_t, double>> lp_points;
+  std::vector<std::pair<int32_t, double>> lp_hull;
+  std::vector<LpSegment> lp_segments;
+  // Bounds DpSearch::Bound computed cold, recalled by the cost cache's
+  // serial, the Run's frontier key and its memory budget: the identical
+  // stages of one pipeline (equal keys, equal budgets) build the tables
+  // once. Round robin over a few slots; `key` keeps its capacity.
+  struct RecentBound {
+    bool valid = false;
+    uint64_t cache_serial = 0;
+    int64_t memory_budget = 0;
+    DpFrontierKey key;
+    bool bounded = false;
+    double lower_seconds = 0.0;
+  };
+  std::array<RecentBound, 4> recent_bounds;
+  size_t next_recent_bound = 0;
   // Cold Runs this thread answered Infeasible by the feasibility test
   // (see CurrentThreadDpInfeasibleSkips).
   int64_t infeasible_skipped = 0;
@@ -651,14 +719,18 @@ Result<DpSearchResult> RunDenseKernel(const DpWork& w, RunCostCache& cache,
   // chosen layer's units from the running budget.
   result.stage_seconds = best;
   result.per_layer_option.assign(static_cast<size_t>(num_layers), 0);
-  result.per_layer_recompute.assign(static_cast<size_t>(num_layers), 0);
+  if (num_candidates > w.num_strategies) {
+    result.per_layer_recompute.assign(static_cast<size_t>(num_layers), 0);
+  }
   int e = budget_units;
   int s = best_s;
   for (int l = num_layers - 1; l >= 0; --l) {
     result.per_layer_option[static_cast<size_t>(l)] =
         OptionStrategy(s, w.num_strategies);
-    result.per_layer_recompute[static_cast<size_t>(l)] =
-        OptionRecompute(s, w.num_strategies) ? 1 : 0;
+    if (!result.per_layer_recompute.empty()) {
+      result.per_layer_recompute[static_cast<size_t>(l)] =
+          OptionRecompute(s, w.num_strategies) ? 1 : 0;
+    }
     result.resident_memory_bytes +=
         static_cast<int64_t>(w.units[cell(l, s)]) * w.gran;
     if (l > 0) {
@@ -1054,6 +1126,92 @@ bool MinimalAssignmentFits(const DpWork& w) {
   return true;
 }
 
+/// DpSearch::Bound's lower bound: the LP relaxation of choosing one option
+/// per layer within w.budget_units, transformation costs dropped (they are
+/// never negative). Layers of one distinct cost row share every option's
+/// units and seconds, so the work is per row: the options' (units, seconds)
+/// points reduce to their lower convex hull, from the smallest-units point
+/// down to the cheapest. The relaxation starts every layer at its
+/// smallest-units point and spends the spare units on hull segments,
+/// steepest saving per unit first, the last one fractionally. Each row's
+/// hull is convex, so this greedy solves the relaxation exactly (the
+/// multiple-choice knapsack LP), and the relaxation's optimum is at most
+/// the seconds of any assignment that fits — the DP's optimum included.
+/// Requires MinimalAssignmentFits(w).
+double LpStageBound(const DpWork& w, const RunCostCache& cache,
+                    DpScratch& scratch) {
+  const size_t num_rows = static_cast<size_t>(cache.num_rows());
+  scratch.row_layers.assign(num_rows, 0);
+  for (int l = 0; l < w.num_layers; ++l) {
+    ++scratch.row_layers[static_cast<size_t>(cache.RowOf(w.first_layer + l))];
+  }
+  std::vector<std::pair<int32_t, double>>& points = scratch.lp_points;
+  std::vector<std::pair<int32_t, double>>& hull = scratch.lp_hull;
+  std::vector<LpSegment>& segments = scratch.lp_segments;
+  segments.clear();
+  double lower = 0.0;
+  int64_t spare = w.budget_units;
+  for (size_t row = 0; row < num_rows; ++row) {
+    const int64_t layers = scratch.row_layers[row];
+    if (layers == 0) continue;
+    const size_t first =
+        static_cast<size_t>(cache.FirstLayerOfRow(static_cast<int>(row)) -
+                            w.first_layer) *
+        static_cast<size_t>(w.num_candidates);
+    points.clear();
+    for (int s = 0; s < w.num_candidates; ++s) {
+      const double seconds = w.seconds[first + static_cast<size_t>(s)];
+      if (seconds != kInf) {
+        points.emplace_back(w.units[first + static_cast<size_t>(s)], seconds);
+      }
+    }
+    std::sort(points.begin(), points.end());
+    hull.clear();
+    for (const auto& p : points) {
+      // Only points cheaper than every smaller-units one can be on the
+      // descending hull (this also drops equal-units duplicates).
+      if (!hull.empty() && p.second >= hull.back().second) continue;
+      while (hull.size() >= 2) {
+        const auto& a = hull[hull.size() - 2];
+        const auto& b = hull.back();
+        // b stays iff the saving per unit shrinks past it:
+        // slope(a, b) < slope(b, p), cross-multiplied by the positive
+        // units steps.
+        if ((b.second - a.second) * (p.first - b.first) <
+            (p.second - b.second) * (b.first - a.first)) {
+          break;
+        }
+        hull.pop_back();
+      }
+      hull.push_back(p);
+    }
+    GALVATRON_CHECK(!hull.empty());
+    lower += static_cast<double>(layers) * hull.front().second;
+    spare -= layers * hull.front().first;
+    for (size_t i = 1; i < hull.size(); ++i) {
+      const int64_t du = hull[i].first - hull[i - 1].first;
+      const double dc = hull[i].second - hull[i - 1].second;
+      segments.push_back(LpSegment{dc / static_cast<double>(du), layers * du,
+                                   static_cast<double>(layers) * dc});
+    }
+  }
+  std::sort(segments.begin(), segments.end(),
+            [](const LpSegment& a, const LpSegment& b) {
+              return a.rate < b.rate;
+            });
+  for (const LpSegment& segment : segments) {
+    if (spare <= 0) break;
+    if (segment.units <= spare) {
+      lower += segment.seconds;
+      spare -= segment.units;
+    } else {
+      lower += segment.rate * static_cast<double>(spare);
+      spare = 0;
+    }
+  }
+  return lower;
+}
+
 /// Extracts the optimal assignment at `budget_units` from built frontier
 /// columns. `budget_units` may be SMALLER than the budget the columns were
 /// built at: truncating a Pareto column to units <= U is identical to
@@ -1110,15 +1268,19 @@ Result<DpSearchResult> AnswerFromFrontiers(const FrontierView& v, int64_t gran,
   // ("<= e" semantics).
   result.stage_seconds = best;
   result.per_layer_option.assign(static_cast<size_t>(num_layers), 0);
-  result.per_layer_recompute.assign(static_cast<size_t>(num_layers), 0);
+  if (num_candidates > v.num_strategies) {
+    result.per_layer_recompute.assign(static_cast<size_t>(num_layers), 0);
+  }
   int e = budget_units;
   int s = best_s;
   for (int l = num_layers - 1; l >= 0; --l) {
     const DpColumnSpan& f = column(l, s);
     result.per_layer_option[static_cast<size_t>(l)] =
         OptionStrategy(s, v.num_strategies);
-    result.per_layer_recompute[static_cast<size_t>(l)] =
-        OptionRecompute(s, v.num_strategies) ? 1 : 0;
+    if (!result.per_layer_recompute.empty()) {
+      result.per_layer_recompute[static_cast<size_t>(l)] =
+          OptionRecompute(s, v.num_strategies) ? 1 : 0;
+    }
     result.resident_memory_bytes += static_cast<int64_t>(f.shift) * gran;
     if (l > 0) {
       // The chosen breakpoint was generated from a predecessor breakpoint
@@ -1131,6 +1293,61 @@ Result<DpSearchResult> AnswerFromFrontiers(const FrontierView& v, int64_t gran,
     }
   }
   return result;
+}
+
+/// DpSearch::Run's and DpSearch::Bound's shared argument checks.
+Status ValidateRun(const ModelSpec& model, int first_layer, int num_layers,
+                   const std::vector<HybridStrategy>& candidates,
+                   const DpSearchOptions& options, const SearchHooks& hooks) {
+  GALVATRON_RETURN_IF_ERROR(
+      ValidateSearch(model, first_layer, num_layers, candidates, options));
+  if (hooks.frontier_cache != nullptr && hooks.cost_cache == nullptr) {
+    return Status::InvalidArgument(
+        "a frontier cache needs the cost cache that interns its keys");
+  }
+  return Status::OK();
+}
+
+/// The warm path: when `frontier_cache` holds the Run's signature (already
+/// built into scratch.key) at a budget >= the requested one, counts the hit
+/// and answers without touching the estimator or the kernel — the
+/// repeated-near-miss serving workload (identical request, different
+/// memory budget) and the repeated identical pipeline stages of one sweep
+/// skip the entire cold pipeline. nullopt on a miss, which is not counted.
+std::optional<Result<DpSearchResult>> AnswerFromCache(
+    DpFrontierCache* frontier_cache, const DpSearchOptions& options,
+    int num_strategies, int num_layers, int64_t memory_budget,
+    const DpScratch& scratch, int64_t alloc_start) {
+  const int num_candidates =
+      ExpandedOptionCount(num_strategies, options.allow_recompute);
+  std::shared_ptr<const DpFrontierEntry> entry =
+      frontier_cache->Lookup(scratch.key);
+  if (entry == nullptr) return std::nullopt;
+  GALVATRON_CHECK_EQ(entry->num_candidates, num_candidates);
+  GALVATRON_CHECK_EQ(entry->num_strategies, num_strategies);
+  GALVATRON_CHECK_EQ(entry->num_layers, num_layers);
+  const int64_t effective = memory_budget - entry->max_transient;
+  const int budget_units =
+      effective > 0
+          ? static_cast<int>(CeilDiv(effective, options.memory_granularity))
+          : -1;
+  if (budget_units < 0) {
+    frontier_cache->CountHit();
+    return Result<DpSearchResult>(
+        Status::Infeasible("memory budget below transient headroom"));
+  }
+  // Budget grew past the cached frontier: the caller runs cold, which
+  // republishes the wider entry.
+  if (budget_units > entry->budget_units) return std::nullopt;
+  frontier_cache->CountHit();
+  Result<DpSearchResult> out = AnswerFromFrontiers(
+      ViewOf(*entry, num_layers, num_strategies, num_candidates),
+      options.memory_granularity, budget_units, memory_budget);
+  if (out.ok()) {
+    out->frontier_hit = true;
+    out->allocations = CurrentThreadAllocCount() - alloc_start;
+  }
+  return out;
 }
 
 }  // namespace
@@ -1160,63 +1377,29 @@ Result<DpSearchResult> DpSearch::Run(
     int batch_per_group, int micro_batches, int64_t memory_budget,
     int resident_micro_batches, const SearchHooks& hooks) const {
   const int64_t alloc_start = CurrentThreadAllocCount();
-  GALVATRON_RETURN_IF_ERROR(
-      ValidateSearch(model, first_layer, num_layers, candidates, options_));
+  GALVATRON_RETURN_IF_ERROR(ValidateRun(model, first_layer, num_layers,
+                                        candidates, options_, hooks));
   DpFrontierCache* const frontier_cache = hooks.frontier_cache;
-  if (frontier_cache != nullptr && hooks.cost_cache == nullptr) {
-    return Status::InvalidArgument(
-        "a frontier cache needs the cost cache that interns its keys");
-  }
   const int num_strategies = static_cast<int>(candidates.size());
   const int num_candidates =
       ExpandedOptionCount(num_strategies, options_.allow_recompute);
   DpScratch& scratch = ScratchForThisThread();
-
-  // Warm path: a cached frontier for this signature at a budget >= the
-  // requested one answers without touching the estimator or the kernel —
-  // the repeated-near-miss serving workload (identical request, different
-  // memory budget) and the repeated identical pipeline stages of one sweep
-  // skip the entire cold pipeline.
   if (frontier_cache != nullptr) {
     BuildFrontierKey(scratch, *hooks.cost_cache, estimator_->cluster(),
                      candidates, first_layer, num_layers, stage_first_device,
                      batch_per_group, micro_batches, resident_micro_batches,
                      options_.memory_granularity, options_.allow_recompute);
-    std::shared_ptr<const DpFrontierEntry> entry =
-        frontier_cache->Lookup(scratch.key);
-    if (entry != nullptr) {
-      GALVATRON_CHECK_EQ(entry->num_candidates, num_candidates);
-      GALVATRON_CHECK_EQ(entry->num_strategies, num_strategies);
-      GALVATRON_CHECK_EQ(entry->num_layers, num_layers);
-      const int64_t effective = memory_budget - entry->max_transient;
-      const int budget_units =
-          effective > 0
-              ? static_cast<int>(CeilDiv(effective, options_.memory_granularity))
-              : -1;
-      if (budget_units < 0) {
-        frontier_cache->CountHit();
-        return Status::Infeasible("memory budget below transient headroom");
-      }
-      if (budget_units <= entry->budget_units) {
-        frontier_cache->CountHit();
-        Result<DpSearchResult> out = AnswerFromFrontiers(
-            ViewOf(*entry, num_layers, num_strategies, num_candidates),
-            options_.memory_granularity, budget_units, memory_budget);
-        if (out.ok()) {
-          out->frontier_hit = true;
-          out->allocations = CurrentThreadAllocCount() - alloc_start;
-        }
-        return out;
-      }
-      // Budget grew past the cached frontier: fall through to a cold run,
-      // which republishes the wider entry.
-    }
+    std::optional<Result<DpSearchResult>> hit =
+        AnswerFromCache(frontier_cache, options_, num_strategies, num_layers,
+                        memory_budget, scratch, alloc_start);
+    if (hit.has_value()) return *std::move(hit);
     frontier_cache->CountMiss();
   }
 
   RunCostCache cache(estimator_, &model, &candidates, first_layer, num_layers,
                      stage_first_device, batch_per_group, micro_batches,
-                     resident_micro_batches, hooks.cost_cache);
+                     resident_micro_batches, hooks.cost_cache,
+                     &scratch.run_cost);
   GALVATRON_ASSIGN_OR_RETURN(
       const DpWork w,
       BuildDpWork(cache, *estimator_, options_, first_layer, num_layers,
@@ -1260,6 +1443,72 @@ Result<DpSearchResult> DpSearch::Run(
   return out;
 }
 
+Result<DpStageBound> DpSearch::Bound(
+    const ModelSpec& model, int first_layer, int num_layers,
+    const std::vector<HybridStrategy>& candidates, int stage_first_device,
+    int batch_per_group, int micro_batches, int64_t memory_budget,
+    int resident_micro_batches, const SearchHooks& hooks) const {
+  const int64_t alloc_start = CurrentThreadAllocCount();
+  GALVATRON_RETURN_IF_ERROR(ValidateRun(model, first_layer, num_layers,
+                                        candidates, options_, hooks));
+  DpScratch& scratch = ScratchForThisThread();
+  DpStageBound bound;
+  SharedCostCache* const cost_cache = hooks.cost_cache;
+  if (cost_cache != nullptr) {
+    BuildFrontierKey(scratch, *cost_cache, estimator_->cluster(), candidates,
+                     first_layer, num_layers, stage_first_device,
+                     batch_per_group, micro_batches, resident_micro_batches,
+                     options_.memory_granularity, options_.allow_recompute);
+    if (hooks.frontier_cache != nullptr) {
+      bound.answer = AnswerFromCache(
+          hooks.frontier_cache, options_, static_cast<int>(candidates.size()),
+          num_layers, memory_budget, scratch, alloc_start);
+      if (bound.answer.has_value()) {
+        bound.bounded = bound.answer->ok();
+        if (bound.bounded) {
+          bound.lower_seconds = (*bound.answer)->stage_seconds;
+        }
+        return bound;
+      }
+    }
+    // The key holds everything the cost tables depend on but the budget
+    // (the frontier cache's own contract), so a recent bound of an equal
+    // key and budget under the same cost cache is this one.
+    for (const DpScratch::RecentBound& recent : scratch.recent_bounds) {
+      if (recent.valid && recent.cache_serial == cost_cache->serial() &&
+          recent.memory_budget == memory_budget && recent.key == scratch.key) {
+        bound.bounded = recent.bounded;
+        bound.lower_seconds = recent.lower_seconds;
+        return bound;
+      }
+    }
+  }
+  RunCostCache cache(estimator_, &model, &candidates, first_layer, num_layers,
+                     stage_first_device, batch_per_group, micro_batches,
+                     resident_micro_batches, hooks.cost_cache,
+                     &scratch.run_cost);
+  GALVATRON_ASSIGN_OR_RETURN(
+      const DpWork w,
+      BuildDpWork(cache, *estimator_, options_, first_layer, num_layers,
+                  static_cast<int>(candidates.size()), micro_batches,
+                  memory_budget, hooks.cancel, &scratch.units,
+                  &scratch.seconds));
+  bound.bounded = MinimalAssignmentFits(w);
+  if (bound.bounded) bound.lower_seconds = LpStageBound(w, cache, scratch);
+  if (cost_cache != nullptr) {
+    DpScratch::RecentBound& recent =
+        scratch.recent_bounds[scratch.next_recent_bound++ %
+                              scratch.recent_bounds.size()];
+    recent.valid = true;
+    recent.cache_serial = cost_cache->serial();
+    recent.memory_budget = memory_budget;
+    recent.key = scratch.key;
+    recent.bounded = bound.bounded;
+    recent.lower_seconds = bound.lower_seconds;
+  }
+  return bound;
+}
+
 Result<DpSearchResult> DenseDpSearch(
     const CostEstimator& estimator, const ModelSpec& model, int first_layer,
     int num_layers, const std::vector<HybridStrategy>& candidates,
@@ -1268,9 +1517,10 @@ Result<DpSearchResult> DenseDpSearch(
     SharedCostCache* shared_cache, int resident_micro_batches) {
   GALVATRON_RETURN_IF_ERROR(
       ValidateSearch(model, first_layer, num_layers, candidates, options));
+  RunCostStorage storage;
   RunCostCache cache(&estimator, &model, &candidates, first_layer, num_layers,
                      stage_first_device, batch_per_group, micro_batches,
-                     resident_micro_batches, shared_cache);
+                     resident_micro_batches, shared_cache, &storage);
   std::vector<int32_t> units;
   std::vector<double> seconds;
   GALVATRON_ASSIGN_OR_RETURN(
@@ -1290,9 +1540,10 @@ Result<DpSearchResult> BruteForceSearch(
   GALVATRON_RETURN_IF_ERROR(
       ValidateSearch(model, first_layer, num_layers, candidates, options));
   const int num_strategies = static_cast<int>(candidates.size());
+  RunCostStorage storage;
   RunCostCache cache(&estimator, &model, &candidates, first_layer, num_layers,
                      stage_first_device, batch_per_group, micro_batches,
-                     /*resident_micro_batches=*/-1, shared_cache);
+                     /*resident_micro_batches=*/-1, shared_cache, &storage);
   std::vector<int32_t> units;
   std::vector<double> seconds;
   GALVATRON_ASSIGN_OR_RETURN(
@@ -1346,8 +1597,10 @@ Result<DpSearchResult> BruteForceSearch(
   for (int l = 0; l < num_layers; ++l) {
     const int s = best_assignment[static_cast<size_t>(l)];
     best.per_layer_option.push_back(OptionStrategy(s, num_strategies));
-    best.per_layer_recompute.push_back(
-        OptionRecompute(s, num_strategies) ? 1 : 0);
+    if (options.allow_recompute) {
+      best.per_layer_recompute.push_back(
+          OptionRecompute(s, num_strategies) ? 1 : 0);
+    }
     best.resident_memory_bytes +=
         static_cast<int64_t>(units[cell(l, s)]) * w.gran;
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "estimator/cost_estimator.h"
@@ -90,6 +91,20 @@ struct DpSearchResult {
   int64_t allocations = 0;
 };
 
+/// What DpSearch::Bound knows about one per-stage search before its kernel
+/// runs: a lower bound on the stage seconds, or the search's answer itself
+/// when the frontier cache holds it.
+struct DpStageBound {
+  /// True when `lower_seconds` bounds, from below, the stage seconds of
+  /// every assignment the Run would consider (and so the Run's optimum).
+  bool bounded = false;
+  double lower_seconds = 0.0;
+  /// Set on a frontier-cache hit: exactly what Run would return (a plan or
+  /// its Infeasible verdict). The stage needs no Run; a plan's
+  /// stage_seconds is then `lower_seconds`, exact.
+  std::optional<Result<DpSearchResult>> answer;
+};
+
 /// Fills `result->per_layer` from `result->per_layer_option`, copying out
 /// of the same `candidates` vector the producing search was given. Callers
 /// rank results by their index chains and materialize only the handful
@@ -163,6 +178,34 @@ class DpSearch {
   /// contract). The cancel hook is polled between layer columns and between
   /// layers of the cost-estimation pass.
   Result<DpSearchResult> Run(const ModelSpec& model, int first_layer,
+                             int num_layers,
+                             const std::vector<HybridStrategy>& candidates,
+                             int stage_first_device, int batch_per_group,
+                             int micro_batches, int64_t memory_budget,
+                             int resident_micro_batches = -1,
+                             const SearchHooks& hooks = {}) const;
+
+  /// Bounds the Run with the same arguments without running its kernel.
+  ///
+  /// - A frontier-cache hit answers outright: `answer` holds the Run's
+  ///   result (the hit is counted; a miss is not — the Run that may follow
+  ///   counts its own lookup).
+  /// - Otherwise the Run's cost tables are built and the bound is the LP
+  ///   relaxation of the stage's memory-constrained choice: per distinct
+  ///   cost row, the lower convex hull of its options' (units, seconds);
+  ///   every layer starts at its smallest-units point and the remaining
+  ///   budget units buy the steepest hull segments first, the last one
+  ///   fractionally. Transformation costs are bounded by 0. The LP optimum
+  ///   is at most the DP optimum, so `lower_seconds` never exceeds the
+  ///   Run's stage seconds; unlike the memory-free sum of per-layer
+  ///   minima, it stays tight where memory binds.
+  /// - A Run the feasibility test would answer Infeasible gives no bound
+  ///   (`bounded` false, no answer).
+  ///
+  /// Errors are the ones the Run would return from its cost estimation
+  /// (InvalidArgument, Cancelled, estimator failures). Nothing is
+  /// published.
+  Result<DpStageBound> Bound(const ModelSpec& model, int first_layer,
                              int num_layers,
                              const std::vector<HybridStrategy>& candidates,
                              int stage_first_device, int batch_per_group,

@@ -68,6 +68,8 @@ struct PerDegree {
   /// tightest memory budget of the stage's block.
   std::vector<CandidateKeys> stage_keys;
   std::vector<int64_t> stage_budgets;
+  /// Per stage: its devices and layers, as the throughput bound reads them.
+  std::vector<PlanCostSource::Stage> stage_extents;
   /// True when every plan of this degree passes TrainingPlan::Validate at
   /// any valid batch shape — the precondition of pricing from the cache.
   /// Otherwise plans are materialized and EstimatePlan reports the error.
@@ -138,6 +140,8 @@ struct ConfigOutcome {
   int64_t dp_frontier_hits = 0;    // stage searches replayed from cache
   int64_t dp_frontier_misses = 0;  // stage searches that ran cold
   int64_t dp_infeasible_skipped = 0;  // cold ones the feasibility test ended
+  bool pruned = false;             // the throughput bound skipped the DPs
+  bool draft_over_budget = false;  // the memory check rejected the DP plan
   int64_t dp_allocations = 0;      // heap allocations inside DpSearch::Run
   int64_t sweep_allocations = 0;   // heap allocations of the whole evaluate
   Status error;  // non-OK only on fatal (non-OOM, non-infeasible) errors
@@ -148,6 +152,10 @@ struct ConfigTask {
   const PerDegree* degree = nullptr;
   int micro = 1;
   int ordinal = 0;
+  /// Throughput of the best plan merged for the degree's PP degree when
+  /// the wave was enumerated (0 when none): the incumbent the
+  /// configuration's DP plan must beat to matter.
+  double incumbent = 0.0;
 };
 
 /// One batch size's configurations — a wave of Algorithm 1's sweep — and,
@@ -354,12 +362,19 @@ Result<OptimizationResult> Optimizer::Optimize(
       }
     }
     bool footprints_match = d.stage_sizes.size() == d.geometry.size();
+    int first_layer = 0;
     for (size_t s = 0; s < d.geometry.size(); ++s) {
       const StageGeometry& geom = d.geometry[s];
-      d.stage_keys.push_back(
-          cache->InternCandidates(*d.stage_candidates[s], geom.first_device));
+      cache->InternCandidates(*d.stage_candidates[s], geom.first_device,
+                              &d.stage_keys.emplace_back());
       d.stage_budgets.push_back(
           cluster_->MinMemoryInRange(geom.first_device, geom.num_devices));
+      if (d.stage_sizes.size() == d.geometry.size()) {
+        d.stage_extents.push_back(PlanCostSource::Stage{
+            geom.first_device, geom.num_devices, first_layer,
+            d.stage_sizes[s]});
+        first_layer += d.stage_sizes[s];
+      }
       footprints_match &= !d.stage_candidates[s]->empty();
       for (const HybridStrategy& candidate : *d.stage_candidates[s]) {
         footprints_match &= candidate.TotalDegree() == geom.num_devices;
@@ -638,11 +653,12 @@ Result<OptimizationResult> Optimizer::Optimize(
     return cost;
   };
 
-  // Evaluates one (batch, degree, micro) configuration. Pure function of
-  // its arguments plus the (thread-safe, const) estimator and shared
+  // Evaluates one (batch, degree, micro) configuration against the
+  // incumbent throughput of its PP degree (see ConfigTask). Pure function
+  // of its arguments plus the (thread-safe, const) estimator and shared
   // caches — safe to run on any worker.
   auto evaluate = [&](const PerDegree& degree, int batch, int micro,
-                      int config_ordinal) -> ConfigOutcome {
+                      int config_ordinal, double incumbent) -> ConfigOutcome {
     ConfigOutcome out;
     if (cancelled()) {
       out.error = Status::Cancelled("strategy sweep cancelled");
@@ -691,14 +707,82 @@ Result<OptimizationResult> Optimizer::Optimize(
       }
     }
 
-    // Per-stage DP, collected as a draft of candidate indices (the search
-    // returns index chains only). The probe plan carries just the schedule
-    // shape InFlightForDegree reads.
+    // The stage searches (DpSearch::Run or DpSearch::Bound) of stage s,
+    // whose layers start at first_layer. The probe plan carries just the
+    // schedule shape InFlightForDegree reads.
     TrainingPlan probe;
     probe.global_batch = batch;
     probe.num_micro_batches = micro;
     probe.schedule = options_.schedule;
+    auto stage_search = [&](auto method, int s, int first_layer) {
+      const size_t i = static_cast<size_t>(s);
+      return (search.*method)(model, first_layer, degree.stage_sizes[i],
+                              *degree.stage_candidates[i],
+                              degree.geometry[i].first_device, batch, micro,
+                              degree.stage_budgets[i],
+                              probe.InFlightForDegree(degree.pp, s),
+                              run_hooks);
+    };
+    // Warm infeasible answers are invisible here (no DpSearchResult to
+    // carry the flag) and count as misses; the cache's own stats() still
+    // record them as hits.
+    auto count_stage = [&](const Result<DpSearchResult>& result) {
+      if (result.ok() && result->frontier_hit) {
+        ++out.dp_frontier_hits;
+      } else {
+        ++out.dp_frontier_misses;
+      }
+    };
 
+    // Cross-configuration bound. Once a uniform plan fits, the DP plan
+    // changes the merged result only if it beats both that plan and the
+    // incumbent, the best plan already merged for this PP degree: it ranks
+    // after every uniform candidate and after the incumbent's earlier
+    // ordinal, so it loses ties to both. Each stage is bounded first (a
+    // frontier-cache hit answers the stage outright and is kept for the
+    // DP below), the bounds compose into a throughput upper bound, and
+    // when that cannot beat either plan the stage DPs are skipped. The
+    // configuration keeps its uniform best and its feasibility. The
+    // relative slack absorbs summation-order rounding between the bound
+    // and the priced plan.
+    thread_local std::vector<DpStageBound> bounds;
+    thread_local std::vector<double> lower_seconds;
+    bounds.clear();
+    bounds.resize(static_cast<size_t>(degree.pp));
+    if (best_cost != nullptr && degree.structure_valid) {
+      lower_seconds.clear();
+      int first_layer = 0;
+      for (int s = 0; s < degree.pp; ++s) {
+        Result<DpStageBound> bound =
+            stage_search(&DpSearch::Bound, s, first_layer);
+        if (!bound.ok()) break;
+        DpStageBound& stage = bounds[static_cast<size_t>(s)];
+        stage = *std::move(bound);
+        if (!stage.bounded) break;
+        lower_seconds.push_back(stage.lower_seconds);
+        first_layer += degree.stage_sizes[static_cast<size_t>(s)];
+      }
+      if (lower_seconds.size() == bounds.size()) {
+        const double upper = estimator_.PipelineThroughputBound(
+            model, batch, micro, degree.stage_extents, lower_seconds);
+        const double to_beat =
+            std::max(best_cost->throughput_samples_per_sec, incumbent);
+        if (upper * (1.0 + 1e-9) <= to_beat) {
+          for (const DpStageBound& stage : bounds) {
+            if (!stage.answer.has_value()) continue;
+            count_stage(*stage.answer);
+            out.dp_allocations += (*stage.answer)->allocations;
+          }
+          out.pruned = true;
+          commit_best();
+          return out;
+        }
+      }
+    }
+
+    // Per-stage DP, collected as a draft of candidate indices (the search
+    // returns index chains only). Stages the bound pass answered from the
+    // frontier cache reuse that answer.
     bool oom = false;
     int first_layer = 0;
     draft.reserve(static_cast<size_t>(degree.pp));
@@ -708,21 +792,12 @@ Result<OptimizationResult> Optimizer::Optimize(
         return out;
       }
       const int stage_layers = degree.stage_sizes[static_cast<size_t>(s)];
-      const StageGeometry& geom = degree.geometry[static_cast<size_t>(s)];
-      auto result = search.Run(model, first_layer, stage_layers,
-                               *degree.stage_candidates[static_cast<size_t>(s)],
-                               geom.first_device, batch, micro,
-                               degree.stage_budgets[static_cast<size_t>(s)],
-                               probe.InFlightForDegree(degree.pp, s),
-                               run_hooks);
-      // Warm infeasible answers are invisible here (no DpSearchResult to
-      // carry the flag) and count as misses; the cache's own stats() still
-      // record them as hits.
-      if (result.ok() && result->frontier_hit) {
-        ++out.dp_frontier_hits;
-      } else {
-        ++out.dp_frontier_misses;
-      }
+      std::optional<Result<DpSearchResult>>& answered =
+          bounds[static_cast<size_t>(s)].answer;
+      Result<DpSearchResult> result =
+          answered.has_value() ? *std::move(answered)
+                               : stage_search(&DpSearch::Run, s, first_layer);
+      count_stage(result);
       if (!result.ok()) {
         if (result.status().IsInfeasible() ||
             result.status().IsOutOfMemory()) {
@@ -753,7 +828,11 @@ Result<OptimizationResult> Optimizer::Optimize(
 
     auto cost = price(degree, batch, micro, /*uniform_candidate=*/-1, &draft);
     if (!cost.ok()) {
-      if (!cost.status().IsOutOfMemory()) out.error = cost.status();
+      if (cost.status().IsOutOfMemory()) {
+        out.draft_over_budget = true;
+      } else {
+        out.error = cost.status();
+      }
       commit_best();
       return out;
     }
@@ -812,8 +891,17 @@ Result<OptimizationResult> Optimizer::Optimize(
         }
         if (micro_counts.empty()) wave->any_pending = true;
       }
+      // The incumbent is snapshotted here, at enumeration: inline that is
+      // after every earlier wave merged, under the one-wave lookahead after
+      // all but the previous one — fixed for each thread count either way.
+      const auto incumbent = best_per_degree.find(degree.pp);
+      const double incumbent_throughput =
+          incumbent == best_per_degree.end()
+              ? 0.0
+              : incumbent->second.cost->throughput_samples_per_sec;
       for (int micro : micro_counts) {
-        wave->tasks.push_back(ConfigTask{&degree, micro, next_ordinal++});
+        wave->tasks.push_back(ConfigTask{&degree, micro, next_ordinal++,
+                                         incumbent_throughput});
       }
     }
     wave->outcomes.resize(wave->tasks.size());
@@ -841,7 +929,8 @@ Result<OptimizationResult> Optimizer::Optimize(
     // this thread, so thread-local counter deltas capture it exactly.
     const int64_t allocs_before = CurrentThreadAllocCount();
     const int64_t skips_before = CurrentThreadDpInfeasibleSkips();
-    out = evaluate(*task.degree, wave.batch, task.micro, task.ordinal);
+    out = evaluate(*task.degree, wave.batch, task.micro, task.ordinal,
+                   task.incumbent);
     out.sweep_allocations = CurrentThreadAllocCount() - allocs_before;
     out.dp_infeasible_skipped =
         CurrentThreadDpInfeasibleSkips() - skips_before;
@@ -875,6 +964,8 @@ Result<OptimizationResult> Optimizer::Optimize(
       stats.dp_frontier_hits += out.dp_frontier_hits;
       stats.dp_frontier_misses += out.dp_frontier_misses;
       stats.dp_infeasible_skipped += out.dp_infeasible_skipped;
+      stats.configs_pruned += out.pruned ? 1 : 0;
+      stats.dp_drafts_over_budget += out.draft_over_budget ? 1 : 0;
       stats.dp_allocations += out.dp_allocations;
       stats.sweep_allocations += out.sweep_allocations;
       any_feasible = any_feasible || out.feasible;

@@ -77,6 +77,12 @@ struct OptimizerOptions {
 struct SearchStats {
   double search_seconds = 0.0;
   int configs_explored = 0;        // (B, P, m) triples evaluated
+  /// Explored configurations whose per-stage DPs were skipped because a
+  /// throughput upper bound proved their DP plan cannot beat the better
+  /// of the configuration's best uniform plan and the best plan already
+  /// merged for its PP degree (see Optimize). They keep their uniform
+  /// best and count in configs_explored.
+  int configs_pruned = 0;
   /// DP states materialized across all per-stage searches: Pareto
   /// breakpoints (see DpSearchResult).
   int64_t dp_states_explored = 0;
@@ -89,6 +95,11 @@ struct SearchStats {
   /// (the per-layer smallest options already exceed the budget) without
   /// building a frontier; see DpSearch::Run.
   int64_t dp_infeasible_skipped = 0;
+  /// DP plans the exact memory check rejected after their stage searches
+  /// accepted them: the searches round each layer's units to the nearest
+  /// granule and the budget up, so a plan can fit the quantized budget but
+  /// not the real one.
+  int64_t dp_drafts_over_budget = 0;
   int num_candidate_strategies = 0;
 
   /// Wall time per phase: candidate/partition enumeration, the batch/degree

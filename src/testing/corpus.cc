@@ -116,6 +116,16 @@ const std::vector<CorpusEntry>& SeedCorpus() {
           {FuzzCheck::kPlanPricingIdentity, 0x81ULL, "pinning seed"},
           {FuzzCheck::kPlanPricingIdentity, 0x82ULL, "pinning seed"},
           {FuzzCheck::kPlanPricingIdentity, 0x83ULL, "pinning seed"},
+          // Sweep-bound pins: seeds verified to bound stages where memory
+          // binds (the LP bound strictly below the DP optimum) and a stage
+          // no assignment fits (no bound), so the bound's soundness keeps
+          // fixed-seed coverage in tier-1.
+          {FuzzCheck::kSweepBound, 0x91ULL,
+           "3 of 7 stage bounds strictly below the DP optimum"},
+          {FuzzCheck::kSweepBound, 0x93ULL,
+           "pp 1-4 wave, 6 of 21 stage bounds strict"},
+          {FuzzCheck::kSweepBound, 0x9cULL,
+           "a stage the feasibility test rejects gives no bound"},
           // 1F1B in-flight band: interior stages whose downstream returns
           // backwards fast enough that the stage never stacks a second
           // micro-batch — the simulated peak sits at the one-micro-batch

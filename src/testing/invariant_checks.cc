@@ -16,6 +16,7 @@
 #include "parallel/pipeline_partition.h"
 #include "search/cost_cache.h"
 #include "search/dp_search.h"
+#include "search/frontier_cache.h"
 #include "search/optimizer.h"
 #include "sim/simulator.h"
 #include "trace/analyzer.h"
@@ -1276,7 +1277,7 @@ std::vector<IndexedStage> IndexPlan(const TrainingPlan& plan,
       storage->options[s].push_back(
           static_cast<int32_t>(it - candidates.begin()));
     }
-    storage->keys[s] = cache.InternCandidates(candidates, stage.first_device);
+    cache.InternCandidates(candidates, stage.first_device, &storage->keys[s]);
     IndexedStage& indexed = stages[s];
     indexed.first_device = stage.first_device;
     indexed.num_devices = stage.num_devices;
@@ -1387,6 +1388,181 @@ std::optional<CheckFailure> CheckPlanPricingIdentity(
   return std::nullopt;
 }
 
+/// Check (j): the sweep's cross-configuration bound is sound, so pruning a
+/// configuration with it never drops a plan that could have won. On one
+/// random batch wave of a small sweep — every (PP degree, micro-batch
+/// count) configuration of an equal split — each stage's cold
+/// DpSearch::Bound is at most the stage seconds of DpSearch::Run and of
+/// DenseDpSearch (a feasible stage always gives a bound, an infeasible one
+/// never does); a Bound after the Run published its frontiers answers with
+/// the Run's result exactly, its bound equal to the stage seconds; and the
+/// composed PipelineThroughputBound is at least the EstimatePlan
+/// throughput of the configuration's DP plan whenever that plan fits.
+std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
+                                            const CheckOptions& options) {
+  const FuzzCheck kCheck = FuzzCheck::kSweepBound;
+  Rng rng(seed);
+  GeneratorOptions gen = options.generator;
+  gen.max_devices = std::min(gen.max_devices, 4);
+  gen.max_layers = std::min(gen.max_layers, 6);
+  const ModelSpec model = GenerateModel(&rng, gen);
+  // A log-uniform budget across [64 MB, 32 GB] makes small models straddle
+  // the feasibility line, where memory binds and the bound is strict.
+  const ClusterSpec cluster = GenerateCluster(&rng, gen).WithMemoryBudget(
+      static_cast<int64_t>(std::exp(rng.NextDouble(
+          std::log(64.0 * (1 << 20)), std::log(32.0 * 1e9)))));
+  const PipelineSchedule schedule = rng.NextBelow(2) == 0
+                                        ? PipelineSchedule::kGPipe
+                                        : PipelineSchedule::k1F1B;
+  DpSearchOptions search_options;
+  search_options.allow_recompute = rng.NextBelow(3) == 0;
+  const int batch = 4 << rng.NextBelow(4);
+  const double slack = 1.0 + options.cost_rel_tolerance;
+
+  const CostEstimator estimator(&cluster);
+  const DpSearch search(&estimator, search_options);
+  SharedCostCache costs(&estimator, &model);
+  DpFrontierCache frontiers;
+  SearchHooks warm;
+  warm.cost_cache = &costs;
+  warm.frontier_cache = &frontiers;
+
+  for (int pp = 1; pp <= cluster.num_devices() && pp <= model.num_layers();
+       pp *= 2) {
+    const int span = cluster.num_devices() / pp;
+    Result<std::vector<int>> sizes =
+        PartitionPipeline(model, pp, PartitionPolicy::kFlops);
+    Result<std::vector<HybridStrategy>> candidates =
+        EnumerateSingleLayerStrategies(span);
+    if (!sizes.ok() || !candidates.ok() || candidates->empty()) continue;
+    for (const int multiplier : {1, 2, 4}) {
+      const int micro = pp * multiplier;
+      if (micro > batch) continue;
+      TrainingPlan plan;
+      plan.model_name = model.name();
+      plan.global_batch = batch;
+      plan.num_micro_batches = micro;
+      plan.schedule = schedule;
+      std::vector<PlanCostSource::Stage> extents;
+      std::vector<double> lower;
+      bool all_fit = true;
+      int first_layer = 0;
+      for (int s = 0; s < pp; ++s) {
+        const int layers = (*sizes)[static_cast<size_t>(s)];
+        const int first_device = s * span;
+        const int64_t budget = cluster.MinMemoryInRange(first_device, span);
+        const int resident = plan.InFlightForDegree(pp, s);
+        const std::string stage = StrFormat(
+            "pp %d micro %d batch %d stage %d (layers [%d,+%d), %d devices "
+            "@%d, budget %lld%s%s)",
+            pp, micro, batch, s, first_layer, layers, span, first_device,
+            static_cast<long long>(budget),
+            schedule == PipelineSchedule::k1F1B ? ", 1f1b" : "",
+            search_options.allow_recompute ? ", +recompute" : "");
+        const Result<DpStageBound> bound =
+            search.Bound(model, first_layer, layers, *candidates,
+                         first_device, batch, micro, budget, resident);
+        const Result<DpSearchResult> run =
+            search.Run(model, first_layer, layers, *candidates, first_device,
+                       batch, micro, budget, resident);
+        const Result<DpSearchResult> dense = DenseDpSearch(
+            estimator, model, first_layer, layers, *candidates, first_device,
+            batch, micro, budget, search_options, nullptr, resident);
+        const bool bounded = bound.ok() && bound->bounded;
+        if (run.ok() != dense.ok()) {
+          return MakeFailure(
+              kCheck, seed,
+              StrFormat("sparse/dense feasibility diverges on %s",
+                        stage.c_str()));
+        }
+        if (bound.ok() && bound->answer.has_value()) {
+          return MakeFailure(
+              kCheck, seed,
+              StrFormat("a Bound without a frontier cache answered on %s",
+                        stage.c_str()));
+        }
+        if (run.ok() != bounded) {
+          return MakeFailure(
+              kCheck, seed,
+              StrFormat("%s stage %s on %s",
+                        run.ok() ? "feasible" : "infeasible",
+                        run.ok() ? "gave no bound" : "gave a bound",
+                        stage.c_str()));
+        }
+        if (run.ok() && (bound->lower_seconds > run->stage_seconds * slack ||
+                         bound->lower_seconds >
+                             dense->stage_seconds * slack)) {
+          return MakeFailure(
+              kCheck, seed,
+              StrFormat("stage bound %.17g exceeds the DP's %.17g (dense "
+                        "%.17g) on %s",
+                        bound->lower_seconds, run->stage_seconds,
+                        dense->stage_seconds, stage.c_str()));
+        }
+
+        // Published, the stage's frontiers answer the next Bound exactly.
+        const Result<DpSearchResult> published =
+            search.Run(model, first_layer, layers, *candidates, first_device,
+                       batch, micro, budget, resident, warm);
+        const Result<DpStageBound> replay =
+            search.Bound(model, first_layer, layers, *candidates,
+                         first_device, batch, micro, budget, resident, warm);
+        if (published.ok()) {
+          const bool exact =
+              replay.ok() && replay->answer.has_value() &&
+              replay->answer->ok() && replay->bounded &&
+              (*replay->answer)->stage_seconds == published->stage_seconds &&
+              replay->lower_seconds == published->stage_seconds &&
+              (*replay->answer)->per_layer_option ==
+                  published->per_layer_option &&
+              (*replay->answer)->per_layer_recompute ==
+                  published->per_layer_recompute;
+          if (!exact) {
+            return MakeFailure(
+                kCheck, seed,
+                StrFormat("a Bound over published frontiers is not the "
+                          "Run's answer on %s",
+                          stage.c_str()));
+          }
+        }
+
+        extents.push_back(
+            PlanCostSource::Stage{first_device, span, first_layer, layers});
+        lower.push_back(bounded ? bound->lower_seconds : 0.0);
+        all_fit = all_fit && run.ok();
+        if (run.ok()) {
+          DpSearchResult chosen = *run;
+          MaterializeDpSearchResult(*candidates, &chosen);
+          StagePlan stage_plan;
+          stage_plan.first_device = first_device;
+          stage_plan.num_devices = span;
+          stage_plan.first_layer = first_layer;
+          stage_plan.num_layers = layers;
+          stage_plan.layer_strategies = std::move(chosen.per_layer);
+          stage_plan.recompute = std::move(chosen.per_layer_recompute);
+          plan.stages.push_back(std::move(stage_plan));
+        }
+        first_layer += layers;
+      }
+      if (!all_fit) continue;
+      const Result<PlanCost> priced = estimator.EstimatePlan(model, plan);
+      if (!priced.ok()) continue;  // over the exact budget, or invalid
+      const double upper = estimator.PipelineThroughputBound(
+          model, batch, micro, extents, lower);
+      if (upper * slack < priced->throughput_samples_per_sec) {
+        return MakeFailure(
+            kCheck, seed,
+            StrFormat("configuration bound %.17g samples/s is below the DP "
+                      "plan's %.17g (pp %d, micro %d, batch %d)",
+                      upper, priced->throughput_samples_per_sec, pp, micro,
+                      batch),
+            &plan);
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::string_view FuzzCheckToString(FuzzCheck check) {
@@ -1409,6 +1585,8 @@ std::string_view FuzzCheckToString(FuzzCheck check) {
       return "calibration-identity";
     case FuzzCheck::kPlanPricingIdentity:
       return "plan-pricing-identity";
+    case FuzzCheck::kSweepBound:
+      return "sweep-bound";
   }
   return "unknown";
 }
@@ -1423,12 +1601,13 @@ Result<FuzzCheck> FuzzCheckFromString(const std::string& text) {
   if (text == "topology-identity") return FuzzCheck::kTopologyIdentity;
   if (text == "calibration-identity") return FuzzCheck::kCalibrationIdentity;
   if (text == "plan-pricing-identity") return FuzzCheck::kPlanPricingIdentity;
+  if (text == "sweep-bound") return FuzzCheck::kSweepBound;
   return Status::InvalidArgument(
       StrFormat("unknown check '%s' (expected plan-validity, "
                 "search-equivalence, memory-model, json-roundtrip, "
                 "spec-json-roundtrip, trace-conservation, "
-                "topology-identity, calibration-identity or "
-                "plan-pricing-identity)",
+                "topology-identity, calibration-identity, "
+                "plan-pricing-identity or sweep-bound)",
                 text.c_str()));
 }
 
@@ -1462,6 +1641,8 @@ std::optional<CheckFailure> RunCheck(FuzzCheck check, uint64_t seed,
       return CheckCalibrationIdentity(seed, options);
     case FuzzCheck::kPlanPricingIdentity:
       return CheckPlanPricingIdentity(seed, options);
+    case FuzzCheck::kSweepBound:
+      return CheckSweepBound(seed, options);
   }
   return MakeFailure(check, seed, "unknown check");
 }
@@ -1472,7 +1653,7 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
       FuzzCheck::kMemoryModel,       FuzzCheck::kJsonRoundTrip,
       FuzzCheck::kSpecJsonRoundTrip, FuzzCheck::kTraceConservation,
       FuzzCheck::kTopologyIdentity,   FuzzCheck::kCalibrationIdentity,
-      FuzzCheck::kPlanPricingIdentity};
+      FuzzCheck::kPlanPricingIdentity, FuzzCheck::kSweepBound};
   std::vector<FuzzCheck> checks = options.checks;
   if (checks.empty()) checks.assign(kAll, kAll + kNumFuzzChecks);
 

@@ -12,7 +12,7 @@
 
 namespace galvatron {
 
-/// The nine differential checks (see docs/fuzzing.md):
+/// The ten differential checks (see docs/fuzzing.md):
 ///   kPlanValidity      — generated plans Validate, render, and their
 ///                        strategies parse back (generator + plan layer).
 ///   kSearchEquivalence — DP search == brute force on small instances:
@@ -60,6 +60,13 @@ namespace galvatron {
 ///                        alternates, uniform plans and random drafts bit
 ///                        for bit like EstimatePlan, with the memory check
 ///                        deferred and applied.
+///   kSweepBound        — the sweep's cross-configuration bound is sound:
+///                        every stage's DpSearch::Bound is at most the
+///                        stage seconds of DpSearch::Run and of
+///                        DenseDpSearch, exact when answered from the
+///                        frontier cache, and the composed
+///                        PipelineThroughputBound is at least the
+///                        EstimatePlan throughput of every fitting DP plan.
 enum class FuzzCheck {
   kPlanValidity,
   kSearchEquivalence,
@@ -70,9 +77,10 @@ enum class FuzzCheck {
   kTopologyIdentity,
   kCalibrationIdentity,
   kPlanPricingIdentity,
+  kSweepBound,
 };
 
-inline constexpr int kNumFuzzChecks = 9;
+inline constexpr int kNumFuzzChecks = 10;
 
 std::string_view FuzzCheckToString(FuzzCheck check);
 Result<FuzzCheck> FuzzCheckFromString(const std::string& text);
@@ -117,7 +125,7 @@ std::optional<CheckFailure> RunCheck(FuzzCheck check, uint64_t seed,
 struct FuzzOptions {
   uint64_t seed = 1;
   int iterations = 100;
-  /// Empty = all nine checks.
+  /// Empty = all ten checks.
   std::vector<FuzzCheck> checks;
   /// Stop collecting per check after this many failures (the campaign
   /// still finishes the other checks).

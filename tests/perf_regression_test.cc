@@ -18,8 +18,8 @@ namespace galvatron {
 namespace {
 
 /// Ceilings of SerialSweepWorkStaysUnderItsCeilings (see there).
-constexpr int64_t kMaxDpStates = 31500;
-constexpr int64_t kMaxSweepAllocations = 34500;
+constexpr int64_t kMaxDpStates = 17000;
+constexpr int64_t kMaxSweepAllocations = 17500;
 
 /// Timer-free perf tripwire (runs under the `perf` ctest label): on the
 /// per-stage searches of a miniature end-to-end sweep's committed plans,
@@ -263,8 +263,10 @@ TEST(PerfRegressionTest, UnevenStageSweepAddsNoHomogeneousWork) {
 /// of the whole sweep. The same-class domination prune and pricing plans
 /// from the cost cache (no EstimatePlan, no template copies, no draft
 /// materialized per configuration) brought these to 28,664 states and
-/// 31,418 allocations, from 40,972 and 41,999; the ceilings sit ~10% above
-/// the new counts, below the old ones.
+/// 31,418 allocations, from 40,972 and 41,999; the cross-configuration
+/// bound (115 of 218 configurations skip their stage DPs) and
+/// allocation-free Run set-up brought them to 15,517 and 15,909. The
+/// ceilings sit ~10% above the new counts, below the old ones.
 TEST(PerfRegressionTest, SerialSweepWorkStaysUnderItsCeilings) {
   BertConfig config;
   config.num_layers = 8;
@@ -284,6 +286,10 @@ TEST(PerfRegressionTest, SerialSweepWorkStaysUnderItsCeilings) {
   // test must answer those before any frontier is built.
   EXPECT_GT(result->stats.dp_infeasible_skipped, 0)
       << "no infeasible stage search was decided before its build";
+  // Most configurations cannot beat their PP degree's incumbent; the
+  // throughput bound must skip their stage DPs.
+  EXPECT_GT(result->stats.configs_pruned, 0)
+      << "no configuration was pruned by the throughput bound";
 }
 
 TEST(PerfRegressionTest, PlanBitIdenticalAcrossThreadCounts) {
@@ -294,6 +300,16 @@ TEST(PerfRegressionTest, PlanBitIdenticalAcrossThreadCounts) {
   const ModelSpec model = BuildBert("perf-bert", config);
   const ClusterSpec cluster = MakeTitanNode8(12 * kGB);
 
+  // The winner and every per-degree alternate: the throughput bound prunes
+  // against a per-degree incumbent snapshotted per wave, which differs by
+  // thread count, and must leave all of them unchanged.
+  auto plans_of = [](const OptimizationResult& result) {
+    std::string text = result.plan.ToString();
+    for (const TrainingPlan& alternate : result.alternates) {
+      text += "\n" + alternate.ToString();
+    }
+    return text;
+  };
   std::string reference_plan;
   double reference_throughput = 0.0;
   int reference_configs = 0;
@@ -303,14 +319,13 @@ TEST(PerfRegressionTest, PlanBitIdenticalAcrossThreadCounts) {
     auto result = Optimizer(&cluster, options).Optimize(model);
     ASSERT_TRUE(result.ok()) << result.status();
     if (threads == 1) {
-      reference_plan = result->plan.ToString();
+      reference_plan = plans_of(*result);
       reference_throughput = result->estimated.throughput_samples_per_sec;
       reference_configs = result->stats.configs_explored;
-      ASSERT_FALSE(reference_plan.empty());
+      ASSERT_FALSE(result->alternates.empty());
       continue;
     }
-    EXPECT_EQ(result->plan.ToString(), reference_plan)
-        << "threads " << threads;
+    EXPECT_EQ(plans_of(*result), reference_plan) << "threads " << threads;
     EXPECT_EQ(result->estimated.throughput_samples_per_sec,
               reference_throughput)
         << "threads " << threads;

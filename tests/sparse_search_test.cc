@@ -553,6 +553,123 @@ TEST(SparseDpWideStageTest, FeasibilityTestGivesTheBuiltVerdict) {
   EXPECT_EQ(early.status().ToString(), dense.status().ToString());
 }
 
+TEST(SparseDpWideStageTest, BoundsNeverExceedTheKernelsOnFleetBlocks) {
+  // DpSearch::Bound's LP relaxation on the 64-, 128- and 512-device blocks,
+  // at budgets around each block's feasibility frontier (where memory binds
+  // hardest) and well above it: the bound never exceeds the stage seconds
+  // of the sparse kernel or the dense reference, exists exactly when the
+  // stage is feasible, and is strict somewhere memory binds. A cold Bound
+  // answers nothing and publishes nothing.
+  const WideStage stage;
+  const CostEstimator estimator(&stage.cluster);
+  int strict = 0;
+  for (const int width : {64, 128, 512}) {
+    auto candidates = EnumerateSingleLayerStrategies(width);
+    ASSERT_TRUE(candidates.ok()) << candidates.status();
+    const int first_device = width == 512 ? 0 : 2 * width;
+    for (const bool recompute : {false, true}) {
+      DpSearchOptions options;
+      options.allow_recompute = recompute;
+      const int64_t gran = options.memory_granularity;
+      const DpSearch search(&estimator, options);
+      const int64_t frontier = FeasibilityFrontier(search, stage, *candidates,
+                                                   first_device, gran / 8);
+      SharedCostCache costs(&estimator, &stage.model);
+      DpFrontierCache cache;
+      SearchHooks hooks;
+      hooks.cost_cache = &costs;
+      hooks.frontier_cache = &cache;
+      for (const int64_t budget :
+           {frontier - gran, frontier, frontier + gran / 2, frontier + gran,
+            frontier + frontier / 4, 3 * frontier}) {
+        const std::string context =
+            "width " + std::to_string(width) +
+            (recompute ? " +recompute" : "") + " budget " +
+            std::to_string(budget);
+        auto bound = search.Bound(stage.model, 0, stage.model.num_layers(),
+                                  *candidates, first_device, stage.batch,
+                                  stage.micro_batches, budget, -1, hooks);
+        auto run = search.Run(stage.model, 0, stage.model.num_layers(),
+                              *candidates, first_device, stage.batch,
+                              stage.micro_batches, budget);
+        auto dense = DenseDpSearch(estimator, stage.model, 0,
+                                   stage.model.num_layers(), *candidates,
+                                   first_device, stage.batch,
+                                   stage.micro_batches, budget, options);
+        ASSERT_TRUE(bound.ok()) << context << ": " << bound.status();
+        EXPECT_FALSE(bound->answer.has_value()) << context;
+        ASSERT_EQ(run.ok(), dense.ok()) << context;
+        EXPECT_EQ(bound->bounded, run.ok()) << context;
+        if (!run.ok()) continue;
+        // Exact arithmetic gives bound <= optimum; the 1e-12 slack is
+        // summation-order rounding only.
+        EXPECT_LE(bound->lower_seconds, run->stage_seconds * (1 + 1e-12))
+            << context;
+        EXPECT_LE(bound->lower_seconds, dense->stage_seconds * (1 + 1e-12))
+            << context;
+        EXPECT_GT(bound->lower_seconds, 0.0) << context;
+        if (bound->lower_seconds < run->stage_seconds * (1 - 1e-9)) ++strict;
+      }
+      EXPECT_EQ(cache.stats().insertions, 0);
+      EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0);
+    }
+  }
+  EXPECT_GT(strict, 0);
+}
+
+TEST(SparseDpWideStageTest, BoundOverPublishedFrontiersIsTheRunsAnswer) {
+  // Once a Run has published its frontiers at a generous budget, a Bound
+  // at any covering budget is the replayed answer itself: the cold Run's
+  // plan or Infeasible verdict byte for byte, its bound the exact stage
+  // seconds, one counted hit and nothing else.
+  const WideStage stage;
+  const CostEstimator estimator(&stage.cluster);
+  auto candidates = EnumerateSingleLayerStrategies(512);
+  ASSERT_TRUE(candidates.ok()) << candidates.status();
+  const DpSearchOptions options;
+  const DpSearch search(&estimator, options);
+  const int64_t frontier = FeasibilityFrontier(
+      search, stage, *candidates, 0, options.memory_granularity / 8);
+  SharedCostCache costs(&estimator, &stage.model);
+  DpFrontierCache cache;
+  SearchHooks hooks;
+  hooks.cost_cache = &costs;
+  hooks.frontier_cache = &cache;
+  ASSERT_TRUE(search
+                  .Run(stage.model, 0, stage.model.num_layers(), *candidates,
+                       0, stage.batch, stage.micro_batches, 4 * frontier, -1,
+                       hooks)
+                  .ok());
+  int answered = 0;
+  for (int64_t budget = 4 * frontier; budget > frontier / 2;
+       budget = budget * 3 / 4) {
+    const std::string context = "budget " + std::to_string(budget);
+    auto bound = search.Bound(stage.model, 0, stage.model.num_layers(),
+                              *candidates, 0, stage.batch,
+                              stage.micro_batches, budget, -1, hooks);
+    auto cold = search.Run(stage.model, 0, stage.model.num_layers(),
+                           *candidates, 0, stage.batch, stage.micro_batches,
+                           budget);
+    ASSERT_TRUE(bound.ok()) << context << ": " << bound.status();
+    ASSERT_TRUE(bound->answer.has_value()) << context;
+    const Result<DpSearchResult>& answer = *bound->answer;
+    ASSERT_EQ(answer.ok(), cold.ok()) << context;
+    EXPECT_EQ(bound->bounded, cold.ok()) << context;
+    ++answered;
+    if (!cold.ok()) {
+      EXPECT_EQ(answer.status().ToString(), cold.status().ToString())
+          << context;
+      continue;
+    }
+    EXPECT_TRUE(answer->frontier_hit) << context;
+    ExpectIdentical(*answer, *cold, context);
+    EXPECT_EQ(bound->lower_seconds, cold->stage_seconds) << context;
+  }
+  EXPECT_EQ(cache.stats().misses, 1);  // the priming Run
+  EXPECT_EQ(cache.stats().hits, answered);
+  EXPECT_EQ(cache.stats().insertions, 1);
+}
+
 TEST(SparseDpGuardTest, RejectsOptionCountsBeyondInt16) {
   // The option cap bounds request work, and the dense reference's int16_t
   // parent table relies on it: an expanded option count above INT16_MAX

@@ -497,10 +497,11 @@ Result<int> RunCli(const CliArgs& args) {
   if (result->stats.configs_explored > 0) {
     const SearchStats& sstats = result->stats;
     std::printf(
-        "search: %.3fs on %d threads (%d configs; cost cache %lld hits, "
-        "%lld misses)\n",
+        "search: %.3fs on %d threads (%d configs, %d pruned by bound, "
+        "%lld DP drafts over budget; cost cache %lld hits, %lld misses)\n",
         sstats.search_seconds, sstats.search_threads_used,
-        sstats.configs_explored,
+        sstats.configs_explored, sstats.configs_pruned,
+        static_cast<long long>(sstats.dp_drafts_over_budget),
         static_cast<long long>(sstats.cost_cache_hits),
         static_cast<long long>(sstats.cost_cache_misses));
   }
