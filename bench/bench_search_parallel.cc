@@ -10,13 +10,18 @@
 /// not an extrapolation. Every wall_ms is best-of-N with an explicit
 /// "repetitions" field (bench::BestOfMs), and every thread count's plan is
 /// checked bit-identical against the 1-thread plan
-/// ("plan_matches_serial").
+/// ("plan_matches_serial"). A warm re-plan record times the serving
+/// daemon's warm-start path: repeat plans over one PlanningContext at
+/// budgets the context was not primed with.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
+#include "api/galvatron.h"
 #include "bench_json.h"
 #include "cluster/cluster.h"
 #include "ir/model_zoo.h"
@@ -154,12 +159,73 @@ void RecordThreadSweep(bench::BenchJson* out, const std::string& base_name,
   }
 }
 
+/// Warm re-plans over one PlanningContext, as the serving daemon runs a
+/// request that misses the plan cache but shares a warm context:
+/// BERT-Huge-32 on the 8-GPU TITAN node, primed by one plan at 24 GB, then
+/// plans at 12.5 to 17.5 GB in 1 GB steps on one sweep thread. One untimed
+/// pass over the budgets fills what the primed sweep left cold; each of
+/// `passes` timed passes then plans every budget once. Records the
+/// per-Plan wall time's median and interquartile range over all timed
+/// plans, and the sweep allocations of one pass (exact: the warm path is
+/// deterministic).
+void RecordWarmReplans(bench::BenchJson* out, const std::string& name,
+                       int passes) {
+  PlanningContext context(BuildModel(ModelId::kBertHuge32),
+                          MakeTitanNode8(24 * kGB));
+  OptimizerOptions options;
+  options.search_threads = 1;
+  SearchHooks hooks;
+  hooks.cost_cache = context.cache();
+  hooks.frontier_cache = context.frontier_cache();
+  std::vector<ClusterSpec> budgets;
+  for (int i = 0; i < 6; ++i) {
+    budgets.push_back(MakeTitanNode8(12 * kGB + kGB / 2 + i * kGB));
+  }
+  auto plan = [&](const ClusterSpec& cluster) {
+    auto result = Galvatron::Plan(context.model(), cluster, options, hooks);
+    GALVATRON_CHECK(result.ok());
+    return result->search_stats.sweep_allocations;
+  };
+  plan(context.cluster());
+  for (const ClusterSpec& cluster : budgets) plan(cluster);
+
+  std::vector<double> plan_ms;
+  int64_t pass_allocations = 0;
+  for (int pass = 0; pass < passes; ++pass) {
+    pass_allocations = 0;
+    for (const ClusterSpec& cluster : budgets) {
+      const auto start = std::chrono::steady_clock::now();
+      pass_allocations += plan(cluster);
+      plan_ms.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+    }
+  }
+  std::sort(plan_ms.begin(), plan_ms.end());
+  const auto quantile = [&](double q) {
+    return plan_ms[static_cast<size_t>(q * (plan_ms.size() - 1) + 0.5)];
+  };
+  out->Record(name, "plan_ms_p50", quantile(0.5));
+  out->Record(name, "plan_ms_p25", quantile(0.25));
+  out->Record(name, "plan_ms_p75", quantile(0.75));
+  out->Record(name, "plan_ms_iqr", quantile(0.75) - quantile(0.25));
+  out->Record(name, "plans", static_cast<double>(plan_ms.size()));
+  out->Record(name, "threads", 1);
+  out->Record(name, "host_threads", ThreadPool::HardwareThreads());
+  out->Record(name, "sweep_allocations",
+              static_cast<double>(pass_allocations));
+  std::printf("%-34s %8.3f ms  (p50 of %zu warm plans, IQR %.3f ms)\n",
+              name.c_str(), quantile(0.5), plan_ms.size(),
+              quantile(0.75) - quantile(0.25));
+}
+
 /// Machine-readable record of the threaded sweep, merged into
 /// BENCH_search.json: the original 8-GPU regression workload at
 /// {1, 2, 4, 8} threads, plus two fleet-scale workloads (64 GPUs x 104
 /// layers, 512 GPUs x 128 layers). The fleet sweeps bound the batch loop
 /// (batch_step/max_batch below) so the bench finishes in seconds while
-/// still exercising 100+-layer DP stages on 64-device candidate sets.
+/// still exercising 100+-layer DP stages on 64-device candidate sets. Then
+/// the warm re-plan record (RecordWarmReplans).
 void WriteBenchJson() {
   bench::BenchJson out("BENCH_search.json");
 
@@ -195,6 +261,9 @@ void WriteBenchJson() {
                       LayeredBert(128), options, {1, 4},
                       /*repetitions=*/3);
   }
+
+  RecordWarmReplans(&out, "warm_replan_bert_huge32_titan8_t1",
+                    /*passes=*/20);
 
   if (out.Save()) std::printf("wrote BENCH_search.json\n");
 }

@@ -196,14 +196,20 @@ Result<StageCost> CostEstimator::EstimateStage(
       this, &model,
       {{extent, &strategies, &recompute_flags, resident_micro_batches}},
       batch_per_group, micro_batches);
-  return ComposeStage(0, extent, micro_batches, source, check_memory);
+  StageCost stage;
+  GALVATRON_RETURN_IF_ERROR(
+      ComposeStage(0, extent, micro_batches, source, check_memory, &stage));
+  return stage;
 }
 
-Result<StageCost> CostEstimator::ComposeStage(
-    int stage_index, const PlanCostSource::Stage& extent,
-    int num_micro_batches, PlanCostSource& source, bool check_memory) const {
-  StageCost stage;
-  stage.per_layer_seconds.reserve(static_cast<size_t>(extent.num_layers));
+Status CostEstimator::ComposeStage(int stage_index,
+                                   const PlanCostSource::Stage& extent,
+                                   int num_micro_batches,
+                                   PlanCostSource& source, bool check_memory,
+                                   StageCost* stage) const {
+  stage->seconds = 0.0;
+  stage->per_layer_seconds.clear();
+  stage->per_layer_seconds.reserve(static_cast<size_t>(extent.num_layers));
   int64_t resident = 0;
   int64_t max_transient = 0;
   for (int i = 0; i < extent.num_layers; ++i) {
@@ -212,8 +218,8 @@ Result<StageCost> CostEstimator::ComposeStage(
                                source.Layer(stage_index, layer));
     const double seconds =
         cost.IterationSeconds(num_micro_batches, effective_options_);
-    stage.per_layer_seconds.push_back(seconds);
-    stage.seconds += seconds;
+    stage->per_layer_seconds.push_back(seconds);
+    stage->seconds += seconds;
     resident += cost.resident_memory_bytes;
     // ZeRO-3 prefetching keeps the gathered weights of two layers live
     // (current + prefetched next), so reserve twice the largest transient.
@@ -224,22 +230,22 @@ Result<StageCost> CostEstimator::ComposeStage(
       // micro-batch.
       GALVATRON_ASSIGN_OR_RETURN(const double once,
                                  source.TransformSeconds(stage_index, layer));
-      stage.seconds += 2.0 * num_micro_batches * once;
+      stage->seconds += 2.0 * num_micro_batches * once;
     }
   }
-  stage.peak_memory_bytes = resident + max_transient;
+  stage->peak_memory_bytes = resident + max_transient;
   if (check_memory) {
     // Heterogeneous clusters: the stage is limited by its tightest device.
     const int64_t budget =
         cluster_->MinMemoryInRange(extent.first_device, extent.num_devices);
-    if (stage.peak_memory_bytes > budget) {
+    if (stage->peak_memory_bytes > budget) {
       return Status::OutOfMemory(StrFormat(
           "stage needs %s but budget is %s",
-          HumanBytes(static_cast<double>(stage.peak_memory_bytes)).c_str(),
+          HumanBytes(static_cast<double>(stage->peak_memory_bytes)).c_str(),
           HumanBytes(static_cast<double>(budget)).c_str()));
     }
   }
-  return stage;
+  return Status::OK();
 }
 
 Result<PlanCost> CostEstimator::EstimatePlan(const ModelSpec& model,
@@ -258,25 +264,28 @@ Result<PlanCost> CostEstimator::EstimatePlan(const ModelSpec& model,
   }
   StrategySource source(this, &model, std::move(stages), plan.global_batch,
                         plan.num_micro_batches);
-  return ComposePlanCost(model, plan.global_batch, plan.num_micro_batches,
-                         source, check_memory);
+  PlanCost cost;
+  GALVATRON_RETURN_IF_ERROR(ComposePlanCost(model, plan.global_batch,
+                                            plan.num_micro_batches, source,
+                                            check_memory, &cost));
+  return cost;
 }
 
-Result<PlanCost> CostEstimator::ComposePlanCost(const ModelSpec& model,
-                                                int global_batch,
-                                                int num_micro_batches,
-                                                PlanCostSource& source,
-                                                bool check_memory) const {
-  PlanCost total;
-  total.stages.reserve(static_cast<size_t>(source.num_stages()));
+Status CostEstimator::ComposePlanCost(const ModelSpec& model,
+                                      int global_batch, int num_micro_batches,
+                                      PlanCostSource& source,
+                                      bool check_memory,
+                                      PlanCost* total) const {
+  total->stages.resize(static_cast<size_t>(source.num_stages()));
+  total->peak_memory_bytes = 0;
   double sum_u = 0.0;
   double max_u = 0.0;
   PlanCostSource::Stage prev;
   for (int i = 0; i < source.num_stages(); ++i) {
     const PlanCostSource::Stage stage = source.StageAt(i);
-    GALVATRON_ASSIGN_OR_RETURN(
-        StageCost cost,
-        ComposeStage(i, stage, num_micro_batches, source, check_memory));
+    StageCost& cost = total->stages[static_cast<size_t>(i)];
+    GALVATRON_RETURN_IF_ERROR(
+        ComposeStage(i, stage, num_micro_batches, source, check_memory, &cost));
     if (i > 0) {
       // The DP search excludes the boundary transfer (Sec 3.3, "we exclude
       // the boundary layers' activation transferring costs"); the
@@ -285,25 +294,24 @@ Result<PlanCost> CostEstimator::ComposePlanCost(const ModelSpec& model,
                                                  global_batch,
                                                  num_micro_batches);
       // The transfer occupies both neighbours' comm streams.
+      StageCost& before = total->stages[static_cast<size_t>(i - 1)];
       cost.seconds += p2p;
-      total.stages.back().seconds += p2p;
+      before.seconds += p2p;
       sum_u += p2p / num_micro_batches;
-      max_u = std::max(max_u, total.stages.back().seconds /
-                                  num_micro_batches);
+      max_u = std::max(max_u, before.seconds / num_micro_batches);
     }
     const double u = cost.seconds / num_micro_batches;
     sum_u += u;
     max_u = std::max(max_u, u);
-    total.peak_memory_bytes =
-        std::max(total.peak_memory_bytes, cost.peak_memory_bytes);
-    total.stages.push_back(std::move(cost));
+    total->peak_memory_bytes =
+        std::max(total->peak_memory_bytes, cost.peak_memory_bytes);
     prev = stage;
   }
   // GPipe schedule: fill/drain bubbles cost (m - 1) extra slots of the
   // bottleneck stage.
-  total.iteration_seconds = sum_u + (num_micro_batches - 1) * max_u;
-  total.throughput_samples_per_sec = global_batch / total.iteration_seconds;
-  return total;
+  total->iteration_seconds = sum_u + (num_micro_batches - 1) * max_u;
+  total->throughput_samples_per_sec = global_batch / total->iteration_seconds;
+  return Status::OK();
 }
 
 double CostEstimator::BoundaryTransferSeconds(

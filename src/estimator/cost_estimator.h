@@ -192,16 +192,18 @@ class CostEstimator {
                                 bool check_memory = true) const;
 
   /// The plan-cost composition EstimatePlan runs, over terms read from
-  /// `source`: per stage the layer iteration seconds and Slice-Gather
-  /// transformations (2x per micro-batch) summed in layer order, the peak
-  /// memory, then the p2p boundary transfer and the GPipe bubble formula.
-  /// The plan's structure is the caller's to have validated. With
-  /// `check_memory` each stage's peak is compared to its block's tightest
-  /// budget before the next stage is read, exactly as EstimatePlan does.
-  Result<PlanCost> ComposePlanCost(const ModelSpec& model, int global_batch,
-                                   int num_micro_batches,
-                                   PlanCostSource& source,
-                                   bool check_memory) const;
+  /// `source`, into `*cost`: per stage the layer iteration seconds and
+  /// Slice-Gather transformations (2x per micro-batch) summed in layer
+  /// order, the peak memory, then the p2p boundary transfer and the GPipe
+  /// bubble formula. The plan's structure is the caller's to have
+  /// validated. With `check_memory` each stage's peak is compared to its
+  /// block's tightest budget before the next stage is read, exactly as
+  /// EstimatePlan does. Every field of `*cost` is overwritten and its
+  /// vectors keep their capacity, so a caller pricing many plans reuses
+  /// one PlanCost; after an error its contents are unspecified.
+  Status ComposePlanCost(const ModelSpec& model, int global_batch,
+                         int num_micro_batches, PlanCostSource& source,
+                         bool check_memory, PlanCost* cost) const;
 
   /// The pipeline boundary transfer between consecutive stages `prev` and
   /// `next` across one iteration: per micro-batch, forward activations in
@@ -227,12 +229,11 @@ class CostEstimator {
       const std::vector<double>& stage_lower_seconds) const;
 
  private:
-  /// One stage of ComposePlanCost (and all of EstimateStage).
-  Result<StageCost> ComposeStage(int stage_index,
-                                 const PlanCostSource::Stage& stage,
-                                 int num_micro_batches,
-                                 PlanCostSource& source,
-                                 bool check_memory) const;
+  /// One stage of ComposePlanCost (and all of EstimateStage), into
+  /// `*stage` under the same reuse contract.
+  Status ComposeStage(int stage_index, const PlanCostSource::Stage& extent,
+                      int num_micro_batches, PlanCostSource& source,
+                      bool check_memory, StageCost* stage) const;
 
   /// task.Time() with the calibration scale applied; exactly task.Time()
   /// when no profile is installed (no multiply happens, so the result is

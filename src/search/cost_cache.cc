@@ -86,8 +86,6 @@ size_t LayerCostKeyHash::operator()(const LayerCostKey& k) const {
   return HashCombine(h, static_cast<uint32_t>(k.recompute));
 }
 
-void PlanCostKey::Finalize() { hash = HashWords(words); }
-
 size_t TransformCostKeyHash::operator()(const TransformCostKey& k) const {
   size_t h = HashCombine(
       0, (static_cast<uint64_t>(static_cast<uint32_t>(k.prev_sig)) << 32) |
@@ -229,7 +227,13 @@ Result<LayerCost> CachedPlanSource::Layer(int stage, int layer) {
   key.micro_batches = num_micro_batches_;
   key.resident_micro_batches = probe_.InFlightForDegree(num_stages(), stage);
   key.recompute = s.RecomputeAt(i) ? 1 : 0;
-  return cache_->Layer(key, layer, (*s.candidates)[option], s.first_device);
+  if (has_last_layer_ && key == last_layer_key_) return last_layer_cost_;
+  GALVATRON_ASSIGN_OR_RETURN(
+      last_layer_cost_,
+      cache_->Layer(key, layer, (*s.candidates)[option], s.first_device));
+  last_layer_key_ = key;
+  has_last_layer_ = true;
+  return last_layer_cost_;
 }
 
 Result<double> CachedPlanSource::TransformSeconds(int stage, int layer) {
@@ -237,8 +241,10 @@ Result<double> CachedPlanSource::TransformSeconds(int stage, int layer) {
   const int i = layer - s.first_layer;
   const size_t prev = static_cast<size_t>(s.OptionAt(i - 1));
   const size_t next = static_cast<size_t>(s.OptionAt(i));
-  // Local slicing costs nothing; no estimator call to look up.
-  if (IsFreeSlicing((*s.candidates)[prev], (*s.candidates)[next])) {
+  // Local slicing costs nothing; no estimator call to look up. A layer
+  // that keeps its predecessor's strategy is the common case of that.
+  if (prev == next ||
+      IsFreeSlicing((*s.candidates)[prev], (*s.candidates)[next])) {
     return 0.0;
   }
   TransformCostKey key;
@@ -333,40 +339,12 @@ Result<double> SharedCostCache::TransformSeconds(
   return cost.seconds;
 }
 
-std::shared_ptr<const PlanCost> SharedCostCache::LookupPlan(
-    const PlanCostKey& key) {
-  Shard& shard = ShardFor(key.hash);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.plans.find(key);
-    if (it != shard.plans.end()) {
-      plan_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  plan_misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-std::shared_ptr<const PlanCost> SharedCostCache::InsertPlan(PlanCostKey key,
-                                                            PlanCost cost) {
-  Shard& shard = ShardFor(key.hash);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] = shard.plans.try_emplace(std::move(key), nullptr);
-  if (inserted) {
-    it->second = std::make_shared<const PlanCost>(std::move(cost));
-  }
-  return it->second;
-}
-
 CostCacheStats SharedCostCache::stats() const {
   CostCacheStats stats;
   stats.layer_hits = layer_hits_.load(std::memory_order_relaxed);
   stats.layer_misses = layer_misses_.load(std::memory_order_relaxed);
   stats.transform_hits = transform_hits_.load(std::memory_order_relaxed);
   stats.transform_misses = transform_misses_.load(std::memory_order_relaxed);
-  stats.plan_hits = plan_hits_.load(std::memory_order_relaxed);
-  stats.plan_misses = plan_misses_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -23,10 +22,6 @@ struct CostCacheStats {
   int64_t layer_misses = 0;
   int64_t transform_hits = 0;
   int64_t transform_misses = 0;
-  /// Whole-plan memo counters (LookupPlan/InsertPlan). Kept out of
-  /// hits()/misses(), which count per-layer estimator lookups only.
-  int64_t plan_hits = 0;
-  int64_t plan_misses = 0;
 
   int64_t hits() const { return layer_hits + transform_hits; }
   int64_t misses() const { return layer_misses + transform_misses; }
@@ -82,37 +77,6 @@ struct TransformCostKeyHash {
   size_t operator()(const TransformCostKey& k) const;
 };
 
-/// Key of a memoized whole-plan cost (CostEstimator::EstimatePlan with the
-/// memory check deferred — see LookupPlan). A flat word vector: schedule,
-/// batch, micro-batch count, then per stage its device/layer extent and
-/// its layer strategies as maximal runs of (run length, level count +
-/// recompute bit, one (dim, degree) word per level) — encoded
-/// STRUCTURALLY rather than as interned string ids: formatting the
-/// strategy string per layer per plan dominated the warm sweep when
-/// profiled. The model and cluster topology
-/// are fixed per cache, so they are not part of the key; the memory budget
-/// is deliberately NOT part of the key either — plan costs never depend
-/// on it.
-struct PlanCostKey {
-  std::vector<int32_t> words;
-  /// Hash of `words`, filled by Finalize(). Stored so a lookup hashes the
-  /// key once (at build) instead of once per probe, and mismatched keys
-  /// reject on one integer compare.
-  size_t hash = 0;
-
-  /// Computes `hash` from `words`. Call after the last word is pushed and
-  /// before the key is used.
-  void Finalize();
-
-  friend bool operator==(const PlanCostKey& a, const PlanCostKey& b) {
-    return a.hash == b.hash && a.words == b.words;
-  }
-};
-
-struct PlanCostKeyHash {
-  size_t operator()(const PlanCostKey& k) const { return k.hash; }
-};
-
 /// The interned key parts of one stage's candidate strategies: per
 /// candidate its strategy id and the fingerprint of its footprint on the
 /// stage block. DpSearch::Run's lookups and CachedPlanSource
@@ -159,7 +123,13 @@ struct IndexedStage {
 /// combination per sweep instead of once per Run. Transformation costs
 /// R(L, S_i, S_j) are keyed by BOTH boundary layers' signatures — keying on
 /// the predecessor alone aliases boundaries whose successor layers differ
-/// in input shape.
+/// in input shape. A caller may lend one instance to many sweeps through
+/// SearchHooks (the serving daemon's warm contexts); no entry depends on
+/// the memory budget.
+///
+/// It holds these two kinds of term and nothing else: the sweep prices
+/// whole plans by composing them (CachedPlanSource into
+/// CostEstimator::ComposePlanCost), and no plan cost is stored.
 ///
 /// Keys additionally carry a topology fingerprint of the stage's device
 /// block, so stages whose blocks are topologically isomorphic (all aligned
@@ -167,10 +137,10 @@ struct IndexedStage {
 /// blocks that straddle interconnect boundaries differently do not.
 ///
 /// The table is keyed by interned ids (LayerCostKey / TransformCostKey) in
-/// flat unordered_maps. Callers (RunCostCache inside DpSearch::Run) intern
-/// the string parts once per Run with the Intern* helpers and pass
-/// ready-made keys. The same interner supplies the layer-signature ids of
-/// DpFrontierCache keys.
+/// flat unordered_maps. Callers (RunCostCache inside DpSearch::Run, and
+/// CachedPlanSource) intern the string parts once per Run or per degree
+/// with the Intern* helpers and pass ready-made keys. The same interner
+/// supplies the layer-signature ids of DpFrontierCache keys.
 ///
 /// Thread-safety: all methods may be called concurrently; the table is
 /// sharded by key hash, each shard behind its own mutex, the interner is
@@ -246,19 +216,6 @@ class SharedCostCache {
                                   const HybridStrategy& next_strategy,
                                   int stage_first_device);
 
-  /// Memoized whole-plan cost, computed with EstimatePlan's per-stage
-  /// memory checks DEFERRED (check_memory = false): peaks are recorded but
-  /// never compared, so one entry is valid for every memory budget and the
-  /// caller re-applies the comparison against its own cluster. Returns the
-  /// immutable shared entry on a hit (no deep copy — hot sweeps hit
-  /// hundreds of times per run), nullptr on a miss.
-  std::shared_ptr<const PlanCost> LookupPlan(const PlanCostKey& key);
-
-  /// Publishes an unchecked plan cost for `key` and returns the stored
-  /// entry. Concurrent inserts of one key store the same deterministic
-  /// value; the first insert wins and later callers get its entry.
-  std::shared_ptr<const PlanCost> InsertPlan(PlanCostKey key, PlanCost cost);
-
   CostCacheStats stats() const;
 
   /// Canonical interconnect fingerprint of the device block
@@ -277,9 +234,6 @@ class SharedCostCache {
     std::unordered_map<LayerCostKey, LayerCost, LayerCostKeyHash> layers;
     std::unordered_map<TransformCostKey, double, TransformCostKeyHash>
         transforms;
-    std::unordered_map<PlanCostKey, std::shared_ptr<const PlanCost>,
-                       PlanCostKeyHash>
-        plans;
   };
 
   /// The interner, sharded by string hash like the cost tables. Ids are
@@ -313,8 +267,6 @@ class SharedCostCache {
   std::atomic<int64_t> layer_misses_{0};
   std::atomic<int64_t> transform_hits_{0};
   std::atomic<int64_t> transform_misses_{0};
-  std::atomic<int64_t> plan_hits_{0};
-  std::atomic<int64_t> plan_misses_{0};
 };
 
 /// A plan whose stages are `stages` (covering the model in order) at
@@ -324,7 +276,10 @@ class SharedCostCache {
 /// materializes nothing. Feed it to CostEstimator::ComposePlanCost: for a
 /// structurally valid plan (what TrainingPlan::Validate checks) the result
 /// equals EstimatePlan on the materialized plan bit for bit, with the same
-/// `check_memory`. Estimator errors are returned as is.
+/// `check_memory`. Estimator errors are returned as is. A source prices
+/// one plan: it remembers the last layer cost it read, so consecutive
+/// layers with one cost key (the repeated blocks of a Transformer stack)
+/// cost one cache lookup.
 class CachedPlanSource : public PlanCostSource {
  public:
   /// `cache` and `stages` must outlive the source.
@@ -347,6 +302,10 @@ class CachedPlanSource : public PlanCostSource {
   int mb_size_;
   /// Carries the schedule shape InFlightForDegree reads.
   TrainingPlan probe_;
+  /// The key and answer of the last successful Layer lookup.
+  bool has_last_layer_ = false;
+  LayerCostKey last_layer_key_;
+  LayerCost last_layer_cost_;
 };
 
 }  // namespace galvatron

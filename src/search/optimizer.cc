@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <utility>
@@ -58,10 +59,10 @@ struct PerDegree {
   /// True when every stage is num_devices/pp wide — the only shape
   /// MakeUniformPlan covers.
   bool equal_split = true;
-  /// Candidates whose uniform single-strategy plan is structurally valid
-  /// (MakeUniformPlan accepts it), in enumeration order. Every
-  /// configuration prices these plans by index; none is materialized
-  /// unless it wins.
+  /// Candidates whose uniform single-strategy plan every configuration
+  /// prices, in enumeration order: all of them on an equal split whose
+  /// structure validates, none otherwise. Priced by index; none is
+  /// materialized unless it wins.
   std::vector<int> uniform_candidates;
   /// Per stage: the cost cache's interned ids of the stage's candidates
   /// (what CachedPlanSource keys its lookups by) and the
@@ -70,10 +71,10 @@ struct PerDegree {
   std::vector<int64_t> stage_budgets;
   /// Per stage: its devices and layers, as the throughput bound reads them.
   std::vector<PlanCostSource::Stage> stage_extents;
-  /// True when every plan of this degree passes TrainingPlan::Validate at
-  /// any valid batch shape — the precondition of pricing from the cache.
-  /// Otherwise plans are materialized and EstimatePlan reports the error.
-  bool structure_valid = false;
+  /// OK when every plan of this degree passes TrainingPlan::Validate at
+  /// any valid batch shape — the precondition of pricing from the cache —
+  /// else the error pricing any of its plans returns.
+  Status structure;
 };
 
 /// One pipeline stage of a DP result, as indices into the owning
@@ -88,16 +89,17 @@ struct StageDraft {
 };
 
 /// A configuration's winning plan by reference: the degree it came from,
-/// the batch shape, the shared cost entry, and either a uniform candidate
-/// index or a draft of candidate indices. No TrainingPlan is materialized
-/// until the sweep commits its single winner (and the per-degree
-/// alternates) — comparison needs only the cached cost and the ordinals.
+/// the batch shape, its estimated throughput, and either a uniform
+/// candidate index or a draft of candidate indices. No TrainingPlan is
+/// materialized and no PlanCost kept until the sweep commits its single
+/// winner (and the per-degree alternates) — comparison needs only the
+/// throughput and the ordinals.
 struct RankedPlan {
   const PerDegree* degree = nullptr;
   int batch = 1;
   int micro = 1;
   int pp = 1;
-  std::shared_ptr<const PlanCost> cost;
+  double throughput = 0.0;
   /// Within one configuration: uniform single-strategy candidates get their
   /// enumeration index, the DP plan gets candidates.size() — matching the
   /// order the serial sweep considered them in.
@@ -116,11 +118,7 @@ struct RankedPlan {
 /// depends on evaluation timing, the merged winner is byte-identical
 /// whether configurations were evaluated serially or by racing workers.
 bool BetterPlan(const RankedPlan& a, const RankedPlan& b) {
-  if (a.cost->throughput_samples_per_sec !=
-      b.cost->throughput_samples_per_sec) {
-    return a.cost->throughput_samples_per_sec >
-           b.cost->throughput_samples_per_sec;
-  }
+  if (a.throughput != b.throughput) return a.throughput > b.throughput;
   if (a.pp != b.pp) return a.pp < b.pp;
   if (a.config_ordinal != b.config_ordinal) {
     return a.config_ordinal < b.config_ordinal;
@@ -131,7 +129,7 @@ bool BetterPlan(const RankedPlan& a, const RankedPlan& b) {
 /// Everything one worker produces for one configuration. Merged serially in
 /// ordinal order, one wave at a time.
 struct ConfigOutcome {
-  bool feasible = false;  // at least one plan passed EstimatePlan
+  bool feasible = false;  // at least one plan fit its memory budget
   bool has_best = false;
   RankedPlan best;
   int64_t dp_states = 0;
@@ -167,43 +165,6 @@ struct Wave : PipelineWave {
   std::vector<ConfigTask> tasks;
   std::vector<ConfigOutcome> outcomes;
 };
-
-/// Appends one stage's identity to a plan-cost memo key. Strategy levels
-/// encode structurally — NOT via InternStrategy: interning formats the
-/// strategy string first, and that formatting dominated the whole warm
-/// sweep when profiled. Consecutive layers with one (strategy, recompute)
-/// pair compress to a single run — uniform plans, the bulk of the sweep's
-/// evaluations, shrink from O(layers) to O(1) words. Maximal runs partition
-/// a stage's layers deterministically, so the encoding stays injective.
-///
-/// `layer(l)` returns (strategy pointer, recompute flag) for stage-local
-/// layer l; runs compare strategies by VALUE, so a key is the same whether
-/// the plan is a uniform candidate or a draft that happens to repeat one
-/// candidate throughout.
-template <typename LayerFn>
-void AppendStageKey(PlanCostKey& key, int first_device, int num_devices,
-                    int first_layer, int num_layers, const LayerFn& layer) {
-  key.words.push_back(first_device);
-  key.words.push_back(num_devices);
-  key.words.push_back(first_layer);
-  key.words.push_back(num_layers);
-  for (int l = 0; l < num_layers;) {
-    const auto [strat, recompute] = layer(l);
-    int run = l + 1;
-    while (run < num_layers) {
-      const auto [next, next_recompute] = layer(run);
-      if (!(*next == *strat) || next_recompute != recompute) break;
-      ++run;
-    }
-    key.words.push_back(run - l);
-    key.words.push_back((strat->num_levels() << 1) | recompute);
-    for (const ParallelComponent& level : strat->levels()) {
-      key.words.push_back((static_cast<int32_t>(level.dim) << 16) |
-                          level.degree);
-    }
-    l = run;
-  }
-}
 
 }  // namespace
 
@@ -300,8 +261,8 @@ Result<OptimizationResult> Optimizer::Optimize(
 
   // Materializes a plan given by reference — a uniform candidate (>= 0,
   // every layer of every stage) or a DP draft — into `plan`, reusing its
-  // nested buffers. Reached for the committed winner and alternates, for
-  // structure checks, and when pricing falls back to EstimatePlan.
+  // nested buffers. Reached for the committed winner and alternates and
+  // for each degree's structure probe.
   auto materialize = [&](const PerDegree& degree, int batch, int micro,
                          int uniform_candidate,
                          const std::vector<StageDraft>* draft,
@@ -343,24 +304,12 @@ Result<OptimizationResult> Optimizer::Optimize(
   };
 
   std::vector<PerDegree> degrees;
-  // Completes a degree before it joins the sweep: its uniform candidates,
-  // its stages' interned candidate ids and budgets, and whether its
-  // structure validates. batch=1/micro=1 satisfies every batch-dependent
+  // Completes a degree before it joins the sweep: its stages' interned
+  // candidate ids and budgets, whether its structure validates, and its
+  // uniform candidates. batch=1/micro=1 satisfies every batch-dependent
   // Validate check, so a failure here is structural and holds for every
   // configuration.
   auto finish_degree = [&](PerDegree& d) {
-    if (d.equal_split) {
-      const std::vector<HybridStrategy>& candidates =
-          *d.stage_candidates.front();
-      for (size_t c = 0; c < candidates.size(); ++c) {
-        if (MakeUniformPlan(model, num_devices, d.pp, d.stage_sizes,
-                            candidates[c], /*global_batch=*/1,
-                            /*num_micro_batches=*/1)
-                .ok()) {
-          d.uniform_candidates.push_back(static_cast<int>(c));
-        }
-      }
-    }
     bool footprints_match = d.stage_sizes.size() == d.geometry.size();
     int first_layer = 0;
     for (size_t s = 0; s < d.geometry.size(); ++s) {
@@ -380,11 +329,22 @@ Result<OptimizationResult> Optimizer::Optimize(
         footprints_match &= candidate.TotalDegree() == geom.num_devices;
       }
     }
-    if (footprints_match) {
-      TrainingPlan probe;
-      materialize(d, /*batch=*/1, /*micro=*/1, /*uniform_candidate=*/0,
-                  nullptr, probe);
-      d.structure_valid = probe.Validate(model, num_devices).ok();
+    if (!footprints_match) {
+      d.structure = Status::InvalidArgument(StrFormat(
+          "pipeline degree %d: stage sizes or candidate footprints do not "
+          "match its stage geometry",
+          d.pp));
+      return;
+    }
+    TrainingPlan probe;
+    materialize(d, /*batch=*/1, /*micro=*/1, /*uniform_candidate=*/0,
+                nullptr, probe);
+    d.structure = probe.Validate(model, num_devices);
+    // Every candidate spans its stage, so on a valid equal split each
+    // one's uniform plan is exactly what MakeUniformPlan would build.
+    if (d.structure.ok() && d.equal_split) {
+      d.uniform_candidates.resize(d.stage_candidates.front()->size());
+      std::iota(d.uniform_candidates.begin(), d.uniform_candidates.end(), 0);
     }
   };
   std::set<std::string> candidate_names;
@@ -516,141 +476,55 @@ Result<OptimizationResult> Optimizer::Optimize(
   stats.enumerate_seconds = SecondsSince(start);
   stats.search_threads_used = threads;
 
-  // Whole-plan cost memo. Plan costs are budget-independent except for
-  // the per-stage peak-vs-budget comparison, so an entry is a cost with the
-  // check deferred, published to the (possibly cross-request) cache, and
-  // the comparison is re-applied here per call — with the same stage
-  // order, short-circuiting, and error text as the checked EstimatePlan.
-  // Keys are built into thread-local scratch (one sweep issues hundreds of
-  // lookups, mostly hits, which need no owned copy) straight from the
-  // plan's candidate indices via AppendStageKey.
-  auto plan_cost_key = [&](const PerDegree& degree, int batch, int micro,
-                           int uniform_candidate,
-                           const std::vector<StageDraft>* draft)
-      -> const PlanCostKey& {
-    thread_local PlanCostKey key;
-    key.words.clear();
-    key.words.push_back(static_cast<int32_t>(options_.schedule));
-    key.words.push_back(batch);
-    key.words.push_back(micro);
-    int first_layer = 0;
-    for (size_t s = 0; s < degree.geometry.size(); ++s) {
-      const StageGeometry& geom = degree.geometry[s];
-      const std::vector<HybridStrategy>& candidates =
-          *degree.stage_candidates[s];
-      if (uniform_candidate >= 0) {
-        const HybridStrategy* strategy =
-            &candidates[static_cast<size_t>(uniform_candidate)];
-        AppendStageKey(key, geom.first_device, geom.num_devices, first_layer,
-                       degree.stage_sizes[s], [&](int) {
-                         return std::pair<const HybridStrategy*, int32_t>(
-                             strategy, 0);
-                       });
-        first_layer += degree.stage_sizes[s];
-        continue;
-      }
-      const StageDraft& d = (*draft)[s];
-      AppendStageKey(
-          key, geom.first_device, geom.num_devices, d.first_layer,
-          d.num_layers, [&](int l) {
-            return std::pair<const HybridStrategy*, int32_t>(
-                &candidates[static_cast<size_t>(
-                    d.options[static_cast<size_t>(l)])],
-                !d.recompute.empty() &&
-                        d.recompute[static_cast<size_t>(l)] != 0
-                    ? 1
-                    : 0);
-          });
-    }
-    key.Finalize();
-    return key;
-  };
-  // EstimatePlan on a materialized plan, through the memo: the fallback
-  // for plans the cache cannot price. Estimation errors stay uncached and
-  // are re-raised through the checked call, so failure semantics match
-  // the unmemoized path.
-  auto estimate_materialized = [&](const PlanCostKey& key,
-                                   const TrainingPlan& plan)
-      -> Result<std::shared_ptr<const PlanCost>> {
-    auto unchecked =
-        estimator_.EstimatePlan(model, plan, /*check_memory=*/false);
-    if (!unchecked.ok()) {
-      auto checked = estimator_.EstimatePlan(model, plan);
-      if (!checked.ok()) return checked.status();
-      return std::shared_ptr<const PlanCost>(
-          std::make_shared<PlanCost>(*std::move(checked)));
-    }
-    return cache->InsertPlan(key, *std::move(unchecked));
-  };
-  // Prices a plan given by reference (see `materialize`) and applies the
-  // memory check. A memo miss composes the cost from the cost cache by
+  // Prices a plan given by reference (see `materialize`) into `cost`: the
+  // one composition (ComposePlanCost) over the cost cache's entries by
   // candidate index (CachedPlanSource: the entries the stage searches
-  // fill, no estimator call, nothing materialized). Only a structurally
-  // invalid plan or an estimator error materializes it, so EstimatePlan
-  // reports the failure exactly as before.
+  // fill, nothing materialized), with the memory check applied stage by
+  // stage — a plan that runs out of memory stops at the failing stage.
+  // The degree's structure must validate.
+  auto compose = [&](const PerDegree& degree, int batch, int micro,
+                     int uniform_candidate,
+                     const std::vector<StageDraft>* draft, PlanCost* cost) {
+    thread_local std::vector<IndexedStage> stages;
+    stages.resize(degree.geometry.size());
+    int first_layer = 0;
+    for (size_t s = 0; s < stages.size(); ++s) {
+      IndexedStage& stage = stages[s];
+      stage.first_device = degree.geometry[s].first_device;
+      stage.num_devices = degree.geometry[s].num_devices;
+      stage.candidates = degree.stage_candidates[s].get();
+      stage.keys = &degree.stage_keys[s];
+      if (uniform_candidate >= 0) {
+        stage.first_layer = first_layer;
+        stage.num_layers = degree.stage_sizes[s];
+        stage.options = nullptr;
+        stage.uniform_option = uniform_candidate;
+        stage.recompute = nullptr;
+      } else {
+        const StageDraft& d = (*draft)[s];
+        stage.first_layer = d.first_layer;
+        stage.num_layers = d.num_layers;
+        stage.options = d.options.data();
+        stage.recompute = d.recompute.empty() ? nullptr : d.recompute.data();
+      }
+      first_layer += stage.num_layers;
+    }
+    CachedPlanSource source(cache, &stages, batch, micro, options_.schedule);
+    return estimator_.ComposePlanCost(model, batch, micro, source,
+                                      /*check_memory=*/true, cost);
+  };
+  // A plan's estimated throughput, or why it cannot run: OutOfMemory for a
+  // stage over its budget, else the degree's structure error or the
+  // estimator's. The cost itself goes to per-thread scratch whose buffers
+  // every plan the thread prices reuses; the sweep keeps only the number.
   auto price = [&](const PerDegree& degree, int batch, int micro,
                    int uniform_candidate,
-                   const std::vector<StageDraft>* draft)
-      -> Result<std::shared_ptr<const PlanCost>> {
-    const PlanCostKey& key =
-        plan_cost_key(degree, batch, micro, uniform_candidate, draft);
-    std::shared_ptr<const PlanCost> cost = cache->LookupPlan(key);
-    if (cost == nullptr && degree.structure_valid && batch >= 1 &&
-        micro >= 1 && micro <= batch) {
-      thread_local std::vector<IndexedStage> stages;
-      stages.resize(degree.geometry.size());
-      int first_layer = 0;
-      for (size_t s = 0; s < stages.size(); ++s) {
-        IndexedStage& stage = stages[s];
-        stage.first_device = degree.geometry[s].first_device;
-        stage.num_devices = degree.geometry[s].num_devices;
-        stage.candidates = degree.stage_candidates[s].get();
-        stage.keys = &degree.stage_keys[s];
-        if (uniform_candidate >= 0) {
-          stage.first_layer = first_layer;
-          stage.num_layers = degree.stage_sizes[s];
-          stage.options = nullptr;
-          stage.uniform_option = uniform_candidate;
-          stage.recompute = nullptr;
-        } else {
-          const StageDraft& d = (*draft)[s];
-          stage.first_layer = d.first_layer;
-          stage.num_layers = d.num_layers;
-          stage.options = d.options.data();
-          stage.recompute = d.recompute.empty() ? nullptr : d.recompute.data();
-        }
-        first_layer += stage.num_layers;
-      }
-      // Composed with the check applied stage by stage: a plan that runs
-      // out of memory stops at the failing stage (later stages are never
-      // priced) and is not memoized; one that fits is the unchecked cost.
-      CachedPlanSource source(cache, &stages, batch, micro, options_.schedule);
-      auto priced = estimator_.ComposePlanCost(model, batch, micro, source,
-                                               /*check_memory=*/true);
-      if (priced.ok()) {
-        cost = cache->InsertPlan(key, *std::move(priced));
-      } else if (priced.status().IsOutOfMemory()) {
-        return priced.status();
-      }
-    }
-    if (cost == nullptr) {
-      static thread_local TrainingPlan scratch;
-      materialize(degree, batch, micro, uniform_candidate, draft, scratch);
-      GALVATRON_ASSIGN_OR_RETURN(cost, estimate_materialized(key, scratch));
-    }
-    // Any plan that reaches here validated, so each stage's strategies
-    // span its block and the block's budget is EstimatePlan's.
-    for (size_t s = 0; s < degree.stage_budgets.size(); ++s) {
-      const int64_t budget = degree.stage_budgets[s];
-      const int64_t peak = cost->stages[s].peak_memory_bytes;
-      if (peak > budget) {
-        return Status::OutOfMemory(StrFormat(
-            "stage needs %s but budget is %s",
-            HumanBytes(static_cast<double>(peak)).c_str(),
-            HumanBytes(static_cast<double>(budget)).c_str()));
-      }
-    }
-    return cost;
+                   const std::vector<StageDraft>* draft) -> Result<double> {
+    if (!degree.structure.ok()) return degree.structure;
+    thread_local PlanCost scratch;
+    GALVATRON_RETURN_IF_ERROR(
+        compose(degree, batch, micro, uniform_candidate, draft, &scratch));
+    return scratch.throughput_samples_per_sec;
   };
 
   // Evaluates one (batch, degree, micro) configuration against the
@@ -666,21 +540,22 @@ Result<OptimizationResult> Optimizer::Optimize(
     }
     // Best plan of THIS configuration, tracked without materializing
     // anything: a uniform candidate or a draft of candidate indices, plus
-    // the shared cost entry. Within one configuration the PP degree and
-    // ordinal are fixed, so BetterPlan reduces to strictly higher
-    // throughput (earlier candidates keep ties); nothing is deep-copied —
-    // the sweep materializes only its single committed winner.
-    std::shared_ptr<const PlanCost> best_cost;
+    // its throughput. Within one configuration the PP degree and ordinal
+    // are fixed, so BetterPlan reduces to strictly higher throughput
+    // (earlier candidates keep ties); nothing is deep-copied — the sweep
+    // materializes only its single committed winner.
+    bool have_best = false;
+    double best_throughput = 0.0;
     int best_rank = 0;
     int best_uniform = -1;
     std::vector<StageDraft> draft;
     auto commit_best = [&] {
-      if (best_cost == nullptr) return;
+      if (!have_best) return;
       out.best.degree = &degree;
       out.best.batch = batch;
       out.best.micro = micro;
       out.best.pp = degree.pp;
-      out.best.cost = std::move(best_cost);
+      out.best.throughput = best_throughput;
       out.best.candidate_rank = best_rank;
       out.best.config_ordinal = config_ordinal;
       out.best.uniform_candidate = best_uniform;
@@ -694,13 +569,13 @@ Result<OptimizationResult> Optimizer::Optimize(
     // MakeUniformPlan would hit.
     if (batch >= 1 && micro >= 1 && micro <= batch) {
       for (const int c : degree.uniform_candidates) {
-        auto uniform_cost = price(degree, batch, micro, c, nullptr);
-        if (!uniform_cost.ok()) continue;
+        const Result<double> throughput =
+            price(degree, batch, micro, c, nullptr);
+        if (!throughput.ok()) continue;
         out.feasible = true;
-        if (best_cost == nullptr ||
-            (*uniform_cost)->throughput_samples_per_sec >
-                best_cost->throughput_samples_per_sec) {
-          best_cost = *std::move(uniform_cost);
+        if (!have_best || *throughput > best_throughput) {
+          have_best = true;
+          best_throughput = *throughput;
           best_rank = c;
           best_uniform = c;
         }
@@ -744,12 +619,13 @@ Result<OptimizationResult> Optimizer::Optimize(
     // when that cannot beat either plan the stage DPs are skipped. The
     // configuration keeps its uniform best and its feasibility. The
     // relative slack absorbs summation-order rounding between the bound
-    // and the priced plan.
+    // and the priced plan. (A uniform plan that fits means the degree's
+    // structure validates.)
     thread_local std::vector<DpStageBound> bounds;
     thread_local std::vector<double> lower_seconds;
     bounds.clear();
     bounds.resize(static_cast<size_t>(degree.pp));
-    if (best_cost != nullptr && degree.structure_valid) {
+    if (have_best) {
       lower_seconds.clear();
       int first_layer = 0;
       for (int s = 0; s < degree.pp; ++s) {
@@ -765,8 +641,7 @@ Result<OptimizationResult> Optimizer::Optimize(
       if (lower_seconds.size() == bounds.size()) {
         const double upper = estimator_.PipelineThroughputBound(
             model, batch, micro, degree.stage_extents, lower_seconds);
-        const double to_beat =
-            std::max(best_cost->throughput_samples_per_sec, incumbent);
+        const double to_beat = std::max(best_throughput, incumbent);
         if (upper * (1.0 + 1e-9) <= to_beat) {
           for (const DpStageBound& stage : bounds) {
             if (!stage.answer.has_value()) continue;
@@ -826,12 +701,13 @@ Result<OptimizationResult> Optimizer::Optimize(
       return out;
     }
 
-    auto cost = price(degree, batch, micro, /*uniform_candidate=*/-1, &draft);
-    if (!cost.ok()) {
-      if (cost.status().IsOutOfMemory()) {
+    const Result<double> throughput =
+        price(degree, batch, micro, /*uniform_candidate=*/-1, &draft);
+    if (!throughput.ok()) {
+      if (throughput.status().IsOutOfMemory()) {
         out.draft_over_budget = true;
       } else {
-        out.error = cost.status();
+        out.error = throughput.status();
       }
       commit_best();
       return out;
@@ -839,10 +715,9 @@ Result<OptimizationResult> Optimizer::Optimize(
     out.feasible = true;
     // The DP plan carries the highest candidate rank, so it too replaces
     // only on strictly higher throughput.
-    if (best_cost == nullptr ||
-        (*cost)->throughput_samples_per_sec >
-            best_cost->throughput_samples_per_sec) {
-      best_cost = *std::move(cost);
+    if (!have_best || *throughput > best_throughput) {
+      have_best = true;
+      best_throughput = *throughput;
       best_rank = degree.dp_rank;
       best_uniform = -1;
     }
@@ -896,9 +771,8 @@ Result<OptimizationResult> Optimizer::Optimize(
       // all but the previous one — fixed for each thread count either way.
       const auto incumbent = best_per_degree.find(degree.pp);
       const double incumbent_throughput =
-          incumbent == best_per_degree.end()
-              ? 0.0
-              : incumbent->second.cost->throughput_samples_per_sec;
+          incumbent == best_per_degree.end() ? 0.0
+                                             : incumbent->second.throughput;
       for (int micro : micro_counts) {
         wave->tasks.push_back(ConfigTask{&degree, micro, next_ordinal++,
                                          incumbent_throughput});
@@ -1000,7 +874,10 @@ Result<OptimizationResult> Optimizer::Optimize(
 
   OptimizationResult result;
   result.plan = materialize_plan(best);
-  result.estimated = PlanCost(*best.cost);
+  // The winner's cost, composed once more from the entries that priced it.
+  GALVATRON_RETURN_IF_ERROR(compose(*best.degree, best.batch, best.micro,
+                                    best.uniform_candidate, &best.stages,
+                                    &result.estimated));
 
   // Co-optimization: feed the winning plan's measured per-layer times back
   // into the pipeline partitioner and re-search each stage.

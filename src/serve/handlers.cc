@@ -1,6 +1,7 @@
 #include "serve/handlers.h"
 
 #include <chrono>
+#include <string_view>
 #include <vector>
 
 #include "api/plan_io.h"
@@ -33,6 +34,25 @@ Status CheckKeys(const JsonValue& object,
     }
   }
   return Status::OK();
+}
+
+/// The prelude every POST handler shares: the body parsed as a JSON
+/// object that carries only `allowed` keys. With `blank_is_empty` a body of
+/// only whitespace reads as {} — strict JSON parsing would reject "".
+Result<JsonValue> ParseRequestObject(const std::string& body,
+                                     const std::vector<std::string>& allowed,
+                                     bool blank_is_empty = false) {
+  JsonValue root;
+  root.kind = JsonValue::Kind::kObject;
+  const bool blank = body.find_first_not_of(" \t\n\r") == std::string::npos;
+  if (!blank_is_empty || !blank) {
+    GALVATRON_ASSIGN_OR_RETURN(root, ParseJson(body));
+    if (root.kind != JsonValue::Kind::kObject) {
+      return Status::InvalidArgument("request body must be a JSON object");
+    }
+  }
+  GALVATRON_RETURN_IF_ERROR(CheckKeys(root, allowed, "the request"));
+  return root;
 }
 
 constexpr char kBadModelKind[] =
@@ -353,50 +373,53 @@ HttpResponse PlanService::Handle(const HttpRequest& request) {
   const size_t query = route.find('?');
   if (query != std::string::npos) route.resize(query);
 
-  const bool is_get = request.method == "GET";
-  const bool is_post = request.method == "POST";
-  if (route == "/healthz") {
-    if (!is_get) {
-      return MakeJsonErrorResponse(
-          Status::InvalidArgument("/healthz only answers GET"), 405);
+  // One entry per route: its path (a prefix when it ends in '/', whose
+  // rest is the handler's argument), the one method it answers, and the
+  // handler.
+  struct Route {
+    const char* path;
+    const char* method;
+    HttpResponse (*handle)(PlanService& service, const HttpRequest& request,
+                           const std::string& rest);
+  };
+  static const Route kRoutes[] = {
+      {"/healthz", "GET",
+       [](PlanService& service, const HttpRequest&, const std::string&) {
+         return service.HandleHealthz();
+       }},
+      {"/metrics", "GET",
+       [](PlanService& service, const HttpRequest&, const std::string&) {
+         return service.HandleMetrics();
+       }},
+      {"/v1/plan", "POST",
+       [](PlanService& service, const HttpRequest& request,
+          const std::string&) { return service.HandlePlan(request); }},
+      {"/v1/plan/", "GET",
+       [](PlanService& service, const HttpRequest&, const std::string& id) {
+         return service.HandlePlanPoll(id);
+       }},
+      {"/v1/measure", "POST",
+       [](PlanService& service, const HttpRequest& request,
+          const std::string&) { return service.HandleMeasure(request); }},
+      {"/v1/calibrate", "POST",
+       [](PlanService& service, const HttpRequest& request,
+          const std::string&) { return service.HandleCalibrate(request); }},
+  };
+  for (const Route& entry : kRoutes) {
+    const std::string_view path = entry.path;
+    const bool prefix = path.back() == '/';
+    if (prefix ? route.compare(0, path.size(), path) != 0 : route != path) {
+      continue;
     }
-    return HandleHealthz();
-  }
-  if (route == "/metrics") {
-    if (!is_get) {
+    if (request.method != entry.method) {
       return MakeJsonErrorResponse(
-          Status::InvalidArgument("/metrics only answers GET"), 405);
+          Status::InvalidArgument(StrFormat("%s%s only answers %s",
+                                            entry.path, prefix ? "<id>" : "",
+                                            entry.method)),
+          405);
     }
-    return HandleMetrics();
-  }
-  if (route == "/v1/plan") {
-    if (!is_post) {
-      return MakeJsonErrorResponse(
-          Status::InvalidArgument("/v1/plan only answers POST"), 405);
-    }
-    return HandlePlan(request);
-  }
-  const std::string poll_prefix = "/v1/plan/";
-  if (route.compare(0, poll_prefix.size(), poll_prefix) == 0) {
-    if (!is_get) {
-      return MakeJsonErrorResponse(
-          Status::InvalidArgument("/v1/plan/<id> only answers GET"), 405);
-    }
-    return HandlePlanPoll(route.substr(poll_prefix.size()));
-  }
-  if (route == "/v1/measure") {
-    if (!is_post) {
-      return MakeJsonErrorResponse(
-          Status::InvalidArgument("/v1/measure only answers POST"), 405);
-    }
-    return HandleMeasure(request);
-  }
-  if (route == "/v1/calibrate") {
-    if (!is_post) {
-      return MakeJsonErrorResponse(
-          Status::InvalidArgument("/v1/calibrate only answers POST"), 405);
-    }
-    return HandleCalibrate(request);
+    return entry.handle(*this, request,
+                        prefix ? route.substr(path.size()) : std::string());
   }
   return MakeJsonErrorResponse(
       Status::NotFound(StrFormat("no route '%s'", route.c_str())));
@@ -435,16 +458,9 @@ PlanService::ActiveCalibration(int64_t* version) const {
 }
 
 HttpResponse PlanService::HandlePlan(const HttpRequest& request) {
-  Result<JsonValue> root = ParseJson(request.body);
+  Result<JsonValue> root = ParseRequestObject(
+      request.body, {"model", "cluster", "options", "deadline_ms", "async"});
   if (!root.ok()) return MakeJsonErrorResponse(root.status());
-  if (root->kind != JsonValue::Kind::kObject) {
-    return MakeJsonErrorResponse(
-        Status::InvalidArgument("request body must be a JSON object"));
-  }
-  Status keys = CheckKeys(
-      *root, {"model", "cluster", "options", "deadline_ms", "async"},
-      "the request");
-  if (!keys.ok()) return MakeJsonErrorResponse(keys);
 
   if (const JsonValue* async_value = FindMember(*root, "async")) {
     if (async_value->kind != JsonValue::Kind::kBool) {
@@ -727,15 +743,9 @@ HttpResponse PlanService::HandlePlanPoll(const std::string& id) {
 }
 
 HttpResponse PlanService::HandleMeasure(const HttpRequest& request) {
-  Result<JsonValue> root = ParseJson(request.body);
+  Result<JsonValue> root = ParseRequestObject(
+      request.body, {"model", "cluster", "plan", "sim", "explain"});
   if (!root.ok()) return MakeJsonErrorResponse(root.status());
-  if (root->kind != JsonValue::Kind::kObject) {
-    return MakeJsonErrorResponse(
-        Status::InvalidArgument("request body must be a JSON object"));
-  }
-  Status keys = CheckKeys(*root, {"model", "cluster", "plan", "sim", "explain"},
-                          "the request");
-  if (!keys.ok()) return MakeJsonErrorResponse(keys);
 
   bool explain = false;
   if (FindMember(*root, "explain") != nullptr) {
@@ -860,29 +870,12 @@ HttpResponse PlanService::HandleMeasure(const HttpRequest& request) {
 }
 
 HttpResponse PlanService::HandleCalibrate(const HttpRequest& request) {
-  // An empty body means "fit with defaults" — strict JSON parsing would
-  // reject "" outright.
-  JsonValue root;
-  root.kind = JsonValue::Kind::kObject;
-  bool body_blank = true;
-  for (char c : request.body) {
-    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-      body_blank = false;
-      break;
-    }
-  }
-  if (!body_blank) {
-    Result<JsonValue> parsed = ParseJson(request.body);
-    if (!parsed.ok()) return MakeJsonErrorResponse(parsed.status());
-    if (parsed->kind != JsonValue::Kind::kObject) {
-      return MakeJsonErrorResponse(
-          Status::InvalidArgument("request body must be a JSON object"));
-    }
-    root = std::move(*parsed);
-  }
-  Status keys =
-      CheckKeys(root, {"min_group_samples", "reset"}, "the request");
-  if (!keys.ok()) return MakeJsonErrorResponse(keys);
+  // An empty body means "fit with defaults".
+  Result<JsonValue> parsed =
+      ParseRequestObject(request.body, {"min_group_samples", "reset"},
+                         /*blank_is_empty=*/true);
+  if (!parsed.ok()) return MakeJsonErrorResponse(parsed.status());
+  const JsonValue& root = *parsed;
 
   if (const JsonValue* reset_value = FindMember(root, "reset")) {
     if (reset_value->kind != JsonValue::Kind::kBool) {

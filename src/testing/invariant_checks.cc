@@ -1217,38 +1217,6 @@ std::optional<CheckFailure> CheckCalibrationIdentity(
   return std::nullopt;
 }
 
-/// Bitwise equality of two doubles (distinguishes -0.0 and NaN payloads,
-/// which == does not).
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-/// Field-by-field, bit-for-bit equality of two plan costs, per-layer
-/// seconds included.
-bool PlanCostsBitIdentical(const PlanCost& a, const PlanCost& b) {
-  if (!SameBits(a.iteration_seconds, b.iteration_seconds) ||
-      !SameBits(a.throughput_samples_per_sec, b.throughput_samples_per_sec) ||
-      a.peak_memory_bytes != b.peak_memory_bytes ||
-      a.stages.size() != b.stages.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.stages.size(); ++i) {
-    const StageCost& x = a.stages[i];
-    const StageCost& y = b.stages[i];
-    if (!SameBits(x.seconds, y.seconds) ||
-        x.peak_memory_bytes != y.peak_memory_bytes ||
-        x.per_layer_seconds.size() != y.per_layer_seconds.size()) {
-      return false;
-    }
-    for (size_t l = 0; l < x.per_layer_seconds.size(); ++l) {
-      if (!SameBits(x.per_layer_seconds[l], y.per_layer_seconds[l])) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 /// `plan` as candidate-indexed stages: each stage's candidates are its
 /// distinct strategies in first-use order. `storage` owns the vectors the
 /// returned stages point into.
@@ -1348,38 +1316,39 @@ std::optional<CheckFailure> CheckPlanPricingIdentity(
   }
   plans.push_back(*std::move(draft));
 
+  // One PlanCost composed into over and over, the way the sweep reuses
+  // its per-thread scratch across plans of different shapes.
+  PlanCost composed_cost;
   for (const TrainingPlan& plan : plans) {
     IndexedPlanStorage storage;
     const std::vector<IndexedStage> stages = IndexPlan(plan, cache, &storage);
     for (const bool check_memory : {false, true}) {
       CachedPlanSource source(&cache, &stages, plan.global_batch,
                               plan.num_micro_batches, plan.schedule);
-      const Result<PlanCost> composed =
-          estimator.ComposePlanCost(model, plan.global_batch,
-                                    plan.num_micro_batches, source,
-                                    check_memory);
+      const Status composed = estimator.ComposePlanCost(
+          model, plan.global_batch, plan.num_micro_batches, source,
+          check_memory, &composed_cost);
       const Result<PlanCost> estimated =
           estimator.EstimatePlan(model, plan, check_memory);
       if (composed.ok() != estimated.ok() ||
-          (!composed.ok() && composed.status().ToString() !=
-                                 estimated.status().ToString())) {
+          (!composed.ok() &&
+           composed.ToString() != estimated.status().ToString())) {
         return MakeFailure(
             kCheck, seed,
             StrFormat("pricing verdicts diverge (check_memory=%d): "
                       "cached %s vs EstimatePlan %s",
                       check_memory ? 1 : 0,
-                      composed.ok() ? "ok"
-                                    : composed.status().ToString().c_str(),
+                      composed.ok() ? "ok" : composed.ToString().c_str(),
                       estimated.ok() ? "ok"
                                      : estimated.status().ToString().c_str()),
             &plan);
       }
-      if (composed.ok() && !PlanCostsBitIdentical(*composed, *estimated)) {
+      if (composed.ok() && !PlanCostsBitIdentical(composed_cost, *estimated)) {
         return MakeFailure(
             kCheck, seed,
             StrFormat("cache-fed pricing differs from EstimatePlan "
                       "(check_memory=%d): %.17g s vs %.17g s",
-                      check_memory ? 1 : 0, composed->iteration_seconds,
+                      check_memory ? 1 : 0, composed_cost.iteration_seconds,
                       estimated->iteration_seconds),
             &plan);
       }
@@ -1564,6 +1533,33 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
 }
 
 }  // namespace
+
+bool PlanCostsBitIdentical(const PlanCost& a, const PlanCost& b) {
+  const auto same_bits = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  };
+  if (!same_bits(a.iteration_seconds, b.iteration_seconds) ||
+      !same_bits(a.throughput_samples_per_sec, b.throughput_samples_per_sec) ||
+      a.peak_memory_bytes != b.peak_memory_bytes ||
+      a.stages.size() != b.stages.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.stages.size(); ++i) {
+    const StageCost& x = a.stages[i];
+    const StageCost& y = b.stages[i];
+    if (!same_bits(x.seconds, y.seconds) ||
+        x.peak_memory_bytes != y.peak_memory_bytes ||
+        x.per_layer_seconds.size() != y.per_layer_seconds.size()) {
+      return false;
+    }
+    for (size_t l = 0; l < x.per_layer_seconds.size(); ++l) {
+      if (!same_bits(x.per_layer_seconds[l], y.per_layer_seconds[l])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 std::string_view FuzzCheckToString(FuzzCheck check) {
   switch (check) {

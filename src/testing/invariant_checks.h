@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "estimator/cost_estimator.h"
 #include "testing/fuzz_generators.h"
 #include "util/result.h"
 
@@ -108,6 +109,11 @@ struct CheckFailure {
   std::string detail;
   std::string repro_json;
 };
+
+/// Field-by-field, bit-for-bit equality of two plan costs, per-layer
+/// seconds included. Doubles compare by their bits, so -0.0 and 0.0 (or
+/// two NaN payloads) differ where == would not.
+bool PlanCostsBitIdentical(const PlanCost& a, const PlanCost& b);
 
 /// The per-iteration seed for (base seed, check, iteration) — a stateless
 /// hash, so any reported seed replays its iteration directly via

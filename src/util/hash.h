@@ -17,8 +17,8 @@ inline size_t HashCombine(size_t h, uint64_t v) {
 }
 
 /// Hash of a word vector, two words per mixing round (the flat keys of the
-/// plan-cost memo and the DP frontier cache run to ~100 words and are
-/// hashed once per lookup on the sweep's hot path).
+/// DP frontier cache run to ~100 words and are hashed once per lookup on
+/// the sweep's hot path).
 inline size_t HashWords(const std::vector<int32_t>& words) {
   size_t h = HashCombine(0, words.size());
   size_t i = 0;

@@ -13,6 +13,7 @@
 #include "search/frontier_cache.h"
 #include "search/optimizer.h"
 #include "sim/simulator.h"
+#include "testing/invariant_checks.h"
 
 namespace galvatron {
 namespace {
@@ -170,11 +171,6 @@ TEST(PerfRegressionTest, FourThreadSweepNotSlowerThanSerial) {
       << "s serial — parallel dispatch overhead has regressed";
 }
 
-/// Determinism tripwire: the sweep's outcome must be bit-identical at
-/// every thread count — same serialized plan, same throughput double,
-/// same configuration count. The parallel merge is enumeration-ordered
-/// with total-order tie-breaking, so any divergence means a
-/// first-finished-wins bug crept back in.
 /// Timer-free allocation tripwire: with a warm cost cache and frontier
 /// cache (the serving daemon's steady state), a repeat Optimize replays
 /// cached frontiers and prices nothing, so its heap traffic collapses to
@@ -183,7 +179,9 @@ TEST(PerfRegressionTest, FourThreadSweepNotSlowerThanSerial) {
 /// copied strategy vectors, per-column buffers) breaks the ratio long
 /// before it shows up on a wall clock. The warm count must also be exactly
 /// reproducible: the warm path is deterministic, so two warm runs that
-/// allocate differently mean nondeterministic work crept in.
+/// allocate differently mean nondeterministic work crept in. Warm re-plans
+/// at smaller budgets over the same caches must return the cold plan at
+/// that budget, priced exactly as EstimatePlan prices it.
 TEST(PerfRegressionTest, WarmOptimizeAllocationsStayCollapsed) {
   BertConfig config;
   config.num_layers = 8;
@@ -220,6 +218,21 @@ TEST(PerfRegressionTest, WarmOptimizeAllocationsStayCollapsed) {
   EXPECT_LE(warm1->stats.dp_allocations, cold->stats.dp_allocations / 5);
   EXPECT_LE(warm1->stats.sweep_allocations,
             cold->stats.sweep_allocations / 5);
+
+  for (const int64_t budget : {11 * kGB, 10 * kGB, 9 * kGB}) {
+    const ClusterSpec smaller = MakeTitanNode8(budget);
+    const Optimizer at_budget(&smaller, options);
+    auto warm = at_budget.Optimize(model, hooks);
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    auto fresh = at_budget.Optimize(model);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    EXPECT_EQ(warm->plan.ToString(), fresh->plan.ToString())
+        << "budget " << budget;
+    auto estimated = CostEstimator(&smaller).EstimatePlan(model, warm->plan);
+    ASSERT_TRUE(estimated.ok()) << estimated.status();
+    EXPECT_TRUE(PlanCostsBitIdentical(warm->estimated, *estimated))
+        << "budget " << budget;
+  }
 }
 
 /// Timer-free heterogeneity tripwire: on a *uniform* cluster the
@@ -292,6 +305,13 @@ TEST(PerfRegressionTest, SerialSweepWorkStaysUnderItsCeilings) {
       << "no configuration was pruned by the throughput bound";
 }
 
+/// Determinism tripwire: the sweep's outcome must be bit-identical at
+/// every thread count — same serialized plan, same throughput double,
+/// same configuration count. The parallel merge is enumeration-ordered
+/// with total-order tie-breaking, so any divergence means a
+/// first-finished-wins bug crept back in. At every count the winner's
+/// cost, composed from the cost cache after the sweep, must also be
+/// EstimatePlan's on the materialized plan, bit for bit.
 TEST(PerfRegressionTest, PlanBitIdenticalAcrossThreadCounts) {
   BertConfig config;
   config.num_layers = 8;
@@ -318,6 +338,11 @@ TEST(PerfRegressionTest, PlanBitIdenticalAcrossThreadCounts) {
     options.search_threads = threads;
     auto result = Optimizer(&cluster, options).Optimize(model);
     ASSERT_TRUE(result.ok()) << result.status();
+    auto estimated = CostEstimator(&cluster, options.estimator)
+                         .EstimatePlan(model, result->plan);
+    ASSERT_TRUE(estimated.ok()) << estimated.status();
+    EXPECT_TRUE(PlanCostsBitIdentical(result->estimated, *estimated))
+        << "threads " << threads;
     if (threads == 1) {
       reference_plan = plans_of(*result);
       reference_throughput = result->estimated.throughput_samples_per_sec;
