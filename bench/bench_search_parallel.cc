@@ -10,9 +10,9 @@
 /// not an extrapolation. Every wall_ms is best-of-N with an explicit
 /// "repetitions" field (bench::BestOfMs), and every thread count's plan is
 /// checked bit-identical against the 1-thread plan
-/// ("plan_matches_serial"). A warm re-plan record times the serving
+/// ("plan_matches_serial"). Two warm re-plan records time the serving
 /// daemon's warm-start path: repeat plans over one PlanningContext at
-/// budgets the context was not primed with.
+/// budgets below the one it was primed with, and at budgets above it.
 
 #include <benchmark/benchmark.h>
 
@@ -159,6 +159,26 @@ void RecordThreadSweep(bench::BenchJson* out, const std::string& base_name,
   }
 }
 
+/// Records the median, quartiles and interquartile range of one-thread
+/// re-plan wall times, with the plan count and host.
+void RecordPlanTimes(bench::BenchJson* out, const std::string& name,
+                     std::vector<double> plan_ms) {
+  std::sort(plan_ms.begin(), plan_ms.end());
+  const auto quantile = [&](double q) {
+    return plan_ms[static_cast<size_t>(q * (plan_ms.size() - 1) + 0.5)];
+  };
+  out->Record(name, "plan_ms_p50", quantile(0.5));
+  out->Record(name, "plan_ms_p25", quantile(0.25));
+  out->Record(name, "plan_ms_p75", quantile(0.75));
+  out->Record(name, "plan_ms_iqr", quantile(0.75) - quantile(0.25));
+  out->Record(name, "plans", static_cast<double>(plan_ms.size()));
+  out->Record(name, "threads", 1);
+  out->Record(name, "host_threads", ThreadPool::HardwareThreads());
+  std::printf("%-34s %8.3f ms  (p50 of %zu plans, IQR %.3f ms)\n",
+              name.c_str(), quantile(0.5), plan_ms.size(),
+              quantile(0.75) - quantile(0.25));
+}
+
 /// Warm re-plans over one PlanningContext, as the serving daemon runs a
 /// request that misses the plan cache but shares a warm context:
 /// BERT-Huge-32 on the 8-GPU TITAN node, primed by one plan at 24 GB, then
@@ -201,22 +221,52 @@ void RecordWarmReplans(bench::BenchJson* out, const std::string& name,
                             .count());
     }
   }
-  std::sort(plan_ms.begin(), plan_ms.end());
-  const auto quantile = [&](double q) {
-    return plan_ms[static_cast<size_t>(q * (plan_ms.size() - 1) + 0.5)];
-  };
-  out->Record(name, "plan_ms_p50", quantile(0.5));
-  out->Record(name, "plan_ms_p25", quantile(0.25));
-  out->Record(name, "plan_ms_p75", quantile(0.75));
-  out->Record(name, "plan_ms_iqr", quantile(0.75) - quantile(0.25));
-  out->Record(name, "plans", static_cast<double>(plan_ms.size()));
-  out->Record(name, "threads", 1);
-  out->Record(name, "host_threads", ThreadPool::HardwareThreads());
+  RecordPlanTimes(out, name, plan_ms);
   out->Record(name, "sweep_allocations",
               static_cast<double>(pass_allocations));
-  std::printf("%-34s %8.3f ms  (p50 of %zu warm plans, IQR %.3f ms)\n",
-              name.c_str(), quantile(0.5), plan_ms.size(),
-              quantile(0.75) - quantile(0.25));
+}
+
+/// Grow re-plans over one PlanningContext: BERT-Huge-32 on the 8-GPU
+/// TITAN node, primed (untimed) by one plan at 12 GB, then plans at 16, 20
+/// and 24 GB, in that order, on one sweep thread. A cached frontier covers
+/// only budgets up to the widest one searched, so each re-plan above it
+/// runs its own stage DPs. Each of `passes` passes uses a fresh context.
+/// Records the per-Plan wall time's median and interquartile range over
+/// all timed plans, and each budget's DP states (exact: the serial sweep
+/// is deterministic).
+void RecordGrowReplans(bench::BenchJson* out, const std::string& name,
+                       int passes) {
+  OptimizerOptions options;
+  options.search_threads = 1;
+  const std::vector<int> budgets_gb = {16, 20, 24};
+  std::vector<double> plan_ms;
+  std::vector<int64_t> states(budgets_gb.size());
+  for (int pass = 0; pass < passes; ++pass) {
+    PlanningContext context(BuildModel(ModelId::kBertHuge32),
+                            MakeTitanNode8(12 * kGB));
+    SearchHooks hooks;
+    hooks.cost_cache = context.cache();
+    hooks.frontier_cache = context.frontier_cache();
+    GALVATRON_CHECK(
+        Galvatron::Plan(context.model(), context.cluster(), options, hooks)
+            .ok());
+    for (size_t i = 0; i < budgets_gb.size(); ++i) {
+      const ClusterSpec cluster = MakeTitanNode8(budgets_gb[i] * kGB);
+      const auto start = std::chrono::steady_clock::now();
+      auto result = Galvatron::Plan(context.model(), cluster, options, hooks);
+      plan_ms.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+      GALVATRON_CHECK(result.ok());
+      states[i] = result->search_stats.dp_states_explored;
+    }
+  }
+  RecordPlanTimes(out, name, plan_ms);
+  for (size_t i = 0; i < budgets_gb.size(); ++i) {
+    out->Record(name,
+                "dp_states_explored_" + std::to_string(budgets_gb[i]) + "gb",
+                static_cast<double>(states[i]));
+  }
 }
 
 /// Machine-readable record of the threaded sweep, merged into
@@ -225,7 +275,7 @@ void RecordWarmReplans(bench::BenchJson* out, const std::string& name,
 /// layers, 512 GPUs x 128 layers). The fleet sweeps bound the batch loop
 /// (batch_step/max_batch below) so the bench finishes in seconds while
 /// still exercising 100+-layer DP stages on 64-device candidate sets. Then
-/// the warm re-plan record (RecordWarmReplans).
+/// the warm re-plan records (RecordWarmReplans, RecordGrowReplans).
 void WriteBenchJson() {
   bench::BenchJson out("BENCH_search.json");
 
@@ -264,6 +314,8 @@ void WriteBenchJson() {
 
   RecordWarmReplans(&out, "warm_replan_bert_huge32_titan8_t1",
                     /*passes=*/20);
+  RecordGrowReplans(&out, "warm_replan_grow_bert_huge32_titan8_t1",
+                    /*passes=*/10);
 
   if (out.Save()) std::printf("wrote BENCH_search.json\n");
 }

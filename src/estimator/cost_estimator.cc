@@ -206,7 +206,7 @@ Status CostEstimator::ComposeStage(int stage_index,
                                    const PlanCostSource::Stage& extent,
                                    int num_micro_batches,
                                    PlanCostSource& source, bool check_memory,
-                                   StageCost* stage) const {
+                                   StageCost* stage, bool* over_budget) const {
   stage->seconds = 0.0;
   stage->per_layer_seconds.clear();
   stage->per_layer_seconds.reserve(static_cast<size_t>(extent.num_layers));
@@ -239,6 +239,10 @@ Status CostEstimator::ComposeStage(int stage_index,
     const int64_t budget =
         cluster_->MinMemoryInRange(extent.first_device, extent.num_devices);
     if (stage->peak_memory_bytes > budget) {
+      if (over_budget != nullptr) {
+        *over_budget = true;
+        return Status::OK();
+      }
       return Status::OutOfMemory(StrFormat(
           "stage needs %s but budget is %s",
           HumanBytes(static_cast<double>(stage->peak_memory_bytes)).c_str(),
@@ -274,8 +278,9 @@ Result<PlanCost> CostEstimator::EstimatePlan(const ModelSpec& model,
 Status CostEstimator::ComposePlanCost(const ModelSpec& model,
                                       int global_batch, int num_micro_batches,
                                       PlanCostSource& source,
-                                      bool check_memory,
-                                      PlanCost* total) const {
+                                      bool check_memory, PlanCost* total,
+                                      bool* over_budget) const {
+  if (over_budget != nullptr) *over_budget = false;
   total->stages.resize(static_cast<size_t>(source.num_stages()));
   total->peak_memory_bytes = 0;
   double sum_u = 0.0;
@@ -284,8 +289,10 @@ Status CostEstimator::ComposePlanCost(const ModelSpec& model,
   for (int i = 0; i < source.num_stages(); ++i) {
     const PlanCostSource::Stage stage = source.StageAt(i);
     StageCost& cost = total->stages[static_cast<size_t>(i)];
-    GALVATRON_RETURN_IF_ERROR(
-        ComposeStage(i, stage, num_micro_batches, source, check_memory, &cost));
+    GALVATRON_RETURN_IF_ERROR(ComposeStage(i, stage, num_micro_batches,
+                                           source, check_memory, &cost,
+                                           over_budget));
+    if (over_budget != nullptr && *over_budget) return Status::OK();
     if (i > 0) {
       // The DP search excludes the boundary transfer (Sec 3.3, "we exclude
       // the boundary layers' activation transferring costs"); the

@@ -198,12 +198,18 @@ class CostEstimator {
   /// bubble formula. The plan's structure is the caller's to have
   /// validated. With `check_memory` each stage's peak is compared to its
   /// block's tightest budget before the next stage is read, exactly as
-  /// EstimatePlan does. Every field of `*cost` is overwritten and its
+  /// EstimatePlan does, and the first stage over it ends the composition
+  /// with OutOfMemory. Given `over_budget`, that stage instead sets
+  /// `*over_budget` (cleared otherwise) and returns OK without building a
+  /// message or allocating: the search sweep prices thousands of plans
+  /// that do not fit. Every field of `*cost` is overwritten and its
   /// vectors keep their capacity, so a caller pricing many plans reuses
-  /// one PlanCost; after an error its contents are unspecified.
+  /// one PlanCost; after an error or an over-budget stage its contents
+  /// are unspecified.
   Status ComposePlanCost(const ModelSpec& model, int global_batch,
                          int num_micro_batches, PlanCostSource& source,
-                         bool check_memory, PlanCost* cost) const;
+                         bool check_memory, PlanCost* cost,
+                         bool* over_budget = nullptr) const;
 
   /// The pipeline boundary transfer between consecutive stages `prev` and
   /// `next` across one iteration: per micro-batch, forward activations in
@@ -230,10 +236,11 @@ class CostEstimator {
 
  private:
   /// One stage of ComposePlanCost (and all of EstimateStage), into
-  /// `*stage` under the same reuse contract.
+  /// `*stage` under the same reuse and `over_budget` contract.
   Status ComposeStage(int stage_index, const PlanCostSource::Stage& extent,
                       int num_micro_batches, PlanCostSource& source,
-                      bool check_memory, StageCost* stage) const;
+                      bool check_memory, StageCost* stage,
+                      bool* over_budget = nullptr) const;
 
   /// task.Time() with the calibration scale applied; exactly task.Time()
   /// when no profile is installed (no multiply happens, so the result is

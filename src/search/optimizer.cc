@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -112,6 +113,10 @@ struct RankedPlan {
   std::vector<StageDraft> stages;
 };
 
+/// Relative slack on a throughput bound before it is compared: absorbs
+/// summation-order rounding between the bound and the priced plan.
+constexpr double kBoundSlack = 1e-9;
+
 /// Total order over plans: higher estimated throughput wins; exact ties
 /// resolve to the lower PP degree, then the earlier-enumerated
 /// configuration, then the earlier-considered candidate. Because no term
@@ -126,8 +131,8 @@ bool BetterPlan(const RankedPlan& a, const RankedPlan& b) {
   return a.candidate_rank < b.candidate_rank;
 }
 
-/// Everything one worker produces for one configuration. Merged serially in
-/// ordinal order, one wave at a time.
+/// Everything one worker produces for one configuration. Merged serially:
+/// pass 1 in ordinal order, one wave at a time; pass 2 in its waves' order.
 struct ConfigOutcome {
   bool feasible = false;  // at least one plan fit its memory budget
   bool has_best = false;
@@ -139,31 +144,47 @@ struct ConfigOutcome {
   int64_t dp_frontier_misses = 0;  // stage searches that ran cold
   int64_t dp_infeasible_skipped = 0;  // cold ones the feasibility test ended
   bool pruned = false;             // the throughput bound skipped the DPs
+  /// Pass 1: the stage DPs wait for pass 2. `best` is the uniform best and
+  /// `upper` the DP plan's throughput bound.
+  bool deferred = false;
+  double upper = 0.0;
   bool draft_over_budget = false;  // the memory check rejected the DP plan
   int64_t dp_allocations = 0;      // heap allocations inside DpSearch::Run
   int64_t sweep_allocations = 0;   // heap allocations of the whole evaluate
   Status error;  // non-OK only on fatal (non-OOM, non-infeasible) errors
 };
 
-/// One (degree, micro-batch count) configuration of a wave.
+/// One (batch, degree, micro-batch count) configuration of a wave.
 struct ConfigTask {
   const PerDegree* degree = nullptr;
+  int batch = 1;
   int micro = 1;
   int ordinal = 0;
-  /// Throughput of the best plan merged for the degree's PP degree when
-  /// the wave was enumerated (0 when none): the incumbent the
-  /// configuration's DP plan must beat to matter.
+  /// Pass 1: throughput of the best plan merged for the degree's PP degree
+  /// when the wave was enumerated (0 when none), the incumbent the
+  /// configuration's DP plan must beat to matter. (Pass 2 reads its
+  /// incumbent at enumeration and prunes there.)
   double incumbent = 0.0;
+  /// Index of the configuration's first stage bound: in its wave's
+  /// `bounds` in pass 1, in the sweep's deferred store in pass 2.
+  size_t first_stage = 0;
+  /// Pass 2: the throughput of the configuration's uniform best (merged in
+  /// pass 1) and the bound its DP plan cannot exceed.
+  double uniform_best = 0.0;
+  double upper = 0.0;
 };
 
-/// One batch size's configurations — a wave of Algorithm 1's sweep — and,
-/// once run, their outcomes (indexed like `tasks`).
+/// A wave of the sweep and, once run, its outcomes (indexed like `tasks`).
+/// Pass 1's waves are Algorithm 1's batch sizes, one each; pass 2's run
+/// deferred stage DPs, best bound first. Wave objects are recycled.
 struct Wave : PipelineWave {
-  int batch = 0;
-  /// Some degree's pipeline cannot be filled at this batch yet.
+  bool deferred_pass = false;
+  /// Pass 1: some degree's pipeline cannot be filled at this batch yet.
   bool any_pending = false;
   std::vector<ConfigTask> tasks;
   std::vector<ConfigOutcome> outcomes;
+  /// Pass 1: each task's per-stage bounds, from its `first_stage`.
+  std::vector<DpStageBound> bounds;
 };
 
 }  // namespace
@@ -480,11 +501,13 @@ Result<OptimizationResult> Optimizer::Optimize(
   // one composition (ComposePlanCost) over the cost cache's entries by
   // candidate index (CachedPlanSource: the entries the stage searches
   // fill, nothing materialized), with the memory check applied stage by
-  // stage — a plan that runs out of memory stops at the failing stage.
-  // The degree's structure must validate.
+  // stage — a plan that runs out of memory stops at the failing stage,
+  // with OutOfMemory, or by setting `*over_budget` when that is given. The
+  // degree's structure must validate.
   auto compose = [&](const PerDegree& degree, int batch, int micro,
                      int uniform_candidate,
-                     const std::vector<StageDraft>* draft, PlanCost* cost) {
+                     const std::vector<StageDraft>* draft, PlanCost* cost,
+                     bool* over_budget) {
     thread_local std::vector<IndexedStage> stages;
     stages.resize(degree.geometry.size());
     int first_layer = 0;
@@ -511,176 +534,122 @@ Result<OptimizationResult> Optimizer::Optimize(
     }
     CachedPlanSource source(cache, &stages, batch, micro, options_.schedule);
     return estimator_.ComposePlanCost(model, batch, micro, source,
-                                      /*check_memory=*/true, cost);
+                                      /*check_memory=*/true, cost,
+                                      over_budget);
   };
-  // A plan's estimated throughput, or why it cannot run: OutOfMemory for a
-  // stage over its budget, else the degree's structure error or the
-  // estimator's. The cost itself goes to per-thread scratch whose buffers
-  // every plan the thread prices reuses; the sweep keeps only the number.
+  // A plan's estimated throughput, nullopt when a stage is over its memory
+  // budget, or why it cannot be priced: the degree's structure error or
+  // the estimator's. The cost itself goes to per-thread scratch whose
+  // buffers every plan the thread prices reuses; the sweep keeps only the
+  // number. Plans that do not fit allocate nothing.
   auto price = [&](const PerDegree& degree, int batch, int micro,
-                   int uniform_candidate,
-                   const std::vector<StageDraft>* draft) -> Result<double> {
+                   int uniform_candidate, const std::vector<StageDraft>* draft)
+      -> Result<std::optional<double>> {
     if (!degree.structure.ok()) return degree.structure;
     thread_local PlanCost scratch;
-    GALVATRON_RETURN_IF_ERROR(
-        compose(degree, batch, micro, uniform_candidate, draft, &scratch));
-    return scratch.throughput_samples_per_sec;
+    bool over_budget = false;
+    GALVATRON_RETURN_IF_ERROR(compose(degree, batch, micro, uniform_candidate,
+                                      draft, &scratch, &over_budget));
+    if (over_budget) return std::optional<double>();
+    return std::optional<double>(scratch.throughput_samples_per_sec);
   };
 
-  // Evaluates one (batch, degree, micro) configuration against the
-  // incumbent throughput of its PP degree (see ConfigTask). Pure function
-  // of its arguments plus the (thread-safe, const) estimator and shared
-  // caches — safe to run on any worker.
-  auto evaluate = [&](const PerDegree& degree, int batch, int micro,
-                      int config_ordinal, double incumbent) -> ConfigOutcome {
-    ConfigOutcome out;
-    if (cancelled()) {
-      out.error = Status::Cancelled("strategy sweep cancelled");
-      return out;
-    }
-    // Best plan of THIS configuration, tracked without materializing
-    // anything: a uniform candidate or a draft of candidate indices, plus
-    // its throughput. Within one configuration the PP degree and ordinal
-    // are fixed, so BetterPlan reduces to strictly higher throughput
-    // (earlier candidates keep ties); nothing is deep-copied — the sweep
-    // materializes only its single committed winner.
-    bool have_best = false;
-    double best_throughput = 0.0;
-    int best_rank = 0;
-    int best_uniform = -1;
-    std::vector<StageDraft> draft;
-    auto commit_best = [&] {
-      if (!have_best) return;
-      out.best.degree = &degree;
-      out.best.batch = batch;
-      out.best.micro = micro;
-      out.best.pp = degree.pp;
-      out.best.throughput = best_throughput;
-      out.best.candidate_rank = best_rank;
-      out.best.config_ordinal = config_ordinal;
-      out.best.uniform_candidate = best_uniform;
-      if (best_uniform < 0) out.best.stages = std::move(draft);
-      out.has_best = true;
-    };
-    // Uniform single-strategy plans first: they are points of the same
-    // search space, and pricing them exactly guarantees the search never
-    // loses to a pure baseline because of DP-table memory quantization.
-    // The guard reproduces exactly the batch-dependent Validate failures
-    // MakeUniformPlan would hit.
-    if (batch >= 1 && micro >= 1 && micro <= batch) {
-      for (const int c : degree.uniform_candidates) {
-        const Result<double> throughput =
-            price(degree, batch, micro, c, nullptr);
-        if (!throughput.ok()) continue;
-        out.feasible = true;
-        if (!have_best || *throughput > best_throughput) {
-          have_best = true;
-          best_throughput = *throughput;
-          best_rank = c;
-          best_uniform = c;
-        }
-      }
-    }
-
-    // The stage searches (DpSearch::Run or DpSearch::Bound) of stage s,
-    // whose layers start at first_layer. The probe plan carries just the
-    // schedule shape InFlightForDegree reads.
+  // The stage search (DpSearch::Run or DpSearch::Bound) of stage s of
+  // `task`'s configuration, whose layers start at first_layer. The probe
+  // plan carries just the schedule shape InFlightForDegree reads.
+  auto stage_search = [&](auto method, const ConfigTask& task, int s,
+                          int first_layer) {
+    const PerDegree& degree = *task.degree;
+    const size_t i = static_cast<size_t>(s);
     TrainingPlan probe;
-    probe.global_batch = batch;
-    probe.num_micro_batches = micro;
+    probe.global_batch = task.batch;
+    probe.num_micro_batches = task.micro;
     probe.schedule = options_.schedule;
-    auto stage_search = [&](auto method, int s, int first_layer) {
-      const size_t i = static_cast<size_t>(s);
-      return (search.*method)(model, first_layer, degree.stage_sizes[i],
-                              *degree.stage_candidates[i],
-                              degree.geometry[i].first_device, batch, micro,
-                              degree.stage_budgets[i],
-                              probe.InFlightForDegree(degree.pp, s),
-                              run_hooks);
-    };
-    // Warm infeasible answers are invisible here (no DpSearchResult to
-    // carry the flag) and count as misses; the cache's own stats() still
-    // record them as hits.
-    auto count_stage = [&](const Result<DpSearchResult>& result) {
-      if (result.ok() && result->frontier_hit) {
-        ++out.dp_frontier_hits;
-      } else {
-        ++out.dp_frontier_misses;
-      }
-    };
-
-    // Cross-configuration bound. Once a uniform plan fits, the DP plan
-    // changes the merged result only if it beats both that plan and the
-    // incumbent, the best plan already merged for this PP degree: it ranks
-    // after every uniform candidate and after the incumbent's earlier
-    // ordinal, so it loses ties to both. Each stage is bounded first (a
-    // frontier-cache hit answers the stage outright and is kept for the
-    // DP below), the bounds compose into a throughput upper bound, and
-    // when that cannot beat either plan the stage DPs are skipped. The
-    // configuration keeps its uniform best and its feasibility. The
-    // relative slack absorbs summation-order rounding between the bound
-    // and the priced plan. (A uniform plan that fits means the degree's
-    // structure validates.)
-    thread_local std::vector<DpStageBound> bounds;
-    thread_local std::vector<double> lower_seconds;
-    bounds.clear();
-    bounds.resize(static_cast<size_t>(degree.pp));
-    if (have_best) {
-      lower_seconds.clear();
-      int first_layer = 0;
-      for (int s = 0; s < degree.pp; ++s) {
-        Result<DpStageBound> bound =
-            stage_search(&DpSearch::Bound, s, first_layer);
-        if (!bound.ok()) break;
-        DpStageBound& stage = bounds[static_cast<size_t>(s)];
-        stage = *std::move(bound);
-        if (!stage.bounded) break;
-        lower_seconds.push_back(stage.lower_seconds);
-        first_layer += degree.stage_sizes[static_cast<size_t>(s)];
-      }
-      if (lower_seconds.size() == bounds.size()) {
-        const double upper = estimator_.PipelineThroughputBound(
-            model, batch, micro, degree.stage_extents, lower_seconds);
-        const double to_beat = std::max(best_throughput, incumbent);
-        if (upper * (1.0 + 1e-9) <= to_beat) {
-          for (const DpStageBound& stage : bounds) {
-            if (!stage.answer.has_value()) continue;
-            count_stage(*stage.answer);
-            out.dp_allocations += (*stage.answer)->allocations;
-          }
-          out.pruned = true;
-          commit_best();
-          return out;
-        }
-      }
+    return (search.*method)(model, first_layer, degree.stage_sizes[i],
+                            *degree.stage_candidates[i],
+                            degree.geometry[i].first_device, task.batch,
+                            task.micro, degree.stage_budgets[i],
+                            probe.InFlightForDegree(degree.pp, s), run_hooks);
+  };
+  // Warm infeasible answers are invisible here (no DpSearchResult to
+  // carry the flag) and count as misses; the cache's own stats() still
+  // record them as hits.
+  auto count_stage = [](const Result<DpSearchResult>& result,
+                        ConfigOutcome& out) {
+    if (result.ok() && result->frontier_hit) {
+      ++out.dp_frontier_hits;
+    } else {
+      ++out.dp_frontier_misses;
     }
+  };
+  // A pruned configuration's stages answered by its bound pass: counted
+  // once, though no DP uses them.
+  auto count_answers = [&](const ConfigTask& task, const DpStageBound* stages,
+                           ConfigOutcome& out) {
+    for (int s = 0; s < task.degree->pp; ++s) {
+      const std::optional<Result<DpSearchResult>>& answer = stages[s].answer;
+      if (!answer.has_value()) continue;
+      count_stage(*answer, out);
+      out.dp_allocations += (*answer)->allocations;
+    }
+  };
 
-    // Per-stage DP, collected as a draft of candidate indices (the search
-    // returns index chains only). Stages the bound pass answered from the
-    // frontier cache reuse that answer.
-    bool oom = false;
+  // Best plan of one configuration, tracked without materializing
+  // anything: a uniform candidate or the DP draft, plus its throughput.
+  // Within one configuration the PP degree and ordinal are fixed, so
+  // BetterPlan reduces to strictly higher throughput (earlier candidates
+  // keep ties).
+  struct ConfigBest {
+    bool have = false;
+    double throughput = 0.0;
+    int rank = 0;
+    int uniform = -1;  // see RankedPlan::uniform_candidate
+  };
+  auto commit = [](const ConfigTask& task, const ConfigBest& best,
+                   std::vector<StageDraft>& draft, ConfigOutcome& out) {
+    if (!best.have) return;
+    out.best.degree = task.degree;
+    out.best.batch = task.batch;
+    out.best.micro = task.micro;
+    out.best.pp = task.degree->pp;
+    out.best.throughput = best.throughput;
+    out.best.candidate_rank = best.rank;
+    out.best.config_ordinal = task.ordinal;
+    out.best.uniform_candidate = best.uniform;
+    if (best.uniform < 0) out.best.stages = std::move(draft);
+    out.has_best = true;
+  };
+
+  // Runs a configuration's per-stage DPs into `draft` (candidate indices:
+  // the search returns index chains only), reusing the stages its bound
+  // pass answered from the frontier cache, and prices the plan. The DP
+  // plan carries the highest candidate rank, so it replaces `best` only on
+  // strictly higher throughput. Fatal errors go to `out.error`; a stage or
+  // plan that does not fit leaves `best` as it was.
+  auto run_dps = [&](const ConfigTask& task, DpStageBound* stages,
+                     ConfigBest& best, std::vector<StageDraft>& draft,
+                     ConfigOutcome& out) {
+    const PerDegree& degree = *task.degree;
     int first_layer = 0;
     draft.reserve(static_cast<size_t>(degree.pp));
-    for (int s = 0; s < degree.pp && !oom; ++s) {
+    for (int s = 0; s < degree.pp; ++s) {
       if (cancelled()) {
         out.error = Status::Cancelled("strategy sweep cancelled");
-        return out;
+        return;
       }
       const int stage_layers = degree.stage_sizes[static_cast<size_t>(s)];
-      std::optional<Result<DpSearchResult>>& answered =
-          bounds[static_cast<size_t>(s)].answer;
+      std::optional<Result<DpSearchResult>>& answered = stages[s].answer;
       Result<DpSearchResult> result =
-          answered.has_value() ? *std::move(answered)
-                               : stage_search(&DpSearch::Run, s, first_layer);
-      count_stage(result);
+          answered.has_value()
+              ? *std::move(answered)
+              : stage_search(&DpSearch::Run, task, s, first_layer);
+      count_stage(result, out);
       if (!result.ok()) {
-        if (result.status().IsInfeasible() ||
-            result.status().IsOutOfMemory()) {
-          oom = true;
-          break;
+        if (!result.status().IsInfeasible() &&
+            !result.status().IsOutOfMemory()) {
+          out.error = result.status();
         }
-        out.error = result.status();
-        return out;
+        return;
       }
       out.dp_states += result->states_explored;
       out.dp_breakpoints += result->breakpoints_emitted;
@@ -696,32 +665,117 @@ Result<OptimizationResult> Optimizer::Optimize(
       draft.push_back(std::move(d));
       first_layer += stage_layers;
     }
-    if (oom) {
-      commit_best();
-      return out;
-    }
-
-    const Result<double> throughput =
-        price(degree, batch, micro, /*uniform_candidate=*/-1, &draft);
+    const Result<std::optional<double>> throughput =
+        price(degree, task.batch, task.micro, /*uniform_candidate=*/-1, &draft);
     if (!throughput.ok()) {
-      if (throughput.status().IsOutOfMemory()) {
-        out.draft_over_budget = true;
-      } else {
-        out.error = throughput.status();
-      }
-      commit_best();
-      return out;
+      out.error = throughput.status();
+      return;
+    }
+    if (!throughput->has_value()) {
+      out.draft_over_budget = true;
+      return;
     }
     out.feasible = true;
-    // The DP plan carries the highest candidate rank, so it too replaces
-    // only on strictly higher throughput.
-    if (!have_best || *throughput > best_throughput) {
-      have_best = true;
-      best_throughput = *throughput;
-      best_rank = degree.dp_rank;
-      best_uniform = -1;
+    if (!best.have || **throughput > best.throughput) {
+      best = ConfigBest{true, **throughput, degree.dp_rank, -1};
     }
-    commit_best();
+  };
+
+  // Pass 1 of one configuration: its uniform plans, then the bound on its
+  // DP plan, which prunes it, defers its DPs to pass 2 or — with no
+  // fitting uniform plan or no complete bound — runs them now. `stages`
+  // receives its pp stage bounds. Pure function of its arguments plus the
+  // (thread-safe, const) estimator and shared caches — safe to run on any
+  // worker.
+  auto evaluate = [&](const ConfigTask& task,
+                      DpStageBound* stages) -> ConfigOutcome {
+    ConfigOutcome out;
+    if (cancelled()) {
+      out.error = Status::Cancelled("strategy sweep cancelled");
+      return out;
+    }
+    const PerDegree& degree = *task.degree;
+    ConfigBest best;
+    std::vector<StageDraft> draft;
+    // Uniform single-strategy plans first: they are points of the same
+    // search space, and pricing them exactly guarantees the search never
+    // loses to a pure baseline because of DP-table memory quantization.
+    // The guard reproduces exactly the batch-dependent Validate failures
+    // MakeUniformPlan would hit.
+    if (task.batch >= 1 && task.micro >= 1 && task.micro <= task.batch) {
+      for (const int c : degree.uniform_candidates) {
+        const Result<std::optional<double>> throughput =
+            price(degree, task.batch, task.micro, c, nullptr);
+        if (!throughput.ok() || !throughput->has_value()) continue;
+        out.feasible = true;
+        if (!best.have || **throughput > best.throughput) {
+          best = ConfigBest{true, **throughput, c, c};
+        }
+      }
+    }
+
+    // Cross-configuration bound. Once a uniform plan fits, the DP plan
+    // changes the merged result only if it beats both that plan and the
+    // incumbent, the best plan already merged for this PP degree: it ranks
+    // after every uniform candidate and after the incumbent's earlier
+    // ordinal, so it loses ties to both. Each stage is bounded first (a
+    // frontier-cache hit answers the stage outright and is kept for the
+    // DP), and the bounds compose into a throughput upper bound. When that
+    // cannot beat either plan the configuration is pruned; else its DPs
+    // wait for pass 2, where stronger incumbents prune most of them. Either
+    // way it keeps its uniform best and its feasibility. (A uniform plan
+    // that fits means the degree's structure validates.)
+    if (best.have) {
+      thread_local std::vector<double> lower_seconds;
+      lower_seconds.clear();
+      int first_layer = 0;
+      for (int s = 0; s < degree.pp; ++s) {
+        Result<DpStageBound> bound =
+            stage_search(&DpSearch::Bound, task, s, first_layer);
+        if (!bound.ok()) break;
+        DpStageBound& stage = stages[s];
+        stage = *std::move(bound);
+        if (!stage.bounded) break;
+        lower_seconds.push_back(stage.lower_seconds);
+        first_layer += degree.stage_sizes[static_cast<size_t>(s)];
+      }
+      if (lower_seconds.size() == static_cast<size_t>(degree.pp)) {
+        out.upper = estimator_.PipelineThroughputBound(
+            model, task.batch, task.micro, degree.stage_extents,
+            lower_seconds);
+        if (out.upper * (1.0 + kBoundSlack) <=
+            std::max(best.throughput, task.incumbent)) {
+          count_answers(task, stages, out);
+          out.pruned = true;
+        } else {
+          out.deferred = true;
+        }
+        commit(task, best, draft, out);
+        return out;
+      }
+    }
+
+    run_dps(task, stages, best, draft, out);
+    commit(task, best, draft, out);
+    return out;
+  };
+
+  // Pass 2 of a deferred configuration its bound did not prune: its stage
+  // DPs. The outcome carries a plan only when the DP plan beats the
+  // uniform best, which pass 1 merged.
+  auto evaluate_deferred = [&](const ConfigTask& task,
+                               DpStageBound* stages) -> ConfigOutcome {
+    ConfigOutcome out;
+    if (cancelled()) {
+      out.error = Status::Cancelled("strategy sweep cancelled");
+      return out;
+    }
+    // Only the uniform best's throughput matters here: it is not merged
+    // again.
+    ConfigBest best{true, task.uniform_best, 0, 0};
+    std::vector<StageDraft> draft;
+    run_dps(task, stages, best, draft, out);
+    if (best.uniform < 0) commit(task, best, draft, out);
     return out;
   };
 
@@ -738,18 +792,84 @@ Result<OptimizationResult> Optimizer::Optimize(
   bool have_best = false;
   // Best plan per PP degree, kept as alternates.
   std::map<int, RankedPlan> best_per_degree;
+  auto incumbent_of = [&](int pp) {
+    const auto it = best_per_degree.find(pp);
+    return it == best_per_degree.end() ? 0.0 : it->second.throughput;
+  };
+  // BetterPlan is a total order, so the merged winner and alternates do
+  // not depend on the order plans are merged in.
+  auto merge_plan = [&](RankedPlan& plan) {
+    auto it = best_per_degree.find(plan.pp);
+    if (it == best_per_degree.end() || BetterPlan(plan, it->second)) {
+      best_per_degree[plan.pp] = plan;
+    }
+    if (!have_best || BetterPlan(plan, best)) {
+      best = std::move(plan);
+      have_best = true;
+    }
+  };
+  auto merge_counters = [&](const ConfigOutcome& out) {
+    stats.dp_states_explored += out.dp_states;
+    stats.dp_breakpoints_emitted += out.dp_breakpoints;
+    stats.dp_options_pruned += out.dp_pruned;
+    stats.dp_frontier_hits += out.dp_frontier_hits;
+    stats.dp_frontier_misses += out.dp_frontier_misses;
+    stats.dp_infeasible_skipped += out.dp_infeasible_skipped;
+    stats.configs_pruned += out.pruned ? 1 : 0;
+    stats.dp_drafts_over_budget += out.draft_over_budget ? 1 : 0;
+    stats.dp_allocations += out.dp_allocations;
+    stats.sweep_allocations += out.sweep_allocations;
+  };
+  // The fatal error with the lowest ordinal either pass has met: the one a
+  // sweep in ordinal order meets first.
+  Status error;
+  int error_ordinal = std::numeric_limits<int>::max();
+  auto fail = [&](const Status& status, int ordinal) {
+    if (ordinal >= error_ordinal) return;
+    error = status;
+    error_ordinal = ordinal;
+  };
+
+  // Pass 2's tasks and, from each one's first_stage, its stage bounds:
+  // per-sweep storage the pass-1 merge fills.
+  std::vector<ConfigTask> deferred;
+  std::vector<DpStageBound> deferred_stages;
+
+  // Waves are recycled: a merged one goes back to `spare` with its
+  // buffers.
+  std::deque<std::unique_ptr<Wave>> waves;  // published, oldest first
+  std::vector<std::unique_ptr<Wave>> spare;
+  auto take_wave = [&](bool deferred_pass) {
+    std::unique_ptr<Wave> wave;
+    if (spare.empty()) {
+      wave = std::make_unique<Wave>();
+    } else {
+      wave = std::move(spare.back());
+      spare.pop_back();
+      static_cast<PipelineWave&>(*wave) = PipelineWave();
+      wave->tasks.clear();
+    }
+    wave->deferred_pass = deferred_pass;
+    wave->any_pending = false;
+    return wave;
+  };
+  auto seal_wave = [](Wave& wave) {
+    wave.outcomes.resize(wave.tasks.size());
+    wave.num_tasks = wave.tasks.size();
+  };
+
+  // Pass 1's waves — Algorithm 1: grow the batch until every PP degree is
+  // out of memory. Each batch is one wave of independent (degree, micro)
+  // configurations, enumerated with their ordinals in batch order. Returns
+  // null past max_batch.
   int next_ordinal = 0;
   int next_batch = options_.batch_step;
-
-  // Algorithm 1: grow the batch until every PP degree is out of memory.
-  // Each batch is one wave of independent (degree, micro) configurations,
-  // enumerated with their ordinals in batch order. Returns null past
-  // max_batch.
   auto enumerate_wave = [&]() -> std::unique_ptr<Wave> {
     if (next_batch > options_.max_batch) return nullptr;
-    auto wave = std::make_unique<Wave>();
-    wave->batch = next_batch;
+    std::unique_ptr<Wave> wave = take_wave(/*deferred_pass=*/false);
+    const int batch = next_batch;
     next_batch += options_.batch_step;
+    size_t num_stages = 0;
     for (const PerDegree& degree : degrees) {
       // Micro-batch counts: 1 for the non-pipelined case, else multiples of
       // the stage count (GPipe needs m >= P to fill the pipe).
@@ -759,9 +879,9 @@ Result<OptimizationResult> Optimizer::Optimize(
       } else {
         for (int mult : options_.micro_batch_multipliers) {
           const int m = degree.pp * mult;
-          if (m <= wave->batch) micro_counts.push_back(m);
+          if (m <= batch) micro_counts.push_back(m);
         }
-        if (micro_counts.empty() && degree.pp <= wave->batch) {
+        if (micro_counts.empty() && degree.pp <= batch) {
           micro_counts.push_back(degree.pp);
         }
         if (micro_counts.empty()) wave->any_pending = true;
@@ -769,31 +889,63 @@ Result<OptimizationResult> Optimizer::Optimize(
       // The incumbent is snapshotted here, at enumeration: inline that is
       // after every earlier wave merged, under the one-wave lookahead after
       // all but the previous one — fixed for each thread count either way.
-      const auto incumbent = best_per_degree.find(degree.pp);
-      const double incumbent_throughput =
-          incumbent == best_per_degree.end() ? 0.0
-                                             : incumbent->second.throughput;
+      const double incumbent = incumbent_of(degree.pp);
       for (int micro : micro_counts) {
-        wave->tasks.push_back(ConfigTask{&degree, micro, next_ordinal++,
-                                         incumbent_throughput});
+        wave->tasks.push_back(ConfigTask{&degree, batch, micro,
+                                         next_ordinal++, incumbent,
+                                         num_stages});
+        num_stages += static_cast<size_t>(degree.pp);
       }
     }
-    wave->outcomes.resize(wave->tasks.size());
-    wave->num_tasks = wave->tasks.size();
+    wave->bounds.clear();
+    wave->bounds.resize(num_stages);
+    seal_wave(*wave);
     return wave;
   };
 
-  // The wave pipeline: with workers, the next wave is published before the
-  // current one is merged (a fixed lookahead of one wave), so configurations
-  // of batch B+1 fill the cores the slowest configuration of batch B leaves
-  // idle. The merge below walks waves strictly in batch order; a wave that
-  // stops the sweep discards the one run ahead, so no outcome of it reaches
-  // the result, the error or the work counters. Inline (one thread) the
-  // same loop runs each wave on the caller with no lookahead.
+  // Pass 2's waves: the deferred configurations in descending bound order
+  // (ties by ordinal), `threads` at a time. Each is bounded here, at
+  // enumeration, against its PP degree's incumbent, and only the ones the
+  // bound cannot prune go to the workers. The prune test keeps pass 1's
+  // `<=` against the uniform best, which wins ties, but the incumbent may
+  // come from a later ordinal, which loses ties to this configuration's DP
+  // plan, so only a bound strictly below it prunes. Configurations past a
+  // fatal error's ordinal are skipped: nothing they find is returned.
+  size_t next_deferred = 0;
+  auto enumerate_deferred_wave = [&]() -> std::unique_ptr<Wave> {
+    std::unique_ptr<Wave> wave;
+    while (next_deferred < deferred.size() &&
+           (wave == nullptr ||
+            wave->tasks.size() < static_cast<size_t>(threads))) {
+      const ConfigTask& task = deferred[next_deferred++];
+      if (task.ordinal > error_ordinal) continue;
+      const double upper = task.upper * (1.0 + kBoundSlack);
+      if (upper <= task.uniform_best ||
+          upper < incumbent_of(task.degree->pp)) {
+        ConfigOutcome out;
+        count_answers(task, &deferred_stages[task.first_stage], out);
+        out.pruned = true;
+        merge_counters(out);
+        continue;
+      }
+      if (wave == nullptr) wave = take_wave(/*deferred_pass=*/true);
+      wave->tasks.push_back(task);
+    }
+    if (wave != nullptr) seal_wave(*wave);
+    return wave;
+  };
+
+  // The wave pipeline: with workers, pass 1 publishes the next wave before
+  // it merges the current one (a fixed lookahead of one wave), so the next
+  // batch's configurations fill the cores the slowest configuration of the
+  // current one leaves idle. Pass 2 runs no wave ahead: a deferred DP is
+  // worth running only against the incumbents the waves before it leave.
+  // Each pass merges its waves strictly in order; a wave run ahead of the
+  // one that ends pass 1 is discarded, so no outcome of it reaches the
+  // result, the error or the work counters. Inline (one thread) the same
+  // loop runs each wave on the caller with no lookahead.
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  const size_t max_open_waves = pool != nullptr ? 2 : 1;
-  std::deque<std::unique_ptr<Wave>> waves;
   WavePipeline pipeline(pool.get(), &abandon, [&](PipelineWave& run,
                                                    size_t i) {
     Wave& wave = static_cast<Wave&>(run);
@@ -803,64 +955,105 @@ Result<OptimizationResult> Optimizer::Optimize(
     // this thread, so thread-local counter deltas capture it exactly.
     const int64_t allocs_before = CurrentThreadAllocCount();
     const int64_t skips_before = CurrentThreadDpInfeasibleSkips();
-    out = evaluate(*task.degree, wave.batch, task.micro, task.ordinal,
-                   task.incumbent);
+    out = wave.deferred_pass
+              ? evaluate_deferred(task, &deferred_stages[task.first_stage])
+              : evaluate(task, &wave.bounds[task.first_stage]);
     out.sweep_allocations = CurrentThreadAllocCount() - allocs_before;
     out.dp_infeasible_skipped =
         CurrentThreadDpInfeasibleSkips() - skips_before;
   });
-  auto open_wave = [&] {
-    std::unique_ptr<Wave> wave = enumerate_wave();
-    if (wave == nullptr) return false;
-    pipeline.Publish(wave.get());
-    waves.push_back(std::move(wave));
-    return true;
+  // Publishes and merges one pass's waves (`enumerate` opens the next, or
+  // returns null when the pass has none left), up to `max_open_waves` at a
+  // time, until none is left or `merge` returns false; a wave run ahead of
+  // that one stays published.
+  auto run_pass = [&](size_t max_open_waves, auto enumerate,
+                      auto merge) -> Status {
+    auto open_wave = [&] {
+      std::unique_ptr<Wave> wave = enumerate();
+      if (wave == nullptr) return false;
+      pipeline.Publish(wave.get());
+      waves.push_back(std::move(wave));
+      return true;
+    };
+    open_wave();
+    while (!waves.empty()) {
+      if (cancelled()) return Status::Cancelled("strategy sweep cancelled");
+      while (waves.size() < max_open_waves && open_wave()) {
+      }
+      pipeline.Finish(waves.front().get());
+      const bool more = merge(*waves.front());
+      spare.push_back(std::move(waves.front()));
+      waves.pop_front();
+      if (!more) break;
+      if (waves.empty()) open_wave();
+    }
+    return Status::OK();
   };
 
-  open_wave();
-  while (!waves.empty()) {
-    if (cancelled()) return Status::Cancelled("strategy sweep cancelled");
-    while (waves.size() < max_open_waves && open_wave()) {
-    }
-    Wave& wave = *waves.front();
-    pipeline.Finish(&wave);
-
-    // Deterministic merge: walk outcomes in enumeration order; the first
-    // fatal error (by ordinal) is returned, exactly as the serial sweep
-    // would have surfaced it.
+  // Pass 1: every configuration's uniform plans and bound, batch by batch.
+  // The merge walks outcomes in enumeration order. Deferred configurations
+  // merge their uniform best now and leave their bound and stage answers
+  // for pass 2. The exit test sees exactly what the one-pass sweep saw: a
+  // configuration is deferred only once a uniform plan fits.
+  auto merge_batch = [&](Wave& wave) {
     bool any_feasible = false;
-    for (ConfigOutcome& out : wave.outcomes) {
-      if (!out.error.ok()) return out.error;
+    for (size_t i = 0; i < wave.tasks.size(); ++i) {
+      const ConfigTask& task = wave.tasks[i];
+      ConfigOutcome& out = wave.outcomes[i];
+      if (!out.error.ok()) {
+        fail(out.error, task.ordinal);
+        return false;
+      }
       ++stats.configs_explored;
-      stats.dp_states_explored += out.dp_states;
-      stats.dp_breakpoints_emitted += out.dp_breakpoints;
-      stats.dp_options_pruned += out.dp_pruned;
-      stats.dp_frontier_hits += out.dp_frontier_hits;
-      stats.dp_frontier_misses += out.dp_frontier_misses;
-      stats.dp_infeasible_skipped += out.dp_infeasible_skipped;
-      stats.configs_pruned += out.pruned ? 1 : 0;
-      stats.dp_drafts_over_budget += out.draft_over_budget ? 1 : 0;
-      stats.dp_allocations += out.dp_allocations;
-      stats.sweep_allocations += out.sweep_allocations;
+      merge_counters(out);
       any_feasible = any_feasible || out.feasible;
-      if (!out.has_best) continue;
-      const int pp = out.best.pp;
-      auto it = best_per_degree.find(pp);
-      if (it == best_per_degree.end() || BetterPlan(out.best, it->second)) {
-        best_per_degree[pp] = out.best;
+      if (out.deferred) {
+        ConfigTask later = task;
+        later.first_stage = deferred_stages.size();
+        later.uniform_best = out.best.throughput;
+        later.upper = out.upper;
+        deferred.push_back(later);
+        for (int s = 0; s < task.degree->pp; ++s) {
+          deferred_stages.push_back(std::move(
+              wave.bounds[task.first_stage + static_cast<size_t>(s)]));
+        }
       }
-      if (!have_best || BetterPlan(out.best, best)) {
-        best = std::move(out.best);
-        have_best = true;
-      }
+      if (out.has_best) merge_plan(out.best);
     }
-    if (!any_feasible && !wave.any_pending) {
-      break;  // larger batches only use more memory
-    }
+    // Larger batches only use more memory.
+    return any_feasible || wave.any_pending;
+  };
+  GALVATRON_RETURN_IF_ERROR(
+      run_pass(pool != nullptr ? 2 : 1, enumerate_wave, merge_batch));
+  if (!waves.empty()) {
+    pipeline.Discard(waves.front().get());
+    spare.push_back(std::move(waves.front()));
     waves.pop_front();
-    if (waves.empty()) open_wave();
   }
+
+  // Pass 2: the deferred stage DPs, best bound first, against incumbents
+  // that now hold every batch's uniform best.
+  std::sort(deferred.begin(), deferred.end(),
+            [](const ConfigTask& a, const ConfigTask& b) {
+              if (a.upper != b.upper) return a.upper > b.upper;
+              return a.ordinal < b.ordinal;
+            });
+  auto merge_deferred = [&](Wave& wave) {
+    for (size_t i = 0; i < wave.tasks.size(); ++i) {
+      ConfigOutcome& out = wave.outcomes[i];
+      if (!out.error.ok()) {
+        fail(out.error, wave.tasks[i].ordinal);
+        continue;
+      }
+      merge_counters(out);
+      if (out.has_best) merge_plan(out.best);
+    }
+    return true;
+  };
+  GALVATRON_RETURN_IF_ERROR(
+      run_pass(1, enumerate_deferred_wave, merge_deferred));
   pipeline.Stop();
+  if (!error.ok()) return error;
   stats.sweep_seconds = SecondsSince(start) - stats.enumerate_seconds;
 
   if (!have_best) {
@@ -877,7 +1070,8 @@ Result<OptimizationResult> Optimizer::Optimize(
   // The winner's cost, composed once more from the entries that priced it.
   GALVATRON_RETURN_IF_ERROR(compose(*best.degree, best.batch, best.micro,
                                     best.uniform_candidate, &best.stages,
-                                    &result.estimated));
+                                    &result.estimated,
+                                    /*over_budget=*/nullptr));
 
   // Co-optimization: feed the winning plan's measured per-layer times back
   // into the pipeline partitioner and re-search each stage.

@@ -63,7 +63,8 @@ struct OptimizerOptions {
   /// Worker threads for the strategy sweep. The independent (PP degree,
   /// micro-batch count) configurations of each batch wave fan out across
   /// this many worker threads, which also run one wave ahead while the
-  /// calling thread merges the current one; 1 keeps the sweep serial,
+  /// calling thread merges the current one, and then run the deferred
+  /// stage DPs this many at a time; 1 keeps the sweep serial,
   /// 0 uses the machine's hardware concurrency, and a negative value makes
   /// Optimize return InvalidArgument (it is a caller bug, not a request for
   /// serial search). The result is bit-identical for every valid value —
@@ -80,8 +81,9 @@ struct SearchStats {
   /// Explored configurations whose per-stage DPs were skipped because a
   /// throughput upper bound proved their DP plan cannot beat the better
   /// of the configuration's best uniform plan and the best plan already
-  /// merged for its PP degree (see Optimize). They keep their uniform
-  /// best and count in configs_explored.
+  /// merged for its PP degree (see Optimize): pruned in the sweep's first
+  /// pass, or deferred there and pruned in the second. They keep their
+  /// uniform best and count in configs_explored.
   int configs_pruned = 0;
   /// DP states materialized across all per-stage searches: Pareto
   /// breakpoints (see DpSearchResult).
@@ -167,7 +169,10 @@ struct OptimizationResult {
 
 /// Algorithm 1: sweep batch size and PP degree, partition the model,
 /// enumerate the per-stage decision tree, run the per-stage DP search, and
-/// keep the plan with the highest estimated throughput B / C_opt.
+/// keep the plan with the highest estimated throughput B / C_opt. The
+/// sweep runs in two passes: the batch loop prices every configuration's
+/// uniform plans and bounds its DP plan, then the stage DPs the bounds
+/// could not rule out run best bound first (docs/parallel_search.md).
 class Optimizer {
  public:
   /// `cluster` must outlive this object.

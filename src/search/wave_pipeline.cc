@@ -36,6 +36,17 @@ void WavePipeline::Finish(PipelineWave* wave) {
   }
 }
 
+void WavePipeline::Discard(PipelineWave* wave) {
+  if (pool_ == nullptr) return;
+  abandon_->store(true, std::memory_order_relaxed);
+  std::unique_lock<std::mutex> lock(mu_);
+  wave->finished += wave->num_tasks - wave->started;
+  wave->started = wave->num_tasks;
+  cv_.wait(lock, [wave] { return wave->finished == wave->num_tasks; });
+  open_.pop_front();
+  abandon_->store(false, std::memory_order_relaxed);
+}
+
 void WavePipeline::Stop() {
   if (pool_ == nullptr || stopped_) return;
   stopped_ = true;

@@ -38,7 +38,8 @@ struct PipelineWave {
 /// Stop skips every published task that has not started and raises
 /// `*abandon` — the optimizer's cancel hook reads it, so running tasks
 /// return within one DP column — then waits for them and lowers the flag
-/// again. The destructor stops, so no worker outlives the state its tasks
+/// again. Discard does the same to a single wave and keeps the workers.
+/// The destructor stops, so no worker outlives the state its tasks
 /// reference.
 class WavePipeline {
  public:
@@ -59,6 +60,12 @@ class WavePipeline {
   /// run (inline: runs them, in index order). Rethrows the first exception
   /// one of `wave`'s own tasks threw; another wave's never surfaces here.
   void Finish(PipelineWave* wave);
+
+  /// Drops `wave`, the only published wave, unmerged: skips its unstarted
+  /// tasks and abandons its running ones as Stop does, but keeps the
+  /// workers for the waves published next. A no-op inline, where an
+  /// unfinished wave never ran.
+  void Discard(PipelineWave* wave);
 
   /// Skips unstarted tasks, abandons running ones and retires the workers.
   /// Idempotent; nothing runs once it returns.

@@ -428,10 +428,12 @@ HttpResponse PlanService::Handle(const HttpRequest& request) {
 std::shared_ptr<PlanningContext> PlanService::GetOrCreateContext(
     const std::string& key, const ModelSpec& model, const ClusterSpec& cluster,
     const EstimatorOptions& estimator_options,
-    std::shared_ptr<const calibrate::CalibrationProfile> calibration) {
+    std::shared_ptr<const calibrate::CalibrationProfile> calibration,
+    bool* created) {
   std::lock_guard<std::mutex> lock(contexts_mu_);
   auto it = contexts_index_.find(key);
-  if (it != contexts_index_.end()) {
+  *created = it == contexts_index_.end();
+  if (!*created) {
     contexts_.splice(contexts_.begin(), contexts_, it->second);
     return it->second->second.context;
   }
@@ -528,25 +530,32 @@ HttpResponse PlanService::HandlePlan(const HttpRequest& request) {
   // normally return the leader's response verbatim; they loop again only
   // when the leader timed out against ITS deadline (theirs may be longer).
   for (;;) {
-    if (std::shared_ptr<const std::string> hit = plan_cache_.Get(cache_key)) {
+    std::shared_ptr<const std::string> hit;
+    std::shared_ptr<InFlight> flight;
+    bool leader = false;
+    {
+      // The cache lookup and the flight lookup are one step under the
+      // lock: a leader fills the plan cache before it unpublishes its
+      // flight under this lock, so a request sees either the flight or its
+      // response, never neither (which would lead a second search).
+      std::lock_guard<std::mutex> lock(inflight_mu_);
+      hit = plan_cache_.Get(cache_key);
+      if (hit == nullptr) {
+        auto it = inflight_.find(cache_key);
+        if (it != inflight_.end()) {
+          flight = it->second;
+        } else {
+          flight = std::make_shared<InFlight>();
+          inflight_[cache_key] = flight;
+          leader = true;
+        }
+      }
+    }
+    if (hit != nullptr) {
       if (options_.metrics != nullptr) options_.metrics->RecordPlanCache(true);
       HttpResponse response;
       response.body = "{" + *hit + ", \"plan_cache_hit\": true}\n";
       return response;
-    }
-
-    std::shared_ptr<InFlight> flight;
-    bool leader = false;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      auto it = inflight_.find(cache_key);
-      if (it != inflight_.end()) {
-        flight = it->second;
-      } else {
-        flight = std::make_shared<InFlight>();
-        inflight_[cache_key] = flight;
-        leader = true;
-      }
     }
 
     if (leader) {
@@ -618,8 +627,10 @@ HttpResponse PlanService::ComputePlan(
                 JsonNumber(options.estimator.overlap_slowdown).c_str(),
                 options.estimator.tp_sequence_parallel ? 1 : 0,
                 static_cast<long long>(calibration_version));
-  std::shared_ptr<PlanningContext> context = GetOrCreateContext(
-      context_key, *model, *cluster, options.estimator, calibration);
+  bool created = false;
+  std::shared_ptr<PlanningContext> context =
+      GetOrCreateContext(context_key, *model, *cluster, options.estimator,
+                         calibration, &created);
 
   SearchHooks hooks;
   hooks.cost_cache = context->cache();
@@ -644,7 +655,10 @@ HttpResponse PlanService::ComputePlan(
     options_.metrics->RecordPlanCache(false);
     options_.metrics->RecordCostCache(result->search_stats.cost_cache_hits,
                                       result->search_stats.cost_cache_misses);
-    if (result->search_stats.dp_frontier_hits > 0) {
+    // A fresh context's own repeated stages hit frontiers it just built
+    // (a cold pipelined search does), so only a context an earlier request
+    // created can warm-start a search.
+    if (!created && result->search_stats.dp_frontier_hits > 0) {
       options_.metrics->RecordWarmStart();
     }
   }

@@ -109,7 +109,9 @@ struct PlanServiceOptions {
 ///  3. warm-start — near-miss requests (same model/options, cluster
 ///     differing only in per-device memory) share a PlanningContext whose
 ///     DpFrontierCache replays completed DP frontiers instead of re-running
-///     the kernel (metric: galvatron_serve_warm_start_total).
+///     the kernel (metric: galvatron_serve_warm_start_total, counting
+///     searches on a context an earlier request created that replayed at
+///     least one frontier).
 ///
 /// Every error is a structured JSON body (MakeJsonErrorResponse) with the
 /// Status-mapped HTTP code; hostile input never crashes the process.
@@ -157,10 +159,13 @@ class PlanService {
     std::shared_ptr<const calibrate::CalibrationProfile> calibration;
   };
 
+  /// The warm context under `key`, created from the rest when there is
+  /// none; `*created` tells which.
   std::shared_ptr<PlanningContext> GetOrCreateContext(
       const std::string& key, const ModelSpec& model,
       const ClusterSpec& cluster, const EstimatorOptions& estimator_options,
-      std::shared_ptr<const calibrate::CalibrationProfile> calibration);
+      std::shared_ptr<const calibrate::CalibrationProfile> calibration,
+      bool* created);
 
   /// The active profile and its version under calibration_mu_.
   std::shared_ptr<const calibrate::CalibrationProfile> ActiveCalibration(

@@ -134,8 +134,9 @@ std::string ServeMetrics::Render() const {
       "joined an identical in-flight search and replayed its response.\n"
       "# TYPE galvatron_serve_coalesced_total counter\n"
       "galvatron_serve_coalesced_total %lld\n"
-      "# HELP galvatron_serve_warm_start_total /v1/plan searches "
-      "warm-started from cached DP frontiers.\n"
+      "# HELP galvatron_serve_warm_start_total /v1/plan searches on a "
+      "context an earlier request created that replayed cached DP "
+      "frontiers.\n"
       "# TYPE galvatron_serve_warm_start_total counter\n"
       "galvatron_serve_warm_start_total %lld\n"
       "# HELP galvatron_serve_async_submitted_total Async /v1/plan "

@@ -41,8 +41,9 @@ class ServeMetrics {
     coalesced_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// One /v1/plan search that warm-started from cached DP frontiers
-  /// (SearchStats::dp_frontier_hits > 0) instead of running fully cold.
+  /// One /v1/plan search that warm-started from cached DP frontiers: it
+  /// ran on a PlanningContext an earlier request created and replayed at
+  /// least one (SearchStats::dp_frontier_hits > 0).
   void RecordWarmStart() {
     warm_start_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -1268,7 +1268,8 @@ std::vector<IndexedStage> IndexPlan(const TrainingPlan& plan,
 /// winner, its alternates, a uniform plan per PP degree and a random
 /// draft (random cut points, per-layer strategies and recompute flags):
 /// each must equal EstimatePlan bit for bit with the memory check deferred,
-/// and match its verdict and cost with the check applied.
+/// and match its verdict and cost with the check applied — also when the
+/// verdict comes as the over-budget flag the sweep asks for.
 std::optional<CheckFailure> CheckPlanPricingIdentity(
     uint64_t seed, const CheckOptions& options) {
   const FuzzCheck kCheck = FuzzCheck::kPlanPricingIdentity;
@@ -1319,6 +1320,7 @@ std::optional<CheckFailure> CheckPlanPricingIdentity(
   // One PlanCost composed into over and over, the way the sweep reuses
   // its per-thread scratch across plans of different shapes.
   PlanCost composed_cost;
+  PlanCost flagged_cost;
   for (const TrainingPlan& plan : plans) {
     IndexedPlanStorage storage;
     const std::vector<IndexedStage> stages = IndexPlan(plan, cache, &storage);
@@ -1351,6 +1353,35 @@ std::optional<CheckFailure> CheckPlanPricingIdentity(
                       check_memory ? 1 : 0, composed_cost.iteration_seconds,
                       estimated->iteration_seconds),
             &plan);
+      }
+      if (!check_memory) continue;
+      // The sweep's verdict: the flag is set exactly where the status path
+      // returns OutOfMemory, and a plan that fits costs the same.
+      bool over_budget = false;
+      CachedPlanSource flagged_source(&cache, &stages, plan.global_batch,
+                                      plan.num_micro_batches, plan.schedule);
+      const Status flagged = estimator.ComposePlanCost(
+          model, plan.global_batch, plan.num_micro_batches, flagged_source,
+          /*check_memory=*/true, &flagged_cost, &over_budget);
+      const bool agree = composed.IsOutOfMemory()
+                             ? flagged.ok() && over_budget
+                             : !over_budget && flagged.ToString() ==
+                                                   composed.ToString();
+      if (!agree) {
+        return MakeFailure(
+            kCheck, seed,
+            StrFormat("over-budget flag diverges: %s with the flag %s vs %s",
+                      flagged.ToString().c_str(),
+                      over_budget ? "set" : "clear",
+                      composed.ToString().c_str()),
+            &plan);
+      }
+      if (composed.ok() &&
+          !PlanCostsBitIdentical(flagged_cost, composed_cost)) {
+        return MakeFailure(kCheck, seed,
+                           "pricing with the over-budget flag differs from "
+                           "pricing without it",
+                           &plan);
       }
     }
   }

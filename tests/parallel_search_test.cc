@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
+#include <cstdio>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -528,6 +530,43 @@ TEST(WavePipelineTest, StopAbandonsRunningTasksAndSkipsUnstartedOnes) {
   EXPECT_EQ(others_ran.load(), 0);
 }
 
+// Discard drops one wave the way Stop drops them all — its running task
+// sees `abandon`, its unstarted ones never run, the flag is lowered again
+// — but keeps the workers: a wave published afterwards runs in full.
+TEST(WavePipelineTest, DiscardDropsOneWaveAndKeepsTheWorkers) {
+  ThreadPool pool(1);
+  std::atomic<bool> abandon{false};
+  std::atomic<bool> first_started{false};
+  std::atomic<bool> first_saw_abandon{false};
+  std::atomic<int> others_ran{0};
+  std::atomic<int> next_ran{0};
+  RecordingWave discarded(8);
+  RecordingWave next(3);
+  WavePipeline pipeline(&pool, &abandon, [&](PipelineWave& wave, size_t i) {
+    if (&wave == &next) {
+      ++next_ran;
+      return;
+    }
+    if (i != 0) {
+      ++others_ran;
+      return;
+    }
+    first_started = true;
+    while (!abandon.load()) std::this_thread::yield();
+    first_saw_abandon = true;
+  });
+  pipeline.Publish(&discarded);
+  while (!first_started.load()) std::this_thread::yield();
+  pipeline.Discard(&discarded);
+  EXPECT_TRUE(first_saw_abandon.load());
+  EXPECT_EQ(others_ran.load(), 0);
+  EXPECT_FALSE(abandon.load());
+  pipeline.Publish(&next);
+  pipeline.Finish(&next);
+  EXPECT_EQ(next_ran.load(), 3);
+  EXPECT_EQ(others_ran.load(), 0);
+}
+
 // Finish surfaces only its own wave's exception: a throwing task of the
 // wave run ahead never fails the wave before it.
 TEST(WavePipelineTest, FinishRethrowsOnlyItsOwnWavesException) {
@@ -628,6 +667,98 @@ TEST(WavePipelineOptimizeTest, CancelDuringARunAheadWaveLeaksNothing) {
     }
     if (k <= configs) {
       EXPECT_FALSE(result.ok()) << "k=" << k;
+    }
+  }
+}
+
+/// 64-bit FNV-1a of the winner's and every alternate's ToString() and the
+/// winner's estimated throughput printed with %.17g: a fingerprint of
+/// everything a sweep commits.
+uint64_t PlanDigest(const OptimizationResult& result) {
+  std::string text = result.plan.ToString();
+  for (const TrainingPlan& alternate : result.alternates) {
+    text += "\n" + alternate.ToString();
+  }
+  char throughput[32];
+  std::snprintf(throughput, sizeof(throughput), "\n%.17g",
+                result.estimated.throughput_samples_per_sec);
+  text += throughput;
+  uint64_t hash = 14695981039346656037ull;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+/// A `layers`-deep BERT at hidden 1280, the fleet benches' model.
+ModelSpec FleetBert(int layers) {
+  BertConfig config;
+  config.num_layers = layers;
+  config.hidden = 1280;
+  config.heads = 16;
+  return BuildBert("bert-" + std::to_string(layers), config);
+}
+
+ClusterSpec FleetCluster(const std::string& name, int nodes) {
+  return MakeHomogeneousCluster(name, nodes, /*gpus_per_node=*/8, 16 * kGB,
+                                /*sustained_flops=*/6.5e12, LinkClass::kPcie3,
+                                LinkClass::kInfiniBand100);
+}
+
+// Golden plans: each job's committed winner, alternates and throughput,
+// pinned at 1 and 4 threads. The sweep's configuration order, pruning and
+// wave structure may change; what it commits may not. The fleet jobs use
+// bench_search_parallel's batch loops.
+TEST(GoldenPlanTest, SweepsCommitThePinnedPlans) {
+  struct Job {
+    std::string name;
+    ModelSpec model;
+    ClusterSpec cluster;
+    OptimizerOptions options;
+    uint64_t digest;
+  };
+  OptimizerOptions one_f_one_b;
+  one_f_one_b.schedule = PipelineSchedule::k1F1B;
+  OptimizerOptions recompute;
+  recompute.allow_recompute = true;
+  OptimizerOptions fleet64;
+  fleet64.batch_step = 64;
+  fleet64.max_batch = 1024;
+  OptimizerOptions fleet512;
+  fleet512.batch_step = 256;
+  fleet512.max_batch = 1024;
+  const ModelSpec huge = BuildModel(ModelId::kBertHuge32);
+  // 8 A100-class GPUs with 40 GB beside the 8 TITANs at 12 GB.
+  const ClusterSpec mixed =
+      MakeTitanCluster16(12 * kGB)
+          .WithDeviceComputeRange(0, 8, 60e12, /*small_batch_half_life=*/0.5)
+          .WithDeviceMemoryRange(0, 8, 40 * kGB);
+  const std::vector<Job> jobs = {
+      {"bert8-titan8-12gb", WaveBert(), MakeTitanNode8(12 * kGB), {},
+       0xe68998ed203243f8ull},
+      {"bert-huge-32-titan8-16gb", huge, MakeTitanNode8(16 * kGB), {},
+       0x1c3df7b3f1912fddull},
+      {"bert-huge-32-titan8-16gb-1f1b", huge, MakeTitanNode8(16 * kGB),
+       one_f_one_b, 0x8eed14aaafda3982ull},
+      {"bert-huge-32-titan8-16gb-recompute", huge, MakeTitanNode8(16 * kGB),
+       recompute, 0x0a81faaccfbedf01ull},
+      {"fleet104-gpu64", FleetBert(104), FleetCluster("fleet-64", 8),
+       fleet64, 0xeaee8ad710ce8282ull},
+      {"fleet128-gpu512", FleetBert(128), FleetCluster("fleet-512", 64),
+       fleet512, 0x4e6d841b8e9b8a2full},
+      {"bert-huge-32-mixed16", huge, mixed, {}, 0x5ced6a3a72377074ull},
+  };
+  for (const Job& job : jobs) {
+    for (const int threads : {1, 4}) {
+      OptimizerOptions options = job.options;
+      options.search_threads = threads;
+      auto result = Optimizer(&job.cluster, options).Optimize(job.model);
+      ASSERT_TRUE(result.ok()) << job.name << ": " << result.status();
+      const uint64_t digest = PlanDigest(*result);
+      EXPECT_EQ(digest, job.digest)
+          << job.name << " at " << threads << " threads: got 0x" << std::hex
+          << digest;
     }
   }
 }

@@ -18,9 +18,11 @@
 namespace galvatron {
 namespace {
 
-/// Ceilings of SerialSweepWorkStaysUnderItsCeilings (see there).
-constexpr int64_t kMaxDpStates = 17000;
-constexpr int64_t kMaxSweepAllocations = 17500;
+/// Ceilings of SerialSweepWorkStaysUnderItsCeilings and
+/// FourThreadSweepStatesStayUnderTheirCeiling (see there).
+constexpr int64_t kMaxDpStates = 830;
+constexpr int64_t kMaxSweepAllocations = 3800;
+constexpr int64_t kMaxDpStatesFourThreads = 2270;
 
 /// Timer-free perf tripwire (runs under the `perf` ctest label): on the
 /// per-stage searches of a miniature end-to-end sweep's committed plans,
@@ -278,8 +280,13 @@ TEST(PerfRegressionTest, UnevenStageSweepAddsNoHomogeneousWork) {
 /// materialized per configuration) brought these to 28,664 states and
 /// 31,418 allocations, from 40,972 and 41,999; the cross-configuration
 /// bound (115 of 218 configurations skip their stage DPs) and
-/// allocation-free Run set-up brought them to 15,517 and 15,909. The
-/// ceilings sit ~10% above the new counts, below the old ones.
+/// allocation-free Run set-up brought them to 15,517 and 15,909, and
+/// composing every plan from the cost cache to 15,517 and 6,972. The
+/// two-pass sweep — every batch's uniform plans priced before any stage
+/// DP, the deferred DPs run best bound first, 175 configurations pruned —
+/// and allocation-free pricing of plans that do not fit brought them to
+/// 754 and 3,424. The ceilings sit ~10% above the new counts, below the
+/// old ones.
 TEST(PerfRegressionTest, SerialSweepWorkStaysUnderItsCeilings) {
   BertConfig config;
   config.num_layers = 8;
@@ -303,6 +310,29 @@ TEST(PerfRegressionTest, SerialSweepWorkStaysUnderItsCeilings) {
   // throughput bound must skip their stage DPs.
   EXPECT_GT(result->stats.configs_pruned, 0)
       << "no configuration was pruned by the throughput bound";
+}
+
+/// Timer-free work tripwire on the same sweep at 4 threads (fewer on a
+/// host with fewer cores). Each wave's configurations are bounded against
+/// incumbents snapshotted before the wave run ahead of them merged, so a
+/// threaded sweep prunes less than the serial one; the two-pass sweep's
+/// incumbents hold every batch's uniform best, which brought its DP states
+/// from 18,840 (87 configurations pruned) to 2,064 (173 pruned). The
+/// ceiling sits ~10% above the new count.
+TEST(PerfRegressionTest, FourThreadSweepStatesStayUnderTheirCeiling) {
+  BertConfig config;
+  config.num_layers = 8;
+  config.hidden = 1024;
+  config.heads = 16;
+  const ModelSpec model = BuildBert("perf-bert", config);
+  const ClusterSpec cluster = MakeTitanNode8(12 * kGB);
+  OptimizerOptions options;
+  options.search_threads = 4;
+  auto result = Optimizer(&cluster, options).Optimize(model);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_LE(result->stats.dp_states_explored, kMaxDpStatesFourThreads)
+      << "DP states regressed at " << result->stats.search_threads_used
+      << " threads";
 }
 
 /// Determinism tripwire: the sweep's outcome must be bit-identical at
