@@ -10,9 +10,10 @@
 /// not an extrapolation. Every wall_ms is best-of-N with an explicit
 /// "repetitions" field (bench::BestOfMs), and every thread count's plan is
 /// checked bit-identical against the 1-thread plan
-/// ("plan_matches_serial"). Two warm re-plan records time the serving
+/// ("plan_matches_serial"). Three warm re-plan records time the serving
 /// daemon's warm-start path: repeat plans over one PlanningContext at
-/// budgets below the one it was primed with, and at budgets above it.
+/// budgets below the one it was primed with, at budgets above it, and in
+/// shuffled budget orders over the serving benchmark's contexts.
 
 #include <benchmark/benchmark.h>
 
@@ -269,13 +270,87 @@ void RecordGrowReplans(bench::BenchJson* out, const std::string& name,
   }
 }
 
+/// Re-plans in shuffled budget orders over the serving benchmark's warm
+/// contexts: BERT-Huge-32 and ViT-Huge-32 on the 8-GPU TITAN and A100
+/// nodes (the serve_calibrate clusters), one sweep thread. Each of
+/// `passes` passes plans every (model, node) at 12, 16, 20 and 24 GB in
+/// each of four fixed orders, over a fresh PlanningContext per order, so a
+/// context's first plan is cold and its later plans re-plan at budgets
+/// both below and above the ones it searched. Records the median and
+/// quartiles of the cold first plans and, separately, of the warm ones,
+/// and the sweep allocations of one pass (exact: every sweep is serial
+/// and deterministic).
+void RecordShuffledReplans(bench::BenchJson* out, const std::string& name,
+                           int passes) {
+  constexpr int kOrders[4][4] = {
+      {12, 16, 20, 24}, {24, 20, 16, 12}, {16, 24, 12, 20}, {20, 12, 24, 16}};
+  auto node = [](bool a100, int64_t budget) {
+    return MakeHomogeneousCluster(
+        a100 ? "a100-1x8" : "titan-1x8", /*nodes=*/1, /*gpus_per_node=*/8,
+        budget, a100 ? 17e12 : 6.5e12,
+        a100 ? LinkClass::kNvLink : LinkClass::kPcie3,
+        LinkClass::kInfiniBand100);
+  };
+  OptimizerOptions options;
+  options.search_threads = 1;
+  std::vector<double> cold_ms;
+  std::vector<double> warm_ms;
+  int64_t pass_allocations = 0;
+  for (int pass = 0; pass < passes; ++pass) {
+    pass_allocations = 0;
+    for (const ModelId id : {ModelId::kBertHuge32, ModelId::kViTHuge32}) {
+      for (const bool a100 : {false, true}) {
+        for (const auto& order : kOrders) {
+          PlanningContext context(BuildModel(id), node(a100, 12 * kGB));
+          SearchHooks hooks;
+          hooks.cost_cache = context.cache();
+          hooks.frontier_cache = context.frontier_cache();
+          for (int i = 0; i < 4; ++i) {
+            const ClusterSpec cluster = node(a100, order[i] * kGB);
+            const auto start = std::chrono::steady_clock::now();
+            auto result =
+                Galvatron::Plan(context.model(), cluster, options, hooks);
+            (i == 0 ? cold_ms : warm_ms)
+                .push_back(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+            GALVATRON_CHECK(result.ok());
+            pass_allocations += result->search_stats.sweep_allocations;
+          }
+        }
+      }
+    }
+  }
+  const auto quartiles = [&](const std::string& band,
+                             std::vector<double> plan_ms) {
+    std::sort(plan_ms.begin(), plan_ms.end());
+    const auto quantile = [&](double q) {
+      return plan_ms[static_cast<size_t>(q * (plan_ms.size() - 1) + 0.5)];
+    };
+    out->Record(name, band + "_ms_p50", quantile(0.5));
+    out->Record(name, band + "_ms_p25", quantile(0.25));
+    out->Record(name, band + "_ms_p75", quantile(0.75));
+    out->Record(name, band + "_plans", static_cast<double>(plan_ms.size()));
+    std::printf("%-40s %s %8.3f ms  (p50 of %zu plans, IQR %.3f ms)\n",
+                name.c_str(), band.c_str(), quantile(0.5), plan_ms.size(),
+                quantile(0.75) - quantile(0.25));
+  };
+  quartiles("cold", cold_ms);
+  quartiles("warm", warm_ms);
+  out->Record(name, "sweep_allocations",
+              static_cast<double>(pass_allocations));
+  out->Record(name, "threads", 1);
+  out->Record(name, "host_threads", ThreadPool::HardwareThreads());
+}
+
 /// Machine-readable record of the threaded sweep, merged into
 /// BENCH_search.json: the original 8-GPU regression workload at
 /// {1, 2, 4, 8} threads, plus two fleet-scale workloads (64 GPUs x 104
 /// layers, 512 GPUs x 128 layers). The fleet sweeps bound the batch loop
 /// (batch_step/max_batch below) so the bench finishes in seconds while
 /// still exercising 100+-layer DP stages on 64-device candidate sets. Then
-/// the warm re-plan records (RecordWarmReplans, RecordGrowReplans).
+/// the warm re-plan records (RecordWarmReplans, RecordGrowReplans,
+/// RecordShuffledReplans).
 void WriteBenchJson() {
   bench::BenchJson out("BENCH_search.json");
 
@@ -316,6 +391,8 @@ void WriteBenchJson() {
                     /*passes=*/20);
   RecordGrowReplans(&out, "warm_replan_grow_bert_huge32_titan8_t1",
                     /*passes=*/10);
+  RecordShuffledReplans(&out, "warm_replan_shuffled_titan8_a100_8_t1",
+                        /*passes=*/20);
 
   if (out.Save()) std::printf("wrote BENCH_search.json\n");
 }

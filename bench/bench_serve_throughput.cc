@@ -172,9 +172,13 @@ int64_t SearchStatsField(const std::string& body, const char* field) {
 
 /// Warm start: prime one PlanningContext at the widest budget, then time
 /// requests at distinct smaller budgets. Every one is a plan-cache miss
-/// (new signature) whose DP replays cached frontiers. A final request at a
-/// budget ABOVE the primed one re-runs the kernel against the shared cost
-/// cache, proving the cross-request hit rate is nonzero.
+/// (new signature) on the primed context: its first pass reads the
+/// context's stage table, the stages the priming search solved replay
+/// their cached frontiers, and the configurations that search pruned run
+/// their stage DPs now (a pruned configuration publishes no frontier). A
+/// final request at a budget ABOVE the primed one re-runs the kernel
+/// against the shared cost cache, proving the cross-request hit rate is
+/// nonzero.
 Timing BenchWarmStart(const BenchConfig& config, ServeMetrics* metrics,
                       int64_t* cross_request_cost_hits) {
   PlanServiceOptions options;

@@ -275,24 +275,18 @@ Result<PlanCost> CostEstimator::EstimatePlan(const ModelSpec& model,
   return cost;
 }
 
-Status CostEstimator::ComposePlanCost(const ModelSpec& model,
+template <typename ExtentAt>
+void CostEstimator::ComposePipelineOf(const ModelSpec& model,
                                       int global_batch, int num_micro_batches,
-                                      PlanCostSource& source,
-                                      bool check_memory, PlanCost* total,
-                                      bool* over_budget) const {
-  if (over_budget != nullptr) *over_budget = false;
-  total->stages.resize(static_cast<size_t>(source.num_stages()));
+                                      ExtentAt extent_at,
+                                      PlanCost* total) const {
   total->peak_memory_bytes = 0;
   double sum_u = 0.0;
   double max_u = 0.0;
   PlanCostSource::Stage prev;
-  for (int i = 0; i < source.num_stages(); ++i) {
-    const PlanCostSource::Stage stage = source.StageAt(i);
-    StageCost& cost = total->stages[static_cast<size_t>(i)];
-    GALVATRON_RETURN_IF_ERROR(ComposeStage(i, stage, num_micro_batches,
-                                           source, check_memory, &cost,
-                                           over_budget));
-    if (over_budget != nullptr && *over_budget) return Status::OK();
+  for (size_t i = 0; i < total->stages.size(); ++i) {
+    const PlanCostSource::Stage stage = extent_at(static_cast<int>(i));
+    StageCost& cost = total->stages[i];
     if (i > 0) {
       // The DP search excludes the boundary transfer (Sec 3.3, "we exclude
       // the boundary layers' activation transferring costs"); the
@@ -301,7 +295,7 @@ Status CostEstimator::ComposePlanCost(const ModelSpec& model,
                                                  global_batch,
                                                  num_micro_batches);
       // The transfer occupies both neighbours' comm streams.
-      StageCost& before = total->stages[static_cast<size_t>(i - 1)];
+      StageCost& before = total->stages[i - 1];
       cost.seconds += p2p;
       before.seconds += p2p;
       sum_u += p2p / num_micro_batches;
@@ -318,7 +312,35 @@ Status CostEstimator::ComposePlanCost(const ModelSpec& model,
   // bottleneck stage.
   total->iteration_seconds = sum_u + (num_micro_batches - 1) * max_u;
   total->throughput_samples_per_sec = global_batch / total->iteration_seconds;
+}
+
+Status CostEstimator::ComposePlanCost(const ModelSpec& model,
+                                      int global_batch, int num_micro_batches,
+                                      PlanCostSource& source,
+                                      bool check_memory, PlanCost* total,
+                                      bool* over_budget) const {
+  if (over_budget != nullptr) *over_budget = false;
+  total->stages.resize(static_cast<size_t>(source.num_stages()));
+  for (int i = 0; i < source.num_stages(); ++i) {
+    GALVATRON_RETURN_IF_ERROR(
+        ComposeStage(i, source.StageAt(i), num_micro_batches, source,
+                     check_memory, &total->stages[static_cast<size_t>(i)],
+                     over_budget));
+    if (over_budget != nullptr && *over_budget) return Status::OK();
+  }
+  ComposePipelineOf(model, global_batch, num_micro_batches,
+                    [&source](int i) { return source.StageAt(i); }, total);
   return Status::OK();
+}
+
+void CostEstimator::ComposePipeline(
+    const ModelSpec& model, int global_batch, int num_micro_batches,
+    const std::vector<PlanCostSource::Stage>& extents, PlanCost* total) const {
+  ComposePipelineOf(model, global_batch, num_micro_batches,
+                    [&extents](int i) {
+                      return extents[static_cast<size_t>(i)];
+                    },
+                    total);
 }
 
 double CostEstimator::BoundaryTransferSeconds(

@@ -211,6 +211,18 @@ class CostEstimator {
                          bool check_memory, PlanCost* cost,
                          bool* over_budget = nullptr) const;
 
+  /// The pipeline half of ComposePlanCost: given each stage's seconds and
+  /// peak in `total->stages` (one per extent), adds the p2p boundary
+  /// transfers to both neighbours and fills the plan's peak, iteration
+  /// seconds and throughput by the GPipe bubble formula. The sweep feeds
+  /// it stage costs from its stage table (see DpStageFacts); for stage
+  /// costs ComposeStage would compose, the result is ComposePlanCost's bit
+  /// for bit. No memory check is applied.
+  void ComposePipeline(const ModelSpec& model, int global_batch,
+                       int num_micro_batches,
+                       const std::vector<PlanCostSource::Stage>& extents,
+                       PlanCost* total) const;
+
   /// The pipeline boundary transfer between consecutive stages `prev` and
   /// `next` across one iteration: per micro-batch, forward activations in
   /// and gradient activations back out, each a point-to-point send plus
@@ -241,6 +253,12 @@ class CostEstimator {
                       int num_micro_batches, PlanCostSource& source,
                       bool check_memory, StageCost* stage,
                       bool* over_budget = nullptr) const;
+
+  /// ComposePipeline over extents `extent_at(i)`, i < total->stages.size().
+  template <typename ExtentAt>
+  void ComposePipelineOf(const ModelSpec& model, int global_batch,
+                         int num_micro_batches, ExtentAt extent_at,
+                         PlanCost* total) const;
 
   /// task.Time() with the calibration scale applied; exactly task.Time()
   /// when no profile is installed (no multiply happens, so the result is

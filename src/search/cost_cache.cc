@@ -218,7 +218,7 @@ PlanCostSource::Stage CachedPlanSource::StageAt(int stage) const {
 Result<LayerCost> CachedPlanSource::Layer(int stage, int layer) {
   const IndexedStage& s = (*stages_)[static_cast<size_t>(stage)];
   const int i = layer - s.first_layer;
-  const size_t option = static_cast<size_t>(s.OptionAt(i));
+  const size_t option = static_cast<size_t>(s.options[i]);
   LayerCostKey key;
   key.layer_sig = cache_->InternSignature(layer);
   key.strategy = s.keys->strategy[option];
@@ -239,8 +239,8 @@ Result<LayerCost> CachedPlanSource::Layer(int stage, int layer) {
 Result<double> CachedPlanSource::TransformSeconds(int stage, int layer) {
   const IndexedStage& s = (*stages_)[static_cast<size_t>(stage)];
   const int i = layer - s.first_layer;
-  const size_t prev = static_cast<size_t>(s.OptionAt(i - 1));
-  const size_t next = static_cast<size_t>(s.OptionAt(i));
+  const size_t prev = static_cast<size_t>(s.options[i - 1]);
+  const size_t next = static_cast<size_t>(s.options[i]);
   // Local slicing costs nothing; no estimator call to look up. A layer
   // that keeps its predecessor's strategy is the common case of that.
   if (prev == next ||

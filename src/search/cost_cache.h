@@ -97,16 +97,11 @@ struct IndexedStage {
   const std::vector<HybridStrategy>* candidates = nullptr;
   /// InternCandidates(*candidates, first_device) of the pricing cache.
   const CandidateKeys* keys = nullptr;
-  /// Candidate index per stage layer; nullptr = every layer runs
-  /// `uniform_option`.
+  /// Candidate index per stage layer.
   const int32_t* options = nullptr;
-  int32_t uniform_option = 0;
   /// Checkpointing flag per stage layer; nullptr = none.
   const uint8_t* recompute = nullptr;
 
-  int32_t OptionAt(int i) const {
-    return options != nullptr ? options[i] : uniform_option;
-  }
   bool RecomputeAt(int i) const {
     return recompute != nullptr && recompute[i] != 0;
   }

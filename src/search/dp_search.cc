@@ -1,7 +1,6 @@
 #include "search/dp_search.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -322,10 +321,12 @@ Status NoAssignmentFits(int64_t memory_budget) {
 /// Argument checks shared by DpSearch::Run and the reference searchers.
 Status ValidateSearch(const ModelSpec& model, int first_layer, int num_layers,
                       const std::vector<HybridStrategy>& candidates,
-                      const DpSearchOptions& options) {
+                      const DpSearchOptions& options, int64_t memory_budget) {
   if (options.memory_granularity <= 0) {
     return Status::InvalidArgument("memory granularity must be positive");
   }
+  GALVATRON_RETURN_IF_ERROR(
+      ValidateBudgetUnits(memory_budget, options.memory_granularity));
   if (num_layers < 1 || first_layer < 0 ||
       first_layer + num_layers > model.num_layers()) {
     return Status::InvalidArgument("layer range out of bounds");
@@ -346,19 +347,26 @@ Status ValidateSearch(const ModelSpec& model, int first_layer, int num_layers,
   return Status::OK();
 }
 
+/// A layer's resident memory in granules, rounded to the nearest one and
+/// saturated just past kMaxBudgetUnits: an option that large fits no
+/// budget a search accepts, and per-layer sums stay far from overflow.
+int32_t ResidentUnits(int64_t resident_bytes, int64_t gran) {
+  return static_cast<int32_t>(
+      std::min((resident_bytes + gran / 2) / gran, kMaxBudgetUnits + 1));
+}
+
 /// The prelude every searcher shares: fills the quantized per-(layer,
-/// option) cost tables into `units` / `seconds`, reserves headroom for the
-/// largest transient (SDP weight gather) any candidate might need, and
-/// quantizes the remaining budget — which is then purely additive in
-/// per-layer resident memory, what the DP quantizes. `cancel` is polled
-/// between layers.
-Result<DpWork> BuildDpWork(RunCostCache& cache, const CostEstimator& estimator,
-                           const DpSearchOptions& options, int first_layer,
-                           int num_layers, int num_strategies,
-                           int micro_batches, int64_t memory_budget,
-                           const std::function<bool()>& cancel,
-                           std::vector<int32_t>* units,
-                           std::vector<double>* seconds) {
+/// option) cost tables into `units` / `seconds` and finds the largest
+/// transient (SDP weight gather) any candidate might need. Budget-free:
+/// QuantizeBudget then sets the budget. `cancel` is polled between layers.
+Result<DpWork> BuildCostTables(RunCostCache& cache,
+                               const CostEstimator& estimator,
+                               const DpSearchOptions& options,
+                               int first_layer, int num_layers,
+                               int num_strategies, int micro_batches,
+                               const std::function<bool()>& cancel,
+                               std::vector<int32_t>* units,
+                               std::vector<double>* seconds) {
   DpWork w;
   w.num_strategies = num_strategies;
   w.num_candidates =
@@ -398,36 +406,53 @@ Result<DpWork> BuildDpWork(RunCostCache& cache, const CostEstimator& estimator,
       const size_t e = static_cast<size_t>(l) *
                            static_cast<size_t>(w.num_candidates) +
                        static_cast<size_t>(s);
-      (*units)[e] = static_cast<int32_t>(
-          (cost.resident_memory_bytes + w.gran / 2) / w.gran);
+      (*units)[e] = ResidentUnits(cost.resident_memory_bytes, w.gran);
       (*seconds)[e] =
           cost.IterationSeconds(micro_batches, estimator.effective_options());
     }
-  }
-  const int64_t effective_budget = memory_budget - w.max_transient;
-  // Round the budget up: marginal acceptances are re-validated exactly by
-  // the optimizer's EstimatePlan pass, so optimism here is safe while
-  // pessimism would shrink the search space below the baselines'.
-  w.budget_units =
-      effective_budget > 0
-          ? static_cast<int>(CeilDiv(effective_budget, w.gran))
-          : -1;
-  if (w.budget_units < 0) {
-    return Status::Infeasible("memory budget below transient headroom");
   }
   w.units = units->data();
   w.seconds = seconds->data();
   return w;
 }
 
-/// One lower-hull segment of a cost row, taken by every layer of the row:
-/// seconds saved per extra unit (negative), and the units and seconds the
-/// segment adds across the row's layers.
-struct LpSegment {
-  double rate = 0.0;
-  int64_t units = 0;
-  double seconds = 0.0;
-};
+/// The DP budget of `memory_budget`: what the transient headroom leaves,
+/// in granules rounded up, or -1 when it leaves nothing. Rounding up is
+/// optimistic, and safe: the optimizer re-validates marginal acceptances
+/// exactly when it prices the plan, while pessimism would shrink the
+/// search space below the baselines'. Budgets are validated against
+/// kMaxBudgetUnits first, so the result fits an int.
+int BudgetUnits(int64_t memory_budget, int64_t max_transient, int64_t gran) {
+  const int64_t effective = memory_budget - max_transient;
+  return effective > 0 ? static_cast<int>(CeilDiv(effective, gran)) : -1;
+}
+
+/// The verdict of a budget the transient headroom takes entirely.
+Status BelowTransientHeadroom() {
+  return Status::Infeasible("memory budget below transient headroom");
+}
+
+/// Sets w->budget_units for `memory_budget` (see BudgetUnits).
+Status QuantizeBudget(int64_t memory_budget, DpWork* w) {
+  w->budget_units = BudgetUnits(memory_budget, w->max_transient, w->gran);
+  if (w->budget_units < 0) return BelowTransientHeadroom();
+  return Status::OK();
+}
+
+/// BuildCostTables then QuantizeBudget: the reference searchers' prelude.
+Result<DpWork> BuildDpWork(RunCostCache& cache, const CostEstimator& estimator,
+                           const DpSearchOptions& options, int first_layer,
+                           int num_layers, int num_strategies,
+                           int micro_batches, int64_t memory_budget,
+                           std::vector<int32_t>* units,
+                           std::vector<double>* seconds) {
+  GALVATRON_ASSIGN_OR_RETURN(
+      DpWork w, BuildCostTables(cache, estimator, options, first_layer,
+                                num_layers, num_strategies, micro_batches,
+                                /*cancel=*/{}, units, seconds));
+  GALVATRON_RETURN_IF_ERROR(QuantizeBudget(memory_budget, &w));
+  return w;
+}
 
 /// Reusable per-thread workspace of the sparse kernel. Every buffer keeps
 /// its capacity across Runs, so a warm thread's Run performs no heap
@@ -477,30 +502,17 @@ struct DpScratch {
   // Frontier-cache key scratch.
   DpFrontierKey key;
   std::vector<int32_t> distinct_spans;
-  // LP bound (see LpStageBound): per distinct cost row its layer count,
-  // one row's (units, seconds) points and their lower hull, and the hull
-  // segments of every row.
+  // Stage facts (see FillStageFacts): per distinct cost row its layer
+  // count, one row's (units, seconds) points and their lower hull, and
+  // the facts Bound and Run read.
   std::vector<int32_t> row_layers;
   std::vector<std::pair<int32_t, double>> lp_points;
   std::vector<std::pair<int32_t, double>> lp_hull;
-  std::vector<LpSegment> lp_segments;
-  // Bounds DpSearch::Bound computed cold, recalled by the cost cache's
-  // serial, the Run's frontier key and its memory budget: the identical
-  // stages of one pipeline (equal keys, equal budgets) build the tables
-  // once. Round robin over a few slots; `key` keeps its capacity.
-  struct RecentBound {
-    bool valid = false;
-    uint64_t cache_serial = 0;
-    int64_t memory_budget = 0;
-    DpFrontierKey key;
-    bool bounded = false;
-    double lower_seconds = 0.0;
-  };
-  std::array<RecentBound, 4> recent_bounds;
-  size_t next_recent_bound = 0;
+  DpStageFacts facts;
   // Cold Runs this thread answered Infeasible by the feasibility test
-  // (see CurrentThreadDpInfeasibleSkips).
+  // (see CurrentThreadDpInfeasibleSkips), and its stage-table lookups.
   int64_t infeasible_skipped = 0;
+  StageTableCounts stage_table;
 };
 
 DpScratch& ScratchForThisThread() {
@@ -1105,55 +1117,48 @@ FrontierView ViewOf(const Columns& columns, int num_layers,
   return view;
 }
 
-/// The feasibility test a cold Run applies before building any column. The
-/// DP's memory constraint is a plain sum of per-layer units, so some
-/// assignment fits iff the one taking every layer's smallest option (over
-/// options with finite seconds) fits. Transformation costs are finite, so
-/// the frontier build finds a plan exactly when this returns true.
-bool MinimalAssignmentFits(const DpWork& w) {
-  int64_t total = 0;
-  for (int l = 0; l < w.num_layers; ++l) {
-    const size_t row =
-        static_cast<size_t>(l) * static_cast<size_t>(w.num_candidates);
-    int32_t least = std::numeric_limits<int32_t>::max();
-    for (int s = 0; s < w.num_candidates; ++s) {
-      if (w.seconds[row + static_cast<size_t>(s)] == kInf) continue;
-      least = std::min(least, w.units[row + static_cast<size_t>(s)]);
-    }
-    total += least;
-    if (total > w.budget_units) return false;
-  }
-  return true;
-}
-
-/// DpSearch::Bound's lower bound: the LP relaxation of choosing one option
-/// per layer within w.budget_units, transformation costs dropped (they are
-/// never negative). Layers of one distinct cost row share every option's
-/// units and seconds, so the work is per row: the options' (units, seconds)
-/// points reduce to their lower convex hull, from the smallest-units point
-/// down to the cheapest. The relaxation starts every layer at its
-/// smallest-units point and spends the spare units on hull segments,
-/// steepest saving per unit first, the last one fractionally. Each row's
-/// hull is convex, so this greedy solves the relaxation exactly (the
-/// multiple-choice knapsack LP), and the relaxation's optimum is at most
-/// the seconds of any assignment that fits — the DP's optimum included.
-/// Requires MinimalAssignmentFits(w).
-double LpStageBound(const DpWork& w, const RunCostCache& cache,
-                    DpScratch& scratch) {
+/// The budget-free facts of a Run (see DpStageFacts) from its cost tables
+/// into `*facts`.
+///
+/// - min_units: the feasibility test's sum. The DP's memory constraint is
+///   a plain sum of per-layer units, so some assignment fits iff the one
+///   taking every layer's smallest option (over options with finite
+///   seconds) fits; transformation costs are finite, so the frontier
+///   build finds a plan exactly when min_units <= budget_units.
+/// - The LP bound's budget-free part. DpSearch::Bound's lower bound is the
+///   LP relaxation of choosing one option per layer within the budget
+///   units, transformation costs dropped (they are never negative). Layers
+///   of one distinct cost row share every option's units and seconds, so
+///   the work is per row: the options' (units, seconds) points reduce to
+///   their lower convex hull, from the smallest-units point down to the
+///   cheapest. The relaxation starts every layer at its smallest-units
+///   point (base_seconds, min_units) and spends the spare units on hull
+///   segments, steepest saving per unit first, the last one fractionally
+///   (LpStageBound). Each row's hull is convex, so this greedy solves the
+///   relaxation exactly (the multiple-choice knapsack LP), and the
+///   relaxation's optimum is at most the seconds of any assignment that
+///   fits — the DP's optimum included.
+/// - The uniform plans' stage seconds, summed in layer order from the
+///   cost tables' seconds (each one IterationSeconds of the layer cost, as
+///   ComposeStage computes it; its transformations between equal
+///   strategies add +0.0), and their exact peaks from the cached layer
+///   costs.
+void FillStageFacts(const DpWork& w, RunCostCache& cache, DpScratch& scratch,
+                    DpStageFacts* facts) {
   const size_t num_rows = static_cast<size_t>(cache.num_rows());
   scratch.row_layers.assign(num_rows, 0);
   for (int l = 0; l < w.num_layers; ++l) {
     ++scratch.row_layers[static_cast<size_t>(cache.RowOf(w.first_layer + l))];
   }
+  facts->max_transient = w.max_transient;
+  facts->min_units = 0;
+  facts->base_seconds = 0.0;
+  std::vector<DpLpSegment>& segments = facts->segments;
+  segments.clear();
   std::vector<std::pair<int32_t, double>>& points = scratch.lp_points;
   std::vector<std::pair<int32_t, double>>& hull = scratch.lp_hull;
-  std::vector<LpSegment>& segments = scratch.lp_segments;
-  segments.clear();
-  double lower = 0.0;
-  int64_t spare = w.budget_units;
   for (size_t row = 0; row < num_rows; ++row) {
     const int64_t layers = scratch.row_layers[row];
-    if (layers == 0) continue;
     const size_t first =
         static_cast<size_t>(cache.FirstLayerOfRow(static_cast<int>(row)) -
                             w.first_layer) *
@@ -1164,6 +1169,13 @@ double LpStageBound(const DpWork& w, const RunCostCache& cache,
       if (seconds != kInf) {
         points.emplace_back(w.units[first + static_cast<size_t>(s)], seconds);
       }
+    }
+    if (points.empty()) {
+      // No option of this row can run: no assignment fits any budget.
+      facts->min_units = std::numeric_limits<int64_t>::max();
+      facts->base_seconds = 0.0;
+      segments.clear();
+      break;
     }
     std::sort(points.begin(), points.end());
     hull.clear();
@@ -1185,21 +1197,55 @@ double LpStageBound(const DpWork& w, const RunCostCache& cache,
       }
       hull.push_back(p);
     }
-    GALVATRON_CHECK(!hull.empty());
-    lower += static_cast<double>(layers) * hull.front().second;
-    spare -= layers * hull.front().first;
+    facts->base_seconds += static_cast<double>(layers) * hull.front().second;
+    facts->min_units += layers * hull.front().first;
     for (size_t i = 1; i < hull.size(); ++i) {
       const int64_t du = hull[i].first - hull[i - 1].first;
       const double dc = hull[i].second - hull[i - 1].second;
-      segments.push_back(LpSegment{dc / static_cast<double>(du), layers * du,
-                                   static_cast<double>(layers) * dc});
+      segments.push_back(DpLpSegment{dc / static_cast<double>(du),
+                                     layers * du,
+                                     static_cast<double>(layers) * dc});
     }
   }
   std::sort(segments.begin(), segments.end(),
-            [](const LpSegment& a, const LpSegment& b) {
+            [](const DpLpSegment& a, const DpLpSegment& b) {
               return a.rate < b.rate;
             });
-  for (const LpSegment& segment : segments) {
+
+  const size_t num_strategies = static_cast<size_t>(w.num_strategies);
+  facts->uniform_seconds.assign(num_strategies, 0.0);
+  facts->uniform_peak_bytes.assign(num_strategies, 0);
+  for (size_t c = 0; c < num_strategies; ++c) {
+    double seconds = 0.0;
+    for (int l = 0; l < w.num_layers; ++l) {
+      seconds += w.seconds[static_cast<size_t>(l) *
+                               static_cast<size_t>(w.num_candidates) +
+                           c];
+    }
+    int64_t resident = 0;
+    int64_t max_transient = 0;
+    for (size_t row = 0; row < num_rows; ++row) {
+      // The tables are built, so this reads the Run's cost slot.
+      const LayerCost cost =
+          *cache.Layer(cache.FirstLayerOfRow(static_cast<int>(row)),
+                       static_cast<int>(c));
+      resident += scratch.row_layers[row] * cost.resident_memory_bytes;
+      max_transient =
+          std::max(max_transient, 2 * cost.transient_memory_bytes);
+    }
+    facts->uniform_seconds[c] = seconds;
+    facts->uniform_peak_bytes[c] = resident + max_transient;
+  }
+}
+
+/// The LP bound of a stage at `budget_units` from its facts (see
+/// FillStageFacts): the smallest-units assignment, then the hull segments
+/// the spare units buy, steepest first, the last one fractionally.
+/// Requires facts.min_units <= budget_units.
+double LpStageBound(const DpStageFacts& facts, int64_t budget_units) {
+  double lower = facts.base_seconds;
+  int64_t spare = budget_units - facts.min_units;
+  for (const DpLpSegment& segment : facts.segments) {
     if (spare <= 0) break;
     if (segment.units <= spare) {
       lower += segment.seconds;
@@ -1295,12 +1341,15 @@ Result<DpSearchResult> AnswerFromFrontiers(const FrontierView& v, int64_t gran,
   return result;
 }
 
-/// DpSearch::Run's and DpSearch::Bound's shared argument checks.
+/// DpSearch's shared argument checks: Run's and Bound's, and StageFacts'
+/// (no budget: `memory_budget` 0).
 Status ValidateRun(const ModelSpec& model, int first_layer, int num_layers,
                    const std::vector<HybridStrategy>& candidates,
-                   const DpSearchOptions& options, const SearchHooks& hooks) {
-  GALVATRON_RETURN_IF_ERROR(
-      ValidateSearch(model, first_layer, num_layers, candidates, options));
+                   const DpSearchOptions& options, int64_t memory_budget,
+                   const SearchHooks& hooks) {
+  GALVATRON_RETURN_IF_ERROR(ValidateSearch(model, first_layer, num_layers,
+                                           candidates, options,
+                                           memory_budget));
   if (hooks.frontier_cache != nullptr && hooks.cost_cache == nullptr) {
     return Status::InvalidArgument(
         "a frontier cache needs the cost cache that interns its keys");
@@ -1326,15 +1375,11 @@ std::optional<Result<DpSearchResult>> AnswerFromCache(
   GALVATRON_CHECK_EQ(entry->num_candidates, num_candidates);
   GALVATRON_CHECK_EQ(entry->num_strategies, num_strategies);
   GALVATRON_CHECK_EQ(entry->num_layers, num_layers);
-  const int64_t effective = memory_budget - entry->max_transient;
-  const int budget_units =
-      effective > 0
-          ? static_cast<int>(CeilDiv(effective, options.memory_granularity))
-          : -1;
+  const int budget_units = BudgetUnits(memory_budget, entry->max_transient,
+                                       options.memory_granularity);
   if (budget_units < 0) {
     frontier_cache->CountHit();
-    return Result<DpSearchResult>(
-        Status::Infeasible("memory budget below transient headroom"));
+    return Result<DpSearchResult>(BelowTransientHeadroom());
   }
   // Budget grew past the cached frontier: the caller runs cold, which
   // republishes the wider entry.
@@ -1350,10 +1395,64 @@ std::optional<Result<DpSearchResult>> AnswerFromCache(
   return out;
 }
 
+/// The facts of the Run signature in scratch.key (built when a frontier
+/// cache is given) into `*facts`: from the stage table when it holds them,
+/// else from the Run's cost tables, stored in the table when there is one.
+/// Table lookups are counted on this thread.
+Status LookupStageFacts(const CostEstimator& estimator, const ModelSpec& model,
+                        const DpSearchOptions& options,
+                        const std::vector<HybridStrategy>& candidates,
+                        int first_layer, int num_layers,
+                        int stage_first_device, int batch_per_group,
+                        int micro_batches, int resident_micro_batches,
+                        const SearchHooks& hooks, DpScratch& scratch,
+                        DpStageFacts* facts) {
+  DpFrontierCache* const table = hooks.frontier_cache;
+  if (table != nullptr) {
+    if (table->FindStage(scratch.key, facts)) {
+      ++scratch.stage_table.hits;
+      return Status::OK();
+    }
+    ++scratch.stage_table.misses;
+  }
+  RunCostCache cache(&estimator, &model, &candidates, first_layer, num_layers,
+                     stage_first_device, batch_per_group, micro_batches,
+                     resident_micro_batches, hooks.cost_cache,
+                     &scratch.run_cost);
+  GALVATRON_ASSIGN_OR_RETURN(
+      const DpWork w,
+      BuildCostTables(cache, estimator, options, first_layer, num_layers,
+                      static_cast<int>(candidates.size()), micro_batches,
+                      hooks.cancel, &scratch.units, &scratch.seconds));
+  FillStageFacts(w, cache, scratch, facts);
+  if (table != nullptr) table->InsertStage(scratch.key, *facts);
+  return Status::OK();
+}
+
 }  // namespace
+
+Status ValidateBudgetUnits(int64_t memory_budget,
+                           int64_t memory_granularity) {
+  if (memory_budget > 0 &&
+      CeilDiv(memory_budget, memory_granularity) > kMaxBudgetUnits) {
+    return Status::InvalidArgument(StrFormat(
+        "a memory budget of %s at a memory granularity of %lld bytes is "
+        "%lld units, above the search's cap of %lld; use a coarser "
+        "granularity",
+        HumanBytes(static_cast<double>(memory_budget)).c_str(),
+        static_cast<long long>(memory_granularity),
+        static_cast<long long>(CeilDiv(memory_budget, memory_granularity)),
+        static_cast<long long>(kMaxBudgetUnits)));
+  }
+  return Status::OK();
+}
 
 int64_t CurrentThreadDpInfeasibleSkips() {
   return ScratchForThisThread().infeasible_skipped;
+}
+
+StageTableCounts CurrentThreadStageTableCounts() {
+  return ScratchForThisThread().stage_table;
 }
 
 void MaterializeDpSearchResult(const std::vector<HybridStrategy>& candidates,
@@ -1378,12 +1477,29 @@ Result<DpSearchResult> DpSearch::Run(
     int resident_micro_batches, const SearchHooks& hooks) const {
   const int64_t alloc_start = CurrentThreadAllocCount();
   GALVATRON_RETURN_IF_ERROR(ValidateRun(model, first_layer, num_layers,
-                                        candidates, options_, hooks));
+                                        candidates, options_, memory_budget,
+                                        hooks));
   DpFrontierCache* const frontier_cache = hooks.frontier_cache;
   const int num_strategies = static_cast<int>(candidates.size());
   const int num_candidates =
       ExpandedOptionCount(num_strategies, options_.allow_recompute);
   DpScratch& scratch = ScratchForThisThread();
+  // Feasibility before the build, from the stage's facts: the budget must
+  // cover the transient headroom, and a Run no assignment can fit returns
+  // the verdict the built frontiers would have given, without building or
+  // publishing them. A later Run of this signature at a larger budget
+  // misses the frontier cache and builds cold, as it would anyway.
+  const auto feasible = [&]() -> Status {
+    const int budget_units = BudgetUnits(
+        memory_budget, scratch.facts.max_transient, options_.memory_granularity);
+    if (budget_units < 0) return BelowTransientHeadroom();
+    if (scratch.facts.min_units > budget_units) {
+      ++scratch.infeasible_skipped;
+      return NoAssignmentFits(memory_budget);
+    }
+    return Status::OK();
+  };
+  bool stored = false;
   if (frontier_cache != nullptr) {
     BuildFrontierKey(scratch, *hooks.cost_cache, estimator_->cluster(),
                      candidates, first_layer, num_layers, stage_first_device,
@@ -1394,6 +1510,14 @@ Result<DpSearchResult> DpSearch::Run(
                         memory_budget, scratch, alloc_start);
     if (hit.has_value()) return *std::move(hit);
     frontier_cache->CountMiss();
+    // With the facts stored, a Run the test rejects builds no cost table.
+    stored = frontier_cache->FindStage(scratch.key, &scratch.facts);
+    if (stored) {
+      ++scratch.stage_table.hits;
+      GALVATRON_RETURN_IF_ERROR(feasible());
+    } else {
+      ++scratch.stage_table.misses;
+    }
   }
 
   RunCostCache cache(estimator_, &model, &candidates, first_layer, num_layers,
@@ -1401,18 +1525,18 @@ Result<DpSearchResult> DpSearch::Run(
                      resident_micro_batches, hooks.cost_cache,
                      &scratch.run_cost);
   GALVATRON_ASSIGN_OR_RETURN(
-      const DpWork w,
-      BuildDpWork(cache, *estimator_, options_, first_layer, num_layers,
-                  num_strategies, micro_batches, memory_budget, hooks.cancel,
-                  &scratch.units, &scratch.seconds));
-  // Feasibility before the build: a Run no assignment can fit returns the
-  // verdict the built frontiers would have given, without building or
-  // publishing them. A later Run of this signature at a larger budget
-  // misses the frontier cache and builds cold, as it would anyway.
-  if (!MinimalAssignmentFits(w)) {
-    ++scratch.infeasible_skipped;
-    return NoAssignmentFits(memory_budget);
+      DpWork w,
+      BuildCostTables(cache, *estimator_, options_, first_layer, num_layers,
+                      num_strategies, micro_batches, hooks.cancel,
+                      &scratch.units, &scratch.seconds));
+  if (!stored) {
+    FillStageFacts(w, cache, scratch, &scratch.facts);
+    if (frontier_cache != nullptr) {
+      frontier_cache->InsertStage(scratch.key, scratch.facts);
+    }
+    GALVATRON_RETURN_IF_ERROR(feasible());
   }
+  GALVATRON_RETURN_IF_ERROR(QuantizeBudget(memory_budget, &w));
   GALVATRON_ASSIGN_OR_RETURN(
       SparseStats stats,
       BuildSparseFrontiers(w, cache, candidates, scratch, hooks.cancel));
@@ -1450,63 +1574,61 @@ Result<DpStageBound> DpSearch::Bound(
     int resident_micro_batches, const SearchHooks& hooks) const {
   const int64_t alloc_start = CurrentThreadAllocCount();
   GALVATRON_RETURN_IF_ERROR(ValidateRun(model, first_layer, num_layers,
-                                        candidates, options_, hooks));
+                                        candidates, options_, memory_budget,
+                                        hooks));
   DpScratch& scratch = ScratchForThisThread();
   DpStageBound bound;
-  SharedCostCache* const cost_cache = hooks.cost_cache;
-  if (cost_cache != nullptr) {
-    BuildFrontierKey(scratch, *cost_cache, estimator_->cluster(), candidates,
-                     first_layer, num_layers, stage_first_device,
+  if (hooks.frontier_cache != nullptr) {
+    BuildFrontierKey(scratch, *hooks.cost_cache, estimator_->cluster(),
+                     candidates, first_layer, num_layers, stage_first_device,
                      batch_per_group, micro_batches, resident_micro_batches,
                      options_.memory_granularity, options_.allow_recompute);
-    if (hooks.frontier_cache != nullptr) {
-      bound.answer = AnswerFromCache(
-          hooks.frontier_cache, options_, static_cast<int>(candidates.size()),
-          num_layers, memory_budget, scratch, alloc_start);
-      if (bound.answer.has_value()) {
-        bound.bounded = bound.answer->ok();
-        if (bound.bounded) {
-          bound.lower_seconds = (*bound.answer)->stage_seconds;
-        }
-        return bound;
+    bound.answer = AnswerFromCache(
+        hooks.frontier_cache, options_, static_cast<int>(candidates.size()),
+        num_layers, memory_budget, scratch, alloc_start);
+    if (bound.answer.has_value()) {
+      bound.bounded = bound.answer->ok();
+      if (bound.bounded) {
+        bound.lower_seconds = (*bound.answer)->stage_seconds;
       }
-    }
-    // The key holds everything the cost tables depend on but the budget
-    // (the frontier cache's own contract), so a recent bound of an equal
-    // key and budget under the same cost cache is this one.
-    for (const DpScratch::RecentBound& recent : scratch.recent_bounds) {
-      if (recent.valid && recent.cache_serial == cost_cache->serial() &&
-          recent.memory_budget == memory_budget && recent.key == scratch.key) {
-        bound.bounded = recent.bounded;
-        bound.lower_seconds = recent.lower_seconds;
-        return bound;
-      }
+      return bound;
     }
   }
-  RunCostCache cache(estimator_, &model, &candidates, first_layer, num_layers,
-                     stage_first_device, batch_per_group, micro_batches,
-                     resident_micro_batches, hooks.cost_cache,
-                     &scratch.run_cost);
-  GALVATRON_ASSIGN_OR_RETURN(
-      const DpWork w,
-      BuildDpWork(cache, *estimator_, options_, first_layer, num_layers,
-                  static_cast<int>(candidates.size()), micro_batches,
-                  memory_budget, hooks.cancel, &scratch.units,
-                  &scratch.seconds));
-  bound.bounded = MinimalAssignmentFits(w);
-  if (bound.bounded) bound.lower_seconds = LpStageBound(w, cache, scratch);
-  if (cost_cache != nullptr) {
-    DpScratch::RecentBound& recent =
-        scratch.recent_bounds[scratch.next_recent_bound++ %
-                              scratch.recent_bounds.size()];
-    recent.valid = true;
-    recent.cache_serial = cost_cache->serial();
-    recent.memory_budget = memory_budget;
-    recent.key = scratch.key;
-    recent.bounded = bound.bounded;
-    recent.lower_seconds = bound.lower_seconds;
+  GALVATRON_RETURN_IF_ERROR(LookupStageFacts(
+      *estimator_, model, options_, candidates, first_layer, num_layers,
+      stage_first_device, batch_per_group, micro_batches,
+      resident_micro_batches, hooks, scratch, &scratch.facts));
+  const int budget_units = BudgetUnits(
+      memory_budget, scratch.facts.max_transient, options_.memory_granularity);
+  if (budget_units < 0) return BelowTransientHeadroom();
+  bound.bounded = scratch.facts.min_units <= budget_units;
+  if (bound.bounded) {
+    bound.lower_seconds = LpStageBound(scratch.facts, budget_units);
   }
   return bound;
+}
+
+Status DpSearch::StageFacts(const ModelSpec& model, int first_layer,
+                            int num_layers,
+                            const std::vector<HybridStrategy>& candidates,
+                            int stage_first_device, int batch_per_group,
+                            int micro_batches, int resident_micro_batches,
+                            const SearchHooks& hooks,
+                            DpStageFacts* facts) const {
+  GALVATRON_RETURN_IF_ERROR(ValidateRun(model, first_layer, num_layers,
+                                        candidates, options_,
+                                        /*memory_budget=*/0, hooks));
+  DpScratch& scratch = ScratchForThisThread();
+  if (hooks.frontier_cache != nullptr) {
+    BuildFrontierKey(scratch, *hooks.cost_cache, estimator_->cluster(),
+                     candidates, first_layer, num_layers, stage_first_device,
+                     batch_per_group, micro_batches, resident_micro_batches,
+                     options_.memory_granularity, options_.allow_recompute);
+  }
+  return LookupStageFacts(*estimator_, model, options_, candidates,
+                          first_layer, num_layers, stage_first_device,
+                          batch_per_group, micro_batches,
+                          resident_micro_batches, hooks, scratch, facts);
 }
 
 Result<DpSearchResult> DenseDpSearch(
@@ -1516,7 +1638,8 @@ Result<DpSearchResult> DenseDpSearch(
     int64_t memory_budget, DpSearchOptions options,
     SharedCostCache* shared_cache, int resident_micro_batches) {
   GALVATRON_RETURN_IF_ERROR(
-      ValidateSearch(model, first_layer, num_layers, candidates, options));
+      ValidateSearch(model, first_layer, num_layers, candidates, options,
+                     memory_budget));
   RunCostStorage storage;
   RunCostCache cache(&estimator, &model, &candidates, first_layer, num_layers,
                      stage_first_device, batch_per_group, micro_batches,
@@ -1527,7 +1650,7 @@ Result<DpSearchResult> DenseDpSearch(
       const DpWork w,
       BuildDpWork(cache, estimator, options, first_layer, num_layers,
                   static_cast<int>(candidates.size()), micro_batches,
-                  memory_budget, /*cancel=*/{}, &units, &seconds));
+                  memory_budget, &units, &seconds));
   return RunDenseKernel(w, cache, memory_budget);
 }
 
@@ -1538,7 +1661,8 @@ Result<DpSearchResult> BruteForceSearch(
     int64_t memory_budget, DpSearchOptions options,
     SharedCostCache* shared_cache) {
   GALVATRON_RETURN_IF_ERROR(
-      ValidateSearch(model, first_layer, num_layers, candidates, options));
+      ValidateSearch(model, first_layer, num_layers, candidates, options,
+                     memory_budget));
   const int num_strategies = static_cast<int>(candidates.size());
   RunCostStorage storage;
   RunCostCache cache(&estimator, &model, &candidates, first_layer, num_layers,
@@ -1549,8 +1673,8 @@ Result<DpSearchResult> BruteForceSearch(
   GALVATRON_ASSIGN_OR_RETURN(
       const DpWork w,
       BuildDpWork(cache, estimator, options, first_layer, num_layers,
-                  num_strategies, micro_batches, memory_budget,
-                  /*cancel=*/{}, &units, &seconds));
+                  num_strategies, micro_batches, memory_budget, &units,
+                  &seconds));
   auto cell = [&](int l, int s) {
     return static_cast<size_t>(l) * static_cast<size_t>(w.num_candidates) +
            static_cast<size_t>(s);

@@ -117,6 +117,26 @@ void MaterializeDpSearchResult(const std::vector<HybridStrategy>& candidates,
 /// Callers measure a scope by differencing, like CurrentThreadAllocCount.
 int64_t CurrentThreadDpInfeasibleSkips();
 
+/// Stage-table lookups on this thread (DpSearch::StageFacts, Bound and
+/// Run, given a frontier cache): answered by a stored entry, or not (the
+/// caller then built the facts and stored them). Differenced by callers
+/// like CurrentThreadDpInfeasibleSkips.
+struct StageTableCounts {
+  int64_t hits = 0;
+  int64_t misses = 0;
+};
+StageTableCounts CurrentThreadStageTableCounts();
+
+/// Most budget units — a memory budget over the memory granularity,
+/// rounded up — one stage search accepts. The kernel's merge scratch holds
+/// a row per unit, so the cap bounds what one request can allocate: 256
+/// GiB at a 1 MiB granularity, 8 TiB at the default 32 MiB.
+inline constexpr int64_t kMaxBudgetUnits = int64_t{1} << 18;
+
+/// InvalidArgument when `memory_budget` is more than kMaxBudgetUnits
+/// granules of `memory_granularity` (which must be positive).
+Status ValidateBudgetUnits(int64_t memory_budget, int64_t memory_granularity);
+
 /// The dynamic-programming search of Eq. (1):
 ///
 ///   C(L, E) = min_{S_j} { C(L-1, E - O(L, S_j)) + c(L, S_j) + R(L, S_i, S_j) }
@@ -165,18 +185,21 @@ class DpSearch {
   /// counts, and equal to DenseDpSearch's.
   ///
   /// Returns InvalidArgument when the expanded option count exceeds
-  /// INT16_MAX: the option count multiplies every column's work, so the cap
-  /// bounds what one request can cost.
+  /// INT16_MAX, or the budget is more than kMaxBudgetUnits granules: the
+  /// option count multiplies every column's work and the budget sizes its
+  /// scratch, so the caps bound what one request can cost.
   ///
   /// `hooks` (see SearchHooks): with a frontier cache that holds this Run's
   /// signature at a budget >= the requested one, the answer is
   /// reconstructed directly from the cached columns — no estimator calls,
   /// no merging — and is byte-identical to a cold run (the frontier prefix
   /// property; see frontier_cache.h). Feasible cold runs publish their
-  /// frontiers back. The caches must only be shared across Runs whose
-  /// model, cluster topology and estimator agree (the PlanningContext
-  /// contract). The cancel hook is polled between layer columns and between
-  /// layers of the cost-estimation pass.
+  /// frontiers back. On a miss, the frontier cache's stage table answers
+  /// the feasibility test when it holds the signature's facts (see
+  /// StageFacts), else the Run stores them. The caches must only be shared
+  /// across Runs whose model, cluster topology and estimator agree (the
+  /// PlanningContext contract). The cancel hook is polled between layer
+  /// columns and between layers of the cost-estimation pass.
   Result<DpSearchResult> Run(const ModelSpec& model, int first_layer,
                              int num_layers,
                              const std::vector<HybridStrategy>& candidates,
@@ -190,21 +213,22 @@ class DpSearch {
   /// - A frontier-cache hit answers outright: `answer` holds the Run's
   ///   result (the hit is counted; a miss is not — the Run that may follow
   ///   counts its own lookup).
-  /// - Otherwise the Run's cost tables are built and the bound is the LP
-  ///   relaxation of the stage's memory-constrained choice: per distinct
-  ///   cost row, the lower convex hull of its options' (units, seconds);
-  ///   every layer starts at its smallest-units point and the remaining
-  ///   budget units buy the steepest hull segments first, the last one
-  ///   fractionally. Transformation costs are bounded by 0. The LP optimum
-  ///   is at most the DP optimum, so `lower_seconds` never exceeds the
-  ///   Run's stage seconds; unlike the memory-free sum of per-layer
-  ///   minima, it stays tight where memory binds.
+  /// - Otherwise the bound is the LP relaxation of the stage's
+  ///   memory-constrained choice, read from the stage's facts (see
+  ///   StageFacts): per distinct cost row, the lower convex hull of its
+  ///   options' (units, seconds); every layer starts at its smallest-units
+  ///   point and the remaining budget units buy the steepest hull segments
+  ///   first, the last one fractionally. Transformation costs are bounded
+  ///   by 0. The LP optimum is at most the DP optimum, so `lower_seconds`
+  ///   never exceeds the Run's stage seconds; unlike the memory-free sum of
+  ///   per-layer minima, it stays tight where memory binds.
   /// - A Run the feasibility test would answer Infeasible gives no bound
   ///   (`bounded` false, no answer).
   ///
-  /// Errors are the ones the Run would return from its cost estimation
-  /// (InvalidArgument, Cancelled, estimator failures). Nothing is
-  /// published.
+  /// Errors are the ones the Run would return before its kernel
+  /// (InvalidArgument, Cancelled, estimator failures, a budget below the
+  /// transient headroom). No frontier is published; the facts go to the
+  /// stage table as StageFacts stores them.
   Result<DpStageBound> Bound(const ModelSpec& model, int first_layer,
                              int num_layers,
                              const std::vector<HybridStrategy>& candidates,
@@ -212,6 +236,24 @@ class DpSearch {
                              int micro_batches, int64_t memory_budget,
                              int resident_micro_batches = -1,
                              const SearchHooks& hooks = {}) const;
+
+  /// The budget-free facts of the Run with the same arguments, the memory
+  /// budget aside, into `*facts` (its vectors keep their capacity): what
+  /// its feasibility test, its bound and the stage's uniform plans need at
+  /// any budget (see DpStageFacts). Exact: the uniform seconds and peaks
+  /// are ComposeStage's sums over the same cached layer costs, in its
+  /// layer order, and the LP parts are summed in Bound's order.
+  ///
+  /// With a frontier cache the facts come from its stage table, or are
+  /// computed from the Run's cost tables and stored there (so the
+  /// identical stages of one pipeline, and every later request of a
+  /// context, compute them once); Bound and Run consult the same table.
+  /// Errors are those of the Run's cost estimation.
+  Status StageFacts(const ModelSpec& model, int first_layer, int num_layers,
+                    const std::vector<HybridStrategy>& candidates,
+                    int stage_first_device, int batch_per_group,
+                    int micro_batches, int resident_micro_batches,
+                    const SearchHooks& hooks, DpStageFacts* facts) const;
 
  private:
   const CostEstimator* estimator_;

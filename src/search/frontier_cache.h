@@ -102,6 +102,39 @@ struct DpFrontierKeyHash {
   size_t operator()(const DpFrontierKey& key) const { return key.hash; }
 };
 
+/// One lower-hull segment of a stage's LP bound, taken by every layer of
+/// one distinct cost row: seconds saved per extra unit (negative), and the
+/// units and seconds the segment adds across the row's layers.
+struct DpLpSegment {
+  double rate = 0.0;
+  int64_t units = 0;
+  double seconds = 0.0;
+};
+
+/// The budget-free facts of one stage-search signature (a DpFrontierKey):
+/// everything the sweep's first pass asks of a stage at any memory budget.
+/// DpSearch::StageFacts fills one; the stage table of DpFrontierCache
+/// stores them.
+struct DpStageFacts {
+  /// Units of the assignment taking every layer's smallest option, summed
+  /// (INT64_MAX when some layer has no option with finite seconds): some
+  /// assignment fits a budget of U units iff min_units <= U.
+  int64_t min_units = 0;
+  /// Transient headroom reserved off every budget (2x the largest
+  /// transient any option needs).
+  int64_t max_transient = 0;
+  /// The LP bound's budget-free part (see DpSearch::Bound): per distinct
+  /// cost row, its layers at their smallest-units point, summed row by
+  /// row; and the rows' lower-hull segments, steepest saving first. Empty
+  /// when min_units is INT64_MAX.
+  double base_seconds = 0.0;
+  std::vector<DpLpSegment> segments;
+  /// Per candidate strategy: the stage seconds and exact peak bytes of
+  /// running every layer on it — ComposeStage's sums for this stage.
+  std::vector<double> uniform_seconds;
+  std::vector<int64_t> uniform_peak_bytes;
+};
+
 struct DpFrontierCacheStats {
   int64_t hits = 0;        // lookups answered from a cached frontier
   int64_t misses = 0;      // lookups that ran (or re-ran) the cold kernel
@@ -109,6 +142,9 @@ struct DpFrontierCacheStats {
   int64_t evictions = 0;
   size_t size = 0;
   size_t capacity = 0;
+  /// The stage table: entries held and the bytes its arrays reserve.
+  size_t stage_entries = 0;
+  size_t stage_bytes = 0;
 };
 
 /// Thread-safe LRU cache of DpFrontierEntry keyed by the Run signature
@@ -147,6 +183,21 @@ class DpFrontierCache {
   void CountHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
   void CountMiss() { misses_.fetch_add(1, std::memory_order_relaxed); }
 
+  /// The stage table: one DpStageFacts per stage-search signature, under
+  /// the frontier keys. FindStage copies the entry of `key` into `*facts`
+  /// (reusing its capacity) and returns true, or returns false when the
+  /// table holds none. InsertStage stores `facts` under `key` unless an
+  /// entry is there; a table holding kMaxStageEntries is cleared first.
+  /// Facts are pure functions of the key (the paired cost cache's
+  /// contract), so concurrent fills of one key store equal entries.
+  bool FindStage(const DpFrontierKey& key, DpStageFacts* facts) const;
+  void InsertStage(const DpFrontierKey& key, const DpStageFacts& facts);
+
+  /// Entries the stage table holds before it is cleared: a full sweep
+  /// stores a few hundred to ~1,000 (ViT-Huge-32 at 24 GB: 1,009), each
+  /// a few hundred bytes.
+  static constexpr size_t kMaxStageEntries = 4096;
+
   DpFrontierCacheStats stats() const;
 
  private:
@@ -163,6 +214,34 @@ class DpFrontierCache {
   std::atomic<int64_t> misses_{0};
   int64_t insertions_ = 0;
   int64_t evictions_ = 0;
+
+  /// One stage-table entry: its key's hash and words, and its facts, as
+  /// ranges of the flat arrays below.
+  struct StageRecord {
+    size_t hash = 0;
+    uint32_t key_begin = 0;
+    uint32_t key_size = 0;
+    uint32_t row_begin = 0;
+    uint32_t num_rows = 0;
+    uint32_t segment_begin = 0;
+    uint32_t num_segments = 0;
+    int64_t min_units = 0;
+    int64_t max_transient = 0;
+    double base_seconds = 0.0;
+  };
+  /// The slot of `key` in stage_slots_: its record's or the empty one a
+  /// probe for it ends at.
+  size_t StageSlot(const DpFrontierKey& key) const;
+
+  mutable std::mutex stage_mu_;
+  std::vector<StageRecord> stage_records_;
+  std::vector<int32_t> stage_key_words_;
+  std::vector<double> stage_uniform_seconds_;
+  std::vector<int64_t> stage_uniform_peaks_;
+  std::vector<DpLpSegment> stage_segments_;
+  /// Open-addressed index over stage_records_ (-1 = empty), a power of two
+  /// at least twice the record count.
+  std::vector<int32_t> stage_slots_;
 };
 
 }  // namespace galvatron

@@ -143,6 +143,8 @@ struct ConfigOutcome {
   int64_t dp_frontier_hits = 0;    // stage searches replayed from cache
   int64_t dp_frontier_misses = 0;  // stage searches that ran cold
   int64_t dp_infeasible_skipped = 0;  // cold ones the feasibility test ended
+  int64_t stage_table_hits = 0;    // stage-table lookups with an entry
+  int64_t stage_table_misses = 0;  // and without one
   bool pruned = false;             // the throughput bound skipped the DPs
   /// Pass 1: the stage DPs wait for pass 2. `best` is the uniform best and
   /// `upper` the DP plan's throughput bound.
@@ -491,85 +493,108 @@ Result<OptimizationResult> Optimizer::Optimize(
   if (degrees.empty()) {
     return Status::InvalidArgument("no valid pipeline degrees");
   }
+  // The stage searches size their scratch by budget units: refuse a
+  // granularity too fine for the budgets before any search runs.
+  for (const PerDegree& degree : degrees) {
+    for (const int64_t budget : degree.stage_budgets) {
+      GALVATRON_RETURN_IF_ERROR(
+          ValidateBudgetUnits(budget, options_.memory_granularity));
+    }
+  }
 
   SearchStats stats;
   stats.num_candidate_strategies = static_cast<int>(candidate_names.size());
   stats.enumerate_seconds = SecondsSince(start);
   stats.search_threads_used = threads;
 
-  // Prices a plan given by reference (see `materialize`) into `cost`: the
-  // one composition (ComposePlanCost) over the cost cache's entries by
+  // Prices a plan given by its stage drafts into `cost`: the one
+  // composition (ComposePlanCost) over the cost cache's entries by
   // candidate index (CachedPlanSource: the entries the stage searches
   // fill, nothing materialized), with the memory check applied stage by
   // stage — a plan that runs out of memory stops at the failing stage,
   // with OutOfMemory, or by setting `*over_budget` when that is given. The
   // degree's structure must validate.
   auto compose = [&](const PerDegree& degree, int batch, int micro,
-                     int uniform_candidate,
-                     const std::vector<StageDraft>* draft, PlanCost* cost,
+                     const std::vector<StageDraft>& draft, PlanCost* cost,
                      bool* over_budget) {
     thread_local std::vector<IndexedStage> stages;
     stages.resize(degree.geometry.size());
-    int first_layer = 0;
     for (size_t s = 0; s < stages.size(); ++s) {
       IndexedStage& stage = stages[s];
+      const StageDraft& d = draft[s];
       stage.first_device = degree.geometry[s].first_device;
       stage.num_devices = degree.geometry[s].num_devices;
+      stage.first_layer = d.first_layer;
+      stage.num_layers = d.num_layers;
       stage.candidates = degree.stage_candidates[s].get();
       stage.keys = &degree.stage_keys[s];
-      if (uniform_candidate >= 0) {
-        stage.first_layer = first_layer;
-        stage.num_layers = degree.stage_sizes[s];
-        stage.options = nullptr;
-        stage.uniform_option = uniform_candidate;
-        stage.recompute = nullptr;
-      } else {
-        const StageDraft& d = (*draft)[s];
-        stage.first_layer = d.first_layer;
-        stage.num_layers = d.num_layers;
-        stage.options = d.options.data();
-        stage.recompute = d.recompute.empty() ? nullptr : d.recompute.data();
-      }
-      first_layer += stage.num_layers;
+      stage.options = d.options.data();
+      stage.recompute = d.recompute.empty() ? nullptr : d.recompute.data();
     }
     CachedPlanSource source(cache, &stages, batch, micro, options_.schedule);
     return estimator_.ComposePlanCost(model, batch, micro, source,
                                       /*check_memory=*/true, cost,
                                       over_budget);
   };
-  // A plan's estimated throughput, nullopt when a stage is over its memory
-  // budget, or why it cannot be priced: the degree's structure error or
-  // the estimator's. The cost itself goes to per-thread scratch whose
-  // buffers every plan the thread prices reuses; the sweep keeps only the
-  // number. Plans that do not fit allocate nothing.
+  // A DP plan's estimated throughput, nullopt when a stage is over its
+  // memory budget, or why it cannot be priced: the degree's structure
+  // error or the estimator's. The cost itself goes to per-thread scratch
+  // whose buffers every plan the thread prices reuses; the sweep keeps
+  // only the number. Plans that do not fit allocate nothing.
   auto price = [&](const PerDegree& degree, int batch, int micro,
-                   int uniform_candidate, const std::vector<StageDraft>* draft)
+                   const std::vector<StageDraft>& draft)
       -> Result<std::optional<double>> {
     if (!degree.structure.ok()) return degree.structure;
     thread_local PlanCost scratch;
     bool over_budget = false;
-    GALVATRON_RETURN_IF_ERROR(compose(degree, batch, micro, uniform_candidate,
-                                      draft, &scratch, &over_budget));
+    GALVATRON_RETURN_IF_ERROR(
+        compose(degree, batch, micro, draft, &scratch, &over_budget));
     if (over_budget) return std::optional<double>();
     return std::optional<double>(scratch.throughput_samples_per_sec);
   };
+  // The throughput of uniform candidate `c`'s plan from its stages' facts
+  // (DpSearch::StageFacts: each stage's seconds and exact peak with every
+  // layer on `c`, as ComposeStage sums them), nullopt when a stage is over
+  // its block's tightest budget: ComposePlanCost's answer, bit for bit,
+  // with the pipeline half (ComposePipeline) its own.
+  auto price_uniform = [&](const PerDegree& degree, int batch, int micro,
+                           int c, const DpStageFacts* facts)
+      -> std::optional<double> {
+    thread_local PlanCost scratch;
+    scratch.stages.resize(degree.geometry.size());
+    for (size_t s = 0; s < scratch.stages.size(); ++s) {
+      const int64_t peak =
+          facts[s].uniform_peak_bytes[static_cast<size_t>(c)];
+      if (peak > degree.stage_budgets[s]) return std::nullopt;
+      scratch.stages[s].seconds =
+          facts[s].uniform_seconds[static_cast<size_t>(c)];
+      scratch.stages[s].peak_memory_bytes = peak;
+    }
+    estimator_.ComposePipeline(model, batch, micro, degree.stage_extents,
+                               &scratch);
+    return scratch.throughput_samples_per_sec;
+  };
 
-  // The stage search (DpSearch::Run or DpSearch::Bound) of stage s of
-  // `task`'s configuration, whose layers start at first_layer. The probe
-  // plan carries just the schedule shape InFlightForDegree reads.
-  auto stage_search = [&](auto method, const ConfigTask& task, int s,
-                          int first_layer) {
-    const PerDegree& degree = *task.degree;
-    const size_t i = static_cast<size_t>(s);
+  // The micro-batches stage s of `task`'s pipeline keeps resident. The
+  // probe plan carries just the schedule shape InFlightForDegree reads.
+  auto in_flight = [&](const ConfigTask& task, int s) {
     TrainingPlan probe;
     probe.global_batch = task.batch;
     probe.num_micro_batches = task.micro;
     probe.schedule = options_.schedule;
+    return probe.InFlightForDegree(task.degree->pp, s);
+  };
+  // The stage search (DpSearch::Run or DpSearch::Bound) of stage s of
+  // `task`'s configuration, whose layers start at first_layer.
+  auto stage_search = [&](auto method, const ConfigTask& task, int s,
+                          int first_layer) {
+    const PerDegree& degree = *task.degree;
+    const size_t i = static_cast<size_t>(s);
     return (search.*method)(model, first_layer, degree.stage_sizes[i],
                             *degree.stage_candidates[i],
                             degree.geometry[i].first_device, task.batch,
                             task.micro, degree.stage_budgets[i],
-                            probe.InFlightForDegree(degree.pp, s), run_hooks);
+                            in_flight(task, s), run_hooks);
   };
   // Warm infeasible answers are invisible here (no DpSearchResult to
   // carry the flag) and count as misses; the cache's own stats() still
@@ -666,7 +691,7 @@ Result<OptimizationResult> Optimizer::Optimize(
       first_layer += stage_layers;
     }
     const Result<std::optional<double>> throughput =
-        price(degree, task.batch, task.micro, /*uniform_candidate=*/-1, &draft);
+        price(degree, task.batch, task.micro, draft);
     if (!throughput.ok()) {
       out.error = throughput.status();
       return;
@@ -701,15 +726,48 @@ Result<OptimizationResult> Optimizer::Optimize(
     // search space, and pricing them exactly guarantees the search never
     // loses to a pure baseline because of DP-table memory quantization.
     // The guard reproduces exactly the batch-dependent Validate failures
-    // MakeUniformPlan would hit.
-    if (task.batch >= 1 && task.micro >= 1 && task.micro <= task.batch) {
+    // MakeUniformPlan would hit. Each stage's facts come from the stage
+    // table (one lookup per stage; a miss builds them once for every
+    // stage and request of the same signature), stage by stage while some
+    // candidate's plan still fits. Their estimator errors would fail every
+    // candidate's plan alike (they concern the stage's device block and
+    // batch shape), and such plans are skipped.
+    if (task.batch >= 1 && task.micro >= 1 && task.micro <= task.batch &&
+        !degree.uniform_candidates.empty()) {
+      thread_local std::vector<DpStageFacts> facts;
+      if (facts.size() < static_cast<size_t>(degree.pp)) {
+        facts.resize(static_cast<size_t>(degree.pp));
+      }
+      // Per candidate: whether its plan fits every stage so far.
+      thread_local std::vector<uint8_t> fits;
+      fits.assign(degree.uniform_candidates.size(), 1);
+      bool priced = true;
+      int first_layer = 0;
+      for (int s = 0; s < degree.pp && priced; ++s) {
+        const size_t i = static_cast<size_t>(s);
+        priced = search
+                     .StageFacts(model, first_layer, degree.stage_sizes[i],
+                                 *degree.stage_candidates[i],
+                                 degree.geometry[i].first_device, task.batch,
+                                 task.micro, in_flight(task, s), run_hooks,
+                                 &facts[i])
+                     .ok();
+        bool any_fits = false;
+        for (size_t c = 0; priced && c < fits.size(); ++c) {
+          fits[c] &= facts[i].uniform_peak_bytes[c] <= degree.stage_budgets[i];
+          any_fits |= fits[c] != 0;
+        }
+        priced = priced && any_fits;
+        first_layer += degree.stage_sizes[i];
+      }
       for (const int c : degree.uniform_candidates) {
-        const Result<std::optional<double>> throughput =
-            price(degree, task.batch, task.micro, c, nullptr);
-        if (!throughput.ok() || !throughput->has_value()) continue;
+        if (!priced) break;
+        const std::optional<double> throughput =
+            price_uniform(degree, task.batch, task.micro, c, facts.data());
+        if (!throughput.has_value()) continue;
         out.feasible = true;
-        if (!best.have || **throughput > best.throughput) {
-          best = ConfigBest{true, **throughput, c, c};
+        if (!best.have || *throughput > best.throughput) {
+          best = ConfigBest{true, *throughput, c, c};
         }
       }
     }
@@ -815,6 +873,8 @@ Result<OptimizationResult> Optimizer::Optimize(
     stats.dp_frontier_hits += out.dp_frontier_hits;
     stats.dp_frontier_misses += out.dp_frontier_misses;
     stats.dp_infeasible_skipped += out.dp_infeasible_skipped;
+    stats.stage_table_hits += out.stage_table_hits;
+    stats.stage_table_misses += out.stage_table_misses;
     stats.configs_pruned += out.pruned ? 1 : 0;
     stats.dp_drafts_over_budget += out.draft_over_budget ? 1 : 0;
     stats.dp_allocations += out.dp_allocations;
@@ -951,16 +1011,21 @@ Result<OptimizationResult> Optimizer::Optimize(
     Wave& wave = static_cast<Wave&>(run);
     const ConfigTask& task = wave.tasks[i];
     ConfigOutcome& out = wave.outcomes[i];
-    // Allocation and feasibility-test telemetry: evaluate runs entirely on
-    // this thread, so thread-local counter deltas capture it exactly.
+    // Allocation, feasibility-test and stage-table telemetry: evaluate
+    // runs entirely on this thread, so thread-local counter deltas capture
+    // it exactly.
     const int64_t allocs_before = CurrentThreadAllocCount();
     const int64_t skips_before = CurrentThreadDpInfeasibleSkips();
+    const StageTableCounts table_before = CurrentThreadStageTableCounts();
     out = wave.deferred_pass
               ? evaluate_deferred(task, &deferred_stages[task.first_stage])
               : evaluate(task, &wave.bounds[task.first_stage]);
     out.sweep_allocations = CurrentThreadAllocCount() - allocs_before;
     out.dp_infeasible_skipped =
         CurrentThreadDpInfeasibleSkips() - skips_before;
+    const StageTableCounts table_after = CurrentThreadStageTableCounts();
+    out.stage_table_hits = table_after.hits - table_before.hits;
+    out.stage_table_misses = table_after.misses - table_before.misses;
   });
   // Publishes and merges one pass's waves (`enumerate` opens the next, or
   // returns null when the pass has none left), up to `max_open_waves` at a
@@ -1067,10 +1132,21 @@ Result<OptimizationResult> Optimizer::Optimize(
 
   OptimizationResult result;
   result.plan = materialize_plan(best);
-  // The winner's cost, composed once more from the entries that priced it.
+  // The winner's cost, composed in full from the cost cache's entries; a
+  // uniform winner as the draft running its candidate on every layer.
+  if (best.uniform_candidate >= 0) {
+    int first_layer = 0;
+    for (size_t s = 0; s < best.degree->geometry.size(); ++s) {
+      StageDraft& d = best.stages.emplace_back();
+      d.first_layer = first_layer;
+      d.num_layers = best.degree->stage_sizes[s];
+      d.options.assign(static_cast<size_t>(d.num_layers),
+                       best.uniform_candidate);
+      first_layer += d.num_layers;
+    }
+  }
   GALVATRON_RETURN_IF_ERROR(compose(*best.degree, best.batch, best.micro,
-                                    best.uniform_candidate, &best.stages,
-                                    &result.estimated,
+                                    best.stages, &result.estimated,
                                     /*over_budget=*/nullptr));
 
   // Co-optimization: feed the winning plan's measured per-layer times back

@@ -97,6 +97,13 @@ struct SearchStats {
   /// (the per-layer smallest options already exceed the budget) without
   /// building a frontier; see DpSearch::Run.
   int64_t dp_infeasible_skipped = 0;
+  /// Stage-table lookups of the sweep's stage searches (uniform plans,
+  /// bounds and feasibility tests; see DpSearch::StageFacts): answered
+  /// from a stored entry, or not, when the searcher built the facts and
+  /// stored them. A warm re-plan over a context's frontier cache shows
+  /// misses only for signatures no earlier request met.
+  int64_t stage_table_hits = 0;
+  int64_t stage_table_misses = 0;
   /// DP plans the exact memory check rejected after their stage searches
   /// accepted them: the searches round each layer's units to the nearest
   /// granule and the budget up, so a plan can fit the quantized budget but

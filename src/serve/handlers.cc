@@ -289,19 +289,26 @@ std::string CanonicalPlanJson(const TrainingPlan& plan) {
 std::string SearchStatsJson(const SearchStats& stats) {
   std::string out = "{";
   out += "\"configs_explored\": " + Int64Json(stats.configs_explored);
+  out += ", \"configs_pruned\": " + Int64Json(stats.configs_pruned);
   out += ", \"cost_cache_hits\": " + Int64Json(stats.cost_cache_hits);
   out += ", \"cost_cache_lifetime_hits\": " +
          Int64Json(stats.cost_cache_lifetime_hits);
   out += ", \"cost_cache_lifetime_misses\": " +
          Int64Json(stats.cost_cache_lifetime_misses);
   out += ", \"cost_cache_misses\": " + Int64Json(stats.cost_cache_misses);
+  out += ", \"dp_drafts_over_budget\": " +
+         Int64Json(stats.dp_drafts_over_budget);
   out += ", \"dp_frontier_hits\": " + Int64Json(stats.dp_frontier_hits);
   out += ", \"dp_frontier_misses\": " + Int64Json(stats.dp_frontier_misses);
+  out += ", \"dp_infeasible_skipped\": " +
+         Int64Json(stats.dp_infeasible_skipped);
   out += ", \"dp_states_explored\": " + Int64Json(stats.dp_states_explored);
   out += ", \"num_candidate_strategies\": " +
          Int64Json(stats.num_candidate_strategies);
   out += ", \"search_seconds\": " + JsonNumber(stats.search_seconds);
   out += ", \"search_threads_used\": " + Int64Json(stats.search_threads_used);
+  out += ", \"stage_table_hits\": " + Int64Json(stats.stage_table_hits);
+  out += ", \"stage_table_misses\": " + Int64Json(stats.stage_table_misses);
   out += std::string(", \"used_external_cost_cache\": ") +
          (stats.used_external_cost_cache ? "true" : "false");
   out += "}";

@@ -126,6 +126,11 @@ const std::vector<CorpusEntry>& SeedCorpus() {
            "pp 1-4 wave, 6 of 21 stage bounds strict"},
           {FuzzCheck::kSweepBound, 0x9cULL,
            "a stage the feasibility test rejects gives no bound"},
+          // Stage-table pin: filled at one budget, the table answers at a
+          // uniform plan's exact peak (the plan fits) and a byte below it
+          // (it does not) like a fresh Bound and EstimatePlan.
+          {FuzzCheck::kSweepBound, 0x9eULL,
+           "stage table at a uniform plan's exact peak and peak - 1"},
           // 1F1B in-flight band: interior stages whose downstream returns
           // backwards fast enough that the stage never stacks a second
           // micro-batch — the simulated peak sits at the one-micro-batch

@@ -1398,6 +1398,14 @@ std::optional<CheckFailure> CheckPlanPricingIdentity(
 /// the Run's result exactly, its bound equal to the stage seconds; and the
 /// composed PipelineThroughputBound is at least the EstimatePlan
 /// throughput of the configuration's DP plan whenever that plan fits.
+///
+/// The stage table the sweep's first pass reads is budget-free: filled at
+/// the cluster's budget, it must answer at a second budget — a random one,
+/// a uniform plan's exact peak and one byte below it — exactly what a
+/// fresh-cache Bound answers (verdict, bounded flag, lower_seconds bits)
+/// and, for every uniform plan priced from its stage facts, what
+/// EstimatePlan answers on the materialized plan (fits verdict,
+/// throughput bits).
 std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
                                             const CheckOptions& options) {
   const FuzzCheck kCheck = FuzzCheck::kSweepBound;
@@ -1426,6 +1434,23 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
   SearchHooks warm;
   warm.cost_cache = &costs;
   warm.frontier_cache = &frontiers;
+  // A second context whose frontier cache only ever holds stage facts: no
+  // Run publishes frontiers to it, so its Bounds answer from the table.
+  SharedCostCache table_costs(&estimator, &model);
+  DpFrontierCache table;
+  SearchHooks filled;
+  filled.cost_cache = &table_costs;
+  filled.frontier_cache = &table;
+  // The configurations the table holds, for the second budget.
+  struct TableConfig {
+    int pp = 1;
+    int micro = 1;
+    std::vector<int> sizes;
+    std::vector<HybridStrategy> candidates;
+    std::vector<PlanCostSource::Stage> extents;
+    std::vector<int> resident;
+  };
+  std::vector<TableConfig> table_configs;
 
   for (int pp = 1; pp <= cluster.num_devices() && pp <= model.num_layers();
        pp *= 2) {
@@ -1447,11 +1472,32 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
       std::vector<double> lower;
       bool all_fit = true;
       int first_layer = 0;
+      TableConfig& tabled = table_configs.emplace_back();
+      tabled.pp = pp;
+      tabled.micro = micro;
+      tabled.sizes = *sizes;
+      tabled.candidates = *candidates;
       for (int s = 0; s < pp; ++s) {
         const int layers = (*sizes)[static_cast<size_t>(s)];
         const int first_device = s * span;
         const int64_t budget = cluster.MinMemoryInRange(first_device, span);
         const int resident = plan.InFlightForDegree(pp, s);
+        tabled.extents.push_back(
+            PlanCostSource::Stage{first_device, span, first_layer, layers});
+        tabled.resident.push_back(resident);
+        // Fill the table at this budget: the stage's facts, then its bound.
+        DpStageFacts facts;
+        if (const Status stored = search.StageFacts(
+                model, first_layer, layers, *candidates, first_device, batch,
+                micro, resident, filled, &facts);
+            !stored.ok()) {
+          return MakeFailure(kCheck, seed,
+                             StrFormat("stage facts failed: %s",
+                                       stored.ToString().c_str()));
+        }
+        (void)search.Bound(model, first_layer, layers, *candidates,
+                           first_device, batch, micro, budget, resident,
+                           filled);
         const std::string stage = StrFormat(
             "pp %d micro %d batch %d stage %d (layers [%d,+%d), %d devices "
             "@%d, budget %lld%s%s)",
@@ -1560,8 +1606,143 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
       }
     }
   }
+
+  // The table at a second budget. Facts per configuration and stage, read
+  // back from the table, and the uniform plans' exact peaks.
+  std::vector<std::vector<DpStageFacts>> facts(table_configs.size());
+  std::vector<int64_t> plan_peaks;
+  for (size_t k = 0; k < table_configs.size(); ++k) {
+    const TableConfig& config = table_configs[k];
+    facts[k].resize(config.extents.size());
+    for (size_t s = 0; s < config.extents.size(); ++s) {
+      const PlanCostSource::Stage& stage = config.extents[s];
+      const StageTableCounts before = CurrentThreadStageTableCounts();
+      const Status read = search.StageFacts(
+          model, stage.first_layer, stage.num_layers, config.candidates,
+          stage.first_device, batch, config.micro, config.resident[s], filled,
+          &facts[k][s]);
+      if (!read.ok() ||
+          CurrentThreadStageTableCounts().hits != before.hits + 1) {
+        return MakeFailure(kCheck, seed,
+                           "a filled stage table missed a stored stage");
+      }
+    }
+    for (size_t c = 0; c < config.candidates.size(); ++c) {
+      int64_t peak = 0;
+      for (const DpStageFacts& stage : facts[k]) {
+        peak = std::max(peak, stage.uniform_peak_bytes[c]);
+      }
+      plan_peaks.push_back(peak);
+    }
+  }
+  std::vector<int64_t> second_budgets = {static_cast<int64_t>(std::exp(
+      rng.NextDouble(std::log(64.0 * (1 << 20)), std::log(32.0 * 1e9))))};
+  if (!plan_peaks.empty()) {
+    const int64_t peak = plan_peaks[rng.NextBelow(plan_peaks.size())];
+    second_budgets.push_back(peak);
+    second_budgets.push_back(peak - 1);
+  }
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (const int64_t second : second_budgets) {
+    const ClusterSpec resized = cluster.WithMemoryBudget(second);
+    const CostEstimator fresh_estimator(&resized);
+    const DpSearch fresh(&fresh_estimator, search_options);
+    for (size_t k = 0; k < table_configs.size(); ++k) {
+      const TableConfig& config = table_configs[k];
+      const std::string where =
+          StrFormat("pp %d micro %d batch %d at budget %lld (table filled at "
+                    "%lld)",
+                    config.pp, config.micro, batch,
+                    static_cast<long long>(second),
+                    static_cast<long long>(cluster.device_memory_bytes()));
+      std::vector<int64_t> budgets;
+      for (size_t s = 0; s < config.extents.size(); ++s) {
+        const PlanCostSource::Stage& stage = config.extents[s];
+        budgets.push_back(
+            resized.MinMemoryInRange(stage.first_device, stage.num_devices));
+        const Result<DpStageBound> want = fresh.Bound(
+            model, stage.first_layer, stage.num_layers, config.candidates,
+            stage.first_device, batch, config.micro, budgets.back(),
+            config.resident[s]);
+        const Result<DpStageBound> got = search.Bound(
+            model, stage.first_layer, stage.num_layers, config.candidates,
+            stage.first_device, batch, config.micro, budgets.back(),
+            config.resident[s], filled);
+        const bool agree =
+            want.ok() == got.ok() &&
+            (want.ok() ? !got->answer.has_value() &&
+                             want->bounded == got->bounded &&
+                             same_bits(want->lower_seconds,
+                                       got->lower_seconds)
+                       : want.status().ToString() == got.status().ToString());
+        if (!agree) {
+          return MakeFailure(
+              kCheck, seed,
+              StrFormat("the stage table's bound differs from a fresh "
+                        "Bound on stage %zu of %s: %s %d %.17g vs %s %d "
+                        "%.17g",
+                        s, where.c_str(),
+                        got.ok() ? "ok" : got.status().ToString().c_str(),
+                        got.ok() && got->bounded ? 1 : 0,
+                        got.ok() ? got->lower_seconds : 0.0,
+                        want.ok() ? "ok" : want.status().ToString().c_str(),
+                        want.ok() && want->bounded ? 1 : 0,
+                        want.ok() ? want->lower_seconds : 0.0));
+        }
+      }
+      for (size_t c = 0; c < config.candidates.size(); ++c) {
+        // The sweep's uniform pricing: each stage's peak against its
+        // budget, then the pipeline half of the composition.
+        PlanCost composed;
+        composed.stages.resize(config.extents.size());
+        bool fits = true;
+        for (size_t s = 0; s < config.extents.size(); ++s) {
+          fits = fits && facts[k][s].uniform_peak_bytes[c] <= budgets[s];
+          composed.stages[s].seconds = facts[k][s].uniform_seconds[c];
+          composed.stages[s].peak_memory_bytes =
+              facts[k][s].uniform_peak_bytes[c];
+        }
+        estimator.ComposePipeline(model, batch, config.micro, config.extents,
+                                  &composed);
+        Result<TrainingPlan> uniform = MakeUniformPlan(
+            model, cluster.num_devices(), config.pp, config.sizes,
+            config.candidates[c], batch, config.micro);
+        if (!uniform.ok()) {
+          return MakeFailure(kCheck, seed,
+                             StrFormat("uniform plan failed: %s",
+                                       uniform.status().ToString().c_str()));
+        }
+        uniform->schedule = schedule;
+        const Result<PlanCost> estimated =
+            fresh_estimator.EstimatePlan(model, *uniform);
+        if (!estimated.ok() && !estimated.status().IsOutOfMemory()) {
+          return MakeFailure(kCheck, seed,
+                             StrFormat("uniform plan estimate failed: %s",
+                                       estimated.status().ToString().c_str()),
+                             &*uniform);
+        }
+        if (fits != estimated.ok() ||
+            (fits && !same_bits(composed.throughput_samples_per_sec,
+                                estimated->throughput_samples_per_sec))) {
+          return MakeFailure(
+              kCheck, seed,
+              StrFormat("a uniform plan priced from the stage table differs "
+                        "from EstimatePlan on %s: %s %.17g vs %s %.17g",
+                        where.c_str(), fits ? "fits" : "over budget",
+                        composed.throughput_samples_per_sec,
+                        estimated.ok() ? "fits" : "over budget",
+                        estimated.ok() ? estimated->throughput_samples_per_sec
+                                       : 0.0),
+              &*uniform);
+        }
+      }
+    }
+  }
   return std::nullopt;
 }
+
 
 }  // namespace
 

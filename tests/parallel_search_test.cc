@@ -27,6 +27,7 @@
 #include "parallel/transformation.h"
 #include "search/cost_cache.h"
 #include "search/dp_search.h"
+#include "search/frontier_cache.h"
 #include "search/optimizer.h"
 #include "search/wave_pipeline.h"
 #include "util/thread_pool.h"
@@ -790,6 +791,61 @@ TEST(WavePipelineOptimizeTest, FatalErrorWinsOverTheWaveRunAhead) {
           << threads << " threads";
     }
   }
+}
+
+/// Concurrent requests on one planning context at different budgets: four
+/// threads re-plan over one cost cache and frontier cache (and its stage
+/// table) at once, each filling and reading the table while the others
+/// do, and each must return the plan, and its cost, a cold sweep at its
+/// budget returns. Under -DGALVATRON_SANITIZE=thread this is the stage
+/// table's data-race smoke.
+TEST(StageTableTest, ConcurrentReplansAtDifferentBudgetsMatchColdPlans) {
+  const ModelSpec model = WaveBert();
+  const ClusterSpec primed = MakeTitanNode8(12 * kGB);
+  const CostEstimator estimator(&primed);
+  SharedCostCache cache(&estimator, &model);
+  DpFrontierCache frontier;
+  SearchHooks hooks;
+  hooks.cost_cache = &cache;
+  hooks.frontier_cache = &frontier;
+  OptimizerOptions options;
+  options.search_threads = 1;
+  ASSERT_TRUE(Optimizer(&primed, options).Optimize(model, hooks).ok());
+
+  // The plan and its throughput's exact bits, or the error.
+  auto outcome = [](const Result<OptimizationResult>& result) {
+    if (!result.ok()) return result.status().ToString();
+    char bits[64];
+    std::snprintf(bits, sizeof(bits), " @ %a",
+                  result->estimated.throughput_samples_per_sec);
+    return result->plan.ToString() + bits;
+  };
+  const std::vector<int64_t> budgets = {7 * kGB, 9 * kGB, 14 * kGB,
+                                        16 * kGB};
+  std::vector<std::string> cold(budgets.size());
+  for (size_t i = 0; i < budgets.size(); ++i) {
+    const ClusterSpec cluster = MakeTitanNode8(budgets[i]);
+    auto result = Optimizer(&cluster, options).Optimize(model);
+    ASSERT_TRUE(result.ok()) << result.status();
+    cold[i] = outcome(result);
+  }
+  std::vector<std::string> warm(budgets.size());
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < budgets.size(); ++i) {
+      threads.emplace_back([&, i] {
+        const ClusterSpec cluster = MakeTitanNode8(budgets[i]);
+        warm[i] =
+            outcome(Optimizer(&cluster, options).Optimize(model, hooks));
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t i = 0; i < budgets.size(); ++i) {
+      EXPECT_EQ(warm[i], cold[i]) << "round " << round << ", budget "
+                                  << budgets[i];
+    }
+  }
+  EXPECT_GT(frontier.stats().stage_entries, 0u);
 }
 
 }  // namespace

@@ -23,6 +23,8 @@ namespace {
 constexpr int64_t kMaxDpStates = 830;
 constexpr int64_t kMaxSweepAllocations = 3800;
 constexpr int64_t kMaxDpStatesFourThreads = 2270;
+/// Ceiling of WarmReplanReadsTheStageTable (see there).
+constexpr int64_t kMaxWarmCostCacheLookups = 1250;
 
 /// Timer-free perf tripwire (runs under the `perf` ctest label): on the
 /// per-stage searches of a miniature end-to-end sweep's committed plans,
@@ -310,6 +312,43 @@ TEST(PerfRegressionTest, SerialSweepWorkStaysUnderItsCeilings) {
   // throughput bound must skip their stage DPs.
   EXPECT_GT(result->stats.configs_pruned, 0)
       << "no configuration was pruned by the throughput bound";
+}
+
+/// Timer-free warm tripwire on the same sweep: a re-plan at the budget an
+/// earlier plan over the same caches searched answers its first pass from
+/// the stage table — every stage's facts are stored, so it misses none —
+/// and its cost-cache lookups (hits + misses) are only those of the DP
+/// plans it prices in full. Before the stage table the re-plan made 6,251
+/// cost-cache hits, re-pricing every uniform plan and re-bounding every
+/// stage; it makes 14 now. The ceiling is a fifth of the old count.
+TEST(PerfRegressionTest, WarmReplanReadsTheStageTable) {
+  BertConfig config;
+  config.num_layers = 8;
+  config.hidden = 1024;
+  config.heads = 16;
+  const ModelSpec model = BuildBert("perf-bert", config);
+  const ClusterSpec cluster = MakeTitanNode8(12 * kGB);
+  OptimizerOptions options;
+  options.search_threads = 1;
+  const Optimizer optimizer(&cluster, options);
+  const CostEstimator estimator(&cluster);
+  SharedCostCache cache(&estimator, &model);
+  DpFrontierCache frontier;
+  SearchHooks hooks;
+  hooks.cost_cache = &cache;
+  hooks.frontier_cache = &frontier;
+
+  auto cold = optimizer.Optimize(model, hooks);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_GT(cold->stats.stage_table_misses, 0);
+  auto warm = optimizer.Optimize(model, hooks);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_EQ(warm->plan.ToString(), cold->plan.ToString());
+  EXPECT_EQ(warm->stats.stage_table_misses, 0);
+  EXPECT_GT(warm->stats.stage_table_hits, 0);
+  EXPECT_LE(warm->stats.cost_cache_hits + warm->stats.cost_cache_misses,
+            kMaxWarmCostCacheLookups)
+      << "warm re-plans re-price what the stage table holds";
 }
 
 /// Timer-free work tripwire on the same sweep at 4 threads (fewer on a

@@ -174,6 +174,39 @@ TEST_F(DpSearchTest, StatesExploredScalesLinearlyInLayers) {
   EXPECT_NEAR(ratio, layer_ratio, 0.35 * layer_ratio);
 }
 
+/// The budget-units cap is inclusive, and checked before any scratch is
+/// sized: at a 1 MiB granularity a budget of exactly kMaxBudgetUnits
+/// granules searches, one byte more is refused by every searcher.
+TEST_F(DpSearchTest, BudgetUnitsCapIsCheckedBeforeTheSearch) {
+  const ModelSpec model = SmallBert(1);
+  auto candidates = EnumerateSingleLayerStrategies(8);
+  ASSERT_TRUE(candidates.ok());
+  DpSearchOptions options;
+  options.memory_granularity = int64_t{1} << 20;
+  const DpSearch search(&estimator_, options);
+  const int64_t at_cap = kMaxBudgetUnits * options.memory_granularity;
+  auto fits = search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1,
+                         at_cap);
+  EXPECT_TRUE(fits.ok()) << fits.status();
+  auto bound = search.Bound(model, 0, model.num_layers(), *candidates, 0, 8,
+                            1, at_cap);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  EXPECT_TRUE(bound->bounded);
+
+  auto over = search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1,
+                         at_cap + 1);
+  EXPECT_TRUE(over.status().IsInvalidArgument()) << over.status();
+  auto over_bound = search.Bound(model, 0, model.num_layers(), *candidates,
+                                 0, 8, 1, at_cap + 1);
+  EXPECT_TRUE(over_bound.status().IsInvalidArgument())
+      << over_bound.status();
+  auto over_dense =
+      DenseDpSearch(estimator_, model, 0, model.num_layers(), *candidates, 0,
+                    8, 1, at_cap + 1, options);
+  EXPECT_TRUE(over_dense.status().IsInvalidArgument())
+      << over_dense.status();
+}
+
 class OptimizerTest : public ::testing::Test {
  protected:
   OptimizerTest() : cluster_(MakeTitanNode8(16 * kGB)) {}
@@ -211,6 +244,24 @@ TEST_F(OptimizerTest, InfeasibleOnTinyBudget) {
   auto result = optimizer.Optimize(model);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInfeasible());
+}
+
+/// A one-byte memory granularity makes a 10 GB budget 10^10 budget
+/// units. It used to be narrowed to int unchecked: at 10 GB the kernel
+/// sized its merge scratch by it and ran out of memory; at 12 GB it
+/// wrapped negative, every stage search answered "memory budget below
+/// transient headroom" and the plan silently fell back to uniform
+/// strategies. The sweep now refuses it before any stage search runs.
+TEST_F(OptimizerTest, RejectsAGranularityTooFineForTheBudget) {
+  const ModelSpec model = BuildModel(ModelId::kBertHuge32);
+  for (const int64_t budget : {10 * kGB, 12 * kGB}) {
+    const ClusterSpec cluster = MakeTitanNode8(budget);
+    OptimizerOptions options;
+    options.memory_granularity = 1;
+    auto result = Optimizer(&cluster, options).Optimize(model);
+    ASSERT_FALSE(result.ok()) << "budget " << budget;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
+  }
 }
 
 TEST_F(OptimizerTest, RestrictedModesUseOnlyAllowedDims) {

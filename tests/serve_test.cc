@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -847,6 +848,58 @@ TEST_F(ServeTest, NearMissBudgetWarmStartsFromCachedFrontiers) {
     ASSERT_NE(cold_member, nullptr) << field;
     EXPECT_EQ(WriteJson(*warm_member), WriteJson(*cold_member)) << field;
   }
+}
+
+/// search_stats carries the sweep's prune, feasibility and stage-table
+/// counters: a request on a fresh context fills the stage table, and a
+/// budget-only variant on the same context reads it.
+TEST_F(ServeTest, SearchStatsReportStageTableAndPruneCounters) {
+  PlanService service;
+  auto stats_of = [&](const ClusterSpec& cluster) {
+    const std::string body =
+        "{\"model\": \"" + std::string(ModelIdToString(ModelId::kBertHuge32)) +
+        "\", \"cluster\": " + ClusterSpecToJson(cluster) + "}";
+    const HttpResponse response = service.Handle(Post("/v1/plan", body));
+    EXPECT_EQ(response.status, 200) << response.body;
+    auto json = ParseJson(response.body);
+    EXPECT_TRUE(json.ok()) << json.status();
+    std::map<std::string, int64_t> counters;
+    const JsonValue* stats =
+        json.ok() ? FindMember(*json, "search_stats") : nullptr;
+    EXPECT_NE(stats, nullptr) << response.body;
+    if (stats == nullptr) return counters;
+    for (const char* field :
+         {"stage_table_hits", "stage_table_misses", "configs_pruned",
+          "dp_infeasible_skipped", "dp_drafts_over_budget"}) {
+      auto value = GetInt64(*stats, field, 0);
+      EXPECT_TRUE(value.ok()) << field << ": " << response.body;
+      counters[field] = value.ok() ? *value : -1;
+    }
+    return counters;
+  };
+  std::map<std::string, int64_t> cold = stats_of(MakeTitanNode8(24 * kGB));
+  EXPECT_GT(cold["stage_table_misses"], 0);
+  EXPECT_GT(cold["stage_table_hits"], 0);  // the pipelines' equal stages
+  EXPECT_GT(cold["configs_pruned"], 0);
+  EXPECT_GE(cold["dp_infeasible_skipped"], 0);
+  EXPECT_GE(cold["dp_drafts_over_budget"], 0);
+  std::map<std::string, int64_t> warm = stats_of(MakeTitanNode8(16 * kGB));
+  EXPECT_GT(warm["stage_table_hits"], 0);
+  EXPECT_EQ(warm["stage_table_misses"], 0);
+  EXPECT_GT(warm["configs_pruned"], 0);
+  EXPECT_GE(warm["dp_infeasible_skipped"], 0);
+  EXPECT_GE(warm["dp_drafts_over_budget"], 0);
+}
+
+/// A memory granularity too fine for the request's budget is a 400: the
+/// stage searches would size their scratch by the budget units.
+TEST_F(ServeTest, GranularityTooFineForTheBudgetIsABadRequest) {
+  PlanService service;
+  const HttpResponse response = service.Handle(Post(
+      "/v1/plan", PlanRequestBody(", \"options\": {\"memory_granularity\": 1}")));
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_NE(response.body.find("granularity"), std::string::npos)
+      << response.body;
 }
 
 /// A 256-layer BERT on the 8-GPU node: a cold search far longer than any
