@@ -270,6 +270,48 @@ void RecordGrowReplans(bench::BenchJson* out, const std::string& name,
   }
 }
 
+/// First visits to budgets over a warm PlanningContext, as the serving
+/// daemon meets requests at budgets its context has not searched:
+/// BERT-Huge-32 on the 8-GPU TITAN node, primed (untimed) by one plan at
+/// 24 GB, then plans at 12.5, 13.5, 14.5, 15.5 and 16.5 GB, once each, on
+/// one sweep thread. Every budget is new to the context, so each plan
+/// reads the stage store its earlier plans filled and runs the DPs no
+/// stored frontier answers. Each of `passes` passes uses a fresh context.
+/// Records the per-Plan wall time's median and quartiles over all timed
+/// plans, and the sweep allocations of one pass (exact: every sweep is
+/// serial and deterministic).
+void RecordFirstVisitReplans(bench::BenchJson* out, const std::string& name,
+                             int passes) {
+  OptimizerOptions options;
+  options.search_threads = 1;
+  std::vector<double> plan_ms;
+  int64_t pass_allocations = 0;
+  for (int pass = 0; pass < passes; ++pass) {
+    PlanningContext context(BuildModel(ModelId::kBertHuge32),
+                            MakeTitanNode8(24 * kGB));
+    SearchHooks hooks;
+    hooks.cost_cache = context.cache();
+    hooks.frontier_cache = context.frontier_cache();
+    GALVATRON_CHECK(
+        Galvatron::Plan(context.model(), context.cluster(), options, hooks)
+            .ok());
+    pass_allocations = 0;
+    for (int i = 0; i < 5; ++i) {
+      const ClusterSpec cluster = MakeTitanNode8(12 * kGB + kGB / 2 + i * kGB);
+      const auto start = std::chrono::steady_clock::now();
+      auto result = Galvatron::Plan(context.model(), cluster, options, hooks);
+      plan_ms.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+      GALVATRON_CHECK(result.ok());
+      pass_allocations += result->search_stats.sweep_allocations;
+    }
+  }
+  RecordPlanTimes(out, name, plan_ms);
+  out->Record(name, "sweep_allocations",
+              static_cast<double>(pass_allocations));
+}
+
 /// Re-plans in shuffled budget orders over the serving benchmark's warm
 /// contexts: BERT-Huge-32 and ViT-Huge-32 on the 8-GPU TITAN and A100
 /// nodes (the serve_calibrate clusters), one sweep thread. Each of
@@ -350,7 +392,7 @@ void RecordShuffledReplans(bench::BenchJson* out, const std::string& name,
 /// (batch_step/max_batch below) so the bench finishes in seconds while
 /// still exercising 100+-layer DP stages on 64-device candidate sets. Then
 /// the warm re-plan records (RecordWarmReplans, RecordGrowReplans,
-/// RecordShuffledReplans).
+/// RecordShuffledReplans, RecordFirstVisitReplans).
 void WriteBenchJson() {
   bench::BenchJson out("BENCH_search.json");
 
@@ -393,6 +435,9 @@ void WriteBenchJson() {
                     /*passes=*/10);
   RecordShuffledReplans(&out, "warm_replan_shuffled_titan8_a100_8_t1",
                         /*passes=*/20);
+  RecordFirstVisitReplans(&out,
+                          "warm_replan_first_visit_bert_huge32_titan8_t1",
+                          /*passes=*/20);
 
   if (out.Save()) std::printf("wrote BENCH_search.json\n");
 }

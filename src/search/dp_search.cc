@@ -1357,76 +1357,30 @@ Status ValidateRun(const ModelSpec& model, int first_layer, int num_layers,
   return Status::OK();
 }
 
-/// The warm path: when `frontier_cache` holds the Run's signature (already
-/// built into scratch.key) at a budget >= the requested one, counts the hit
-/// and answers without touching the estimator or the kernel — the
-/// repeated-near-miss serving workload (identical request, different
-/// memory budget) and the repeated identical pipeline stages of one sweep
-/// skip the entire cold pipeline. nullopt on a miss, which is not counted.
-std::optional<Result<DpSearchResult>> AnswerFromCache(
-    DpFrontierCache* frontier_cache, const DpSearchOptions& options,
-    int num_strategies, int num_layers, int64_t memory_budget,
-    const DpScratch& scratch, int64_t alloc_start) {
-  const int num_candidates =
-      ExpandedOptionCount(num_strategies, options.allow_recompute);
-  std::shared_ptr<const DpFrontierEntry> entry =
-      frontier_cache->Lookup(scratch.key);
-  if (entry == nullptr) return std::nullopt;
-  GALVATRON_CHECK_EQ(entry->num_candidates, num_candidates);
-  GALVATRON_CHECK_EQ(entry->num_strategies, num_strategies);
-  GALVATRON_CHECK_EQ(entry->num_layers, num_layers);
-  const int budget_units = BudgetUnits(memory_budget, entry->max_transient,
-                                       options.memory_granularity);
-  if (budget_units < 0) {
-    frontier_cache->CountHit();
-    return Result<DpSearchResult>(BelowTransientHeadroom());
-  }
-  // Budget grew past the cached frontier: the caller runs cold, which
-  // republishes the wider entry.
-  if (budget_units > entry->budget_units) return std::nullopt;
+/// The warm path: the answer `frontier`, the stored frontier of the Run's
+/// signature, gives at `memory_budget`, without touching the estimator or
+/// the kernel — the repeated-near-miss serving workload (identical
+/// request, different memory budget) and the repeated identical pipeline
+/// stages of one sweep skip the entire cold pipeline. Counts the hit;
+/// nullopt, uncounted, when the frontier was built at a smaller budget
+/// (the caller runs cold, which publishes the wider one).
+std::optional<Result<DpSearchResult>> AnswerFromFrontier(
+    const DpFrontierEntry& frontier, DpFrontierCache* frontier_cache,
+    int64_t gran, int64_t memory_budget, int64_t alloc_start) {
+  const int budget_units =
+      BudgetUnits(memory_budget, frontier.max_transient, gran);
+  if (budget_units > frontier.budget_units) return std::nullopt;
   frontier_cache->CountHit();
+  if (budget_units < 0) return Result<DpSearchResult>(BelowTransientHeadroom());
   Result<DpSearchResult> out = AnswerFromFrontiers(
-      ViewOf(*entry, num_layers, num_strategies, num_candidates),
-      options.memory_granularity, budget_units, memory_budget);
+      ViewOf(frontier, frontier.num_layers, frontier.num_strategies,
+             frontier.num_candidates),
+      gran, budget_units, memory_budget);
   if (out.ok()) {
     out->frontier_hit = true;
     out->allocations = CurrentThreadAllocCount() - alloc_start;
   }
   return out;
-}
-
-/// The facts of the Run signature in scratch.key (built when a frontier
-/// cache is given) into `*facts`: from the stage table when it holds them,
-/// else from the Run's cost tables, stored in the table when there is one.
-/// Table lookups are counted on this thread.
-Status LookupStageFacts(const CostEstimator& estimator, const ModelSpec& model,
-                        const DpSearchOptions& options,
-                        const std::vector<HybridStrategy>& candidates,
-                        int first_layer, int num_layers,
-                        int stage_first_device, int batch_per_group,
-                        int micro_batches, int resident_micro_batches,
-                        const SearchHooks& hooks, DpScratch& scratch,
-                        DpStageFacts* facts) {
-  DpFrontierCache* const table = hooks.frontier_cache;
-  if (table != nullptr) {
-    if (table->FindStage(scratch.key, facts)) {
-      ++scratch.stage_table.hits;
-      return Status::OK();
-    }
-    ++scratch.stage_table.misses;
-  }
-  RunCostCache cache(&estimator, &model, &candidates, first_layer, num_layers,
-                     stage_first_device, batch_per_group, micro_batches,
-                     resident_micro_batches, hooks.cost_cache,
-                     &scratch.run_cost);
-  GALVATRON_ASSIGN_OR_RETURN(
-      const DpWork w,
-      BuildCostTables(cache, estimator, options, first_layer, num_layers,
-                      static_cast<int>(candidates.size()), micro_batches,
-                      hooks.cancel, &scratch.units, &scratch.seconds));
-  FillStageFacts(w, cache, scratch, facts);
-  if (table != nullptr) table->InsertStage(scratch.key, *facts);
-  return Status::OK();
 }
 
 }  // namespace
@@ -1505,19 +1459,19 @@ Result<DpSearchResult> DpSearch::Run(
                      candidates, first_layer, num_layers, stage_first_device,
                      batch_per_group, micro_batches, resident_micro_batches,
                      options_.memory_granularity, options_.allow_recompute);
-    std::optional<Result<DpSearchResult>> hit =
-        AnswerFromCache(frontier_cache, options_, num_strategies, num_layers,
-                        memory_budget, scratch, alloc_start);
-    if (hit.has_value()) return *std::move(hit);
-    frontier_cache->CountMiss();
-    // With the facts stored, a Run the test rejects builds no cost table.
-    stored = frontier_cache->FindStage(scratch.key, &scratch.facts);
-    if (stored) {
-      ++scratch.stage_table.hits;
-      GALVATRON_RETURN_IF_ERROR(feasible());
-    } else {
-      ++scratch.stage_table.misses;
+    std::shared_ptr<const DpFrontierEntry> frontier;
+    stored = frontier_cache->Find(scratch.key, &scratch.facts, &frontier);
+    if (frontier != nullptr) {
+      std::optional<Result<DpSearchResult>> hit =
+          AnswerFromFrontier(*frontier, frontier_cache,
+                             options_.memory_granularity, memory_budget,
+                             alloc_start);
+      if (hit.has_value()) return *std::move(hit);
     }
+    frontier_cache->CountMiss();
+    ++(stored ? scratch.stage_table.hits : scratch.stage_table.misses);
+    // With the facts stored, a Run the test rejects builds no cost table.
+    if (stored) GALVATRON_RETURN_IF_ERROR(feasible());
   }
 
   RunCostCache cache(estimator_, &model, &candidates, first_layer, num_layers,
@@ -1532,7 +1486,7 @@ Result<DpSearchResult> DpSearch::Run(
   if (!stored) {
     FillStageFacts(w, cache, scratch, &scratch.facts);
     if (frontier_cache != nullptr) {
-      frontier_cache->InsertStage(scratch.key, scratch.facts);
+      frontier_cache->Insert(scratch.key, scratch.facts);
     }
     GALVATRON_RETURN_IF_ERROR(feasible());
   }
@@ -1552,7 +1506,7 @@ Result<DpSearchResult> DpSearch::Run(
     entry->bp_parent = scratch.bp_parent;
     entry->spans = scratch.spans;
     entry->options_pruned = stats.options_pruned;
-    frontier_cache->Insert(scratch.key, std::move(entry));
+    frontier_cache->Insert(scratch.key, scratch.facts, std::move(entry));
   }
   Result<DpSearchResult> out = AnswerFromFrontiers(
       ViewOf(scratch, num_layers, num_strategies, num_candidates), w.gran,
@@ -1572,20 +1526,29 @@ Result<DpStageBound> DpSearch::Bound(
     const std::vector<HybridStrategy>& candidates, int stage_first_device,
     int batch_per_group, int micro_batches, int64_t memory_budget,
     int resident_micro_batches, const SearchHooks& hooks) const {
-  const int64_t alloc_start = CurrentThreadAllocCount();
   GALVATRON_RETURN_IF_ERROR(ValidateRun(model, first_layer, num_layers,
                                         candidates, options_, memory_budget,
                                         hooks));
   DpScratch& scratch = ScratchForThisThread();
+  std::shared_ptr<const DpFrontierEntry> frontier;
+  GALVATRON_RETURN_IF_ERROR(StageFacts(
+      model, first_layer, num_layers, candidates, stage_first_device,
+      batch_per_group, micro_batches, resident_micro_batches, hooks,
+      &scratch.facts, &frontier));
+  return BoundStage(scratch.facts, frontier.get(), memory_budget, hooks);
+}
+
+Result<DpStageBound> DpSearch::BoundStage(const DpStageFacts& facts,
+                                          const DpFrontierEntry* frontier,
+                                          int64_t memory_budget,
+                                          const SearchHooks& hooks) const {
+  const int64_t alloc_start = CurrentThreadAllocCount();
   DpStageBound bound;
-  if (hooks.frontier_cache != nullptr) {
-    BuildFrontierKey(scratch, *hooks.cost_cache, estimator_->cluster(),
-                     candidates, first_layer, num_layers, stage_first_device,
-                     batch_per_group, micro_batches, resident_micro_batches,
-                     options_.memory_granularity, options_.allow_recompute);
-    bound.answer = AnswerFromCache(
-        hooks.frontier_cache, options_, static_cast<int>(candidates.size()),
-        num_layers, memory_budget, scratch, alloc_start);
+  if (frontier != nullptr) {
+    bound.answer =
+        AnswerFromFrontier(*frontier, hooks.frontier_cache,
+                           options_.memory_granularity, memory_budget,
+                           alloc_start);
     if (bound.answer.has_value()) {
       bound.bounded = bound.answer->ok();
       if (bound.bounded) {
@@ -1594,41 +1557,47 @@ Result<DpStageBound> DpSearch::Bound(
       return bound;
     }
   }
-  GALVATRON_RETURN_IF_ERROR(LookupStageFacts(
-      *estimator_, model, options_, candidates, first_layer, num_layers,
-      stage_first_device, batch_per_group, micro_batches,
-      resident_micro_batches, hooks, scratch, &scratch.facts));
-  const int budget_units = BudgetUnits(
-      memory_budget, scratch.facts.max_transient, options_.memory_granularity);
+  const int budget_units = BudgetUnits(memory_budget, facts.max_transient,
+                                       options_.memory_granularity);
   if (budget_units < 0) return BelowTransientHeadroom();
-  bound.bounded = scratch.facts.min_units <= budget_units;
-  if (bound.bounded) {
-    bound.lower_seconds = LpStageBound(scratch.facts, budget_units);
-  }
+  bound.bounded = facts.min_units <= budget_units;
+  if (bound.bounded) bound.lower_seconds = LpStageBound(facts, budget_units);
   return bound;
 }
 
-Status DpSearch::StageFacts(const ModelSpec& model, int first_layer,
-                            int num_layers,
-                            const std::vector<HybridStrategy>& candidates,
-                            int stage_first_device, int batch_per_group,
-                            int micro_batches, int resident_micro_batches,
-                            const SearchHooks& hooks,
-                            DpStageFacts* facts) const {
+Status DpSearch::StageFacts(
+    const ModelSpec& model, int first_layer, int num_layers,
+    const std::vector<HybridStrategy>& candidates, int stage_first_device,
+    int batch_per_group, int micro_batches, int resident_micro_batches,
+    const SearchHooks& hooks, DpStageFacts* facts,
+    std::shared_ptr<const DpFrontierEntry>* frontier) const {
   GALVATRON_RETURN_IF_ERROR(ValidateRun(model, first_layer, num_layers,
                                         candidates, options_,
                                         /*memory_budget=*/0, hooks));
   DpScratch& scratch = ScratchForThisThread();
-  if (hooks.frontier_cache != nullptr) {
+  DpFrontierCache* const store = hooks.frontier_cache;
+  if (store != nullptr) {
     BuildFrontierKey(scratch, *hooks.cost_cache, estimator_->cluster(),
                      candidates, first_layer, num_layers, stage_first_device,
                      batch_per_group, micro_batches, resident_micro_batches,
                      options_.memory_granularity, options_.allow_recompute);
+    const bool found = store->Find(scratch.key, facts, frontier);
+    ++(found ? scratch.stage_table.hits : scratch.stage_table.misses);
+    if (found) return Status::OK();
   }
-  return LookupStageFacts(*estimator_, model, options_, candidates,
-                          first_layer, num_layers, stage_first_device,
-                          batch_per_group, micro_batches,
-                          resident_micro_batches, hooks, scratch, facts);
+  if (frontier != nullptr) frontier->reset();
+  RunCostCache cache(estimator_, &model, &candidates, first_layer, num_layers,
+                     stage_first_device, batch_per_group, micro_batches,
+                     resident_micro_batches, hooks.cost_cache,
+                     &scratch.run_cost);
+  GALVATRON_ASSIGN_OR_RETURN(
+      const DpWork w,
+      BuildCostTables(cache, *estimator_, options_, first_layer, num_layers,
+                      static_cast<int>(candidates.size()), micro_batches,
+                      hooks.cancel, &scratch.units, &scratch.seconds));
+  FillStageFacts(w, cache, scratch, facts);
+  if (store != nullptr) store->Insert(scratch.key, *facts);
+  return Status::OK();
 }
 
 Result<DpSearchResult> DenseDpSearch(

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -33,7 +34,8 @@ struct DpSearchOptions {
 ///   sweep, or many requests of one PlanningContext). It must describe
 ///   the same model, cluster topology and estimator options as the search;
 ///   per-device memory budgets may differ.
-/// - `frontier_cache`: completed Pareto frontiers replayed by later
+/// - `frontier_cache`: the stage store — per search signature, its
+///   budget-free facts and completed Pareto frontier, read by later
 ///   searches over the same signature (see DpFrontierCache). Its keys hold
 ///   layer-signature ids interned by `cost_cache`, so it requires one:
 ///   ids from two cost caches are not comparable, and a long-lived
@@ -91,9 +93,9 @@ struct DpSearchResult {
   int64_t allocations = 0;
 };
 
-/// What DpSearch::Bound knows about one per-stage search before its kernel
-/// runs: a lower bound on the stage seconds, or the search's answer itself
-/// when the frontier cache holds it.
+/// What DpSearch::Bound (or BoundStage) knows about one per-stage search
+/// before its kernel runs: a lower bound on the stage seconds, or the
+/// search's answer itself when the stage's record holds a frontier.
 struct DpStageBound {
   /// True when `lower_seconds` bounds, from below, the stage seconds of
   /// every assignment the Run would consider (and so the Run's optimum).
@@ -117,10 +119,12 @@ void MaterializeDpSearchResult(const std::vector<HybridStrategy>& candidates,
 /// Callers measure a scope by differencing, like CurrentThreadAllocCount.
 int64_t CurrentThreadDpInfeasibleSkips();
 
-/// Stage-table lookups on this thread (DpSearch::StageFacts, Bound and
-/// Run, given a frontier cache): answered by a stored entry, or not (the
-/// caller then built the facts and stored them). Differenced by callers
-/// like CurrentThreadDpInfeasibleSkips.
+/// Stage-store lookups on this thread (DpSearch::StageFacts, Bound and
+/// Run, given a frontier cache) that read or built a stage's facts:
+/// answered by a stored record, or not (the caller then built the facts
+/// and stored them). A Run its record's frontier answers counts as a
+/// frontier hit instead. Differenced by callers like
+/// CurrentThreadDpInfeasibleSkips.
 struct StageTableCounts {
   int64_t hits = 0;
   int64_t misses = 0;
@@ -189,17 +193,18 @@ class DpSearch {
   /// option count multiplies every column's work and the budget sizes its
   /// scratch, so the caps bound what one request can cost.
   ///
-  /// `hooks` (see SearchHooks): with a frontier cache that holds this Run's
-  /// signature at a budget >= the requested one, the answer is
-  /// reconstructed directly from the cached columns — no estimator calls,
-  /// no merging — and is byte-identical to a cold run (the frontier prefix
-  /// property; see frontier_cache.h). Feasible cold runs publish their
-  /// frontiers back. On a miss, the frontier cache's stage table answers
-  /// the feasibility test when it holds the signature's facts (see
-  /// StageFacts), else the Run stores them. The caches must only be shared
-  /// across Runs whose model, cluster topology and estimator agree (the
-  /// PlanningContext contract). The cancel hook is polled between layer
-  /// columns and between layers of the cost-estimation pass.
+  /// `hooks` (see SearchHooks): with a frontier cache, the Run builds its
+  /// signature's key and makes one probe of the store for its record.
+  /// When the record's frontier was built at a budget >= the requested
+  /// one, the answer is reconstructed directly from it — no estimator
+  /// calls, no merging — and is byte-identical to a cold run (the frontier
+  /// prefix property; see frontier_cache.h). Otherwise the record's facts
+  /// answer the feasibility test (see StageFacts), or the Run computes and
+  /// stores them, and a feasible cold run publishes its frontier into the
+  /// record. The caches must only be shared across Runs whose model,
+  /// cluster topology and estimator agree (the PlanningContext contract).
+  /// The cancel hook is polled between layer columns and between layers of
+  /// the cost-estimation pass.
   Result<DpSearchResult> Run(const ModelSpec& model, int first_layer,
                              int num_layers,
                              const std::vector<HybridStrategy>& candidates,
@@ -208,27 +213,12 @@ class DpSearch {
                              int resident_micro_batches = -1,
                              const SearchHooks& hooks = {}) const;
 
-  /// Bounds the Run with the same arguments without running its kernel.
-  ///
-  /// - A frontier-cache hit answers outright: `answer` holds the Run's
-  ///   result (the hit is counted; a miss is not — the Run that may follow
-  ///   counts its own lookup).
-  /// - Otherwise the bound is the LP relaxation of the stage's
-  ///   memory-constrained choice, read from the stage's facts (see
-  ///   StageFacts): per distinct cost row, the lower convex hull of its
-  ///   options' (units, seconds); every layer starts at its smallest-units
-  ///   point and the remaining budget units buy the steepest hull segments
-  ///   first, the last one fractionally. Transformation costs are bounded
-  ///   by 0. The LP optimum is at most the DP optimum, so `lower_seconds`
-  ///   never exceeds the Run's stage seconds; unlike the memory-free sum of
-  ///   per-layer minima, it stays tight where memory binds.
-  /// - A Run the feasibility test would answer Infeasible gives no bound
-  ///   (`bounded` false, no answer).
-  ///
-  /// Errors are the ones the Run would return before its kernel
-  /// (InvalidArgument, Cancelled, estimator failures, a budget below the
-  /// transient headroom). No frontier is published; the facts go to the
-  /// stage table as StageFacts stores them.
+  /// Bounds the Run with the same arguments without running its kernel:
+  /// the stage's record (StageFacts) bounded at `memory_budget`
+  /// (BoundStage). Errors are the ones the Run would return before its
+  /// kernel (InvalidArgument, Cancelled, estimator failures, a budget below
+  /// the transient headroom). No frontier is published; facts the store
+  /// lacked are stored as StageFacts stores them.
   Result<DpStageBound> Bound(const ModelSpec& model, int first_layer,
                              int num_layers,
                              const std::vector<HybridStrategy>& candidates,
@@ -242,18 +232,45 @@ class DpSearch {
   /// its feasibility test, its bound and the stage's uniform plans need at
   /// any budget (see DpStageFacts). Exact: the uniform seconds and peaks
   /// are ComposeStage's sums over the same cached layer costs, in its
-  /// layer order, and the LP parts are summed in Bound's order.
+  /// layer order, and the LP parts are summed in BoundStage's order.
   ///
-  /// With a frontier cache the facts come from its stage table, or are
-  /// computed from the Run's cost tables and stored there (so the
-  /// identical stages of one pipeline, and every later request of a
-  /// context, compute them once); Bound and Run consult the same table.
-  /// Errors are those of the Run's cost estimation.
+  /// With a frontier cache the facts come from the stage's record, found
+  /// in one probe that also hands the record's frontier to `*frontier`
+  /// when given (null when no Run published one), or are computed from the
+  /// Run's cost tables and stored as a new record (so the identical stages
+  /// of one pipeline, and every later request of a context, compute them
+  /// once). Errors are those of the Run's cost estimation.
   Status StageFacts(const ModelSpec& model, int first_layer, int num_layers,
                     const std::vector<HybridStrategy>& candidates,
                     int stage_first_device, int batch_per_group,
                     int micro_batches, int resident_micro_batches,
-                    const SearchHooks& hooks, DpStageFacts* facts) const;
+                    const SearchHooks& hooks, DpStageFacts* facts,
+                    std::shared_ptr<const DpFrontierEntry>* frontier =
+                        nullptr) const;
+
+  /// Bounds a stage at `memory_budget` (which ValidateBudgetUnits accepts)
+  /// from what StageFacts returned for it, without another probe:
+  ///
+  /// - A `frontier` built at a budget >= the requested one answers
+  ///   outright: `answer` holds the Run's result, and the hit is counted on
+  ///   `hooks.frontier_cache` (a miss is not — the Run that may follow
+  ///   counts its own).
+  /// - Otherwise the bound is the LP relaxation of the stage's
+  ///   memory-constrained choice, read from `facts`: per distinct cost
+  ///   row, the lower convex hull of its options' (units, seconds); every
+  ///   layer starts at its smallest-units point and the remaining budget
+  ///   units buy the steepest hull segments first, the last one
+  ///   fractionally. Transformation costs are bounded by 0. The LP optimum
+  ///   is at most the DP optimum, so `lower_seconds` never exceeds the
+  ///   Run's stage seconds; unlike the memory-free sum of per-layer minima,
+  ///   it stays tight where memory binds.
+  /// - A Run the feasibility test would answer Infeasible gives no bound
+  ///   (`bounded` false, no answer); a budget below the transient headroom
+  ///   is the Run's error.
+  Result<DpStageBound> BoundStage(const DpStageFacts& facts,
+                                  const DpFrontierEntry* frontier,
+                                  int64_t memory_budget,
+                                  const SearchHooks& hooks) const;
 
  private:
   const CostEstimator* estimator_;

@@ -4,11 +4,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace galvatron {
@@ -76,7 +73,8 @@ struct DpFrontierEntry {
 
 /// A Run signature as a packed word sequence: everything that determines the
 /// frontiers EXCEPT the memory budget (see DpFrontierEntry). Built once into
-/// thread-local scratch by DpSearch::Run — no strings, no per-lookup heap.
+/// thread-local scratch by each DpSearch stage search (Run, StageFacts) —
+/// no strings, no per-lookup heap.
 /// Layer signatures enter as ids interned by the SharedCostCache the
 /// frontier cache is paired with (see SearchHooks).
 struct DpFrontierKey {
@@ -89,17 +87,9 @@ struct DpFrontierKey {
   }
   void Append(int32_t w) { words.push_back(w); }
   /// Computes the stored hash; call after the last Append and before any
-  /// Lookup/Insert. (SplitMix64-style mix per word, matching the cost-cache
+  /// Find/Insert. (SplitMix64-style mix per word, matching the cost-cache
   /// keys' scheme.)
   void Finalize();
-
-  friend bool operator==(const DpFrontierKey& a, const DpFrontierKey& b) {
-    return a.hash == b.hash && a.words == b.words;
-  }
-};
-
-struct DpFrontierKeyHash {
-  size_t operator()(const DpFrontierKey& key) const { return key.hash; }
 };
 
 /// One lower-hull segment of a stage's LP bound, taken by every layer of
@@ -113,8 +103,7 @@ struct DpLpSegment {
 
 /// The budget-free facts of one stage-search signature (a DpFrontierKey):
 /// everything the sweep's first pass asks of a stage at any memory budget.
-/// DpSearch::StageFacts fills one; the stage table of DpFrontierCache
-/// stores them.
+/// DpSearch::StageFacts fills one; a DpFrontierCache record stores them.
 struct DpStageFacts {
   /// Units of the assignment taking every layer's smallest option, summed
   /// (INT64_MAX when some layer has no option with finite seconds): some
@@ -123,10 +112,10 @@ struct DpStageFacts {
   /// Transient headroom reserved off every budget (2x the largest
   /// transient any option needs).
   int64_t max_transient = 0;
-  /// The LP bound's budget-free part (see DpSearch::Bound): per distinct
-  /// cost row, its layers at their smallest-units point, summed row by
-  /// row; and the rows' lower-hull segments, steepest saving first. Empty
-  /// when min_units is INT64_MAX.
+  /// The LP bound's budget-free part (see DpSearch::BoundStage): per
+  /// distinct cost row, its layers at their smallest-units point, summed
+  /// row by row; and the rows' lower-hull segments, steepest saving first.
+  /// Empty when min_units is INT64_MAX.
   double base_seconds = 0.0;
   std::vector<DpLpSegment> segments;
   /// Per candidate strategy: the stage seconds and exact peak bytes of
@@ -138,86 +127,68 @@ struct DpStageFacts {
 struct DpFrontierCacheStats {
   int64_t hits = 0;        // lookups answered from a cached frontier
   int64_t misses = 0;      // lookups that ran (or re-ran) the cold kernel
-  int64_t insertions = 0;  // entries stored or widened to a larger budget
-  int64_t evictions = 0;
-  size_t size = 0;
-  size_t capacity = 0;
-  /// The stage table: entries held and the bytes its arrays reserve.
+  int64_t insertions = 0;  // frontiers stored or widened to a larger budget
+  size_t size = 0;         // records holding a frontier
+  /// All records, and the bytes the store's arrays reserve.
   size_t stage_entries = 0;
   size_t stage_bytes = 0;
 };
 
-/// Thread-safe LRU cache of DpFrontierEntry keyed by the Run signature
-/// (layer range, candidate set, batch/micro shape, granularity — everything
-/// EXCEPT the memory budget; see DpFrontierEntry). Entries are immutable
-/// once published, handed out as shared_ptr so concurrent Runs read them
-/// lock-free after the map lookup.
+/// Thread-safe store of one record per stage-search signature (a
+/// DpFrontierKey: layer range, candidate set, batch/micro shape,
+/// granularity — everything EXCEPT the memory budget). A record holds the
+/// signature's DpStageFacts and, once a cold DpSearch::Run publishes one,
+/// its frontier (see DpFrontierEntry), so a stage search makes one probe
+/// for both. Frontiers are immutable once published and handed out as
+/// shared_ptr: a reader keeps the one it took after the record is
+/// replaced or the store cleared.
 ///
-/// The cache knows nothing about models or clusters: the caller (a
-/// PlanningContext) must only share one cache across Runs whose model,
-/// cluster topology and estimator agree — the same contract SharedCostCache
-/// documents. Only budget-like cluster differences (per-device memory) are
-/// safe to vary, because per-layer costs never depend on the budget. Keys
-/// carry ids interned by one SharedCostCache, so a frontier cache must
-/// always be used with the same cost cache.
+/// The store knows nothing about models or clusters: the caller (a
+/// PlanningContext) must only share one store across searches whose
+/// model, cluster topology and estimator agree — the same contract
+/// SharedCostCache documents. Only budget-like cluster differences
+/// (per-device memory) are safe to vary, because per-layer costs never
+/// depend on the budget. Keys carry ids interned by one SharedCostCache,
+/// so a store must always be used with the same cost cache.
 class DpFrontierCache {
  public:
-  /// Default sized for a full Algorithm-1 sweep: one sweep issues a few
-  /// hundred to ~2000 distinct Run signatures (per batch wave, PP degree,
-  /// micro count and stage), and a near-miss request replays the same set.
-  explicit DpFrontierCache(size_t capacity = 4096);
-
+  DpFrontierCache() = default;
   DpFrontierCache(const DpFrontierCache&) = delete;
   DpFrontierCache& operator=(const DpFrontierCache&) = delete;
 
-  /// Returns the entry for `key`, or nullptr. Does not count hit/miss —
-  /// whether the entry is usable depends on the requested budget, which
-  /// only the caller can check; it reports back via CountHit/CountMiss.
-  std::shared_ptr<const DpFrontierEntry> Lookup(const DpFrontierKey& key);
+  /// Copies the facts of `key`'s record into `*facts` (reusing their
+  /// capacity) and, when `frontier` is given, its frontier into
+  /// `*frontier` (null until a Run publishes one), and returns true; false
+  /// when the store holds no record. Counts no hit or miss: whether a
+  /// frontier answers depends on the requested budget, which only the
+  /// caller can check; it reports back via CountHit/CountMiss.
+  bool Find(const DpFrontierKey& key, DpStageFacts* facts,
+            std::shared_ptr<const DpFrontierEntry>* frontier) const;
 
-  /// Publishes `entry` under `key`. Keeps whichever of the existing and the
-  /// new entry covers the larger budget (frontiers only ever widen).
-  void Insert(const DpFrontierKey& key,
-              std::shared_ptr<const DpFrontierEntry> entry);
+  /// Stores `facts` under `key` unless a record is there, and `frontier`,
+  /// when given, into the record unless it holds one built at a budget at
+  /// least as large (frontiers only ever widen). A store holding
+  /// kMaxStageEntries records is cleared whole before a new one is added.
+  /// Facts and frontiers are pure functions of the key and the budget
+  /// (the paired cost cache's contract), so concurrent fills of one key
+  /// store equal records.
+  void Insert(const DpFrontierKey& key, const DpStageFacts& facts,
+              std::shared_ptr<const DpFrontierEntry> frontier = nullptr);
 
   void CountHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
   void CountMiss() { misses_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// The stage table: one DpStageFacts per stage-search signature, under
-  /// the frontier keys. FindStage copies the entry of `key` into `*facts`
-  /// (reusing its capacity) and returns true, or returns false when the
-  /// table holds none. InsertStage stores `facts` under `key` unless an
-  /// entry is there; a table holding kMaxStageEntries is cleared first.
-  /// Facts are pure functions of the key (the paired cost cache's
-  /// contract), so concurrent fills of one key store equal entries.
-  bool FindStage(const DpFrontierKey& key, DpStageFacts* facts) const;
-  void InsertStage(const DpFrontierKey& key, const DpStageFacts& facts);
-
-  /// Entries the stage table holds before it is cleared: a full sweep
-  /// stores a few hundred to ~1,000 (ViT-Huge-32 at 24 GB: 1,009), each
-  /// a few hundred bytes.
+  /// Records the store holds before it is cleared. A full sweep stores a
+  /// few hundred to ~3,100 (BERT-Huge-32 with recompute on 8 TITAN GPUs at
+  /// 16 GB: 3,128), each a few hundred bytes plus its frontier.
   static constexpr size_t kMaxStageEntries = 4096;
 
   DpFrontierCacheStats stats() const;
 
  private:
-  using Entry =
-      std::pair<DpFrontierKey, std::shared_ptr<const DpFrontierEntry>>;
-
-  mutable std::mutex mu_;
-  size_t capacity_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<DpFrontierKey, std::list<Entry>::iterator,
-                     DpFrontierKeyHash>
-      index_;
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
-  int64_t insertions_ = 0;
-  int64_t evictions_ = 0;
-
-  /// One stage-table entry: its key's hash and words, and its facts, as
-  /// ranges of the flat arrays below.
-  struct StageRecord {
+  /// One record: its key's hash and words and its facts, as ranges of the
+  /// flat arrays below, and its frontier.
+  struct Record {
     size_t hash = 0;
     uint32_t key_begin = 0;
     uint32_t key_size = 0;
@@ -228,20 +199,27 @@ class DpFrontierCache {
     int64_t min_units = 0;
     int64_t max_transient = 0;
     double base_seconds = 0.0;
+    std::shared_ptr<const DpFrontierEntry> frontier;
   };
-  /// The slot of `key` in stage_slots_: its record's or the empty one a
-  /// probe for it ends at.
-  size_t StageSlot(const DpFrontierKey& key) const;
+  /// The slot of `key` in slots_: its record's or the empty one a probe
+  /// for it ends at.
+  size_t Slot(const DpFrontierKey& key) const;
+  /// Stores `frontier` into `record` unless it is null or not wider.
+  void Widen(Record& record, std::shared_ptr<const DpFrontierEntry> frontier);
 
-  mutable std::mutex stage_mu_;
-  std::vector<StageRecord> stage_records_;
-  std::vector<int32_t> stage_key_words_;
-  std::vector<double> stage_uniform_seconds_;
-  std::vector<int64_t> stage_uniform_peaks_;
-  std::vector<DpLpSegment> stage_segments_;
-  /// Open-addressed index over stage_records_ (-1 = empty), a power of two
-  /// at least twice the record count.
-  std::vector<int32_t> stage_slots_;
+  mutable std::mutex mu_;
+  std::atomic<int64_t> hits_{0};
+  std::atomic<int64_t> misses_{0};
+  int64_t insertions_ = 0;
+  size_t frontiers_ = 0;  // records holding a frontier
+  std::vector<Record> records_;
+  std::vector<int32_t> key_words_;
+  std::vector<double> uniform_seconds_;
+  std::vector<int64_t> uniform_peaks_;
+  std::vector<DpLpSegment> segments_;
+  /// Open-addressed index over records_ (-1 = empty), a power of two at
+  /// least twice the record count.
+  std::vector<int32_t> slots_;
 };
 
 }  // namespace galvatron

@@ -584,17 +584,15 @@ Result<OptimizationResult> Optimizer::Optimize(
     probe.schedule = options_.schedule;
     return probe.InFlightForDegree(task.degree->pp, s);
   };
-  // The stage search (DpSearch::Run or DpSearch::Bound) of stage s of
-  // `task`'s configuration, whose layers start at first_layer.
-  auto stage_search = [&](auto method, const ConfigTask& task, int s,
-                          int first_layer) {
+  // The stage DP of stage s of `task`'s configuration, whose layers start
+  // at first_layer.
+  auto run_stage = [&](const ConfigTask& task, int s, int first_layer) {
     const PerDegree& degree = *task.degree;
     const size_t i = static_cast<size_t>(s);
-    return (search.*method)(model, first_layer, degree.stage_sizes[i],
-                            *degree.stage_candidates[i],
-                            degree.geometry[i].first_device, task.batch,
-                            task.micro, degree.stage_budgets[i],
-                            in_flight(task, s), run_hooks);
+    return search.Run(model, first_layer, degree.stage_sizes[i],
+                      *degree.stage_candidates[i],
+                      degree.geometry[i].first_device, task.batch, task.micro,
+                      degree.stage_budgets[i], in_flight(task, s), run_hooks);
   };
   // Warm infeasible answers are invisible here (no DpSearchResult to
   // carry the flag) and count as misses; the cache's own stats() still
@@ -667,7 +665,7 @@ Result<OptimizationResult> Optimizer::Optimize(
       Result<DpSearchResult> result =
           answered.has_value()
               ? *std::move(answered)
-              : stage_search(&DpSearch::Run, task, s, first_layer);
+              : run_stage(task, s, first_layer);
       count_stage(result, out);
       if (!result.ok()) {
         if (!result.status().IsInfeasible() &&
@@ -726,18 +724,22 @@ Result<OptimizationResult> Optimizer::Optimize(
     // search space, and pricing them exactly guarantees the search never
     // loses to a pure baseline because of DP-table memory quantization.
     // The guard reproduces exactly the batch-dependent Validate failures
-    // MakeUniformPlan would hit. Each stage's facts come from the stage
-    // table (one lookup per stage; a miss builds them once for every
-    // stage and request of the same signature), stage by stage while some
-    // candidate's plan still fits. Their estimator errors would fail every
-    // candidate's plan alike (they concern the stage's device block and
-    // batch shape), and such plans are skipped.
+    // MakeUniformPlan would hit. Each stage's facts come from its record
+    // in the stage store (one probe per stage, which also returns the
+    // record's frontier for the bound below; a miss builds the facts once
+    // for every stage and request of the same signature), stage by stage
+    // while some candidate's plan still fits. Their estimator errors would
+    // fail every candidate's plan alike (they concern the stage's device
+    // block and batch shape), and such plans are skipped.
+    thread_local std::vector<DpStageFacts> facts;
+    thread_local std::vector<std::shared_ptr<const DpFrontierEntry>>
+        frontiers;
+    if (facts.size() < static_cast<size_t>(degree.pp)) {
+      facts.resize(static_cast<size_t>(degree.pp));
+      frontiers.resize(static_cast<size_t>(degree.pp));
+    }
     if (task.batch >= 1 && task.micro >= 1 && task.micro <= task.batch &&
         !degree.uniform_candidates.empty()) {
-      thread_local std::vector<DpStageFacts> facts;
-      if (facts.size() < static_cast<size_t>(degree.pp)) {
-        facts.resize(static_cast<size_t>(degree.pp));
-      }
       // Per candidate: whether its plan fits every stage so far.
       thread_local std::vector<uint8_t> fits;
       fits.assign(degree.uniform_candidates.size(), 1);
@@ -750,7 +752,7 @@ Result<OptimizationResult> Optimizer::Optimize(
                                  *degree.stage_candidates[i],
                                  degree.geometry[i].first_device, task.batch,
                                  task.micro, in_flight(task, s), run_hooks,
-                                 &facts[i])
+                                 &facts[i], &frontiers[i])
                      .ok();
         bool any_fits = false;
         for (size_t c = 0; priced && c < fits.size(); ++c) {
@@ -776,26 +778,28 @@ Result<OptimizationResult> Optimizer::Optimize(
     // changes the merged result only if it beats both that plan and the
     // incumbent, the best plan already merged for this PP degree: it ranks
     // after every uniform candidate and after the incumbent's earlier
-    // ordinal, so it loses ties to both. Each stage is bounded first (a
-    // frontier-cache hit answers the stage outright and is kept for the
-    // DP), and the bounds compose into a throughput upper bound. When that
-    // cannot beat either plan the configuration is pruned; else its DPs
-    // wait for pass 2, where stronger incumbents prune most of them. Either
-    // way it keeps its uniform best and its feasibility. (A uniform plan
-    // that fits means the degree's structure validates.)
+    // ordinal, so it loses ties to both. Each stage is bounded first, from
+    // the facts and frontier its probe above returned (a frontier answers
+    // the stage outright and is kept for the DP), and the bounds compose
+    // into a throughput upper bound. When that cannot beat either plan the
+    // configuration is pruned; else its DPs wait for pass 2, where stronger
+    // incumbents prune most of them. Either way it keeps its uniform best
+    // and its feasibility. (A uniform plan that fits means the degree's
+    // structure validates.)
     if (best.have) {
       thread_local std::vector<double> lower_seconds;
       lower_seconds.clear();
-      int first_layer = 0;
       for (int s = 0; s < degree.pp; ++s) {
-        Result<DpStageBound> bound =
-            stage_search(&DpSearch::Bound, task, s, first_layer);
+        const size_t i = static_cast<size_t>(s);
+        const std::shared_ptr<const DpFrontierEntry> frontier =
+            std::move(frontiers[i]);
+        Result<DpStageBound> bound = search.BoundStage(
+            facts[i], frontier.get(), degree.stage_budgets[i], run_hooks);
         if (!bound.ok()) break;
         DpStageBound& stage = stages[s];
         stage = *std::move(bound);
         if (!stage.bounded) break;
         lower_seconds.push_back(stage.lower_seconds);
-        first_layer += degree.stage_sizes[static_cast<size_t>(s)];
       }
       if (lower_seconds.size() == static_cast<size_t>(degree.pp)) {
         out.upper = estimator_.PipelineThroughputBound(
@@ -813,6 +817,11 @@ Result<OptimizationResult> Optimizer::Optimize(
       }
     }
 
+    // The frontiers the bound did not take go now, not with the next
+    // configuration this thread evaluates.
+    for (std::shared_ptr<const DpFrontierEntry>& frontier : frontiers) {
+      frontier.reset();
+    }
     run_dps(task, stages, best, draft, out);
     commit(task, best, draft, out);
     return out;

@@ -196,10 +196,12 @@ class Optimizer {
   ///   batch/micro/strategy/topology but NOT by memory budget, so
   ///   budget-only variations share entries by design. Without one the run
   ///   builds its own.
-  /// - `frontier_cache`: per-stage searches whose signature already has a
-  ///   cached Pareto frontier at a covering budget replay the answer
-  ///   instead of running the kernel — the warm-start path for requests
-  ///   that differ only in memory budget or batch envelope. It must be
+  /// - `frontier_cache`: the stage store. Per-stage searches whose
+  ///   signature already has a record read its facts instead of pricing
+  ///   the stage again, and those whose record holds a Pareto frontier at
+  ///   a covering budget replay the answer instead of running the kernel —
+  ///   the warm-start path for requests that differ only in memory budget
+  ///   or batch envelope. It must be
   ///   scoped with the cost cache, and requires one (InvalidArgument
   ///   otherwise). Without one the run keeps its own for its duration.
   /// - `cancel` is polled between batch waves, configuration evaluations,

@@ -38,10 +38,12 @@ void WavePipeline::Finish(PipelineWave* wave) {
 
 void WavePipeline::Discard(PipelineWave* wave) {
   if (pool_ == nullptr) return;
-  abandon_->store(true, std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock(mu_);
+  // Claim the unstarted tasks before raising the flag: a worker whose task
+  // sees it must find nothing left to start.
   wave->finished += wave->num_tasks - wave->started;
   wave->started = wave->num_tasks;
+  abandon_->store(true, std::memory_order_relaxed);
   cv_.wait(lock, [wave] { return wave->finished == wave->num_tasks; });
   open_.pop_front();
   abandon_->store(false, std::memory_order_relaxed);
@@ -50,7 +52,6 @@ void WavePipeline::Discard(PipelineWave* wave) {
 void WavePipeline::Stop() {
   if (pool_ == nullptr || stopped_) return;
   stopped_ = true;
-  abandon_->store(true, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (PipelineWave* wave : open_) {
@@ -58,6 +59,8 @@ void WavePipeline::Stop() {
       wave->started = wave->num_tasks;
     }
     closing_ = true;
+    // Raised only once nothing is left to start (see Discard).
+    abandon_->store(true, std::memory_order_relaxed);
   }
   cv_.notify_all();
   pool_->Wait();  // every worker loop has returned: nothing runs

@@ -35,10 +35,11 @@ struct PipelineWave {
 /// With no pool every wave runs inline on the caller, task by task in
 /// index order, inside Finish: the serial sweep is the same loop.
 ///
-/// Stop skips every published task that has not started and raises
+/// Stop skips every published task that has not started and then raises
 /// `*abandon` — the optimizer's cancel hook reads it, so running tasks
-/// return within one DP column — then waits for them and lowers the flag
-/// again. Discard does the same to a single wave and keeps the workers.
+/// return within one DP column; in that order, so a worker that sees the
+/// flag finds nothing left to start — then waits for them and lowers the
+/// flag again. Discard does the same to a single wave and keeps the workers.
 /// The destructor stops, so no worker outlives the state its tasks
 /// reference.
 class WavePipeline {

@@ -749,6 +749,10 @@ TEST(GoldenPlanTest, SweepsCommitThePinnedPlans) {
       {"fleet128-gpu512", FleetBert(128), FleetCluster("fleet-512", 64),
        fleet512, 0x4e6d841b8e9b8a2full},
       {"bert-huge-32-mixed16", huge, mixed, {}, 0x5ced6a3a72377074ull},
+      // Its 5,297 stage-store misses overflow kMaxStageEntries (4,096
+      // records), so the sweep clears its store once and refills it.
+      {"vit-huge-32-titan8-16gb-1f1b", BuildModel(ModelId::kViTHuge32),
+       MakeTitanNode8(16 * kGB), one_f_one_b, 0x1838c3ab25a37202ull},
   };
   for (const Job& job : jobs) {
     for (const int threads : {1, 4}) {

@@ -21,7 +21,8 @@ namespace {
 /// Ceilings of SerialSweepWorkStaysUnderItsCeilings and
 /// FourThreadSweepStatesStayUnderTheirCeiling (see there).
 constexpr int64_t kMaxDpStates = 830;
-constexpr int64_t kMaxSweepAllocations = 3800;
+constexpr int64_t kMaxSweepAllocations = 3700;
+constexpr int64_t kMaxSweepStoreLookups = 850;
 constexpr int64_t kMaxDpStatesFourThreads = 2270;
 /// Ceiling of WarmReplanReadsTheStageTable (see there).
 constexpr int64_t kMaxWarmCostCacheLookups = 1250;
@@ -287,8 +288,12 @@ TEST(PerfRegressionTest, UnevenStageSweepAddsNoHomogeneousWork) {
 /// two-pass sweep — every batch's uniform plans priced before any stage
 /// DP, the deferred DPs run best bound first, 175 configurations pruned —
 /// and allocation-free pricing of plans that do not fit brought them to
-/// 754 and 3,424. The ceilings sit ~10% above the new counts, below the
-/// old ones.
+/// 754 and 3,424, and the stage table to 754 and 3,395. One record per
+/// stage signature — its facts and frontier found in one probe, bounds
+/// composed from what the uniform pass's probe returned — brought the
+/// allocations to 3,371 and the stage-store lookups (stage_table_hits +
+/// stage_table_misses) from 1,461 (983 + 478) to 774 (296 + 478). The
+/// ceilings sit ~10% above the new counts, below the old ones.
 TEST(PerfRegressionTest, SerialSweepWorkStaysUnderItsCeilings) {
   BertConfig config;
   config.num_layers = 8;
@@ -304,6 +309,9 @@ TEST(PerfRegressionTest, SerialSweepWorkStaysUnderItsCeilings) {
       << "DP states regressed";
   EXPECT_LE(result->stats.sweep_allocations, kMaxSweepAllocations)
       << "sweep allocations regressed";
+  EXPECT_LE(result->stats.stage_table_hits + result->stats.stage_table_misses,
+            kMaxSweepStoreLookups)
+      << "stage-store lookups regressed";
   // Some of this sweep's stage searches cannot fit 12 GB; the feasibility
   // test must answer those before any frontier is built.
   EXPECT_GT(result->stats.dp_infeasible_skipped, 0)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -274,6 +275,82 @@ TEST(SparseDpFrontierCacheTest, WarmAnswersAreByteIdenticalToColdRuns) {
   ASSERT_TRUE(wider.ok()) << wider.status();
   EXPECT_FALSE(wider->frontier_hit);
   EXPECT_EQ(cache.stats().misses, 2);
+}
+
+TEST(SparseDpFrontierCacheTest, AFullStoreIsClearedWholeAndRefills) {
+  // The store holds kMaxStageEntries records; the next new one clears it
+  // whole. Lookups then miss, a frontier a reader took before the clear
+  // stays readable, and a Run refills its record: a warm Run over it
+  // answers exactly as a cold one.
+  const ClusterSpec cluster = MakeTitanNode8(16 * kGB);
+  const CostEstimator estimator(&cluster);
+  const ModelSpec model = SmallBert(4);
+  auto candidates = EnumerateSingleLayerStrategies(8);
+  ASSERT_TRUE(candidates.ok()) << candidates.status();
+  const DpSearch search(&estimator);
+  SharedCostCache costs(&estimator, &model);
+  DpFrontierCache cache;
+  SearchHooks hooks;
+  hooks.cost_cache = &costs;
+  hooks.frontier_cache = &cache;
+  auto run = [&](int64_t budget, const SearchHooks& with) {
+    return search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1,
+                      budget, -1, with);
+  };
+  ASSERT_TRUE(run(16 * kGB, hooks).ok());
+
+  // Synthetic records fill the store: a real key never starts with -1 (its
+  // first word is the batch size).
+  auto synthetic = [](int i) {
+    DpFrontierKey key;
+    key.Append(-1);
+    key.Append(i);
+    key.Finalize();
+    return key;
+  };
+  DpStageFacts facts;
+  facts.uniform_seconds = {1.0};
+  facts.uniform_peak_bytes = {kGB};
+  const int fill = static_cast<int>(DpFrontierCache::kMaxStageEntries) - 1;
+  for (int i = 0; i < fill; ++i) {
+    auto frontier = std::make_shared<DpFrontierEntry>();
+    frontier->budget_units = i;
+    frontier->bp_units = {i, i + 1};
+    cache.Insert(synthetic(i), facts, std::move(frontier));
+  }
+  EXPECT_EQ(cache.stats().stage_entries, DpFrontierCache::kMaxStageEntries);
+  EXPECT_EQ(cache.stats().size, DpFrontierCache::kMaxStageEntries);
+  DpStageFacts found;
+  std::shared_ptr<const DpFrontierEntry> held;
+  ASSERT_TRUE(cache.Find(synthetic(7), &found, &held));
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(found.uniform_peak_bytes, facts.uniform_peak_bytes);
+
+  cache.Insert(synthetic(fill), facts);
+  EXPECT_EQ(cache.stats().stage_entries, 1u);
+  EXPECT_EQ(cache.stats().size, 0u);
+  EXPECT_FALSE(cache.Find(synthetic(7), &found, nullptr));
+  EXPECT_EQ(held->budget_units, 7);
+  EXPECT_EQ(held->bp_units, (std::vector<int32_t>{7, 8}));
+
+  // The Run's own record went with the clear: it runs cold, refills it,
+  // and warm Runs at smaller budgets answer from the refilled frontier.
+  const int64_t misses = cache.stats().misses;
+  auto refill = run(16 * kGB, hooks);
+  ASSERT_TRUE(refill.ok()) << refill.status();
+  EXPECT_FALSE(refill->frontier_hit);
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+  EXPECT_EQ(cache.stats().stage_entries, 2u);
+  EXPECT_EQ(cache.stats().size, 1u);
+  for (const int64_t budget : {16 * kGB, 8 * kGB, 4 * kGB}) {
+    const std::string context = "budget " + std::to_string(budget);
+    auto warm = run(budget, hooks);
+    auto cold = run(budget, SearchHooks{});
+    ASSERT_TRUE(warm.ok()) << context << ": " << warm.status();
+    ASSERT_TRUE(cold.ok()) << context << ": " << cold.status();
+    EXPECT_TRUE(warm->frontier_hit) << context;
+    ExpectIdentical(*warm, *cold, context);
+  }
 }
 
 TEST(SparseDpFrontierCacheTest, RequiresTheCostCacheThatInternsItsKeys) {
