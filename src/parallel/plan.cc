@@ -19,14 +19,16 @@ std::string_view PipelineScheduleToString(PipelineSchedule schedule) {
   return "?";
 }
 
-int TrainingPlan::InFlightMicroBatches(int stage_index) const {
-  return InFlightForDegree(pp_degree(), stage_index);
-}
-
-int TrainingPlan::InFlightForDegree(int pp_degree, int stage_index) const {
+int InFlightMicroBatches(PipelineSchedule schedule, int num_micro_batches,
+                         int pp_degree, int stage_index) {
   if (schedule == PipelineSchedule::kGPipe) return num_micro_batches;
   const int cap = pp_degree - stage_index;
   return std::min(num_micro_batches, std::max(cap, 1));
+}
+
+int TrainingPlan::InFlightMicroBatches(int stage_index) const {
+  return galvatron::InFlightMicroBatches(schedule, num_micro_batches,
+                                         pp_degree(), stage_index);
 }
 
 int TrainingPlan::MicroBatchSize() const {

@@ -44,6 +44,12 @@ enum class PipelineSchedule {
 
 std::string_view PipelineScheduleToString(PipelineSchedule schedule);
 
+/// Micro-batches whose activations stage `stage_index` of a `pp_degree`-
+/// stage pipeline holds at peak: all `num_micro_batches` under GPipe,
+/// min(m, pp_degree - stage_index) under 1F1B.
+int InFlightMicroBatches(PipelineSchedule schedule, int num_micro_batches,
+                         int pp_degree, int stage_index);
+
 /// A complete hybrid-parallel training plan: PP stage layout, per-layer
 /// strategies, global batch and micro-batch count. This is what the
 /// optimizer emits and the simulator executes.
@@ -54,13 +60,8 @@ struct TrainingPlan {
   PipelineSchedule schedule = PipelineSchedule::kGPipe;
   std::vector<StagePlan> stages;
 
-  /// Micro-batches whose activations stage `stage_index` holds at peak:
-  /// all of them under GPipe, min(m, stages - stage_index) under 1F1B.
+  /// The free InFlightMicroBatches for this plan's schedule and stages.
   int InFlightMicroBatches(int stage_index) const;
-
-  /// Same, parameterized by an explicit PP degree (usable before `stages`
-  /// is filled in, during plan construction).
-  int InFlightForDegree(int pp_degree, int stage_index) const;
 
   int pp_degree() const { return static_cast<int>(stages.size()); }
 

@@ -1,6 +1,5 @@
 #include "search/cost_cache.h"
 
-#include <functional>
 #include <vector>
 
 #include "parallel/transformation.h"
@@ -10,65 +9,6 @@
 #include "util/string_util.h"
 
 namespace galvatron {
-
-namespace {
-
-/// Thread-local read-through L1 in front of the shared shards. Direct-
-/// mapped (one slot per hash bucket, newest wins): no probing, no
-/// eviction bookkeeping, and a warm sweep hits the same few hundred keys
-/// over and over. Entries are validated against the full key, so a
-/// collision costs one shard lookup, never a wrong value.
-constexpr size_t kThreadCacheSlots = 1024;  // power of two
-
-struct WordsHash {
-  size_t operator()(const std::vector<int32_t>& words) const {
-    return HashWords(words);
-  }
-};
-
-struct ThreadCache {
-  uint64_t serial = 0;  // which SharedCostCache these entries belong to
-
-  std::vector<LayerCostKey> layer_keys;
-  std::vector<LayerCost> layer_values;
-  std::vector<uint8_t> layer_valid;
-
-  std::vector<TransformCostKey> transform_keys;
-  std::vector<double> transform_values;
-  std::vector<uint8_t> transform_valid;
-
-  std::unordered_map<std::string, int32_t> interned;
-  /// InternStrategy's ids by level structure (per level: dim, degree),
-  /// and the lookup key's buffer.
-  std::unordered_map<std::vector<int32_t>, int32_t, WordsHash> strategy_ids;
-  std::vector<int32_t> strategy_words;
-};
-
-/// The calling thread's L1 for the cache with this serial. Serials are
-/// process-unique, so a mismatch (first use, or the thread moved to a
-/// different cache) resets the L1 instead of ever serving stale entries.
-ThreadCache& LocalCacheFor(uint64_t serial) {
-  thread_local ThreadCache cache;
-  if (cache.serial != serial) {
-    cache.serial = serial;
-    cache.layer_keys.assign(kThreadCacheSlots, LayerCostKey());
-    cache.layer_values.assign(kThreadCacheSlots, LayerCost());
-    cache.layer_valid.assign(kThreadCacheSlots, 0);
-    cache.transform_keys.assign(kThreadCacheSlots, TransformCostKey());
-    cache.transform_values.assign(kThreadCacheSlots, 0.0);
-    cache.transform_valid.assign(kThreadCacheSlots, 0);
-    cache.interned.clear();
-    cache.strategy_ids.clear();
-  }
-  return cache;
-}
-
-uint64_t NextCacheSerial() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
 
 size_t LayerCostKeyHash::operator()(const LayerCostKey& k) const {
   size_t h = HashCombine(0, (static_cast<uint64_t>(
@@ -102,12 +42,12 @@ size_t TransformCostKeyHash::operator()(const TransformCostKey& k) const {
 
 SharedCostCache::SharedCostCache(const CostEstimator* estimator,
                                  const ModelSpec* model)
-    : estimator_(estimator), model_(model), serial_(NextCacheSerial()) {
+    : estimator_(estimator), model_(model) {
   GALVATRON_CHECK(estimator != nullptr);
   GALVATRON_CHECK(model != nullptr);
   layer_sig_ids_.reserve(static_cast<size_t>(model->num_layers()));
   for (int l = 0; l < model->num_layers(); ++l) {
-    layer_sig_ids_.push_back(InternShared(model->layer(l).signature()));
+    layer_sig_ids_.push_back(Intern(model->layer(l).signature()));
   }
 }
 
@@ -136,39 +76,39 @@ std::string SharedCostCache::BlockFingerprint(const ClusterSpec& cluster,
   return fp;
 }
 
+size_t SharedCostCache::WordsHash::operator()(
+    const std::vector<int32_t>& words) const {
+  return HashWords(words);
+}
+
 int32_t SharedCostCache::Intern(const std::string& text) {
-  ThreadCache& local = LocalCacheFor(serial_);
-  auto cached = local.interned.find(text);
-  if (cached != local.interned.end()) return cached->second;
-  const int32_t id = InternShared(text);
-  local.interned.emplace(text, id);
+  std::lock_guard<std::mutex> lock(intern_mu_);
+  return InternLocked(text);
+}
+
+int32_t SharedCostCache::InternLocked(const std::string& text) {
+  // Look up before inserting: emplace would build a node for every repeat.
+  auto it = intern_ids_.find(text);
+  if (it != intern_ids_.end()) return it->second;
+  const int32_t id = static_cast<int32_t>(intern_ids_.size());
+  intern_ids_.emplace(text, id);
   return id;
 }
 
-int32_t SharedCostCache::InternShared(const std::string& text) {
-  InternShard& shard =
-      intern_shards_[std::hash<std::string>{}(text) %
-                     static_cast<size_t>(kNumInternShards)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] = shard.ids.emplace(text, 0);
-  if (inserted) {
-    it->second = next_intern_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return it->second;
-}
-
 int32_t SharedCostCache::InternStrategy(const HybridStrategy& strategy) {
-  ThreadCache& local = LocalCacheFor(serial_);
-  std::vector<int32_t>& words = local.strategy_words;
+  // A reusable buffer for the lookup key, not a cache: the ids live in
+  // strategy_ids_.
+  thread_local std::vector<int32_t> words;
   words.clear();
   for (const ParallelComponent& level : strategy.levels()) {
     words.push_back(static_cast<int32_t>(level.dim));
     words.push_back(level.degree);
   }
-  auto cached = local.strategy_ids.find(words);
-  if (cached != local.strategy_ids.end()) return cached->second;
-  const int32_t id = Intern(strategy.ToString());
-  local.strategy_ids.emplace(words, id);
+  std::lock_guard<std::mutex> lock(intern_mu_);
+  auto it = strategy_ids_.find(words);
+  if (it != strategy_ids_.end()) return it->second;
+  const int32_t id = InternLocked(strategy.ToString());
+  strategy_ids_.emplace(words, id);
   return id;
 }
 
@@ -205,10 +145,8 @@ CachedPlanSource::CachedPlanSource(SharedCostCache* cache,
       stages_(stages),
       global_batch_(global_batch),
       num_micro_batches_(num_micro_batches),
-      mb_size_(static_cast<int>(CeilDiv(global_batch, num_micro_batches))) {
-  probe_.num_micro_batches = num_micro_batches;
-  probe_.schedule = schedule;
-}
+      mb_size_(static_cast<int>(CeilDiv(global_batch, num_micro_batches))),
+      schedule_(schedule) {}
 
 PlanCostSource::Stage CachedPlanSource::StageAt(int stage) const {
   const IndexedStage& s = (*stages_)[static_cast<size_t>(stage)];
@@ -225,7 +163,8 @@ Result<LayerCost> CachedPlanSource::Layer(int stage, int layer) {
   key.fingerprint = s.keys->fingerprint[option];
   key.batch_per_group = global_batch_;
   key.micro_batches = num_micro_batches_;
-  key.resident_micro_batches = probe_.InFlightForDegree(num_stages(), stage);
+  key.resident_micro_batches =
+      InFlightMicroBatches(schedule_, num_micro_batches_, num_stages(), stage);
   key.recompute = s.RecomputeAt(i) ? 1 : 0;
   if (has_last_layer_ && key == last_layer_key_) return last_layer_cost_;
   GALVATRON_ASSIGN_OR_RETURN(
@@ -262,22 +201,12 @@ Result<LayerCost> SharedCostCache::Layer(const LayerCostKey& key,
                                          int layer_index,
                                          const HybridStrategy& strategy,
                                          int stage_first_device) {
-  const size_t hash = LayerCostKeyHash{}(key);
-  ThreadCache& local = LocalCacheFor(serial_);
-  const size_t slot = hash & (kThreadCacheSlots - 1);
-  if (local.layer_valid[slot] && local.layer_keys[slot] == key) {
-    layer_hits_.fetch_add(1, std::memory_order_relaxed);
-    return local.layer_values[slot];
-  }
-  Shard& shard = ShardFor(hash);
+  Shard& shard = ShardFor(LayerCostKeyHash{}(key));
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.layers.find(key);
     if (it != shard.layers.end()) {
       layer_hits_.fetch_add(1, std::memory_order_relaxed);
-      local.layer_keys[slot] = key;
-      local.layer_values[slot] = it->second;
-      local.layer_valid[slot] = 1;
       return it->second;
     }
   }
@@ -292,9 +221,6 @@ Result<LayerCost> SharedCostCache::Layer(const LayerCostKey& key,
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.layers.emplace(key, cost);
   }
-  local.layer_keys[slot] = key;
-  local.layer_values[slot] = cost;
-  local.layer_valid[slot] = 1;
   return cost;
 }
 
@@ -303,22 +229,12 @@ Result<double> SharedCostCache::TransformSeconds(
     const HybridStrategy& prev_strategy, const HybridStrategy& next_strategy,
     int stage_first_device) {
   GALVATRON_CHECK_GT(layer_index, 0);
-  const size_t hash = TransformCostKeyHash{}(key);
-  ThreadCache& local = LocalCacheFor(serial_);
-  const size_t slot = hash & (kThreadCacheSlots - 1);
-  if (local.transform_valid[slot] && local.transform_keys[slot] == key) {
-    transform_hits_.fetch_add(1, std::memory_order_relaxed);
-    return local.transform_values[slot];
-  }
-  Shard& shard = ShardFor(hash);
+  Shard& shard = ShardFor(TransformCostKeyHash{}(key));
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.transforms.find(key);
     if (it != shard.transforms.end()) {
       transform_hits_.fetch_add(1, std::memory_order_relaxed);
-      local.transform_keys[slot] = key;
-      local.transform_values[slot] = it->second;
-      local.transform_valid[slot] = 1;
       return it->second;
     }
   }
@@ -333,9 +249,6 @@ Result<double> SharedCostCache::TransformSeconds(
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.transforms.emplace(key, cost.seconds);
   }
-  local.transform_keys[slot] = key;
-  local.transform_values[slot] = cost.seconds;
-  local.transform_valid[slot] = 1;
   return cost.seconds;
 }
 

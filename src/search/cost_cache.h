@@ -131,28 +131,24 @@ struct IndexedStage {
 /// equal-span blocks of the hierarchical clusters here) share entries while
 /// blocks that straddle interconnect boundaries differently do not.
 ///
-/// The table is keyed by interned ids (LayerCostKey / TransformCostKey) in
-/// flat unordered_maps. Callers (RunCostCache inside DpSearch::Run, and
-/// CachedPlanSource) intern the string parts once per Run or per degree
-/// with the Intern* helpers and pass ready-made keys. The same interner
-/// supplies the layer-signature ids of DpFrontierCache keys.
+/// The table is keyed by interned ids (LayerCostKey / TransformCostKey).
+/// Callers (RunCostCache inside DpSearch::Run, and CachedPlanSource)
+/// intern the string parts once per Run or per degree with the Intern*
+/// helpers and pass ready-made keys; RunCostCache's per-Run slots and
+/// CachedPlanSource's last-key memo absorb repeat lookups before they reach
+/// this table. The same interner supplies the layer-signature ids of
+/// DpFrontierCache keys.
 ///
-/// Thread-safety: all methods may be called concurrently; the table is
-/// sharded by key hash, each shard behind its own mutex, the interner is
-/// sharded the same way (ids come off a global atomic counter, so equal
-/// strings always intern to equal ids but no single mutex serializes every
-/// sweep thread), and the estimator is never invoked under a lock.
-/// Concurrent misses on one key may estimate it twice; the estimator is
-/// deterministic, so both writers store the same value. Estimator errors
-/// are returned uncached.
-///
-/// Hot-path locking: every thread additionally keeps a small thread-local
-/// read-through L1 (direct-mapped, keyed by this cache's unique serial) in
-/// front of the shards, for both cost lookups and interning. Repeat
-/// lookups of warm keys — the overwhelming majority once a sweep is under
-/// way — touch no mutex at all; only L1 misses reach a shard, and only
-/// shard misses reach the estimator. Hit/miss counters stay exact (every
-/// lookup is counted exactly once, via relaxed atomics).
+/// Thread-safety: all methods may be called concurrently. The cost table
+/// is split into 16 shards by key hash, each behind its own mutex, so
+/// sweep workers pricing different keys rarely meet on one lock (a single
+/// mutex over costs and interner measured about 2x slower on cold plans).
+/// The interner is one mutex over two maps, string -> id and strategy
+/// level structure -> id; ids are dense in first-intern order. The
+/// estimator is never invoked under a lock. Concurrent misses on one key
+/// may estimate it twice; the estimator is deterministic, so both writers
+/// store the same value. Estimator errors are returned uncached. Hit/miss
+/// counters are exact: every lookup is counted once, via relaxed atomics.
 class SharedCostCache {
  public:
   /// `estimator` and `model` must outlive this object, and the estimator's
@@ -169,8 +165,7 @@ class SharedCostCache {
   /// Interns an arbitrary string to a small integer id, stable for this
   /// cache's lifetime. Equal strings always receive equal ids (distinct
   /// strings distinct ids); the id VALUES depend on interleaving and must
-  /// only be compared for equality. Thread-safe and lock-free for strings
-  /// this thread has interned before.
+  /// only be compared for equality. Thread-safe.
   int32_t Intern(const std::string& text);
 
   /// Convenience interners for the three string-valued key parts. Layer
@@ -180,8 +175,8 @@ class SharedCostCache {
   int32_t InternSignature(int layer_index) const {
     return layer_sig_ids_[static_cast<size_t>(layer_index)];
   }
-  /// A strategy's id. The calling thread remembers ids by the strategy's
-  /// level structure, so a repeat lookup formats no text.
+  /// A strategy's id. Ids are remembered by the strategy's level
+  /// structure, so a repeat lookup formats no text.
   int32_t InternStrategy(const HybridStrategy& strategy);
   int32_t InternFingerprint(int first_device, int span);
   /// Both ids for every candidate of a stage starting at
@@ -189,9 +184,6 @@ class SharedCostCache {
   /// `keys`, reusing its capacity.
   void InternCandidates(const std::vector<HybridStrategy>& candidates,
                         int stage_first_device, CandidateKeys* keys);
-  /// Process-unique id of this instance: ids interned by two caches are
-  /// comparable only when their serials are equal.
-  uint64_t serial() const { return serial_; }
 
   /// Memoized c(l, s) with a caller-built interned key. The key must have
   /// been built with this cache's Intern* ids and must describe the same
@@ -222,7 +214,6 @@ class SharedCostCache {
 
  private:
   static constexpr int kNumShards = 16;
-  static constexpr int kNumInternShards = 8;
 
   struct Shard {
     std::mutex mu;
@@ -231,16 +222,12 @@ class SharedCostCache {
         transforms;
   };
 
-  /// The interner, sharded by string hash like the cost tables. Ids are
-  /// drawn from next_intern_id_ under the owning shard's mutex, so equal
-  /// strings race to one shard and always resolve to one id.
-  struct InternShard {
-    std::mutex mu;
-    std::unordered_map<std::string, int32_t> ids;
+  struct WordsHash {
+    size_t operator()(const std::vector<int32_t>& words) const;
   };
 
-  /// Intern without the thread-local L1: the shared-table half of Intern.
-  int32_t InternShared(const std::string& text);
+  /// Intern with intern_mu_ held.
+  int32_t InternLocked(const std::string& text);
 
   Shard& ShardFor(size_t hash) {
     return shards_[hash % static_cast<size_t>(kNumShards)];
@@ -248,13 +235,12 @@ class SharedCostCache {
 
   const CostEstimator* estimator_;
   const ModelSpec* model_;
-  /// Process-unique id of this instance; keys the thread-local L1s so an
-  /// entry cached against a destroyed cache can never serve a new one.
-  const uint64_t serial_;
   Shard shards_[kNumShards];
 
-  InternShard intern_shards_[kNumInternShards];
-  std::atomic<int32_t> next_intern_id_{0};
+  std::mutex intern_mu_;
+  std::unordered_map<std::string, int32_t> intern_ids_;
+  /// InternStrategy's ids by level structure (per level: dim, degree).
+  std::unordered_map<std::vector<int32_t>, int32_t, WordsHash> strategy_ids_;
   /// Per model layer: the interned id of its signature.
   std::vector<int32_t> layer_sig_ids_;
 
@@ -295,8 +281,7 @@ class CachedPlanSource : public PlanCostSource {
   int global_batch_;
   int num_micro_batches_;
   int mb_size_;
-  /// Carries the schedule shape InFlightForDegree reads.
-  TrainingPlan probe_;
+  PipelineSchedule schedule_;
   /// The key and answer of the last successful Layer lookup.
   bool has_last_layer_ = false;
   LayerCostKey last_layer_key_;

@@ -35,7 +35,7 @@ struct RunCostStorage {
   std::vector<std::optional<LayerCost>> layer_slots;
 };
 
-/// Per-Run L1 over the sweep-wide SharedCostCache. At construction it
+/// Per-Run slots over the sweep-wide SharedCostCache. At construction it
 /// interns the run's layer signatures, candidate strategy texts and block
 /// fingerprints (once per Run, not once per lookup), dedupes the layer
 /// range to its distinct signatures, and then serves:

@@ -575,14 +575,10 @@ Result<OptimizationResult> Optimizer::Optimize(
     return scratch.throughput_samples_per_sec;
   };
 
-  // The micro-batches stage s of `task`'s pipeline keeps resident. The
-  // probe plan carries just the schedule shape InFlightForDegree reads.
+  // The micro-batches stage s of `task`'s pipeline keeps resident.
   auto in_flight = [&](const ConfigTask& task, int s) {
-    TrainingPlan probe;
-    probe.global_batch = task.batch;
-    probe.num_micro_batches = task.micro;
-    probe.schedule = options_.schedule;
-    return probe.InFlightForDegree(task.degree->pp, s);
+    return InFlightMicroBatches(options_.schedule, task.micro,
+                                task.degree->pp, s);
   };
   // The stage DP of stage s of `task`'s configuration, whose layers start
   // at first_layer.
@@ -1158,8 +1154,9 @@ Result<OptimizationResult> Optimizer::Optimize(
                                     best.stages, &result.estimated,
                                     /*over_budget=*/nullptr));
 
-  // Co-optimization: feed the winning plan's measured per-layer times back
-  // into the pipeline partitioner and re-search each stage.
+  // Co-optimization: feed the winning plan's per-layer times, which its
+  // cost already holds, back into the pipeline partitioner and re-search
+  // each stage.
   const auto co_optimize_start = std::chrono::steady_clock::now();
   for (int round = 0;
        round < options_.co_optimize_rounds && result.plan.pp_degree() > 1 &&
@@ -1167,23 +1164,11 @@ Result<OptimizationResult> Optimizer::Optimize(
        ++round) {
     const int pp = result.plan.pp_degree();
     std::vector<double> layer_seconds;
-    bool measured = true;
-    for (const StagePlan& stage : result.plan.stages) {
-      auto cost = estimator_.EstimateStage(
-          model, stage.first_layer, stage.num_layers, stage.layer_strategies,
-          stage.first_device, result.plan.global_batch,
-          result.plan.num_micro_batches, stage.recompute,
-          result.plan.InFlightMicroBatches(
-              static_cast<int>(&stage - result.plan.stages.data())));
-      if (!cost.ok()) {
-        measured = false;
-        break;
-      }
+    for (const StageCost& stage : result.estimated.stages) {
       layer_seconds.insert(layer_seconds.end(),
-                           cost->per_layer_seconds.begin(),
-                           cost->per_layer_seconds.end());
+                           stage.per_layer_seconds.begin(),
+                           stage.per_layer_seconds.end());
     }
-    if (!measured) break;
     Result<std::vector<int>> sizes = Status::Internal("unset");
     if (!graph_or_mixed) {
       sizes = PartitionByWeights(layer_seconds, pp);
@@ -1239,7 +1224,9 @@ Result<OptimizationResult> Optimizer::Optimize(
           search.Run(model, first_layer, stage_layers, **candidates,
                      block.first_device, refined.global_batch,
                      refined.num_micro_batches, stage_budget,
-                     refined.InFlightForDegree(pp, s), run_hooks);
+                     InFlightMicroBatches(refined.schedule,
+                                          refined.num_micro_batches, pp, s),
+                     run_hooks);
       if (!stage_result.ok()) {
         oom = true;
         break;

@@ -1481,7 +1481,7 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
         const int layers = (*sizes)[static_cast<size_t>(s)];
         const int first_device = s * span;
         const int64_t budget = cluster.MinMemoryInRange(first_device, span);
-        const int resident = plan.InFlightForDegree(pp, s);
+        const int resident = InFlightMicroBatches(schedule, micro, pp, s);
         tabled.extents.push_back(
             PlanCostSource::Stage{first_device, span, first_layer, layers});
         tabled.resident.push_back(resident);

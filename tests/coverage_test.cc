@@ -118,15 +118,12 @@ TEST(PlanArithmeticTest, MicroBatchSizeCeils) {
 }
 
 TEST(PlanArithmeticTest, InFlightForDegreeEdges) {
-  TrainingPlan plan;
-  plan.num_micro_batches = 6;
-  plan.schedule = PipelineSchedule::k1F1B;
-  EXPECT_EQ(plan.InFlightForDegree(4, 0), 4);
-  EXPECT_EQ(plan.InFlightForDegree(4, 3), 1);
-  EXPECT_EQ(plan.InFlightForDegree(8, 0), 6);   // capped by m
-  EXPECT_EQ(plan.InFlightForDegree(1, 0), 1);
-  plan.schedule = PipelineSchedule::kGPipe;
-  EXPECT_EQ(plan.InFlightForDegree(4, 0), 6);
+  const PipelineSchedule one_f_one_b = PipelineSchedule::k1F1B;
+  EXPECT_EQ(InFlightMicroBatches(one_f_one_b, 6, 4, 0), 4);
+  EXPECT_EQ(InFlightMicroBatches(one_f_one_b, 6, 4, 3), 1);
+  EXPECT_EQ(InFlightMicroBatches(one_f_one_b, 6, 8, 0), 6);  // capped by m
+  EXPECT_EQ(InFlightMicroBatches(one_f_one_b, 6, 1, 0), 1);
+  EXPECT_EQ(InFlightMicroBatches(PipelineSchedule::kGPipe, 6, 4, 0), 6);
 }
 
 // --- Estimator / profiler fallbacks ---------------------------------------

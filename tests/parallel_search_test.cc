@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -341,16 +342,25 @@ TEST_F(CostCacheTest, ConcurrentLookupsMatchSerialValues) {
 }
 
 TEST_F(CostCacheTest, InternEqualStringsEqualIdsAcrossThreads) {
-  // The interner is sharded (no single global mutex), with ids drawn off a
-  // shared atomic counter: equal strings must resolve to one id no matter
-  // which thread interned them first, and distinct strings must never
-  // collide. Each round walks the string set in a different order so
-  // first-interning is spread across threads and shards.
+  // The interner is shared by every thread of a sweep and by every request
+  // of a serving context: equal strings, and equal candidate strategies,
+  // must resolve to one id no matter which thread interned them first, and
+  // distinct ones must never collide. Each round walks the strings, and
+  // then one candidate set, from a different starting point, so
+  // first-interning is spread across threads.
   SharedCostCache cache(&estimator_, &model_);
   constexpr int kStrings = 64;
   constexpr int kRounds = 16;
+  std::vector<HybridStrategy> candidates;
+  for (const int group : {8, 4}) {
+    auto enumerated = EnumerateSingleLayerStrategies(group);
+    ASSERT_TRUE(enumerated.ok()) << enumerated.status();
+    candidates.insert(candidates.end(), enumerated->begin(),
+                      enumerated->end());
+  }
   std::vector<std::vector<int32_t>> ids(
       kRounds, std::vector<int32_t>(kStrings, -1));
+  std::vector<CandidateKeys> keys(kRounds);
   ThreadPool pool(8);
   ParallelFor(&pool, kRounds, [&](int r) {
     for (int k = 0; k < kStrings; ++k) {
@@ -358,6 +368,16 @@ TEST_F(CostCacheTest, InternEqualStringsEqualIdsAcrossThreads) {
       ids[static_cast<size_t>(r)][static_cast<size_t>(j)] =
           cache.Intern("strategy-" + std::to_string(j));
     }
+    const size_t shift = static_cast<size_t>(r) % candidates.size();
+    std::vector<HybridStrategy> rotated = candidates;
+    std::rotate(rotated.begin(), rotated.begin() + shift, rotated.end());
+    CandidateKeys& round = keys[static_cast<size_t>(r)];
+    cache.InternCandidates(rotated, /*stage_first_device=*/0, &round);
+    // Back to the order of `candidates`.
+    std::rotate(round.strategy.begin(), round.strategy.end() - shift,
+                round.strategy.end());
+    std::rotate(round.fingerprint.begin(), round.fingerprint.end() - shift,
+                round.fingerprint.end());
   });
   std::set<int32_t> distinct;
   for (int j = 0; j < kStrings; ++j) {
@@ -369,14 +389,23 @@ TEST_F(CostCacheTest, InternEqualStringsEqualIdsAcrossThreads) {
     }
   }
   EXPECT_EQ(distinct.size(), static_cast<size_t>(kStrings));
+  for (int r = 1; r < kRounds; ++r) {
+    EXPECT_EQ(keys[static_cast<size_t>(r)].strategy, keys[0].strategy)
+        << "round " << r;
+    EXPECT_EQ(keys[static_cast<size_t>(r)].fingerprint, keys[0].fingerprint)
+        << "round " << r;
+  }
+  EXPECT_EQ(std::set<int32_t>(keys[0].strategy.begin(),
+                              keys[0].strategy.end())
+                .size(),
+            candidates.size());
 }
 
 TEST_F(CostCacheTest, FreshCacheNeverServesAPriorCachesEntries) {
-  // Thread-local L1 regression guard: L1 entries are keyed by the owning
-  // cache's process-unique serial. A new cache over a DIFFERENT model
-  // interns the same dense ids (both counters start at 0) and hashes to
-  // the same L1 slots, so without the serial check this thread would be
-  // served the dead cache's costs.
+  // A new cache over a DIFFERENT model interns the same dense ids as a
+  // destroyed one (both start at 0), so its keys equal the dead cache's.
+  // It must answer from its own table: no state outlives the cache that
+  // filled it, on this thread or any other.
   const HybridStrategy dp8 = Make({{ParallelDim::kData, 8}});
   TransformerBlockDims dims;
   dims.seq = 64;
@@ -395,7 +424,7 @@ TEST_F(CostCacheTest, FreshCacheNeverServesAPriorCachesEntries) {
     stale = cost->IterationSeconds(1, estimator_.options());
   }
 
-  // Reference value computed on a thread whose L1 never saw `first`.
+  // Reference value computed on a thread that never used `first`.
   double expected = 0.0;
   std::thread([&] {
     SharedCostCache ref(&estimator_, &other);
@@ -729,6 +758,15 @@ TEST(GoldenPlanTest, SweepsCommitThePinnedPlans) {
   OptimizerOptions fleet512;
   fleet512.batch_step = 256;
   fleet512.max_batch = 1024;
+  // Co-optimization re-partitions the winner by its per-layer seconds and
+  // re-searches its stages. The PP-4 winners are balanced already, so
+  // their rounds stop at the partitioner; the 8 GB 1F1B PP-2 winner is
+  // re-partitioned.
+  auto co_optimize = [](OptimizerOptions options, int pp, int rounds) {
+    options.pp_degrees = {pp};
+    options.co_optimize_rounds = rounds;
+    return options;
+  };
   const ModelSpec huge = BuildModel(ModelId::kBertHuge32);
   // 8 A100-class GPUs with 40 GB beside the 8 TITANs at 12 GB.
   const ClusterSpec mixed =
@@ -753,6 +791,18 @@ TEST(GoldenPlanTest, SweepsCommitThePinnedPlans) {
       // records), so the sweep clears its store once and refills it.
       {"vit-huge-32-titan8-16gb-1f1b", BuildModel(ModelId::kViTHuge32),
        MakeTitanNode8(16 * kGB), one_f_one_b, 0x1838c3ab25a37202ull},
+      {"bert-huge-32-titan8-16gb-pp4-co2", huge, MakeTitanNode8(16 * kGB),
+       co_optimize({}, 4, 2), 0x78f1c0113e482ae0ull},
+      {"bert-huge-32-titan8-16gb-pp4-co3", huge, MakeTitanNode8(16 * kGB),
+       co_optimize({}, 4, 3), 0x78f1c0113e482ae0ull},
+      {"swin-huge-32-titan8-16gb-pp4-co2", BuildModel(ModelId::kSwinHuge32),
+       MakeTitanNode8(16 * kGB), co_optimize({}, 4, 2),
+       0xf2ee9b524258d110ull},
+      {"swin-huge-32-titan8-16gb-pp4-co3", BuildModel(ModelId::kSwinHuge32),
+       MakeTitanNode8(16 * kGB), co_optimize({}, 4, 3),
+       0xf2ee9b524258d110ull},
+      {"bert-huge-32-titan8-8gb-1f1b-pp2-co3", huge, MakeTitanNode8(8 * kGB),
+       co_optimize(one_f_one_b, 2, 3), 0xbf814b676cc39137ull},
   };
   for (const Job& job : jobs) {
     for (const int threads : {1, 4}) {

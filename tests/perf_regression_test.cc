@@ -134,9 +134,10 @@ TEST(PerfRegressionTest, TracingOffDoesNoRecordingWork) {
 
 /// The parallel-sweep tripwire: asking for 4 threads must never be
 /// meaningfully slower than asking for 1. This was a real regression —
-/// per-index task dispatch plus a single global interner mutex made the
-/// 4-thread sweep ~5% SLOWER than serial; the chunked self-scheduler, the
-/// core-capped pool, and the sharded interner fixed it. Wall times are
+/// per-index task dispatch made the 4-thread sweep ~5% SLOWER than
+/// serial; the chunked self-scheduler and the core-capped pool fixed it.
+/// Interning is not on the hot path: each Run interns its candidates
+/// once, and warm stage facts skip the cost table entirely. Wall times are
 /// best-of-N on both sides (single shots are noisy), and the threshold
 /// leaves generous headroom: the tripwire fires on a structural regression
 /// (dispatch overhead scaling with work again), not on scheduler jitter.

@@ -330,7 +330,7 @@ TEST_F(OptimizerTest, SearchStatsPopulated) {
   EXPECT_GE(result->stats.co_optimize_seconds, 0.0);
   // An 8-layer BERT repeats one encoder shape and stage blocks repeat
   // across configurations, so cross-Run sharing must produce hits. (The
-  // per-Run L1 absorbs intra-Run repeats before they reach these
+  // per-Run slots absorb intra-Run repeats before they reach these
   // counters, so misses can still outnumber hits.)
   EXPECT_GT(result->stats.cost_cache_misses, 0);
   EXPECT_GT(result->stats.cost_cache_hits, 0);
