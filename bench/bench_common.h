@@ -15,7 +15,7 @@ namespace bench {
 /// "throughput (batch)" the way the paper prints it, or "OOM".
 inline std::string MeasuredCell(BaselineKind kind, const ModelSpec& model,
                                 const ClusterSpec& cluster,
-                                const BaselineOptions& options = {}) {
+                                const OptimizerOptions& options = {}) {
   auto result = RunBaseline(kind, model, cluster, options);
   if (!result.ok()) return "OOM";
   // Measure the winner and its per-PP-degree alternates; estimation error

@@ -154,8 +154,6 @@ void RecordOptimizeSearch(bench::BenchJson* out, const std::string& name,
   out->Record(name, "configs_explored", stats.configs_explored);
   out->Record(name, "dp_states_explored",
               static_cast<double>(stats.dp_states_explored));
-  out->Record(name, "dp_breakpoints_emitted",
-              static_cast<double>(stats.dp_breakpoints_emitted));
   out->Record(name, "dp_options_pruned",
               static_cast<double>(stats.dp_options_pruned));
   out->Record(name, "dp_allocations",

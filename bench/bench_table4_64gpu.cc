@@ -23,7 +23,7 @@ void RunBudget(int64_t budget_gb) {
     for (ModelId id : models) {
       ModelSpec model = BuildModel(id);
       // Coarser search knobs at this scale (Sec 3.3's complexity note).
-      BaselineOptions options;
+      OptimizerOptions options;
       options.memory_granularity = int64_t{64} * 1024 * 1024;
       options.batch_step = 8;
       row.push_back(bench::MeasuredCell(kind, model, cluster, options));

@@ -46,7 +46,7 @@ namespace {
 /// estimated plan.
 Result<OptimizationResult> SweepFixedStrategy(const ModelSpec& model,
                                               const ClusterSpec& cluster,
-                                              const BaselineOptions& options,
+                                              const OptimizerOptions& options,
                                               int pp_degree,
                                               const HybridStrategy& strategy) {
   const auto start = std::chrono::steady_clock::now();
@@ -115,25 +115,12 @@ Result<HybridStrategy> SingleDim(ParallelDim dim, int degree) {
   return HybridStrategy::Create({{dim, degree}});
 }
 
-/// The optimizer-backed baselines' shared sweep settings.
-OptimizerOptions SweepOptions(const BaselineOptions& options) {
-  OptimizerOptions opt;
-  opt.estimator = options.estimator;
-  opt.partition_policy = options.partition_policy;
-  opt.batch_step = options.batch_step;
-  opt.max_batch = options.max_batch;
-  opt.micro_batch_multipliers = options.micro_batch_multipliers;
-  opt.memory_granularity = options.memory_granularity;
-  opt.search_threads = options.search_threads;
-  return opt;
-}
-
 }  // namespace
 
 Result<OptimizationResult> RunBaseline(BaselineKind kind,
                                        const ModelSpec& model,
                                        const ClusterSpec& cluster,
-                                       const BaselineOptions& options) {
+                                       const OptimizerOptions& options) {
   const int n = cluster.num_devices();
   switch (kind) {
     case BaselineKind::kPureDp: {
@@ -173,21 +160,21 @@ Result<OptimizationResult> RunBaseline(BaselineKind kind,
       return SweepFixedStrategy(model, cluster, options, /*pp_degree=*/2, s);
     }
     case BaselineKind::kAutoDpTp: {
-      OptimizerOptions opt = SweepOptions(options);
+      OptimizerOptions opt = options;
       opt.tree.allow_sdp = false;
       opt.tree.fixed_order = true;
       opt.pp_degrees = {1};
       return Optimizer(&cluster, opt).Optimize(model);
     }
     case BaselineKind::kAutoDpPp: {
-      OptimizerOptions opt = SweepOptions(options);
+      OptimizerOptions opt = options;
       opt.tree.allow_sdp = false;
       opt.tree.allow_tp = false;
       opt.tree.fixed_order = true;
       return Optimizer(&cluster, opt).Optimize(model);
     }
     case BaselineKind::kGalvatron:
-      return Optimizer(&cluster, SweepOptions(options)).Optimize(model);
+      return Optimizer(&cluster, options).Optimize(model);
   }
   return Status::InvalidArgument("unknown baseline");
 }

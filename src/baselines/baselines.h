@@ -39,30 +39,17 @@ enum class BaselineKind {
 std::string_view BaselineKindToString(BaselineKind kind);
 std::vector<BaselineKind> AllBaselineKinds();
 
-/// Extra knobs shared by all baseline runners.
-struct BaselineOptions {
-  EstimatorOptions estimator;
-  int batch_step = 8;
-  int max_batch = 4096;
-  /// PP partition policy for pipeline-using baselines.
-  PartitionPolicy partition_policy = PartitionPolicy::kFlops;
-  /// Micro-batch multipliers swept for pipelined plans.
-  std::vector<int> micro_batch_multipliers = {1, 2, 4, 8};
-  int64_t memory_granularity = int64_t{32} * 1024 * 1024;
-  /// Worker threads for the optimizer-backed baselines' strategy sweep
-  /// (1 = serial, 0 = hardware concurrency). Results are thread-count
-  /// independent; see OptimizerOptions::search_threads.
-  int search_threads = 1;
-};
-
 /// Finds `kind`'s best feasible configuration on (model, cluster): sweeps
 /// the batch size (and micro-batches / partitioning where applicable) and
 /// returns the plan maximizing estimated throughput. Returns Infeasible
-/// when nothing fits — the "OOM" cells of Table 1.
+/// when nothing fits — the "OOM" cells of Table 1. The searched kinds run
+/// the optimizer with `options`, restricted to their tree and PP degrees;
+/// the fixed-strategy kinds read its estimator, batch loop, partition
+/// policy and micro-batch multipliers.
 Result<OptimizationResult> RunBaseline(BaselineKind kind,
                                        const ModelSpec& model,
                                        const ClusterSpec& cluster,
-                                       const BaselineOptions& options = {});
+                                       const OptimizerOptions& options = {});
 
 }  // namespace galvatron
 

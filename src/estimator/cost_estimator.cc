@@ -113,7 +113,7 @@ Result<LayerCost> CostEstimator::EstimateLayer(
 namespace {
 
 /// The estimator's own answers for stages given by explicit per-layer
-/// strategies: the source of EstimateStage (one stage) and EstimatePlan.
+/// strategies: the source of EstimatePlan.
 class StrategySource : public PlanCostSource {
  public:
   struct StageView {
@@ -170,37 +170,6 @@ class StrategySource : public PlanCostSource {
 };
 
 }  // namespace
-
-Result<StageCost> CostEstimator::EstimateStage(
-    const ModelSpec& model, int first_layer, int num_layers,
-    const std::vector<HybridStrategy>& strategies, int stage_first_device,
-    int batch_per_group, int micro_batches,
-    const std::vector<uint8_t>& recompute_flags,
-    int resident_micro_batches, bool check_memory) const {
-  if (num_layers < 1 || first_layer < 0 ||
-      first_layer + num_layers > model.num_layers()) {
-    return Status::InvalidArgument("stage layer range out of bounds");
-  }
-  if (static_cast<int>(strategies.size()) != num_layers) {
-    return Status::InvalidArgument("one strategy per stage layer required");
-  }
-  if (!recompute_flags.empty() &&
-      static_cast<int>(recompute_flags.size()) != num_layers) {
-    return Status::InvalidArgument("one recompute flag per layer required");
-  }
-  // The budget row is the leading strategy's footprint.
-  const PlanCostSource::Stage extent{stage_first_device,
-                                     strategies.front().TotalDegree(),
-                                     first_layer, num_layers};
-  StrategySource source(
-      this, &model,
-      {{extent, &strategies, &recompute_flags, resident_micro_batches}},
-      batch_per_group, micro_batches);
-  StageCost stage;
-  GALVATRON_RETURN_IF_ERROR(
-      ComposeStage(0, extent, micro_batches, source, check_memory, &stage));
-  return stage;
-}
 
 Status CostEstimator::ComposeStage(int stage_index,
                                    const PlanCostSource::Stage& extent,
@@ -359,29 +328,6 @@ double CostEstimator::BoundaryTransferSeconds(
                                     bytes);
   }
   return 2.0 * num_micro_batches * once;
-}
-
-double CostEstimator::PipelineThroughputBound(
-    const ModelSpec& model, int global_batch, int num_micro_batches,
-    const std::vector<PlanCostSource::Stage>& stages,
-    const std::vector<double>& stage_lower_seconds) const {
-  double sum_u = 0.0;
-  double max_u = 0.0;
-  double transfer_in = 0.0;
-  for (size_t i = 0; i < stages.size(); ++i) {
-    const double transfer_out =
-        i + 1 < stages.size()
-            ? BoundaryTransferSeconds(model, stages[i], stages[i + 1],
-                                      global_batch, num_micro_batches)
-            : 0.0;
-    const double u =
-        (stage_lower_seconds[i] + transfer_in + transfer_out) /
-        num_micro_batches;
-    sum_u += u;
-    max_u = std::max(max_u, u);
-    transfer_in = transfer_out;
-  }
-  return global_batch / (sum_u + (num_micro_batches - 1) * max_u);
 }
 
 }  // namespace galvatron

@@ -128,7 +128,7 @@ class CostEstimator {
   /// options() with the calibration profile's fitted overlap slowdown
   /// substituted in; identical to options() when no profile is installed.
   /// Pass this (not options()) to LayerCost::IterationSeconds so recombined
-  /// layer costs match EstimateStage/EstimatePlan under calibration.
+  /// layer costs match EstimatePlan under calibration.
   const EstimatorOptions& effective_options() const {
     return effective_options_;
   }
@@ -165,28 +165,16 @@ class CostEstimator {
                                   int micro_batches, bool recompute = false,
                                   int resident_micro_batches = -1) const;
 
-  /// Estimates a stage: sum of per-layer iteration costs plus Slice-Gather
-  /// transformation costs at strategy changes (2x per micro-batch: forward
-  /// and its mirrored backward). Returns OutOfMemory if the stage exceeds
-  /// the device budget. `recompute_flags` may be empty (no checkpointing).
-  /// `check_memory` = false skips ONLY the budget comparison — the peak is
-  /// still computed and recorded — so callers caching results across
-  /// memory-budget variants (the costs never depend on the budget) can
-  /// re-apply the check against their own cluster.
-  Result<StageCost> EstimateStage(const ModelSpec& model, int first_layer,
-                                  int num_layers,
-                                  const std::vector<HybridStrategy>& strategies,
-                                  int stage_first_device, int batch_per_group,
-                                  int micro_batches,
-                                  const std::vector<uint8_t>& recompute_flags =
-                                      {},
-                                  int resident_micro_batches = -1,
-                                  bool check_memory = true) const;
-
-  /// Estimates a full plan: GPipe pipelining of the stage costs,
+  /// Estimates a full plan: per stage, the sum of per-layer iteration costs
+  /// plus Slice-Gather transformation costs at strategy changes (2x per
+  /// micro-batch: forward and its mirrored backward), then GPipe
+  /// pipelining of the stage costs,
   ///   iter = sum_i u_i + (m - 1) * max_i u_i,   u_i = stage_i / m.
   /// Returns OutOfMemory if any stage exceeds its budget. `check_memory` =
-  /// false defers the per-stage budget checks exactly as in EstimateStage.
+  /// false skips ONLY the budget comparisons — peaks are still computed and
+  /// recorded — so callers caching results across memory-budget variants
+  /// (the costs never depend on the budget) can re-apply the check against
+  /// their own cluster.
   Result<PlanCost> EstimatePlan(const ModelSpec& model,
                                 const TrainingPlan& plan,
                                 bool check_memory = true) const;
@@ -217,38 +205,28 @@ class CostEstimator {
   /// seconds and throughput by the GPipe bubble formula. The sweep feeds
   /// it stage costs from its stage table (see DpStageFacts); for stage
   /// costs ComposeStage would compose, the result is ComposePlanCost's bit
-  /// for bit. No memory check is applied.
+  /// for bit. Fed lower bounds on the stage seconds, it bounds the
+  /// throughput of every plan with those extents from above: the sweep's
+  /// configuration bound. No memory check is applied.
   void ComposePipeline(const ModelSpec& model, int global_batch,
                        int num_micro_batches,
                        const std::vector<PlanCostSource::Stage>& extents,
                        PlanCost* total) const;
 
+ private:
   /// The pipeline boundary transfer between consecutive stages `prev` and
   /// `next` across one iteration: per micro-batch, forward activations in
   /// and gradient activations back out, each a point-to-point send plus
   /// the pipeline RPC overhead, calibration applied. ComposePlanCost
-  /// charges it to both neighbours; PipelineThroughputBound does the same.
+  /// charges it to both neighbours.
   double BoundaryTransferSeconds(const ModelSpec& model,
                                  const PlanCostSource::Stage& prev,
                                  const PlanCostSource::Stage& next,
                                  int global_batch,
                                  int num_micro_batches) const;
 
-  /// An upper bound on the throughput ComposePlanCost gives any plan with
-  /// these stage extents whose stage i sums at least
-  /// `stage_lower_seconds[i]` of layer and transformation seconds: the same
-  /// GPipe composition, B / (sum_s F_s / m + (m - 1) * max_s F_s / m), with
-  /// F_s the stage's lower bound plus its boundary transfers in and out.
-  /// Exact (up to summation order) when every lower bound is the stage's
-  /// actual seconds.
-  double PipelineThroughputBound(
-      const ModelSpec& model, int global_batch, int num_micro_batches,
-      const std::vector<PlanCostSource::Stage>& stages,
-      const std::vector<double>& stage_lower_seconds) const;
-
- private:
-  /// One stage of ComposePlanCost (and all of EstimateStage), into
-  /// `*stage` under the same reuse and `over_budget` contract.
+  /// One stage of ComposePlanCost, into `*stage` under the same reuse and
+  /// `over_budget` contract.
   Status ComposeStage(int stage_index, const PlanCostSource::Stage& extent,
                       int num_micro_batches, PlanCostSource& source,
                       bool check_memory, StageCost* stage,

@@ -757,7 +757,6 @@ Result<DpSearchResult> RunDenseKernel(const DpWork& w, RunCostCache& cache,
 
 struct SparseStats {
   int64_t breakpoints_emitted = 0;
-  int64_t breakpoints_scanned = 0;
   int64_t options_pruned = 0;
 };
 
@@ -993,7 +992,6 @@ Result<SparseStats> BuildSparseFrontiers(
       }
       const int32_t* const pu = arena_units + prev.begin;
       const double* const pc = arena_cost + prev.begin;
-      stats.breakpoints_scanned += static_cast<int64_t>(prev.size) * used;
       // Branch-free slot updates: no data-dependent branches, so the
       // compiler can unroll/vectorize and the hard-to-predict
       // cost-comparison branch stays out of the loop.
@@ -1269,8 +1267,7 @@ double LpStageBound(const DpStageFacts& facts, int64_t budget_units) {
 ///
 /// Assembly is index-based: the walk down the (breakpoint, parent) chain
 /// records candidate INDICES into per_layer_option; no HybridStrategy is
-/// copied here. MaterializeDpSearchResult turns the indices into the
-/// per_layer vector for the results a caller actually commits.
+/// copied here.
 Result<DpSearchResult> AnswerFromFrontiers(const FrontierView& v, int64_t gran,
                                            int budget_units,
                                            int64_t memory_budget) {
@@ -1409,15 +1406,6 @@ StageTableCounts CurrentThreadStageTableCounts() {
   return ScratchForThisThread().stage_table;
 }
 
-void MaterializeDpSearchResult(const std::vector<HybridStrategy>& candidates,
-                               DpSearchResult* result) {
-  result->per_layer.resize(result->per_layer_option.size());
-  for (size_t l = 0; l < result->per_layer_option.size(); ++l) {
-    result->per_layer[l] =
-        candidates[static_cast<size_t>(result->per_layer_option[l])];
-  }
-}
-
 DpSearch::DpSearch(const CostEstimator* estimator, DpSearchOptions options)
     : estimator_(estimator), options_(options) {
   GALVATRON_CHECK(estimator != nullptr);
@@ -1505,7 +1493,6 @@ Result<DpSearchResult> DpSearch::Run(
     entry->bp_cost = scratch.bp_cost;
     entry->bp_parent = scratch.bp_parent;
     entry->spans = scratch.spans;
-    entry->options_pruned = stats.options_pruned;
     frontier_cache->Insert(scratch.key, scratch.facts, std::move(entry));
   }
   Result<DpSearchResult> out = AnswerFromFrontiers(
@@ -1513,8 +1500,6 @@ Result<DpSearchResult> DpSearch::Run(
       w.budget_units, memory_budget);
   if (out.ok()) {
     out->states_explored = stats.breakpoints_emitted;
-    out->breakpoints_emitted = stats.breakpoints_emitted;
-    out->breakpoints_scanned = stats.breakpoints_scanned;
     out->options_pruned = stats.options_pruned;
     out->allocations = CurrentThreadAllocCount() - alloc_start;
   }

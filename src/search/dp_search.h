@@ -55,14 +55,9 @@ struct SearchHooks {
 /// stage execution time under the memory budget.
 struct DpSearchResult {
   double stage_seconds = 0.0;  // sum of c(l, s) + transformation costs
-  /// Materialized per-layer strategies. Searches leave this empty —
-  /// per_layer_option carries the same information without the copies —
-  /// and MaterializeDpSearchResult fills it for the results a caller
-  /// commits.
-  std::vector<HybridStrategy> per_layer;
   /// Per layer: the index into the search's `candidates` of the chosen
   /// strategy. Together with per_layer_recompute it identifies the plan
-  /// completely.
+  /// completely; callers copy out the strategies of the plans they commit.
   std::vector<int32_t> per_layer_option;
   /// Per-layer checkpointing choice (empty unless allow_recompute).
   std::vector<uint8_t> per_layer_recompute;
@@ -72,18 +67,13 @@ struct DpSearchResult {
   /// fewer, since each breakpoint is a distinct budget level of one dense
   /// column.
   int64_t states_explored = 0;
-  /// Breakpoints emitted across all layer/option frontiers
-  /// (== states_explored), candidate breakpoints scanned while merging
-  /// frontiers (the true work measure), and per-layer options dropped
-  /// because their (units, seconds) were dominated by a lower-index option
-  /// of the same transformation class. All zero for the reference
-  /// searchers.
-  int64_t breakpoints_emitted = 0;
-  int64_t breakpoints_scanned = 0;
+  /// Per-layer options dropped because their (units, seconds) were
+  /// dominated by a lower-index option of the same transformation class.
+  /// Zero for the reference searchers.
   int64_t options_pruned = 0;
   /// True when the answer was reconstructed from a cached frontier (see
   /// DpFrontierCache) instead of a fresh kernel run. Warm answers report
-  /// zero new states/breakpoints: nothing was materialized.
+  /// zero new states: nothing was materialized.
   bool frontier_hit = false;
   /// Heap allocations the Run performed on the calling thread (operator
   /// new calls, counted by util/alloc_counter). Telemetry for the
@@ -106,13 +96,6 @@ struct DpStageBound {
   /// stage_seconds is then `lower_seconds`, exact.
   std::optional<Result<DpSearchResult>> answer;
 };
-
-/// Fills `result->per_layer` from `result->per_layer_option`, copying out
-/// of the same `candidates` vector the producing search was given. Callers
-/// rank results by their index chains and materialize only the handful
-/// they commit.
-void MaterializeDpSearchResult(const std::vector<HybridStrategy>& candidates,
-                               DpSearchResult* result);
 
 /// Number of cold DpSearch::Run calls on this thread that returned
 /// Infeasible from the feasibility test, before building any frontier.

@@ -67,8 +67,6 @@ struct DpFrontierEntry {
   std::vector<double> bp_cost;
   std::vector<int32_t> bp_parent;
   std::vector<DpColumnSpan> spans;
-  /// Telemetry carried over from the cold run that built the entry.
-  int64_t options_pruned = 0;
 };
 
 /// A Run signature as a packed word sequence: everything that determines the

@@ -138,7 +138,6 @@ struct ConfigOutcome {
   bool has_best = false;
   RankedPlan best;
   int64_t dp_states = 0;
-  int64_t dp_breakpoints = 0;
   int64_t dp_pruned = 0;
   int64_t dp_frontier_hits = 0;    // stage searches replayed from cache
   int64_t dp_frontier_misses = 0;  // stage searches that ran cold
@@ -671,7 +670,6 @@ Result<OptimizationResult> Optimizer::Optimize(
         return;
       }
       out.dp_states += result->states_explored;
-      out.dp_breakpoints += result->breakpoints_emitted;
       out.dp_pruned += result->options_pruned;
       out.dp_allocations += result->allocations;
       StageDraft d;
@@ -776,31 +774,33 @@ Result<OptimizationResult> Optimizer::Optimize(
     // after every uniform candidate and after the incumbent's earlier
     // ordinal, so it loses ties to both. Each stage is bounded first, from
     // the facts and frontier its probe above returned (a frontier answers
-    // the stage outright and is kept for the DP), and the bounds compose
-    // into a throughput upper bound. When that cannot beat either plan the
-    // configuration is pruned; else its DPs wait for pass 2, where stronger
-    // incumbents prune most of them. Either way it keeps its uniform best
-    // and its feasibility. (A uniform plan that fits means the degree's
-    // structure validates.)
+    // the stage outright and is kept for the DP), and the bounds compose,
+    // as stage seconds through the plans' own pipeline formula
+    // (ComposePipeline), into a throughput upper bound. When that cannot
+    // beat either plan the configuration is pruned; else its DPs wait for
+    // pass 2, where stronger incumbents prune most of them. Either way it
+    // keeps its uniform best and its feasibility. (A uniform plan that fits
+    // means the degree's structure validates.)
     if (best.have) {
-      thread_local std::vector<double> lower_seconds;
-      lower_seconds.clear();
-      for (int s = 0; s < degree.pp; ++s) {
-        const size_t i = static_cast<size_t>(s);
+      thread_local PlanCost bound;
+      bound.stages.resize(static_cast<size_t>(degree.pp));
+      int bounded = 0;
+      for (; bounded < degree.pp; ++bounded) {
+        const size_t i = static_cast<size_t>(bounded);
         const std::shared_ptr<const DpFrontierEntry> frontier =
             std::move(frontiers[i]);
-        Result<DpStageBound> bound = search.BoundStage(
+        Result<DpStageBound> stage_bound = search.BoundStage(
             facts[i], frontier.get(), degree.stage_budgets[i], run_hooks);
-        if (!bound.ok()) break;
-        DpStageBound& stage = stages[s];
-        stage = *std::move(bound);
+        if (!stage_bound.ok()) break;
+        DpStageBound& stage = stages[bounded];
+        stage = *std::move(stage_bound);
         if (!stage.bounded) break;
-        lower_seconds.push_back(stage.lower_seconds);
+        bound.stages[i].seconds = stage.lower_seconds;
       }
-      if (lower_seconds.size() == static_cast<size_t>(degree.pp)) {
-        out.upper = estimator_.PipelineThroughputBound(
-            model, task.batch, task.micro, degree.stage_extents,
-            lower_seconds);
+      if (bounded == degree.pp) {
+        estimator_.ComposePipeline(model, task.batch, task.micro,
+                                   degree.stage_extents, &bound);
+        out.upper = bound.throughput_samples_per_sec;
         if (out.upper * (1.0 + kBoundSlack) <=
             std::max(best.throughput, task.incumbent)) {
           count_answers(task, stages, out);
@@ -873,7 +873,6 @@ Result<OptimizationResult> Optimizer::Optimize(
   };
   auto merge_counters = [&](const ConfigOutcome& out) {
     stats.dp_states_explored += out.dp_states;
-    stats.dp_breakpoints_emitted += out.dp_breakpoints;
     stats.dp_options_pruned += out.dp_pruned;
     stats.dp_frontier_hits += out.dp_frontier_hits;
     stats.dp_frontier_misses += out.dp_frontier_misses;
@@ -1155,14 +1154,18 @@ Result<OptimizationResult> Optimizer::Optimize(
                                     /*over_budget=*/nullptr));
 
   // Co-optimization: feed the winning plan's per-layer times, which its
-  // cost already holds, back into the pipeline partitioner and re-search
-  // each stage.
+  // cost already holds, back into the pipeline partitioner and search the
+  // re-partitioned pipeline as one more configuration of the sweep: the
+  // winner's device blocks, candidates and batch shape with the new stage
+  // sizes. Its DP plan replaces the winner only when strictly faster, and
+  // the next round starts from it, so the rounds' degrees live in a deque
+  // that keeps their addresses.
   const auto co_optimize_start = std::chrono::steady_clock::now();
-  for (int round = 0;
-       round < options_.co_optimize_rounds && result.plan.pp_degree() > 1 &&
-       !cancelled();
+  std::deque<PerDegree> round_degrees;
+  for (int round = 0; round < options_.co_optimize_rounds &&
+                      best.degree->pp > 1 && !cancelled();
        ++round) {
-    const int pp = result.plan.pp_degree();
+    const PerDegree& winner = *best.degree;
     std::vector<double> layer_seconds;
     for (const StageCost& stage : result.estimated.stages) {
       layer_seconds.insert(layer_seconds.end(),
@@ -1171,94 +1174,56 @@ Result<OptimizationResult> Optimizer::Optimize(
     }
     Result<std::vector<int>> sizes = Status::Internal("unset");
     if (!graph_or_mixed) {
-      sizes = PartitionByWeights(layer_seconds, pp);
+      sizes = PartitionByWeights(layer_seconds, winner.pp);
     } else {
       // Mixed compute: weigh each layer by the throughput of the stage it
       // ran on (seconds x FLOP/s = flop-equivalents) and partition against
       // per-stage block throughput, so faster blocks absorb more layers.
       std::vector<double> capacities;
-      std::vector<double> weights = layer_seconds;
       size_t l = 0;
-      for (const StagePlan& stage : result.plan.stages) {
+      for (size_t s = 0; s < winner.geometry.size(); ++s) {
+        const StageGeometry& block = winner.geometry[s];
         const double throughput =
-            stage.num_devices *
-            cluster_->MinSustainedFlopsInRange(stage.first_device,
-                                               stage.num_devices);
+            block.num_devices *
+            cluster_->MinSustainedFlopsInRange(block.first_device,
+                                               block.num_devices);
         capacities.push_back(throughput);
-        for (int i = 0; i < stage.num_layers; ++i) {
-          weights[l++] *= throughput;
+        for (int i = 0; i < winner.stage_sizes[s]; ++i) {
+          layer_seconds[l++] *= throughput;
         }
       }
-      sizes = PartitionByWeightsWithCapacities(weights, capacities);
+      sizes = PartitionByWeightsWithCapacities(layer_seconds, capacities);
     }
-    if (!sizes.ok()) break;
-    bool same = true;
-    for (int s = 0; s < pp; ++s) {
-      if ((*sizes)[static_cast<size_t>(s)] !=
-          result.plan.stages[static_cast<size_t>(s)].num_layers) {
-        same = false;
-      }
-    }
-    if (same) break;
+    if (!sizes.ok() || *sizes == winner.stage_sizes) break;
 
-    TrainingPlan refined;
-    refined.model_name = model.name();
-    refined.global_batch = result.plan.global_batch;
-    refined.num_micro_batches = result.plan.num_micro_batches;
-    refined.schedule = result.plan.schedule;
-    int first_layer = 0;
-    bool oom = false;
-    for (int s = 0; s < pp && !oom; ++s) {
-      // Device blocks come from the winning plan itself — uneven splits
-      // keep their geometry across co-optimization rounds.
-      const StagePlan& block = result.plan.stages[static_cast<size_t>(s)];
-      auto candidates = candidates_for_width(block.num_devices);
-      if (!candidates.ok()) {
-        oom = true;
-        break;
-      }
-      const int stage_layers = (*sizes)[static_cast<size_t>(s)];
-      const int64_t stage_budget = cluster_->MinMemoryInRange(
-          block.first_device, block.num_devices);
-      auto stage_result =
-          search.Run(model, first_layer, stage_layers, **candidates,
-                     block.first_device, refined.global_batch,
-                     refined.num_micro_batches, stage_budget,
-                     InFlightMicroBatches(refined.schedule,
-                                          refined.num_micro_batches, pp, s),
-                     run_hooks);
-      if (!stage_result.ok()) {
-        oom = true;
-        break;
-      }
-      // This stage is being committed, so fill per_layer from the index
-      // chain.
-      MaterializeDpSearchResult(**candidates, &*stage_result);
-      StagePlan stage;
-      stage.first_device = block.first_device;
-      stage.num_devices = block.num_devices;
-      stage.first_layer = first_layer;
-      stage.num_layers = stage_layers;
-      stage.layer_strategies = std::move(stage_result->per_layer);
-      if (options_.allow_recompute) {
-        stage.recompute = std::move(stage_result->per_layer_recompute);
-      }
-      refined.stages.push_back(std::move(stage));
-      first_layer += stage_layers;
-    }
-    if (oom) break;
-    auto cost = estimator_.EstimatePlan(model, refined);
-    if (!cost.ok() || cost->throughput_samples_per_sec <=
-                          result.estimated.throughput_samples_per_sec) {
-      break;
-    }
-    result.plan = std::move(refined);
-    result.estimated = *std::move(cost);
+    PerDegree& degree = round_degrees.emplace_back();
+    degree.pp = winner.pp;
+    degree.geometry = winner.geometry;
+    degree.stage_candidates = winner.stage_candidates;
+    degree.stage_sizes = *std::move(sizes);
+    finish_degree(degree);
+    const ConfigTask task{&degree, best.batch, best.micro,
+                          best.config_ordinal};
+    std::vector<DpStageBound> stages(static_cast<size_t>(degree.pp));
+    ConfigBest incumbent{true, result.estimated.throughput_samples_per_sec, 0,
+                         0};
+    std::vector<StageDraft> draft;
+    ConfigOutcome out;
+    run_dps(task, stages.data(), incumbent, draft, out);
+    if (incumbent.uniform >= 0) break;
+    best.degree = &degree;
+    best.uniform_candidate = -1;
+    best.stages = std::move(draft);
+    materialize(degree, best.batch, best.micro, -1, &best.stages,
+                result.plan);
+    GALVATRON_RETURN_IF_ERROR(compose(degree, best.batch, best.micro,
+                                      best.stages, &result.estimated,
+                                      /*over_budget=*/nullptr));
   }
   stats.co_optimize_seconds = SecondsSince(co_optimize_start);
 
   for (const auto& [pp, entry] : best_per_degree) {
-    if (pp != result.plan.pp_degree()) {
+    if (pp != best.pp) {
       result.alternates.push_back(materialize_plan(entry));
     }
   }

@@ -88,10 +88,8 @@ struct SearchStats {
   /// DP states materialized across all per-stage searches: Pareto
   /// breakpoints (see DpSearchResult).
   int64_t dp_states_explored = 0;
-  /// Kernel telemetry, summed over per-stage searches: breakpoints emitted
-  /// onto frontiers and per-layer options dropped by the same-class
-  /// domination prune.
-  int64_t dp_breakpoints_emitted = 0;
+  /// Per-layer options the same-class domination prune dropped, summed
+  /// over per-stage searches.
   int64_t dp_options_pruned = 0;
   /// Cold per-stage searches answered Infeasible by the feasibility test
   /// (the per-layer smallest options already exceed the budget) without

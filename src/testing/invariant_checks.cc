@@ -1395,8 +1395,8 @@ std::optional<CheckFailure> CheckPlanPricingIdentity(
 /// DpSearch::Bound is at most the stage seconds of DpSearch::Run and of
 /// DenseDpSearch (a feasible stage always gives a bound, an infeasible one
 /// never does); a Bound after the Run published its frontiers answers with
-/// the Run's result exactly, its bound equal to the stage seconds; and the
-/// composed PipelineThroughputBound is at least the EstimatePlan
+/// the Run's result exactly, its bound equal to the stage seconds; and
+/// ComposePipeline over the stage bounds is at least the EstimatePlan
 /// throughput of the configuration's DP plan whenever that plan fits.
 ///
 /// The stage table the sweep's first pass reads is budget-free: filled at
@@ -1468,8 +1468,8 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
       plan.global_batch = batch;
       plan.num_micro_batches = micro;
       plan.schedule = schedule;
-      std::vector<PlanCostSource::Stage> extents;
-      std::vector<double> lower;
+      // The stages' bounds, composed like a plan's stage seconds.
+      PlanCost upper_cost;
       bool all_fit = true;
       int first_layer = 0;
       TableConfig& tabled = table_configs.emplace_back();
@@ -1572,29 +1572,29 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
           }
         }
 
-        extents.push_back(
-            PlanCostSource::Stage{first_device, span, first_layer, layers});
-        lower.push_back(bounded ? bound->lower_seconds : 0.0);
+        upper_cost.stages.emplace_back().seconds =
+            bounded ? bound->lower_seconds : 0.0;
         all_fit = all_fit && run.ok();
         if (run.ok()) {
-          DpSearchResult chosen = *run;
-          MaterializeDpSearchResult(*candidates, &chosen);
-          StagePlan stage_plan;
+          StagePlan& stage_plan = plan.stages.emplace_back();
           stage_plan.first_device = first_device;
           stage_plan.num_devices = span;
           stage_plan.first_layer = first_layer;
           stage_plan.num_layers = layers;
-          stage_plan.layer_strategies = std::move(chosen.per_layer);
-          stage_plan.recompute = std::move(chosen.per_layer_recompute);
-          plan.stages.push_back(std::move(stage_plan));
+          for (const int32_t option : run->per_layer_option) {
+            stage_plan.layer_strategies.push_back(
+                (*candidates)[static_cast<size_t>(option)]);
+          }
+          stage_plan.recompute = run->per_layer_recompute;
         }
         first_layer += layers;
       }
       if (!all_fit) continue;
       const Result<PlanCost> priced = estimator.EstimatePlan(model, plan);
       if (!priced.ok()) continue;  // over the exact budget, or invalid
-      const double upper = estimator.PipelineThroughputBound(
-          model, batch, micro, extents, lower);
+      estimator.ComposePipeline(model, batch, micro, tabled.extents,
+                                &upper_cost);
+      const double upper = upper_cost.throughput_samples_per_sec;
       if (upper * slack < priced->throughput_samples_per_sec) {
         return MakeFailure(
             kCheck, seed,

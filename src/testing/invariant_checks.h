@@ -65,9 +65,9 @@ namespace galvatron {
 ///                        every stage's DpSearch::Bound is at most the
 ///                        stage seconds of DpSearch::Run and of
 ///                        DenseDpSearch, exact when answered from the
-///                        frontier cache, and the composed
-///                        PipelineThroughputBound is at least the
-///                        EstimatePlan throughput of every fitting DP plan.
+///                        frontier cache, and ComposePipeline over the
+///                        stage bounds is at least the EstimatePlan
+///                        throughput of every fitting DP plan.
 enum class FuzzCheck {
   kPlanValidity,
   kSearchEquivalence,

@@ -81,30 +81,32 @@ TEST_F(EstimatorTest, MicroBatchValidation) {
 
 TEST_F(EstimatorTest, StageReportsOomBeyondBudget) {
   // The whole model on a single stage with pure DP at a huge batch.
-  std::vector<HybridStrategy> strategies(
-      static_cast<size_t>(bert_.num_layers()), Make({{ParallelDim::kData, 8}}));
-  auto small = estimator_.EstimateStage(bert_, 0, bert_.num_layers(),
-                                        strategies, 0, 8, 1);
+  const HybridStrategy dp8 = Make({{ParallelDim::kData, 8}});
+  auto small_plan =
+      MakeUniformPlan(bert_, 8, 1, {bert_.num_layers()}, dp8, 8, 1);
+  auto huge_plan =
+      MakeUniformPlan(bert_, 8, 1, {bert_.num_layers()}, dp8, 512, 1);
+  ASSERT_TRUE(small_plan.ok() && huge_plan.ok());
+  auto small = estimator_.EstimatePlan(bert_, *small_plan);
   ASSERT_TRUE(small.ok()) << small.status();
-  auto huge = estimator_.EstimateStage(bert_, 0, bert_.num_layers(),
-                                       strategies, 0, 512, 1);
+  auto huge = estimator_.EstimatePlan(bert_, *huge_plan);
   ASSERT_FALSE(huge.ok());
   EXPECT_TRUE(huge.status().IsOutOfMemory());
 }
 
 TEST_F(EstimatorTest, StageCostGrowsWithBatch) {
-  std::vector<HybridStrategy> strategies(
-      static_cast<size_t>(bert_.num_layers()),
-      Make({{ParallelDim::kShardedData, 8}}));
-  auto b8 = estimator_.EstimateStage(bert_, 0, bert_.num_layers(), strategies,
-                                     0, 8, 1);
-  auto b16 = estimator_.EstimateStage(bert_, 0, bert_.num_layers(), strategies,
-                                      0, 16, 1);
+  const HybridStrategy sdp8 = Make({{ParallelDim::kShardedData, 8}});
+  auto b8_plan = MakeUniformPlan(bert_, 8, 1, {bert_.num_layers()}, sdp8, 8, 1);
+  auto b16_plan =
+      MakeUniformPlan(bert_, 8, 1, {bert_.num_layers()}, sdp8, 16, 1);
+  ASSERT_TRUE(b8_plan.ok() && b16_plan.ok());
+  auto b8 = estimator_.EstimatePlan(bert_, *b8_plan);
+  auto b16 = estimator_.EstimatePlan(bert_, *b16_plan);
   ASSERT_TRUE(b8.ok());
   ASSERT_TRUE(b16.ok());
-  EXPECT_GT(b16->seconds, b8->seconds);
+  EXPECT_GT(b16->stages[0].seconds, b8->stages[0].seconds);
   // But less than 2x: weight collectives are batch-independent.
-  EXPECT_LT(b16->seconds, 2 * b8->seconds);
+  EXPECT_LT(b16->stages[0].seconds, 2 * b8->stages[0].seconds);
 }
 
 TEST_F(EstimatorTest, PlanCostMatchesStageAggregation) {

@@ -261,21 +261,29 @@ TEST_F(CostCacheTest, TransformKeyDistinguishesSuccessorLayers) {
 
 TEST_F(CostCacheTest, DpSearchMatchesEstimateStageOnHeterogeneousStack) {
   // End-to-end regression: the DP's internal (cached) cost of its own
-  // winning assignment must equal the estimator's uncached stage cost.
-  // With the aliased transform cache the DP claimed a wrong total at the
-  // A->C boundary.
+  // winning assignment must equal the estimator's uncached cost of the
+  // one-stage plan it describes. With the aliased transform cache the DP
+  // claimed a wrong total at the A->C boundary.
   auto candidates = EnumerateSingleLayerStrategies(8);
   ASSERT_TRUE(candidates.ok());
   DpSearch search(&estimator_);
   auto result = search.Run(model_, 0, model_.num_layers(), *candidates, 0,
                            16, 1, 16 * kGB);
   ASSERT_TRUE(result.ok()) << result.status();
-  MaterializeDpSearchResult(*candidates, &*result);
-  auto stage = estimator_.EstimateStage(model_, 0, model_.num_layers(),
-                                        result->per_layer, 0, 16, 1);
-  ASSERT_TRUE(stage.ok()) << stage.status();
-  EXPECT_NEAR(result->stage_seconds, stage->seconds,
-              1e-9 * std::max(1.0, stage->seconds));
+  TrainingPlan plan;
+  plan.model_name = model_.name();
+  plan.global_batch = 16;
+  StagePlan& stage = plan.stages.emplace_back();
+  stage.num_devices = 8;
+  stage.num_layers = model_.num_layers();
+  for (const int32_t option : result->per_layer_option) {
+    stage.layer_strategies.push_back(
+        (*candidates)[static_cast<size_t>(option)]);
+  }
+  auto cost = estimator_.EstimatePlan(model_, plan);
+  ASSERT_TRUE(cost.ok()) << cost.status();
+  const double seconds = cost->stages[0].seconds;
+  EXPECT_NEAR(result->stage_seconds, seconds, 1e-9 * std::max(1.0, seconds));
 }
 
 TEST_F(CostCacheTest, ConcurrentLookupsMatchSerialValues) {
@@ -761,12 +769,16 @@ TEST(GoldenPlanTest, SweepsCommitThePinnedPlans) {
   // Co-optimization re-partitions the winner by its per-layer seconds and
   // re-searches its stages. The PP-4 winners are balanced already, so
   // their rounds stop at the partitioner; the 8 GB 1F1B PP-2 winner is
-  // re-partitioned.
+  // re-partitioned. The Swin-Huge-32 8 GB and mixed-cluster winners are
+  // replaced by their refined plans, so their digests differ from rounds
+  // 0; the mixed one has uneven device blocks.
   auto co_optimize = [](OptimizerOptions options, int pp, int rounds) {
-    options.pp_degrees = {pp};
+    if (pp > 0) options.pp_degrees = {pp};
     options.co_optimize_rounds = rounds;
     return options;
   };
+  OptimizerOptions one_f_one_b_recompute = one_f_one_b;
+  one_f_one_b_recompute.allow_recompute = true;
   const ModelSpec huge = BuildModel(ModelId::kBertHuge32);
   // 8 A100-class GPUs with 40 GB beside the 8 TITANs at 12 GB.
   const ClusterSpec mixed =
@@ -803,6 +815,14 @@ TEST(GoldenPlanTest, SweepsCommitThePinnedPlans) {
        0xf2ee9b524258d110ull},
       {"bert-huge-32-titan8-8gb-1f1b-pp2-co3", huge, MakeTitanNode8(8 * kGB),
        co_optimize(one_f_one_b, 2, 3), 0xbf814b676cc39137ull},
+      {"swin-huge-32-titan8-8gb-1f1b-recompute-co1",
+       BuildModel(ModelId::kSwinHuge32), MakeTitanNode8(8 * kGB),
+       co_optimize(one_f_one_b_recompute, 0, 1), 0xea390624d85fb342ull},
+      {"swin-huge-32-titan8-8gb-1f1b-recompute-co3",
+       BuildModel(ModelId::kSwinHuge32), MakeTitanNode8(8 * kGB),
+       co_optimize(one_f_one_b_recompute, 0, 3), 0xea390624d85fb342ull},
+      {"bert-huge-32-mixed16-co3", huge, mixed, co_optimize({}, 0, 3),
+       0x11a6754b77136438ull},
   };
   for (const Job& job : jobs) {
     for (const int threads : {1, 4}) {

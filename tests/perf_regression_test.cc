@@ -80,9 +80,6 @@ TEST(PerfRegressionTest, SparseExploresNoMoreStatesThanDense) {
       // The tripwire. Strict < in practice (the ratio is ~10-100x); <= is
       // the invariant that can never legitimately break.
       EXPECT_LE(sparse->states_explored, dense->states_explored) << context;
-      EXPECT_EQ(sparse->states_explored, sparse->breakpoints_emitted)
-          << context;
-      EXPECT_EQ(dense->breakpoints_emitted, 0) << context;
       sparse_states += sparse->states_explored;
       dense_states += dense->states_explored;
     }

@@ -66,23 +66,10 @@ bool CheckInstance(const CostEstimator& estimator, const ModelSpec& model,
     return false;
   }
   ExpectIdentical(*a, *b, context);
-  // The index-based assembly: the search returns only index chains, and
-  // materializing them copies exactly the indexed candidates.
-  EXPECT_TRUE(a->per_layer.empty()) << context;
-  MaterializeDpSearchResult(candidates, &*a);
-  EXPECT_EQ(a->per_layer.size(), a->per_layer_option.size()) << context;
-  for (size_t l = 0; l < a->per_layer.size(); ++l) {
-    EXPECT_EQ(a->per_layer[l].ToString(),
-              candidates[static_cast<size_t>(a->per_layer_option[l])]
-                  .ToString())
-        << context << " layer " << l;
-  }
   // The anti-regression bound: every breakpoint is a distinct budget level
   // of one dense column, so DpSearch can never materialize more states
   // than the dense sweep on the same inputs.
   EXPECT_LE(a->states_explored, b->states_explored) << context;
-  EXPECT_EQ(a->states_explored, a->breakpoints_emitted) << context;
-  EXPECT_EQ(b->breakpoints_emitted, 0) << context;
   EXPECT_EQ(b->options_pruned, 0) << context;
   return true;
 }
@@ -257,7 +244,6 @@ TEST(SparseDpFrontierCacheTest, WarmAnswersAreByteIdenticalToColdRuns) {
     }
     EXPECT_TRUE(warm->frontier_hit) << context;
     EXPECT_EQ(warm->states_explored, 0) << context;
-    EXPECT_EQ(warm->breakpoints_emitted, 0) << context;
     ExpectIdentical(*warm, *cold, context);
     ++feasible;
   }

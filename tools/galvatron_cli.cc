@@ -468,9 +468,15 @@ Result<int> RunCli(const CliArgs& args) {
   }
   std::printf("\n");
 
-  BaselineOptions options;
+  OptimizerOptions options;
   options.search_threads = args.search_threads;
   if (have_calibration) options.estimator.calibration = &calibration;
+  // Recompute and the schedule are knobs of the full search only.
+  if (mode == BaselineKind::kGalvatron) {
+    options.allow_recompute = args.recompute;
+    options.schedule = args.schedule == "1f1b" ? PipelineSchedule::k1F1B
+                                               : PipelineSchedule::kGPipe;
+  }
   auto result = RunBaseline(mode, model, cluster, options);
   if (!result.ok()) {
     if (result.status().IsInfeasible()) {
@@ -478,19 +484,6 @@ Result<int> RunCli(const CliArgs& args) {
       return 2;
     }
     return result.status();
-  }
-  // CLI-only knobs re-run the full optimizer when requested.
-  if (mode == BaselineKind::kGalvatron &&
-      (args.recompute || args.schedule == "1f1b")) {
-    OptimizerOptions opt;
-    opt.allow_recompute = args.recompute;
-    opt.search_threads = args.search_threads;
-    if (have_calibration) opt.estimator.calibration = &calibration;
-    opt.schedule = args.schedule == "1f1b" ? PipelineSchedule::k1F1B
-                                           : PipelineSchedule::kGPipe;
-    GALVATRON_ASSIGN_OR_RETURN(OptimizationResult tuned,
-                               Optimizer(&cluster, opt).Optimize(model));
-    result = std::move(tuned);
   }
 
   std::printf("%s\n", result->plan.ToString().c_str());
