@@ -7,7 +7,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "bench_json.h"
 #include "cluster/cluster.h"
@@ -18,6 +20,7 @@
 #include "search/optimizer.h"
 #include "sim/simulator.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace galvatron {
 namespace {
@@ -166,6 +169,52 @@ void RecordOptimizeSearch(bench::BenchJson* out, const std::string& name,
               lookups > 0 ? stats.cost_cache_hits / lookups : 0.0);
 }
 
+/// The recompute sweep: BERT-Huge-32 on the 8-GPU TITAN node at 16 GB with
+/// activation checkpointing allowed, whose batch loop runs long after no
+/// uniform plan fits. Records the sweep's work counters (exact at one
+/// thread; at more they vary with which stage search publishes a frontier
+/// first) and the median and quartiles of `reps` wall times.
+void RecordRecomputeOptimize(bench::BenchJson* out, const std::string& name,
+                             int threads, int reps) {
+  ClusterSpec cluster = MakeTitanNode8(16 * kGB);
+  OptimizerOptions options;
+  options.search_threads = threads;
+  options.allow_recompute = true;
+  Optimizer optimizer(&cluster, options);
+  ModelSpec model = BuildModel(ModelId::kBertHuge32);
+  SearchStats stats;
+  std::vector<double> wall_ms;
+  for (int i = 0; i < reps; ++i) {
+    wall_ms.push_back(bench::BestOfMs(1, [&] {
+      auto result = optimizer.Optimize(model);
+      GALVATRON_CHECK(result.ok());
+      stats = result->stats;
+    }));
+  }
+  std::sort(wall_ms.begin(), wall_ms.end());
+  const auto quantile = [&](double q) {
+    return wall_ms[static_cast<size_t>(q * (wall_ms.size() - 1) + 0.5)];
+  };
+  out->Record(name, "wall_ms_p50", quantile(0.5));
+  out->Record(name, "wall_ms_p25", quantile(0.25));
+  out->Record(name, "wall_ms_p75", quantile(0.75));
+  out->Record(name, "wall_ms_iqr", quantile(0.75) - quantile(0.25));
+  out->Record(name, "repetitions", reps);
+  out->Record(name, "threads", stats.search_threads_used);
+  out->Record(name, "host_threads", ThreadPool::HardwareThreads());
+  out->Record(name, "configs_explored", stats.configs_explored);
+  out->Record(name, "configs_pruned", stats.configs_pruned);
+  out->Record(name, "dp_states_explored",
+              static_cast<double>(stats.dp_states_explored));
+  out->Record(name, "dp_drafts_over_budget",
+              static_cast<double>(stats.dp_drafts_over_budget));
+  out->Record(name, "stage_table_lookups",
+              static_cast<double>(stats.stage_table_hits +
+                                  stats.stage_table_misses));
+  out->Record(name, "sweep_allocations",
+              static_cast<double>(stats.sweep_allocations));
+}
+
 /// One raw per-stage search (Fig 4(a)'s unit of work): 32 layers, 8 GPUs,
 /// 16 GB — DpSearch::Run, or the DenseDpSearch reference when `dense`.
 void RecordDpKernel(bench::BenchJson* out, const std::string& name,
@@ -241,6 +290,10 @@ void WriteBenchJson() {
                        /*allow_uneven_stages=*/true, /*reps=*/5);
   RecordHeteroOptimize(&out, "hetero_optimize_mixed16_equal_only",
                        /*allow_uneven_stages=*/false, /*reps=*/5);
+  RecordRecomputeOptimize(&out, "fig4_optimize_bert_huge_32_recompute_t1",
+                          /*threads=*/1, /*reps=*/15);
+  RecordRecomputeOptimize(&out, "fig4_optimize_bert_huge_32_recompute_t4",
+                          /*threads=*/4, /*reps=*/15);
   const auto& records = out.records();
   out.Record("fig4_sparse_over_dense", "dp_run_speedup",
              records.at("fig4_dp_run_bert32_16gb_dense").at("wall_ms") /

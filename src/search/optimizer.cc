@@ -149,6 +149,9 @@ struct ConfigOutcome {
   /// `upper` the DP plan's throughput bound.
   bool deferred = false;
   double upper = 0.0;
+  /// Pass 1: pruned or deferred with no fitting uniform plan, so whether
+  /// the configuration fits only its DPs can tell.
+  bool fit_unknown = false;
   bool draft_over_budget = false;  // the memory check rejected the DP plan
   int64_t dp_allocations = 0;      // heap allocations inside DpSearch::Run
   int64_t sweep_allocations = 0;   // heap allocations of the whole evaluate
@@ -600,8 +603,8 @@ Result<OptimizationResult> Optimizer::Optimize(
       ++out.dp_frontier_misses;
     }
   };
-  // A pruned configuration's stages answered by its bound pass: counted
-  // once, though no DP uses them.
+  // The stages a configuration's bound pass answered when no DP will use
+  // them (it was pruned, or a later stage cannot fit): counted once.
   auto count_answers = [&](const ConfigTask& task, const DpStageBound* stages,
                            ConfigOutcome& out) {
     for (int s = 0; s < task.degree->pp; ++s) {
@@ -699,11 +702,12 @@ Result<OptimizationResult> Optimizer::Optimize(
   };
 
   // Pass 1 of one configuration: its uniform plans, then the bound on its
-  // DP plan, which prunes it, defers its DPs to pass 2 or — with no
-  // fitting uniform plan or no complete bound — runs them now. `stages`
-  // receives its pp stage bounds. Pure function of its arguments plus the
-  // (thread-safe, const) estimator and shared caches — safe to run on any
-  // worker.
+  // DP plan, which prunes it or defers its DPs to pass 2. A stage whose DP
+  // fits no plan settles it from the stage table alone; only a degree whose
+  // structure fails Validate, or a stage the estimator cannot price, runs
+  // the DPs now. `stages` receives its pp stage bounds. Pure function of
+  // its arguments plus the (thread-safe, const) estimator and shared
+  // caches — safe to run on any worker.
   auto evaluate = [&](const ConfigTask& task,
                       DpStageBound* stages) -> ConfigOutcome {
     ConfigOutcome out;
@@ -714,111 +718,104 @@ Result<OptimizationResult> Optimizer::Optimize(
     const PerDegree& degree = *task.degree;
     ConfigBest best;
     std::vector<StageDraft> draft;
-    // Uniform single-strategy plans first: they are points of the same
-    // search space, and pricing them exactly guarantees the search never
-    // loses to a pure baseline because of DP-table memory quantization.
-    // The guard reproduces exactly the batch-dependent Validate failures
-    // MakeUniformPlan would hit. Each stage's facts come from its record
-    // in the stage store (one probe per stage, which also returns the
-    // record's frontier for the bound below; a miss builds the facts once
-    // for every stage and request of the same signature), stage by stage
-    // while some candidate's plan still fits. Their estimator errors would
-    // fail every candidate's plan alike (they concern the stage's device
-    // block and batch shape), and such plans are skipped.
+    // Each stage's facts come from its record in the stage store (one probe
+    // per stage, which also returns the record's frontier for the bound; a
+    // miss builds the facts once for every stage and request of the same
+    // signature), stage by stage while some uniform plan or the DP plan may
+    // still fit. Each stage is bounded from what its probe returned (a
+    // frontier answers the stage outright and is kept for the DP) until one
+    // is unfit: bounded Infeasible, the verdict the stage's Run would give
+    // before any build. An estimator error, which the stage's Run would
+    // return, sends the configuration to its DPs.
     thread_local std::vector<DpStageFacts> facts;
-    thread_local std::vector<std::shared_ptr<const DpFrontierEntry>>
-        frontiers;
     if (facts.size() < static_cast<size_t>(degree.pp)) {
       facts.resize(static_cast<size_t>(degree.pp));
-      frontiers.resize(static_cast<size_t>(degree.pp));
     }
-    if (task.batch >= 1 && task.micro >= 1 && task.micro <= task.batch &&
-        !degree.uniform_candidates.empty()) {
-      // Per candidate: whether its plan fits every stage so far.
-      thread_local std::vector<uint8_t> fits;
-      fits.assign(degree.uniform_candidates.size(), 1);
-      bool priced = true;
-      int first_layer = 0;
-      for (int s = 0; s < degree.pp && priced; ++s) {
-        const size_t i = static_cast<size_t>(s);
-        priced = search
-                     .StageFacts(model, first_layer, degree.stage_sizes[i],
-                                 *degree.stage_candidates[i],
-                                 degree.geometry[i].first_device, task.batch,
-                                 task.micro, in_flight(task, s), run_hooks,
-                                 &facts[i], &frontiers[i])
-                     .ok();
-        bool any_fits = false;
-        for (size_t c = 0; priced && c < fits.size(); ++c) {
-          fits[c] &= facts[i].uniform_peak_bytes[c] <= degree.stage_budgets[i];
-          any_fits |= fits[c] != 0;
-        }
-        priced = priced && any_fits;
-        first_layer += degree.stage_sizes[i];
+    thread_local PlanCost bound;
+    bound.stages.resize(static_cast<size_t>(degree.pp));
+    // Per uniform candidate: whether its plan fits every stage so far.
+    thread_local std::vector<uint8_t> fits;
+    fits.assign(degree.uniform_candidates.size(), 1);
+    bool any_fits = !fits.empty();
+    bool unfit = false;
+    bool have_facts = degree.structure.ok() && task.batch >= 1 &&
+                      task.micro >= 1 && task.micro <= task.batch;
+    int first_layer = 0;
+    for (int s = 0; s < degree.pp && have_facts && (any_fits || !unfit);
+         ++s) {
+      const size_t i = static_cast<size_t>(s);
+      std::shared_ptr<const DpFrontierEntry> frontier;
+      have_facts = search
+                       .StageFacts(model, first_layer, degree.stage_sizes[i],
+                                   *degree.stage_candidates[i],
+                                   degree.geometry[i].first_device,
+                                   task.batch, task.micro, in_flight(task, s),
+                                   run_hooks, &facts[i], &frontier)
+                       .ok();
+      if (!have_facts) break;
+      first_layer += degree.stage_sizes[i];
+      bool fits_here = false;
+      for (size_t c = 0; c < fits.size(); ++c) {
+        fits[c] &= facts[i].uniform_peak_bytes[c] <= degree.stage_budgets[i];
+        fits_here |= fits[c] != 0;
       }
-      for (const int c : degree.uniform_candidates) {
-        if (!priced) break;
-        const std::optional<double> throughput =
-            price_uniform(degree, task.batch, task.micro, c, facts.data());
-        if (!throughput.has_value()) continue;
-        out.feasible = true;
-        if (!best.have || *throughput > best.throughput) {
-          best = ConfigBest{true, *throughput, c, c};
-        }
+      any_fits = any_fits && fits_here;
+      if (unfit) continue;
+      Result<DpStageBound> stage_bound = search.BoundStage(
+          facts[i], frontier.get(), degree.stage_budgets[i], run_hooks);
+      unfit = !stage_bound.ok() || !stage_bound->bounded;
+      if (unfit) continue;
+      stages[s] = *std::move(stage_bound);
+      bound.stages[i].seconds = stages[s].lower_seconds;
+    }
+    if (!have_facts) {
+      run_dps(task, stages, best, draft, out);
+      commit(task, best, draft, out);
+      return out;
+    }
+    // Uniform single-strategy plans: points of the same search space,
+    // priced exactly so the search never loses to a pure baseline because
+    // of DP-table memory quantization. The guard above reproduces exactly
+    // the batch-dependent Validate failures MakeUniformPlan would hit.
+    for (const int c : degree.uniform_candidates) {
+      if (!any_fits) break;
+      const std::optional<double> throughput =
+          price_uniform(degree, task.batch, task.micro, c, facts.data());
+      if (!throughput.has_value()) continue;
+      out.feasible = true;
+      if (!best.have || *throughput > best.throughput) {
+        best = ConfigBest{true, *throughput, c, c};
       }
     }
-
-    // Cross-configuration bound. Once a uniform plan fits, the DP plan
-    // changes the merged result only if it beats both that plan and the
-    // incumbent, the best plan already merged for this PP degree: it ranks
-    // after every uniform candidate and after the incumbent's earlier
-    // ordinal, so it loses ties to both. Each stage is bounded first, from
-    // the facts and frontier its probe above returned (a frontier answers
-    // the stage outright and is kept for the DP), and the bounds compose,
-    // as stage seconds through the plans' own pipeline formula
-    // (ComposePipeline), into a throughput upper bound. When that cannot
-    // beat either plan the configuration is pruned; else its DPs wait for
-    // pass 2, where stronger incumbents prune most of them. Either way it
-    // keeps its uniform best and its feasibility. (A uniform plan that fits
-    // means the degree's structure validates.)
-    if (best.have) {
-      thread_local PlanCost bound;
-      bound.stages.resize(static_cast<size_t>(degree.pp));
-      int bounded = 0;
-      for (; bounded < degree.pp; ++bounded) {
-        const size_t i = static_cast<size_t>(bounded);
-        const std::shared_ptr<const DpFrontierEntry> frontier =
-            std::move(frontiers[i]);
-        Result<DpStageBound> stage_bound = search.BoundStage(
-            facts[i], frontier.get(), degree.stage_budgets[i], run_hooks);
-        if (!stage_bound.ok()) break;
-        DpStageBound& stage = stages[bounded];
-        stage = *std::move(stage_bound);
-        if (!stage.bounded) break;
-        bound.stages[i].seconds = stage.lower_seconds;
-      }
-      if (bounded == degree.pp) {
-        estimator_.ComposePipeline(model, task.batch, task.micro,
-                                   degree.stage_extents, &bound);
-        out.upper = bound.throughput_samples_per_sec;
-        if (out.upper * (1.0 + kBoundSlack) <=
-            std::max(best.throughput, task.incumbent)) {
-          count_answers(task, stages, out);
-          out.pruned = true;
-        } else {
-          out.deferred = true;
-        }
-        commit(task, best, draft, out);
-        return out;
-      }
+    if (unfit) {
+      // The stage table's verdict: the DP plan cannot fit.
+      count_answers(task, stages, out);
+      ++out.dp_infeasible_skipped;
+      commit(task, best, draft, out);
+      return out;
     }
 
-    // The frontiers the bound did not take go now, not with the next
-    // configuration this thread evaluates.
-    for (std::shared_ptr<const DpFrontierEntry>& frontier : frontiers) {
-      frontier.reset();
+    // Cross-configuration bound. The DP plan changes the merged result only
+    // if it beats both the uniform best and the incumbent, the best plan
+    // already merged for this PP degree: it ranks after every uniform
+    // candidate and after the incumbent's earlier ordinal, so it loses ties
+    // to both. The stage bounds compose, as stage seconds through the
+    // plans' own pipeline formula (ComposePipeline), into a throughput
+    // upper bound. When that cannot beat either plan the configuration is
+    // pruned; else its DPs wait for pass 2, where stronger incumbents prune
+    // most of them. Either way it keeps its uniform best, and with none its
+    // fit stays unknown until the batch loop's exit test needs it.
+    estimator_.ComposePipeline(model, task.batch, task.micro,
+                               degree.stage_extents, &bound);
+    out.upper = bound.throughput_samples_per_sec;
+    if (out.upper * (1.0 + kBoundSlack) <=
+        std::max(best.throughput, task.incumbent)) {
+      count_answers(task, stages, out);
+      out.pruned = true;
+    } else {
+      out.deferred = true;
     }
-    run_dps(task, stages, best, draft, out);
+    out.fit_unknown = !best.have;
     commit(task, best, draft, out);
     return out;
   };
@@ -1010,26 +1007,31 @@ Result<OptimizationResult> Optimizer::Optimize(
   // loop runs each wave on the caller with no lookahead.
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  // Adds the allocation, feasibility-test and stage-table telemetry of
+  // `run` to `out`: it runs entirely on this thread, so thread-local
+  // counter deltas capture it exactly.
+  auto measured = [](ConfigOutcome& out, auto run) {
+    const int64_t allocs_before = CurrentThreadAllocCount();
+    const int64_t skips_before = CurrentThreadDpInfeasibleSkips();
+    const StageTableCounts table_before = CurrentThreadStageTableCounts();
+    run();
+    out.sweep_allocations += CurrentThreadAllocCount() - allocs_before;
+    out.dp_infeasible_skipped +=
+        CurrentThreadDpInfeasibleSkips() - skips_before;
+    const StageTableCounts table_after = CurrentThreadStageTableCounts();
+    out.stage_table_hits += table_after.hits - table_before.hits;
+    out.stage_table_misses += table_after.misses - table_before.misses;
+  };
   WavePipeline pipeline(pool.get(), &abandon, [&](PipelineWave& run,
                                                    size_t i) {
     Wave& wave = static_cast<Wave&>(run);
     const ConfigTask& task = wave.tasks[i];
     ConfigOutcome& out = wave.outcomes[i];
-    // Allocation, feasibility-test and stage-table telemetry: evaluate
-    // runs entirely on this thread, so thread-local counter deltas capture
-    // it exactly.
-    const int64_t allocs_before = CurrentThreadAllocCount();
-    const int64_t skips_before = CurrentThreadDpInfeasibleSkips();
-    const StageTableCounts table_before = CurrentThreadStageTableCounts();
-    out = wave.deferred_pass
-              ? evaluate_deferred(task, &deferred_stages[task.first_stage])
-              : evaluate(task, &wave.bounds[task.first_stage]);
-    out.sweep_allocations = CurrentThreadAllocCount() - allocs_before;
-    out.dp_infeasible_skipped =
-        CurrentThreadDpInfeasibleSkips() - skips_before;
-    const StageTableCounts table_after = CurrentThreadStageTableCounts();
-    out.stage_table_hits = table_after.hits - table_before.hits;
-    out.stage_table_misses = table_after.misses - table_before.misses;
+    measured(out, [&] {
+      out = wave.deferred_pass
+                ? evaluate_deferred(task, &deferred_stages[task.first_stage])
+                : evaluate(task, &wave.bounds[task.first_stage]);
+    });
   });
   // Publishes and merges one pass's waves (`enumerate` opens the next, or
   // returns null when the pass has none left), up to `max_open_waves` at a
@@ -1059,13 +1061,54 @@ Result<OptimizationResult> Optimizer::Optimize(
     return Status::OK();
   };
 
+  // The exit test of a wave none of whose configurations is known to fit:
+  // the DPs of those whose fit pass 1 left unknown, deepest pipeline first,
+  // then latest ordinal, until one fits. They run on the caller, in the
+  // same order at every thread count, and each replaces its
+  // configuration's pass-1 outcome, so its plan merges now and it leaves
+  // pass 2.
+  std::vector<size_t> unknown_fit;
+  auto resolve_fit = [&](Wave& wave) {
+    unknown_fit.clear();
+    for (size_t i = 0; i < wave.tasks.size(); ++i) {
+      if (wave.outcomes[i].fit_unknown) unknown_fit.push_back(i);
+    }
+    std::sort(unknown_fit.begin(), unknown_fit.end(), [&](size_t a, size_t b) {
+      const ConfigTask& x = wave.tasks[a];
+      const ConfigTask& y = wave.tasks[b];
+      if (x.degree->pp != y.degree->pp) return x.degree->pp > y.degree->pp;
+      return x.ordinal > y.ordinal;
+    });
+    for (const size_t i : unknown_fit) {
+      const ConfigTask& task = wave.tasks[i];
+      ConfigOutcome& out = wave.outcomes[i];
+      // The DPs count the stage answers they reuse.
+      out.pruned = out.deferred = out.fit_unknown = false;
+      out.dp_frontier_hits = out.dp_frontier_misses = out.dp_allocations = 0;
+      measured(out, [&] {
+        ConfigBest best;
+        std::vector<StageDraft> draft;
+        run_dps(task, &wave.bounds[task.first_stage], best, draft, out);
+        commit(task, best, draft, out);
+      });
+      if (out.feasible || !out.error.ok()) return out.feasible;
+    }
+    return false;
+  };
+
   // Pass 1: every configuration's uniform plans and bound, batch by batch.
   // The merge walks outcomes in enumeration order. Deferred configurations
   // merge their uniform best now and leave their bound and stage answers
-  // for pass 2. The exit test sees exactly what the one-pass sweep saw: a
-  // configuration is deferred only once a uniform plan fits.
+  // for pass 2. The exit test sees exactly what the one-pass sweep saw:
+  // larger batches only use more memory, so the loop ends at the first
+  // wave with every degree's pipeline filled and nothing that fits.
   auto merge_batch = [&](Wave& wave) {
-    bool any_feasible = false;
+    bool more = wave.any_pending ||
+                std::any_of(wave.outcomes.begin(), wave.outcomes.end(),
+                            [](const ConfigOutcome& out) {
+                              return out.feasible;
+                            });
+    if (!more) more = resolve_fit(wave);
     for (size_t i = 0; i < wave.tasks.size(); ++i) {
       const ConfigTask& task = wave.tasks[i];
       ConfigOutcome& out = wave.outcomes[i];
@@ -1075,7 +1118,6 @@ Result<OptimizationResult> Optimizer::Optimize(
       }
       ++stats.configs_explored;
       merge_counters(out);
-      any_feasible = any_feasible || out.feasible;
       if (out.deferred) {
         ConfigTask later = task;
         later.first_stage = deferred_stages.size();
@@ -1089,8 +1131,7 @@ Result<OptimizationResult> Optimizer::Optimize(
       }
       if (out.has_best) merge_plan(out.best);
     }
-    // Larger batches only use more memory.
-    return any_feasible || wave.any_pending;
+    return more;
   };
   GALVATRON_RETURN_IF_ERROR(
       run_pass(pool != nullptr ? 2 : 1, enumerate_wave, merge_batch));

@@ -80,10 +80,11 @@ struct SearchStats {
   int configs_explored = 0;        // (B, P, m) triples evaluated
   /// Explored configurations whose per-stage DPs were skipped because a
   /// throughput upper bound proved their DP plan cannot beat the better
-  /// of the configuration's best uniform plan and the best plan already
-  /// merged for its PP degree (see Optimize): pruned in the sweep's first
-  /// pass, or deferred there and pruned in the second. They keep their
-  /// uniform best and count in configs_explored.
+  /// of the configuration's best uniform plan, if any, and the best plan
+  /// already merged for its PP degree (see Optimize): pruned in the
+  /// sweep's first pass, or deferred there and pruned in the second, and
+  /// not run by the batch loop's exit test. They keep their uniform best
+  /// and count in configs_explored.
   int configs_pruned = 0;
   /// DP states materialized across all per-stage searches: Pareto
   /// breakpoints (see DpSearchResult).
@@ -93,7 +94,9 @@ struct SearchStats {
   int64_t dp_options_pruned = 0;
   /// Cold per-stage searches answered Infeasible by the feasibility test
   /// (the per-layer smallest options already exceed the budget) without
-  /// building a frontier; see DpSearch::Run.
+  /// building a frontier; see DpSearch::Run. A configuration the test
+  /// settles from the stage table in the first pass, before any Run,
+  /// counts once.
   int64_t dp_infeasible_skipped = 0;
   /// Stage-table lookups of the sweep's stage searches (uniform plans,
   /// bounds and feasibility tests; see DpSearch::StageFacts): answered

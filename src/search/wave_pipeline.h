@@ -29,8 +29,9 @@ struct PipelineWave {
 /// waits for or merges wave w they already run wave w+1's. Only the caller
 /// publishes, finishes and stops, and it keeps at most two waves published
 /// (the one it finishes next and the one run ahead) — the lookahead is the
-/// caller's discipline, not a knob. The caller runs no tasks itself: its
-/// thread only merges, so the search's heap traffic stays off it.
+/// caller's discipline, not a knob. The caller runs no published task
+/// itself, so the search's heap traffic stays off it save for what its
+/// merge runs (the optimizer's exit test runs a few stage DPs there).
 ///
 /// With no pool every wave runs inline on the caller, task by task in
 /// index order, inside Finish: the serial sweep is the same loop.

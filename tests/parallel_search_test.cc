@@ -823,6 +823,16 @@ TEST(GoldenPlanTest, SweepsCommitThePinnedPlans) {
        co_optimize(one_f_one_b_recompute, 0, 3), 0xea390624d85fb342ull},
       {"bert-huge-32-mixed16-co3", huge, mixed, co_optimize({}, 0, 3),
        0x11a6754b77136438ull},
+      // Recompute sweeps whose batch loop outlives every fitting uniform
+      // plan, and a mixed cluster whose island-proportional degrees have
+      // no uniform plans at all: most of their configurations are bounded
+      // with no plan known to fit.
+      {"bert-huge-48-titan8-12gb-recompute", BuildModel(ModelId::kBertHuge48),
+       MakeTitanNode8(12 * kGB), recompute, 0x866662768869f8c5ull},
+      {"bert-huge-32-titan16-8gb-recompute", huge, MakeTitanCluster16(8 * kGB),
+       recompute, 0x4fdf78f19270fa31ull},
+      {"t5-large-32-mixed16", BuildModel(ModelId::kT5Large32), mixed, {},
+       0xd8fbc4388d37b4daull},
   };
   for (const Job& job : jobs) {
     for (const int threads : {1, 4}) {

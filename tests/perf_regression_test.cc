@@ -18,12 +18,14 @@
 namespace galvatron {
 namespace {
 
-/// Ceilings of SerialSweepWorkStaysUnderItsCeilings and
-/// FourThreadSweepStatesStayUnderTheirCeiling (see there).
-constexpr int64_t kMaxDpStates = 830;
-constexpr int64_t kMaxSweepAllocations = 3700;
-constexpr int64_t kMaxSweepStoreLookups = 850;
-constexpr int64_t kMaxDpStatesFourThreads = 2270;
+/// Ceilings of SerialSweepWorkStaysUnderItsCeilings,
+/// FourThreadSweepStatesStayUnderTheirCeiling and
+/// SerialRecomputeSweepRunsFewDps (see there).
+constexpr int64_t kMaxDpStates = 690;
+constexpr int64_t kMaxSweepAllocations = 3500;
+constexpr int64_t kMaxSweepStoreLookups = 810;
+constexpr int64_t kMaxDpStatesFourThreads = 2130;
+constexpr int64_t kMaxRecomputeDpStates = 2450;
 /// Ceiling of WarmReplanReadsTheStageTable (see there).
 constexpr int64_t kMaxWarmCostCacheLookups = 1250;
 
@@ -290,8 +292,12 @@ TEST(PerfRegressionTest, UnevenStageSweepAddsNoHomogeneousWork) {
 /// stage signature — its facts and frontier found in one probe, bounds
 /// composed from what the uniform pass's probe returned — brought the
 /// allocations to 3,371 and the stage-store lookups (stage_table_hits +
-/// stage_table_misses) from 1,461 (983 + 478) to 774 (296 + 478). The
-/// ceilings sit ~10% above the new counts, below the old ones.
+/// stage_table_misses) from 1,461 (983 + 478) to 774 (296 + 478).
+/// Bounding every configuration, not only those with a fitting uniform
+/// plan, and settling a stage that cannot fit from the stage table brought
+/// the three to 625 states, 3,194 allocations and 734 lookups, from 754,
+/// 3,371 and 774. The ceilings sit ~10% above the new counts, below the
+/// old ones.
 TEST(PerfRegressionTest, SerialSweepWorkStaysUnderItsCeilings) {
   BertConfig config;
   config.num_layers = 8;
@@ -362,8 +368,9 @@ TEST(PerfRegressionTest, WarmReplanReadsTheStageTable) {
 /// incumbents snapshotted before the wave run ahead of them merged, so a
 /// threaded sweep prunes less than the serial one; the two-pass sweep's
 /// incumbents hold every batch's uniform best, which brought its DP states
-/// from 18,840 (87 configurations pruned) to 2,064 (173 pruned). The
-/// ceiling sits ~10% above the new count.
+/// from 18,840 (87 configurations pruned) to 2,064 (173 pruned), and
+/// bounding every configuration to 1,935 (in each of 30 runs on a 4-vCPU
+/// host). The ceiling sits ~10% above the new count.
 TEST(PerfRegressionTest, FourThreadSweepStatesStayUnderTheirCeiling) {
   BertConfig config;
   config.num_layers = 8;
@@ -378,6 +385,30 @@ TEST(PerfRegressionTest, FourThreadSweepStatesStayUnderTheirCeiling) {
   EXPECT_LE(result->stats.dp_states_explored, kMaxDpStatesFourThreads)
       << "DP states regressed at " << result->stats.search_threads_used
       << " threads";
+}
+
+/// Timer-free work tripwire on the same sweep with activation checkpointing
+/// allowed, at one thread. With recompute the batch loop runs on long after
+/// no uniform plan fits; those configurations used to run their stage DPs
+/// unbounded (169,105 states, 178 of 3,013 configurations pruned). Bounded
+/// like every other configuration, with the exit test running DPs only
+/// until one fits, the sweep explores the same configurations and
+/// materializes 2,231 states (1,292 pruned). The ceiling sits ~10% above.
+TEST(PerfRegressionTest, SerialRecomputeSweepRunsFewDps) {
+  BertConfig config;
+  config.num_layers = 8;
+  config.hidden = 1024;
+  config.heads = 16;
+  const ModelSpec model = BuildBert("perf-bert", config);
+  const ClusterSpec cluster = MakeTitanNode8(12 * kGB);
+  OptimizerOptions options;
+  options.search_threads = 1;
+  options.allow_recompute = true;
+  auto result = Optimizer(&cluster, options).Optimize(model);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->stats.configs_explored, 3013);
+  EXPECT_LE(result->stats.dp_states_explored, kMaxRecomputeDpStates)
+      << "recompute sweeps run stage DPs their bound rules out";
 }
 
 /// Determinism tripwire: the sweep's outcome must be bit-identical at

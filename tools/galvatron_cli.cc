@@ -42,7 +42,7 @@ struct CliArgs {
   std::string inter_link = "ib";
   std::string topology_file;  // heterogeneous cluster spec (JSON)
   std::string mode = "galvatron";
-  std::string schedule = "gpipe";
+  std::string schedule;  // empty: --schedule not given (gpipe)
   bool recompute = false;
   int search_threads = 1;
   std::string json_out;
@@ -75,8 +75,9 @@ void PrintUsage() {
                       "islands"}}, see docs/topology.md); replaces
                       --nodes/--gpus/--memory-gb/--*-link
   --mode M            galvatron | dp | tp | pp | sdp | 3d | dp+tp | dp+pp
-  --schedule S        gpipe | 1f1b         (default gpipe)
-  --recompute         allow per-layer activation checkpointing
+  --schedule S        gpipe | 1f1b         (default gpipe; searched modes)
+  --recompute         allow per-layer activation checkpointing (searched
+                      modes: galvatron, dp+tp, dp+pp)
   --search-threads N  worker threads for the strategy sweep
                       (default 1 = serial, 0 = all hardware threads;
                       the resulting plan is identical for every N)
@@ -444,6 +445,15 @@ Result<int> RunCli(const CliArgs& args) {
 
   GALVATRON_ASSIGN_OR_RETURN(ModelId model_id, FindModel(args.model));
   GALVATRON_ASSIGN_OR_RETURN(BaselineKind mode, FindMode(args.mode));
+  // Recompute and the schedule are knobs of the searched modes; a
+  // fixed-strategy baseline would plan without them.
+  if (mode != BaselineKind::kGalvatron && mode != BaselineKind::kAutoDpTp &&
+      mode != BaselineKind::kAutoDpPp &&
+      (args.recompute || !args.schedule.empty())) {
+    return Status::InvalidArgument(StrFormat(
+        "%s needs a searched --mode (galvatron, dp+tp or dp+pp), not '%s'",
+        args.recompute ? "--recompute" : "--schedule", args.mode.c_str()));
+  }
 
   GALVATRON_ASSIGN_OR_RETURN(ClusterSpec cluster, LoadCliCluster(args));
 
@@ -471,12 +481,9 @@ Result<int> RunCli(const CliArgs& args) {
   OptimizerOptions options;
   options.search_threads = args.search_threads;
   if (have_calibration) options.estimator.calibration = &calibration;
-  // Recompute and the schedule are knobs of the full search only.
-  if (mode == BaselineKind::kGalvatron) {
-    options.allow_recompute = args.recompute;
-    options.schedule = args.schedule == "1f1b" ? PipelineSchedule::k1F1B
-                                               : PipelineSchedule::kGPipe;
-  }
+  options.allow_recompute = args.recompute;
+  options.schedule = args.schedule == "1f1b" ? PipelineSchedule::k1F1B
+                                             : PipelineSchedule::kGPipe;
   auto result = RunBaseline(mode, model, cluster, options);
   if (!result.ok()) {
     if (result.status().IsInfeasible()) {
