@@ -504,7 +504,7 @@ struct DpScratch {
   std::vector<int32_t> distinct_spans;
   // Stage facts (see FillStageFacts): per distinct cost row its layer
   // count, one row's (units, seconds) points and their lower hull, and
-  // the facts Bound and Run read.
+  // the facts Run reads.
   std::vector<int32_t> row_layers;
   std::vector<std::pair<int32_t, double>> lp_points;
   std::vector<std::pair<int32_t, double>> lp_hull;
@@ -1123,7 +1123,7 @@ FrontierView ViewOf(const Columns& columns, int num_layers,
 ///   taking every layer's smallest option (over options with finite
 ///   seconds) fits; transformation costs are finite, so the frontier
 ///   build finds a plan exactly when min_units <= budget_units.
-/// - The LP bound's budget-free part. DpSearch::Bound's lower bound is the
+/// - The LP bound's budget-free part. DpSearch::BoundStage's LP bound is the
 ///   LP relaxation of choosing one option per layer within the budget
 ///   units, transformation costs dropped (they are never negative). Layers
 ///   of one distinct cost row share every option's units and seconds, so
@@ -1256,6 +1256,46 @@ double LpStageBound(const DpStageFacts& facts, int64_t budget_units) {
   return lower;
 }
 
+/// Column `s` of layer `l` in `v`.
+const DpColumnSpan& ColumnOf(const FrontierView& v, int l, int s) {
+  return v.spans[static_cast<size_t>(l) *
+                     static_cast<size_t>(v.num_candidates) +
+                 static_cast<size_t>(s)];
+}
+
+/// Class-frontier index of column `f`'s last breakpoint with units <= e
+/// (class units <= e - shift), or -1 when even the column's cheapest step
+/// is over budget.
+int64_t ActiveBreakpoint(const FrontierView& v, const DpColumnSpan& f,
+                         int e) {
+  const int32_t* begin = v.bp_units + f.begin;
+  const int32_t* it = std::upper_bound(begin, begin + f.size, e - f.shift);
+  return it == begin ? -1 : f.begin + (it - begin) - 1;
+}
+
+/// The optimum of built frontier columns at `budget_units`: the best
+/// final-layer column at the budget. Strict < keeps the lowest option index
+/// on ties, like the dense kernel.
+struct FrontierOptimum {
+  double seconds = kInf;
+  int option = -1;  // -1: no assignment fits
+};
+FrontierOptimum BestFinalColumn(const FrontierView& v, int budget_units) {
+  FrontierOptimum best;
+  for (int s = 0; s < v.num_candidates; ++s) {
+    const DpColumnSpan& f = ColumnOf(v, v.num_layers - 1, s);
+    if (f.size == 0) continue;
+    const int64_t bp = ActiveBreakpoint(v, f, budget_units);
+    if (bp < 0) continue;
+    const double cost = v.bp_cost[bp] + f.bias;
+    if (cost < best.seconds) {
+      best.seconds = cost;
+      best.option = s;
+    }
+  }
+  return best;
+}
+
 /// Extracts the optimal assignment at `budget_units` from built frontier
 /// columns. `budget_units` may be SMALLER than the budget the columns were
 /// built at: truncating a Pareto column to units <= U is identical to
@@ -1271,53 +1311,24 @@ double LpStageBound(const DpStageFacts& facts, int64_t budget_units) {
 Result<DpSearchResult> AnswerFromFrontiers(const FrontierView& v, int64_t gran,
                                            int budget_units,
                                            int64_t memory_budget) {
-  const int num_candidates = v.num_candidates;
+  const FrontierOptimum best = BestFinalColumn(v, budget_units);
+  if (best.option < 0) return NoAssignmentFits(memory_budget);
   const int num_layers = v.num_layers;
-  auto column = [&](int l, int s) -> const DpColumnSpan& {
-    return v.spans[static_cast<size_t>(l) *
-                       static_cast<size_t>(num_candidates) +
-                   static_cast<size_t>(s)];
-  };
-  // Class-frontier index of the column's last breakpoint with units <= e
-  // (class units <= e - shift), or -1 when even the column's cheapest step
-  // is over budget.
-  auto active_breakpoint = [&](const DpColumnSpan& f, int e) -> int64_t {
-    const int32_t* begin = v.bp_units + f.begin;
-    const int32_t* it = std::upper_bound(begin, begin + f.size, e - f.shift);
-    return it == begin ? -1 : f.begin + (it - begin) - 1;
-  };
-
-  // Answer: best final-layer column at the budget. Strict < keeps the
-  // lowest option index on ties, like the dense kernel.
-  DpSearchResult result;
-  double best = kInf;
-  int best_s = -1;
-  for (int s = 0; s < num_candidates; ++s) {
-    const DpColumnSpan& f = column(num_layers - 1, s);
-    if (f.size == 0) continue;
-    const int64_t bp = active_breakpoint(f, budget_units);
-    if (bp < 0) continue;
-    const double cost = v.bp_cost[bp] + f.bias;
-    if (cost < best) {
-      best = cost;
-      best_s = s;
-    }
-  }
-  if (best_s < 0) return NoAssignmentFits(memory_budget);
 
   // Reconstruct: at each layer, the breakpoint active at the remaining
   // budget names the predecessor option; subtracting the layer's units
   // (its column's shift) recovers the exact budget the prefix ran under
   // ("<= e" semantics).
-  result.stage_seconds = best;
+  DpSearchResult result;
+  result.stage_seconds = best.seconds;
   result.per_layer_option.assign(static_cast<size_t>(num_layers), 0);
-  if (num_candidates > v.num_strategies) {
+  if (v.num_candidates > v.num_strategies) {
     result.per_layer_recompute.assign(static_cast<size_t>(num_layers), 0);
   }
   int e = budget_units;
-  int s = best_s;
+  int s = best.option;
   for (int l = num_layers - 1; l >= 0; --l) {
-    const DpColumnSpan& f = column(l, s);
+    const DpColumnSpan& f = ColumnOf(v, l, s);
     result.per_layer_option[static_cast<size_t>(l)] =
         OptionStrategy(s, v.num_strategies);
     if (!result.per_layer_recompute.empty()) {
@@ -1329,7 +1340,7 @@ Result<DpSearchResult> AnswerFromFrontiers(const FrontierView& v, int64_t gran,
       // The chosen breakpoint was generated from a predecessor breakpoint
       // at exactly (units - this layer's units), so the walk never falls
       // off a column's front even at truncated budgets.
-      const int64_t bp = active_breakpoint(f, e);
+      const int64_t bp = ActiveBreakpoint(v, f, e);
       GALVATRON_CHECK_GE(bp, 0);
       e -= f.shift;
       s = v.bp_parent[bp];
@@ -1338,8 +1349,8 @@ Result<DpSearchResult> AnswerFromFrontiers(const FrontierView& v, int64_t gran,
   return result;
 }
 
-/// DpSearch's shared argument checks: Run's and Bound's, and StageFacts'
-/// (no budget: `memory_budget` 0).
+/// DpSearch's shared argument checks: Run's, and StageFacts' (no budget:
+/// `memory_budget` 0).
 Status ValidateRun(const ModelSpec& model, int first_layer, int num_layers,
                    const std::vector<HybridStrategy>& candidates,
                    const DpSearchOptions& options, int64_t memory_budget,
@@ -1352,32 +1363,6 @@ Status ValidateRun(const ModelSpec& model, int first_layer, int num_layers,
         "a frontier cache needs the cost cache that interns its keys");
   }
   return Status::OK();
-}
-
-/// The warm path: the answer `frontier`, the stored frontier of the Run's
-/// signature, gives at `memory_budget`, without touching the estimator or
-/// the kernel — the repeated-near-miss serving workload (identical
-/// request, different memory budget) and the repeated identical pipeline
-/// stages of one sweep skip the entire cold pipeline. Counts the hit;
-/// nullopt, uncounted, when the frontier was built at a smaller budget
-/// (the caller runs cold, which publishes the wider one).
-std::optional<Result<DpSearchResult>> AnswerFromFrontier(
-    const DpFrontierEntry& frontier, DpFrontierCache* frontier_cache,
-    int64_t gran, int64_t memory_budget, int64_t alloc_start) {
-  const int budget_units =
-      BudgetUnits(memory_budget, frontier.max_transient, gran);
-  if (budget_units > frontier.budget_units) return std::nullopt;
-  frontier_cache->CountHit();
-  if (budget_units < 0) return Result<DpSearchResult>(BelowTransientHeadroom());
-  Result<DpSearchResult> out = AnswerFromFrontiers(
-      ViewOf(frontier, frontier.num_layers, frontier.num_strategies,
-             frontier.num_candidates),
-      gran, budget_units, memory_budget);
-  if (out.ok()) {
-    out->frontier_hit = true;
-    out->allocations = CurrentThreadAllocCount() - alloc_start;
-  }
-  return out;
 }
 
 }  // namespace
@@ -1449,12 +1434,28 @@ Result<DpSearchResult> DpSearch::Run(
                      options_.memory_granularity, options_.allow_recompute);
     std::shared_ptr<const DpFrontierEntry> frontier;
     stored = frontier_cache->Find(scratch.key, &scratch.facts, &frontier);
+    // The warm path: a frontier built at a budget >= this one answers
+    // without touching the estimator or the kernel — the repeated
+    // near-miss serving workload (identical request, different memory
+    // budget) and the repeated identical pipeline stages of one sweep skip
+    // the entire cold pipeline. A narrower one leaves the Run cold, which
+    // publishes the wider frontier.
     if (frontier != nullptr) {
-      std::optional<Result<DpSearchResult>> hit =
-          AnswerFromFrontier(*frontier, frontier_cache,
-                             options_.memory_granularity, memory_budget,
-                             alloc_start);
-      if (hit.has_value()) return *std::move(hit);
+      const int budget_units = BudgetUnits(
+          memory_budget, frontier->max_transient, options_.memory_granularity);
+      if (budget_units <= frontier->budget_units) {
+        frontier_cache->CountHit();
+        if (budget_units < 0) return BelowTransientHeadroom();
+        Result<DpSearchResult> out = AnswerFromFrontiers(
+            ViewOf(*frontier, frontier->num_layers, frontier->num_strategies,
+                   frontier->num_candidates),
+            options_.memory_granularity, budget_units, memory_budget);
+        if (out.ok()) {
+          out->frontier_hit = true;
+          out->allocations = CurrentThreadAllocCount() - alloc_start;
+        }
+        return out;
+      }
     }
     frontier_cache->CountMiss();
     ++(stored ? scratch.stage_table.hits : scratch.stage_table.misses);
@@ -1506,48 +1507,22 @@ Result<DpSearchResult> DpSearch::Run(
   return out;
 }
 
-Result<DpStageBound> DpSearch::Bound(
-    const ModelSpec& model, int first_layer, int num_layers,
-    const std::vector<HybridStrategy>& candidates, int stage_first_device,
-    int batch_per_group, int micro_batches, int64_t memory_budget,
-    int resident_micro_batches, const SearchHooks& hooks) const {
-  GALVATRON_RETURN_IF_ERROR(ValidateRun(model, first_layer, num_layers,
-                                        candidates, options_, memory_budget,
-                                        hooks));
-  DpScratch& scratch = ScratchForThisThread();
-  std::shared_ptr<const DpFrontierEntry> frontier;
-  GALVATRON_RETURN_IF_ERROR(StageFacts(
-      model, first_layer, num_layers, candidates, stage_first_device,
-      batch_per_group, micro_batches, resident_micro_batches, hooks,
-      &scratch.facts, &frontier));
-  return BoundStage(scratch.facts, frontier.get(), memory_budget, hooks);
-}
-
-Result<DpStageBound> DpSearch::BoundStage(const DpStageFacts& facts,
-                                          const DpFrontierEntry* frontier,
-                                          int64_t memory_budget,
-                                          const SearchHooks& hooks) const {
-  const int64_t alloc_start = CurrentThreadAllocCount();
-  DpStageBound bound;
-  if (frontier != nullptr) {
-    bound.answer =
-        AnswerFromFrontier(*frontier, hooks.frontier_cache,
-                           options_.memory_granularity, memory_budget,
-                           alloc_start);
-    if (bound.answer.has_value()) {
-      bound.bounded = bound.answer->ok();
-      if (bound.bounded) {
-        bound.lower_seconds = (*bound.answer)->stage_seconds;
-      }
-      return bound;
-    }
-  }
+std::optional<double> DpSearch::BoundStage(const DpStageFacts& facts,
+                                           const DpFrontierEntry* frontier,
+                                           int64_t memory_budget) const {
   const int budget_units = BudgetUnits(memory_budget, facts.max_transient,
                                        options_.memory_granularity);
-  if (budget_units < 0) return BelowTransientHeadroom();
-  bound.bounded = facts.min_units <= budget_units;
-  if (bound.bounded) bound.lower_seconds = LpStageBound(facts, budget_units);
-  return bound;
+  if (budget_units < 0) return std::nullopt;
+  if (frontier != nullptr && budget_units <= frontier->budget_units) {
+    const FrontierOptimum best = BestFinalColumn(
+        ViewOf(*frontier, frontier->num_layers, frontier->num_strategies,
+               frontier->num_candidates),
+        budget_units);
+    if (best.option < 0) return std::nullopt;
+    return best.seconds;
+  }
+  if (facts.min_units > budget_units) return std::nullopt;
+  return LpStageBound(facts, budget_units);
 }
 
 Status DpSearch::StageFacts(

@@ -83,27 +83,13 @@ struct DpSearchResult {
   int64_t allocations = 0;
 };
 
-/// What DpSearch::Bound (or BoundStage) knows about one per-stage search
-/// before its kernel runs: a lower bound on the stage seconds, or the
-/// search's answer itself when the stage's record holds a frontier.
-struct DpStageBound {
-  /// True when `lower_seconds` bounds, from below, the stage seconds of
-  /// every assignment the Run would consider (and so the Run's optimum).
-  bool bounded = false;
-  double lower_seconds = 0.0;
-  /// Set on a frontier-cache hit: exactly what Run would return (a plan or
-  /// its Infeasible verdict). The stage needs no Run; a plan's
-  /// stage_seconds is then `lower_seconds`, exact.
-  std::optional<Result<DpSearchResult>> answer;
-};
-
 /// Number of cold DpSearch::Run calls on this thread that returned
 /// Infeasible from the feasibility test, before building any frontier.
 /// Callers measure a scope by differencing, like CurrentThreadAllocCount.
 int64_t CurrentThreadDpInfeasibleSkips();
 
-/// Stage-store lookups on this thread (DpSearch::StageFacts, Bound and
-/// Run, given a frontier cache) that read or built a stage's facts:
+/// Stage-store lookups on this thread (DpSearch::StageFacts and Run, given
+/// a frontier cache) that read or built a stage's facts:
 /// answered by a stored record, or not (the caller then built the facts
 /// and stored them). A Run its record's frontier answers counts as a
 /// frontier hit instead. Differenced by callers like
@@ -196,20 +182,6 @@ class DpSearch {
                              int resident_micro_batches = -1,
                              const SearchHooks& hooks = {}) const;
 
-  /// Bounds the Run with the same arguments without running its kernel:
-  /// the stage's record (StageFacts) bounded at `memory_budget`
-  /// (BoundStage). Errors are the ones the Run would return before its
-  /// kernel (InvalidArgument, Cancelled, estimator failures, a budget below
-  /// the transient headroom). No frontier is published; facts the store
-  /// lacked are stored as StageFacts stores them.
-  Result<DpStageBound> Bound(const ModelSpec& model, int first_layer,
-                             int num_layers,
-                             const std::vector<HybridStrategy>& candidates,
-                             int stage_first_device, int batch_per_group,
-                             int micro_batches, int64_t memory_budget,
-                             int resident_micro_batches = -1,
-                             const SearchHooks& hooks = {}) const;
-
   /// The budget-free facts of the Run with the same arguments, the memory
   /// budget aside, into `*facts` (its vectors keep their capacity): what
   /// its feasibility test, its bound and the stage's uniform plans need at
@@ -231,29 +203,26 @@ class DpSearch {
                     std::shared_ptr<const DpFrontierEntry>* frontier =
                         nullptr) const;
 
-  /// Bounds a stage at `memory_budget` (which ValidateBudgetUnits accepts)
-  /// from what StageFacts returned for it, without another probe:
+  /// A lower bound on the stage seconds of the Run at `memory_budget`
+  /// (which ValidateBudgetUnits accepts), from what StageFacts returned for
+  /// its stage, without another probe; nullopt exactly when that Run finds
+  /// no plan.
   ///
-  /// - A `frontier` built at a budget >= the requested one answers
-  ///   outright: `answer` holds the Run's result, and the hit is counted on
-  ///   `hooks.frontier_cache` (a miss is not — the Run that may follow
-  ///   counts its own).
+  /// - A `frontier` built at a budget >= the requested one gives the Run's
+  ///   optimum itself, bit for bit its `stage_seconds`. No plan is
+  ///   rebuilt and no hit is counted: the Run that may follow replays the
+  ///   frontier and counts its own.
   /// - Otherwise the bound is the LP relaxation of the stage's
   ///   memory-constrained choice, read from `facts`: per distinct cost
   ///   row, the lower convex hull of its options' (units, seconds); every
   ///   layer starts at its smallest-units point and the remaining budget
   ///   units buy the steepest hull segments first, the last one
   ///   fractionally. Transformation costs are bounded by 0. The LP optimum
-  ///   is at most the DP optimum, so `lower_seconds` never exceeds the
-  ///   Run's stage seconds; unlike the memory-free sum of per-layer minima,
-  ///   it stays tight where memory binds.
-  /// - A Run the feasibility test would answer Infeasible gives no bound
-  ///   (`bounded` false, no answer); a budget below the transient headroom
-  ///   is the Run's error.
-  Result<DpStageBound> BoundStage(const DpStageFacts& facts,
-                                  const DpFrontierEntry* frontier,
-                                  int64_t memory_budget,
-                                  const SearchHooks& hooks) const;
+  ///   is at most the DP optimum; unlike the memory-free sum of per-layer
+  ///   minima, it stays tight where memory binds.
+  std::optional<double> BoundStage(const DpStageFacts& facts,
+                                   const DpFrontierEntry* frontier,
+                                   int64_t memory_budget) const;
 
  private:
   const CostEstimator* estimator_;

@@ -169,9 +169,6 @@ struct ConfigTask {
   /// configuration's DP plan must beat to matter. (Pass 2 reads its
   /// incumbent at enumeration and prunes there.)
   double incumbent = 0.0;
-  /// Index of the configuration's first stage bound: in its wave's
-  /// `bounds` in pass 1, in the sweep's deferred store in pass 2.
-  size_t first_stage = 0;
   /// Pass 2: the throughput of the configuration's uniform best (merged in
   /// pass 1) and the bound its DP plan cannot exceed.
   double uniform_best = 0.0;
@@ -187,8 +184,6 @@ struct Wave : PipelineWave {
   bool any_pending = false;
   std::vector<ConfigTask> tasks;
   std::vector<ConfigOutcome> outcomes;
-  /// Pass 1: each task's per-stage bounds, from its `first_stage`.
-  std::vector<DpStageBound> bounds;
 };
 
 }  // namespace
@@ -582,38 +577,6 @@ Result<OptimizationResult> Optimizer::Optimize(
     return InFlightMicroBatches(options_.schedule, task.micro,
                                 task.degree->pp, s);
   };
-  // The stage DP of stage s of `task`'s configuration, whose layers start
-  // at first_layer.
-  auto run_stage = [&](const ConfigTask& task, int s, int first_layer) {
-    const PerDegree& degree = *task.degree;
-    const size_t i = static_cast<size_t>(s);
-    return search.Run(model, first_layer, degree.stage_sizes[i],
-                      *degree.stage_candidates[i],
-                      degree.geometry[i].first_device, task.batch, task.micro,
-                      degree.stage_budgets[i], in_flight(task, s), run_hooks);
-  };
-  // Warm infeasible answers are invisible here (no DpSearchResult to
-  // carry the flag) and count as misses; the cache's own stats() still
-  // record them as hits.
-  auto count_stage = [](const Result<DpSearchResult>& result,
-                        ConfigOutcome& out) {
-    if (result.ok() && result->frontier_hit) {
-      ++out.dp_frontier_hits;
-    } else {
-      ++out.dp_frontier_misses;
-    }
-  };
-  // The stages a configuration's bound pass answered when no DP will use
-  // them (it was pruned, or a later stage cannot fit): counted once.
-  auto count_answers = [&](const ConfigTask& task, const DpStageBound* stages,
-                           ConfigOutcome& out) {
-    for (int s = 0; s < task.degree->pp; ++s) {
-      const std::optional<Result<DpSearchResult>>& answer = stages[s].answer;
-      if (!answer.has_value()) continue;
-      count_stage(*answer, out);
-      out.dp_allocations += (*answer)->allocations;
-    }
-  };
 
   // Best plan of one configuration, tracked without materializing
   // anything: a uniform candidate or the DP draft, plus its throughput.
@@ -642,14 +605,13 @@ Result<OptimizationResult> Optimizer::Optimize(
   };
 
   // Runs a configuration's per-stage DPs into `draft` (candidate indices:
-  // the search returns index chains only), reusing the stages its bound
-  // pass answered from the frontier cache, and prices the plan. The DP
-  // plan carries the highest candidate rank, so it replaces `best` only on
-  // strictly higher throughput. Fatal errors go to `out.error`; a stage or
-  // plan that does not fit leaves `best` as it was.
-  auto run_dps = [&](const ConfigTask& task, DpStageBound* stages,
-                     ConfigBest& best, std::vector<StageDraft>& draft,
-                     ConfigOutcome& out) {
+  // the search returns index chains only; a stage whose record holds a
+  // covering frontier replays it) and prices the plan. The DP plan carries
+  // the highest candidate rank, so it replaces `best` only on strictly
+  // higher throughput. Fatal errors go to `out.error`; a stage or plan that
+  // does not fit leaves `best` as it was.
+  auto run_dps = [&](const ConfigTask& task, ConfigBest& best,
+                     std::vector<StageDraft>& draft, ConfigOutcome& out) {
     const PerDegree& degree = *task.degree;
     int first_layer = 0;
     draft.reserve(static_cast<size_t>(degree.pp));
@@ -658,13 +620,16 @@ Result<OptimizationResult> Optimizer::Optimize(
         out.error = Status::Cancelled("strategy sweep cancelled");
         return;
       }
-      const int stage_layers = degree.stage_sizes[static_cast<size_t>(s)];
-      std::optional<Result<DpSearchResult>>& answered = stages[s].answer;
-      Result<DpSearchResult> result =
-          answered.has_value()
-              ? *std::move(answered)
-              : run_stage(task, s, first_layer);
-      count_stage(result, out);
+      const size_t i = static_cast<size_t>(s);
+      const int stage_layers = degree.stage_sizes[i];
+      Result<DpSearchResult> result = search.Run(
+          model, first_layer, stage_layers, *degree.stage_candidates[i],
+          degree.geometry[i].first_device, task.batch, task.micro,
+          degree.stage_budgets[i], in_flight(task, s), run_hooks);
+      // A warm Infeasible answer carries no frontier_hit flag and counts as
+      // a miss here; the store's own stats() count it as a hit.
+      ++(result.ok() && result->frontier_hit ? out.dp_frontier_hits
+                                             : out.dp_frontier_misses);
       if (!result.ok()) {
         if (!result.status().IsInfeasible() &&
             !result.status().IsOutOfMemory()) {
@@ -705,11 +670,9 @@ Result<OptimizationResult> Optimizer::Optimize(
   // DP plan, which prunes it or defers its DPs to pass 2. A stage whose DP
   // fits no plan settles it from the stage table alone; only a degree whose
   // structure fails Validate, or a stage the estimator cannot price, runs
-  // the DPs now. `stages` receives its pp stage bounds. Pure function of
-  // its arguments plus the (thread-safe, const) estimator and shared
-  // caches — safe to run on any worker.
-  auto evaluate = [&](const ConfigTask& task,
-                      DpStageBound* stages) -> ConfigOutcome {
+  // the DPs now. Pure function of its argument plus the (thread-safe,
+  // const) estimator and shared caches — safe to run on any worker.
+  auto evaluate = [&](const ConfigTask& task) -> ConfigOutcome {
     ConfigOutcome out;
     if (cancelled()) {
       out.error = Status::Cancelled("strategy sweep cancelled");
@@ -723,10 +686,10 @@ Result<OptimizationResult> Optimizer::Optimize(
     // miss builds the facts once for every stage and request of the same
     // signature), stage by stage while some uniform plan or the DP plan may
     // still fit. Each stage is bounded from what its probe returned (a
-    // frontier answers the stage outright and is kept for the DP) until one
-    // is unfit: bounded Infeasible, the verdict the stage's Run would give
-    // before any build. An estimator error, which the stage's Run would
-    // return, sends the configuration to its DPs.
+    // covering frontier gives the stage's exact optimum) until one is
+    // unfit: no bound, the stage's Run finds no plan. An estimator error,
+    // which the stage's Run would return, sends the configuration to its
+    // DPs.
     thread_local std::vector<DpStageFacts> facts;
     if (facts.size() < static_cast<size_t>(degree.pp)) {
       facts.resize(static_cast<size_t>(degree.pp));
@@ -761,15 +724,13 @@ Result<OptimizationResult> Optimizer::Optimize(
       }
       any_fits = any_fits && fits_here;
       if (unfit) continue;
-      Result<DpStageBound> stage_bound = search.BoundStage(
-          facts[i], frontier.get(), degree.stage_budgets[i], run_hooks);
-      unfit = !stage_bound.ok() || !stage_bound->bounded;
-      if (unfit) continue;
-      stages[s] = *std::move(stage_bound);
-      bound.stages[i].seconds = stages[s].lower_seconds;
+      const std::optional<double> stage_bound = search.BoundStage(
+          facts[i], frontier.get(), degree.stage_budgets[i]);
+      unfit = !stage_bound.has_value();
+      if (!unfit) bound.stages[i].seconds = *stage_bound;
     }
     if (!have_facts) {
-      run_dps(task, stages, best, draft, out);
+      run_dps(task, best, draft, out);
       commit(task, best, draft, out);
       return out;
     }
@@ -789,7 +750,6 @@ Result<OptimizationResult> Optimizer::Optimize(
     }
     if (unfit) {
       // The stage table's verdict: the DP plan cannot fit.
-      count_answers(task, stages, out);
       ++out.dp_infeasible_skipped;
       commit(task, best, draft, out);
       return out;
@@ -808,13 +768,9 @@ Result<OptimizationResult> Optimizer::Optimize(
     estimator_.ComposePipeline(model, task.batch, task.micro,
                                degree.stage_extents, &bound);
     out.upper = bound.throughput_samples_per_sec;
-    if (out.upper * (1.0 + kBoundSlack) <=
-        std::max(best.throughput, task.incumbent)) {
-      count_answers(task, stages, out);
-      out.pruned = true;
-    } else {
-      out.deferred = true;
-    }
+    out.pruned = out.upper * (1.0 + kBoundSlack) <=
+                 std::max(best.throughput, task.incumbent);
+    out.deferred = !out.pruned;
     out.fit_unknown = !best.have;
     commit(task, best, draft, out);
     return out;
@@ -823,8 +779,7 @@ Result<OptimizationResult> Optimizer::Optimize(
   // Pass 2 of a deferred configuration its bound did not prune: its stage
   // DPs. The outcome carries a plan only when the DP plan beats the
   // uniform best, which pass 1 merged.
-  auto evaluate_deferred = [&](const ConfigTask& task,
-                               DpStageBound* stages) -> ConfigOutcome {
+  auto evaluate_deferred = [&](const ConfigTask& task) -> ConfigOutcome {
     ConfigOutcome out;
     if (cancelled()) {
       out.error = Status::Cancelled("strategy sweep cancelled");
@@ -834,7 +789,7 @@ Result<OptimizationResult> Optimizer::Optimize(
     // again.
     ConfigBest best{true, task.uniform_best, 0, 0};
     std::vector<StageDraft> draft;
-    run_dps(task, stages, best, draft, out);
+    run_dps(task, best, draft, out);
     if (best.uniform < 0) commit(task, best, draft, out);
     return out;
   };
@@ -891,10 +846,8 @@ Result<OptimizationResult> Optimizer::Optimize(
     error_ordinal = ordinal;
   };
 
-  // Pass 2's tasks and, from each one's first_stage, its stage bounds:
-  // per-sweep storage the pass-1 merge fills.
+  // Pass 2's tasks: per-sweep storage the pass-1 merge fills.
   std::vector<ConfigTask> deferred;
-  std::vector<DpStageBound> deferred_stages;
 
   // Waves are recycled: a merged one goes back to `spare` with its
   // buffers.
@@ -930,7 +883,6 @@ Result<OptimizationResult> Optimizer::Optimize(
     std::unique_ptr<Wave> wave = take_wave(/*deferred_pass=*/false);
     const int batch = next_batch;
     next_batch += options_.batch_step;
-    size_t num_stages = 0;
     for (const PerDegree& degree : degrees) {
       // Micro-batch counts: 1 for the non-pipelined case, else multiples of
       // the stage count (GPipe needs m >= P to fill the pipe).
@@ -952,14 +904,10 @@ Result<OptimizationResult> Optimizer::Optimize(
       // all but the previous one — fixed for each thread count either way.
       const double incumbent = incumbent_of(degree.pp);
       for (int micro : micro_counts) {
-        wave->tasks.push_back(ConfigTask{&degree, batch, micro,
-                                         next_ordinal++, incumbent,
-                                         num_stages});
-        num_stages += static_cast<size_t>(degree.pp);
+        wave->tasks.push_back(
+            ConfigTask{&degree, batch, micro, next_ordinal++, incumbent});
       }
     }
-    wave->bounds.clear();
-    wave->bounds.resize(num_stages);
     seal_wave(*wave);
     return wave;
   };
@@ -983,10 +931,7 @@ Result<OptimizationResult> Optimizer::Optimize(
       const double upper = task.upper * (1.0 + kBoundSlack);
       if (upper <= task.uniform_best ||
           upper < incumbent_of(task.degree->pp)) {
-        ConfigOutcome out;
-        count_answers(task, &deferred_stages[task.first_stage], out);
-        out.pruned = true;
-        merge_counters(out);
+        ++stats.configs_pruned;
         continue;
       }
       if (wave == nullptr) wave = take_wave(/*deferred_pass=*/true);
@@ -1028,9 +973,7 @@ Result<OptimizationResult> Optimizer::Optimize(
     const ConfigTask& task = wave.tasks[i];
     ConfigOutcome& out = wave.outcomes[i];
     measured(out, [&] {
-      out = wave.deferred_pass
-                ? evaluate_deferred(task, &deferred_stages[task.first_stage])
-                : evaluate(task, &wave.bounds[task.first_stage]);
+      out = wave.deferred_pass ? evaluate_deferred(task) : evaluate(task);
     });
   });
   // Publishes and merges one pass's waves (`enumerate` opens the next, or
@@ -1082,13 +1025,11 @@ Result<OptimizationResult> Optimizer::Optimize(
     for (const size_t i : unknown_fit) {
       const ConfigTask& task = wave.tasks[i];
       ConfigOutcome& out = wave.outcomes[i];
-      // The DPs count the stage answers they reuse.
       out.pruned = out.deferred = out.fit_unknown = false;
-      out.dp_frontier_hits = out.dp_frontier_misses = out.dp_allocations = 0;
       measured(out, [&] {
         ConfigBest best;
         std::vector<StageDraft> draft;
-        run_dps(task, &wave.bounds[task.first_stage], best, draft, out);
+        run_dps(task, best, draft, out);
         commit(task, best, draft, out);
       });
       if (out.feasible || !out.error.ok()) return out.feasible;
@@ -1098,10 +1039,10 @@ Result<OptimizationResult> Optimizer::Optimize(
 
   // Pass 1: every configuration's uniform plans and bound, batch by batch.
   // The merge walks outcomes in enumeration order. Deferred configurations
-  // merge their uniform best now and leave their bound and stage answers
-  // for pass 2. The exit test sees exactly what the one-pass sweep saw:
-  // larger batches only use more memory, so the loop ends at the first
-  // wave with every degree's pipeline filled and nothing that fits.
+  // merge their uniform best now and leave their bound for pass 2. The
+  // exit test sees exactly what the one-pass sweep saw: larger batches
+  // only use more memory, so the loop ends at the first wave with every
+  // degree's pipeline filled and nothing that fits.
   auto merge_batch = [&](Wave& wave) {
     bool more = wave.any_pending ||
                 std::any_of(wave.outcomes.begin(), wave.outcomes.end(),
@@ -1119,15 +1060,9 @@ Result<OptimizationResult> Optimizer::Optimize(
       ++stats.configs_explored;
       merge_counters(out);
       if (out.deferred) {
-        ConfigTask later = task;
-        later.first_stage = deferred_stages.size();
+        ConfigTask& later = deferred.emplace_back(task);
         later.uniform_best = out.best.throughput;
         later.upper = out.upper;
-        deferred.push_back(later);
-        for (int s = 0; s < task.degree->pp; ++s) {
-          deferred_stages.push_back(std::move(
-              wave.bounds[task.first_stage + static_cast<size_t>(s)]));
-        }
       }
       if (out.has_best) merge_plan(out.best);
     }
@@ -1245,12 +1180,11 @@ Result<OptimizationResult> Optimizer::Optimize(
     finish_degree(degree);
     const ConfigTask task{&degree, best.batch, best.micro,
                           best.config_ordinal};
-    std::vector<DpStageBound> stages(static_cast<size_t>(degree.pp));
     ConfigBest incumbent{true, result.estimated.throughput_samples_per_sec, 0,
                          0};
     std::vector<StageDraft> draft;
     ConfigOutcome out;
-    run_dps(task, stages.data(), incumbent, draft, out);
+    run_dps(task, incumbent, draft, out);
     if (incumbent.uniform >= 0) break;
     best.degree = &degree;
     best.uniform_candidate = -1;

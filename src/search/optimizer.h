@@ -134,14 +134,14 @@ struct SearchStats {
   int64_t cost_cache_lifetime_hits = 0;
   int64_t cost_cache_lifetime_misses = 0;
 
-  /// DP frontier-cache counters for this run: per-stage searches answered
-  /// by replaying a cached Pareto frontier vs. searches that ran the cold
-  /// kernel. With a caller-provided frontier cache these span requests (a
-  /// warm-start serving request shows hits ~= the per-stage search count);
-  /// without one, the sweep still uses a run-local cache, so the
-  /// identical pipeline stages of one configuration — and repeated
-  /// signatures across configurations — run the cold kernel once and
-  /// replay everywhere else.
+  /// DP frontier-cache counters for this run: stage searches the sweep ran
+  /// (DpSearch::Run) that replayed a cached Pareto frontier vs. those that
+  /// did not. A stage bounded from a frontier but never searched, because
+  /// its configuration was pruned, counts in neither. With a
+  /// caller-provided frontier cache the replays span requests; without
+  /// one, the sweep still uses a run-local cache, so the identical
+  /// pipeline stages of one configuration — and repeated signatures across
+  /// configurations — run the cold kernel once and replay everywhere else.
   int64_t dp_frontier_hits = 0;
   int64_t dp_frontier_misses = 0;
 

@@ -42,8 +42,10 @@ class ServeMetrics {
   }
 
   /// One /v1/plan search that warm-started from cached DP frontiers: it
-  /// ran on a PlanningContext an earlier request created and replayed at
-  /// least one (SearchStats::dp_frontier_hits > 0).
+  /// ran on a PlanningContext an earlier request created and at least one
+  /// of the stage searches it ran replayed one
+  /// (SearchStats::dp_frontier_hits > 0; stages only bounded from a
+  /// frontier do not count).
   void RecordWarmStart() {
     warm_start_.fetch_add(1, std::memory_order_relaxed);
   }

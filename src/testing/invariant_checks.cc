@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -1392,20 +1393,21 @@ std::optional<CheckFailure> CheckPlanPricingIdentity(
 /// configuration with it never drops a plan that could have won. On one
 /// random batch wave of a small sweep — every (PP degree, micro-batch
 /// count) configuration of an equal split — each stage's cold
-/// DpSearch::Bound is at most the stage seconds of DpSearch::Run and of
-/// DenseDpSearch (a feasible stage always gives a bound, an infeasible one
-/// never does); a Bound after the Run published its frontiers answers with
-/// the Run's result exactly, its bound equal to the stage seconds; and
+/// A stage's bound as the sweep takes it (DpSearch::StageFacts, then
+/// BoundStage over the facts and frontier that probe returned) is at most
+/// the stage seconds of DpSearch::Run and of DenseDpSearch (a feasible
+/// stage always gives a bound, an infeasible one never does); after the
+/// Run published its frontiers the bound is the Run's stage seconds, bit
+/// for bit, and absent exactly when the Run is Infeasible; and
 /// ComposePipeline over the stage bounds is at least the EstimatePlan
 /// throughput of the configuration's DP plan whenever that plan fits.
 ///
 /// The stage table the sweep's first pass reads is budget-free: filled at
 /// the cluster's budget, it must answer at a second budget — a random one,
 /// a uniform plan's exact peak and one byte below it — exactly what a
-/// fresh-cache Bound answers (verdict, bounded flag, lower_seconds bits)
-/// and, for every uniform plan priced from its stage facts, what
-/// EstimatePlan answers on the materialized plan (fits verdict,
-/// throughput bits).
+/// fresh-cache bound answers (verdict and bits) and, for every uniform plan
+/// priced from its stage facts, what EstimatePlan answers on the
+/// materialized plan (fits verdict, throughput bits).
 std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
                                             const CheckOptions& options) {
   const FuzzCheck kCheck = FuzzCheck::kSweepBound;
@@ -1435,7 +1437,7 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
   warm.cost_cache = &costs;
   warm.frontier_cache = &frontiers;
   // A second context whose frontier cache only ever holds stage facts: no
-  // Run publishes frontiers to it, so its Bounds answer from the table.
+  // Run publishes frontiers to it, so its bounds come from the table.
   SharedCostCache table_costs(&estimator, &model);
   DpFrontierCache table;
   SearchHooks filled;
@@ -1451,6 +1453,23 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
     std::vector<int> resident;
   };
   std::vector<TableConfig> table_configs;
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  // The bound of one stage of `searcher` at `budget`, read as the sweep
+  // reads it: the stage's facts and frontier from `hooks`, then BoundStage.
+  const auto bound_stage =
+      [&](const DpSearch& searcher, int first_layer, int layers,
+          const std::vector<HybridStrategy>& candidates, int first_device,
+          int micro, int64_t budget, int resident,
+          const SearchHooks& hooks) -> Result<std::optional<double>> {
+    DpStageFacts facts;
+    std::shared_ptr<const DpFrontierEntry> frontier;
+    GALVATRON_RETURN_IF_ERROR(searcher.StageFacts(
+        model, first_layer, layers, candidates, first_device, batch, micro,
+        resident, hooks, &facts, &frontier));
+    return searcher.BoundStage(facts, frontier.get(), budget);
+  };
 
   for (int pp = 1; pp <= cluster.num_devices() && pp <= model.num_layers();
        pp *= 2) {
@@ -1485,7 +1504,7 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
         tabled.extents.push_back(
             PlanCostSource::Stage{first_device, span, first_layer, layers});
         tabled.resident.push_back(resident);
-        // Fill the table at this budget: the stage's facts, then its bound.
+        // Fill the table: the stage's facts.
         DpStageFacts facts;
         if (const Status stored = search.StageFacts(
                 model, first_layer, layers, *candidates, first_device, batch,
@@ -1495,9 +1514,6 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
                              StrFormat("stage facts failed: %s",
                                        stored.ToString().c_str()));
         }
-        (void)search.Bound(model, first_layer, layers, *candidates,
-                           first_device, batch, micro, budget, resident,
-                           filled);
         const std::string stage = StrFormat(
             "pp %d micro %d batch %d stage %d (layers [%d,+%d), %d devices "
             "@%d, budget %lld%s%s)",
@@ -1505,26 +1521,20 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
             static_cast<long long>(budget),
             schedule == PipelineSchedule::k1F1B ? ", 1f1b" : "",
             search_options.allow_recompute ? ", +recompute" : "");
-        const Result<DpStageBound> bound =
-            search.Bound(model, first_layer, layers, *candidates,
-                         first_device, batch, micro, budget, resident);
+        const Result<std::optional<double>> bound =
+            bound_stage(search, first_layer, layers, *candidates,
+                        first_device, micro, budget, resident, {});
         const Result<DpSearchResult> run =
             search.Run(model, first_layer, layers, *candidates, first_device,
                        batch, micro, budget, resident);
         const Result<DpSearchResult> dense = DenseDpSearch(
             estimator, model, first_layer, layers, *candidates, first_device,
             batch, micro, budget, search_options, nullptr, resident);
-        const bool bounded = bound.ok() && bound->bounded;
+        const bool bounded = bound.ok() && bound->has_value();
         if (run.ok() != dense.ok()) {
           return MakeFailure(
               kCheck, seed,
               StrFormat("sparse/dense feasibility diverges on %s",
-                        stage.c_str()));
-        }
-        if (bound.ok() && bound->answer.has_value()) {
-          return MakeFailure(
-              kCheck, seed,
-              StrFormat("a Bound without a frontier cache answered on %s",
                         stage.c_str()));
         }
         if (run.ok() != bounded) {
@@ -1535,45 +1545,37 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
                         run.ok() ? "gave no bound" : "gave a bound",
                         stage.c_str()));
         }
-        if (run.ok() && (bound->lower_seconds > run->stage_seconds * slack ||
-                         bound->lower_seconds >
-                             dense->stage_seconds * slack)) {
+        if (run.ok() && (**bound > run->stage_seconds * slack ||
+                         **bound > dense->stage_seconds * slack)) {
           return MakeFailure(
               kCheck, seed,
               StrFormat("stage bound %.17g exceeds the DP's %.17g (dense "
                         "%.17g) on %s",
-                        bound->lower_seconds, run->stage_seconds,
-                        dense->stage_seconds, stage.c_str()));
+                        **bound, run->stage_seconds, dense->stage_seconds,
+                        stage.c_str()));
         }
 
-        // Published, the stage's frontiers answer the next Bound exactly.
+        // Published, the stage's frontiers give the next bound exactly.
         const Result<DpSearchResult> published =
             search.Run(model, first_layer, layers, *candidates, first_device,
                        batch, micro, budget, resident, warm);
-        const Result<DpStageBound> replay =
-            search.Bound(model, first_layer, layers, *candidates,
-                         first_device, batch, micro, budget, resident, warm);
-        if (published.ok()) {
-          const bool exact =
-              replay.ok() && replay->answer.has_value() &&
-              replay->answer->ok() && replay->bounded &&
-              (*replay->answer)->stage_seconds == published->stage_seconds &&
-              replay->lower_seconds == published->stage_seconds &&
-              (*replay->answer)->per_layer_option ==
-                  published->per_layer_option &&
-              (*replay->answer)->per_layer_recompute ==
-                  published->per_layer_recompute;
-          if (!exact) {
-            return MakeFailure(
-                kCheck, seed,
-                StrFormat("a Bound over published frontiers is not the "
-                          "Run's answer on %s",
-                          stage.c_str()));
-          }
+        const Result<std::optional<double>> replay =
+            bound_stage(search, first_layer, layers, *candidates,
+                        first_device, micro, budget, resident, warm);
+        const bool exact =
+            published.ok()
+                ? replay.ok() && replay->has_value() &&
+                      same_bits(**replay, published->stage_seconds)
+                : !replay.ok() || !replay->has_value();
+        if (!exact) {
+          return MakeFailure(
+              kCheck, seed,
+              StrFormat("the bound over published frontiers is not the "
+                        "Run's answer on %s",
+                        stage.c_str()));
         }
 
-        upper_cost.stages.emplace_back().seconds =
-            bounded ? bound->lower_seconds : 0.0;
+        upper_cost.stages.emplace_back().seconds = bounded ? **bound : 0.0;
         all_fit = all_fit && run.ok();
         if (run.ok()) {
           StagePlan& stage_plan = plan.stages.emplace_back();
@@ -1642,9 +1644,6 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
     second_budgets.push_back(peak);
     second_budgets.push_back(peak - 1);
   }
-  const auto same_bits = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  };
   for (const int64_t second : second_budgets) {
     const ClusterSpec resized = cluster.WithMemoryBudget(second);
     const CostEstimator fresh_estimator(&resized);
@@ -1662,34 +1661,31 @@ std::optional<CheckFailure> CheckSweepBound(uint64_t seed,
         const PlanCostSource::Stage& stage = config.extents[s];
         budgets.push_back(
             resized.MinMemoryInRange(stage.first_device, stage.num_devices));
-        const Result<DpStageBound> want = fresh.Bound(
-            model, stage.first_layer, stage.num_layers, config.candidates,
-            stage.first_device, batch, config.micro, budgets.back(),
-            config.resident[s]);
-        const Result<DpStageBound> got = search.Bound(
-            model, stage.first_layer, stage.num_layers, config.candidates,
-            stage.first_device, batch, config.micro, budgets.back(),
+        const Result<std::optional<double>> want = bound_stage(
+            fresh, stage.first_layer, stage.num_layers, config.candidates,
+            stage.first_device, config.micro, budgets.back(),
+            config.resident[s], {});
+        const Result<std::optional<double>> got = bound_stage(
+            search, stage.first_layer, stage.num_layers, config.candidates,
+            stage.first_device, config.micro, budgets.back(),
             config.resident[s], filled);
         const bool agree =
             want.ok() == got.ok() &&
-            (want.ok() ? !got->answer.has_value() &&
-                             want->bounded == got->bounded &&
-                             same_bits(want->lower_seconds,
-                                       got->lower_seconds)
+            (want.ok() ? want->has_value() == got->has_value() &&
+                             (!want->has_value() || same_bits(**want, **got))
                        : want.status().ToString() == got.status().ToString());
         if (!agree) {
+          const auto describe = [](const Result<std::optional<double>>& b) {
+            if (!b.ok()) return b.status().ToString();
+            return b->has_value() ? StrFormat("%.17g", **b)
+                                  : std::string("no bound");
+          };
           return MakeFailure(
               kCheck, seed,
               StrFormat("the stage table's bound differs from a fresh "
-                        "Bound on stage %zu of %s: %s %d %.17g vs %s %d "
-                        "%.17g",
-                        s, where.c_str(),
-                        got.ok() ? "ok" : got.status().ToString().c_str(),
-                        got.ok() && got->bounded ? 1 : 0,
-                        got.ok() ? got->lower_seconds : 0.0,
-                        want.ok() ? "ok" : want.status().ToString().c_str(),
-                        want.ok() && want->bounded ? 1 : 0,
-                        want.ok() ? want->lower_seconds : 0.0));
+                        "bound on stage %zu of %s: %s vs %s",
+                        s, where.c_str(), describe(got).c_str(),
+                        describe(want).c_str()));
         }
       }
       for (size_t c = 0; c < config.candidates.size(); ++c) {

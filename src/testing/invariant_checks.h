@@ -62,10 +62,10 @@ namespace galvatron {
 ///                        for bit like EstimatePlan, with the memory check
 ///                        deferred and applied.
 ///   kSweepBound        — the sweep's cross-configuration bound is sound:
-///                        every stage's DpSearch::Bound is at most the
-///                        stage seconds of DpSearch::Run and of
-///                        DenseDpSearch, exact when answered from the
-///                        frontier cache, and ComposePipeline over the
+///                        every stage's DpSearch::BoundStage is at most
+///                        the stage seconds of DpSearch::Run and of
+///                        DenseDpSearch, exact over published frontiers,
+///                        and ComposePipeline over the
 ///                        stage bounds is at least the EstimatePlan
 ///                        throughput of every fitting DP plan.
 enum class FuzzCheck {

@@ -363,6 +363,51 @@ TEST(PerfRegressionTest, WarmReplanReadsTheStageTable) {
       << "warm re-plans re-price what the stage table holds";
 }
 
+/// Warm re-plans at smaller budgets over the caches of a 12 GB plan: a
+/// stage whose record holds a frontier built at a budget >= the re-plan's
+/// is bounded by the frontier's exact optimum, not the looser LP bound, so
+/// the re-plans prune exactly as many configurations as when the bound
+/// pass replayed the whole stage answer (pinned from that design). At
+/// 9.25 GB, after the 9 GB re-plan, the LP bound would prune one fewer
+/// (117). The frontier hits the sweep reports are the Runs the store
+/// answered: the bound counts none.
+TEST(PerfRegressionTest, WarmReplanKeepsExactFrontierBounds) {
+  BertConfig config;
+  config.num_layers = 8;
+  config.hidden = 1024;
+  config.heads = 16;
+  const ModelSpec model = BuildBert("perf-bert", config);
+  const ClusterSpec cluster = MakeTitanNode8(12 * kGB);
+  OptimizerOptions options;
+  options.search_threads = 1;
+  const CostEstimator estimator(&cluster);
+  SharedCostCache cache(&estimator, &model);
+  DpFrontierCache frontier;
+  SearchHooks hooks;
+  hooks.cost_cache = &cache;
+  hooks.frontier_cache = &frontier;
+  ASSERT_TRUE(Optimizer(&cluster, options).Optimize(model, hooks).ok());
+
+  const struct {
+    int64_t budget;
+    int configs_pruned;
+  } replans[] = {{11 * kGB, 149},
+                 {10 * kGB, 132},
+                 {9 * kGB, 117},
+                 {9 * kGB + kGB / 4, 118}};
+  for (const auto& replan : replans) {
+    const ClusterSpec smaller = MakeTitanNode8(replan.budget);
+    const int64_t hits_before = frontier.stats().hits;
+    auto warm = Optimizer(&smaller, options).Optimize(model, hooks);
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    EXPECT_EQ(warm->stats.configs_pruned, replan.configs_pruned)
+        << "budget " << replan.budget;
+    EXPECT_EQ(warm->stats.dp_frontier_hits,
+              frontier.stats().hits - hits_before)
+        << "budget " << replan.budget;
+  }
+}
+
 /// Timer-free work tripwire on the same sweep at 4 threads (fewer on a
 /// host with fewer cores). Each wave's configurations are bounded against
 /// incumbents snapshotted before the wave run ahead of them merged, so a

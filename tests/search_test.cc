@@ -188,18 +188,19 @@ TEST_F(DpSearchTest, BudgetUnitsCapIsCheckedBeforeTheSearch) {
   auto fits = search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1,
                          at_cap);
   EXPECT_TRUE(fits.ok()) << fits.status();
-  auto bound = search.Bound(model, 0, model.num_layers(), *candidates, 0, 8,
-                            1, at_cap);
-  ASSERT_TRUE(bound.ok()) << bound.status();
-  EXPECT_TRUE(bound->bounded);
+  DpStageFacts facts;
+  ASSERT_TRUE(search
+                  .StageFacts(model, 0, model.num_layers(), *candidates, 0, 8,
+                              1, -1, {}, &facts)
+                  .ok());
+  EXPECT_TRUE(search.BoundStage(facts, nullptr, at_cap).has_value());
 
   auto over = search.Run(model, 0, model.num_layers(), *candidates, 0, 8, 1,
                          at_cap + 1);
   EXPECT_TRUE(over.status().IsInvalidArgument()) << over.status();
-  auto over_bound = search.Bound(model, 0, model.num_layers(), *candidates,
-                                 0, 8, 1, at_cap + 1);
-  EXPECT_TRUE(over_bound.status().IsInvalidArgument())
-      << over_bound.status();
+  // BoundStage takes only budgets the sweep has checked this way.
+  EXPECT_TRUE(ValidateBudgetUnits(at_cap + 1, options.memory_granularity)
+                  .IsInvalidArgument());
   auto over_dense =
       DenseDpSearch(estimator_, model, 0, model.num_layers(), *candidates, 0,
                     8, 1, at_cap + 1, options);

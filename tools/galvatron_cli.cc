@@ -3,7 +3,7 @@
 ///
 /// Examples:
 ///   galvatron_cli --model bert-huge-32 --nodes 1 --gpus 8 --memory-gb 16
-///   galvatron_cli --model swin-huge-48 --memory-gb 8 --recompute \
+///   galvatron_cli --model swin-huge-48 --memory-gb 8 --recompute
 ///       --schedule 1f1b --json-out plan.json --trace-out trace.json
 ///   galvatron_cli --model vit-huge-32 --mode sdp        # a pure baseline
 ///   galvatron_cli --list-models
